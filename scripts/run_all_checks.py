@@ -12,10 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from fibretransport.cli import run_law
+from fibretransport.cli import law_filename, run_law
 from fibretransport.instances import instance_names, make_instance
-
-HEAVY = {"sphere-levi-civita"}
 
 
 def main() -> int:
@@ -30,15 +28,14 @@ def main() -> int:
     surprises = []
     for name in instance_names():
         spec = make_instance(name)
-        trials = args.heavy_trials if name in HEAVY else args.trials
+        trials = args.heavy_trials if spec.step is not None else args.trials
         outdir = args.out / name.replace(":", "_")
         outdir.mkdir(parents=True, exist_ok=True)
         expected_fail = spec.transport.violates
         print(f"\n=== {name} (trials {trials}) ===")
         for law in spec.applicable:
             report = run_law(spec, law, trials=trials, seed=args.seed)
-            fname = "law_" + law.replace("/", "+") + ".json"
-            (outdir / fname).write_text(report.to_json())
+            (outdir / law_filename(law)).write_text(report.to_json())
             status = "PASS" if report.passed else "FAIL"
             note = ""
             if not report.passed and law == expected_fail:

@@ -11,7 +11,7 @@ checkable from the command line.
 """
 
 from .bundles import (BasePoint, BundleMetric, FibreBundle, FibreElement,
-                      Section, bundle_from_dict, bundle_from_json, chart_point,
+                      Section, bundle_from_dict, chart_point,
                       euclidean_metric, evaluate_metric, fibre_at,
                       graph_point, label_element, rebase, section_through,
                       table_section, vector_element)
@@ -33,8 +33,8 @@ from .lifting import (Lifting, check_fibre_cover, check_global_uniqueness,
 from .paths import (ConcatSchedule, Interval, Path, Reparameterization,
                     affine_remap, canonical_reversal, canonical_schedule,
                     concatenate, constant_path, path_from_dict,
-                    path_from_json, piecewise_path, reparameterize, restrict,
-                    reverse, square_remap)
+                    piecewise_path, reparameterize, restrict, reverse,
+                    square_remap)
 from .transport import (LawReport, Transport, check_axioms, check_group_law,
                         check_identity_law, check_inverse_path_law,
                         check_inverse_transport, check_linearity,

@@ -15,7 +15,6 @@ Everything is an immutable dataclass; operations are pure functions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -155,7 +154,6 @@ class FibreDescription:
     kind: str                                   # finite | vector | sections
     labels: tuple[str, ...] | None = None       # finite / sections
     dim: int | None = None                      # vector
-    frame: tuple[str, ...] | None = None        # vector: names of frame fields
 
 
 @dataclass(frozen=True)
@@ -245,8 +243,7 @@ def fibre_at(bundle: FibreBundle, x: BasePoint) -> FibreDescription:
     if bundle.fibre_kind == "finite":
         return FibreDescription(kind="finite", labels=bundle.labels)
     if bundle.fibre_kind == "vector":
-        frame = ("d_theta", "d_phi") if bundle.base_kind == "sphere" else None
-        return FibreDescription(kind="vector", dim=bundle.dim, frame=frame)
+        return FibreDescription(kind="vector", dim=bundle.dim)
     vals = tuple(sec.at(x).label for sec in bundle.sections)
     return FibreDescription(kind="sections", labels=vals)
 
@@ -349,7 +346,3 @@ def bundle_from_dict(data: dict, space_id: str = "base") -> FibreBundle:
             nodes=nodes, edges=edges, dim=int(fibre["dim"]),
         )
     raise ConfigError(f"unknown fibre kind {fkind!r}")
-
-
-def bundle_from_json(text: str, space_id: str = "base") -> FibreBundle:
-    return bundle_from_dict(json.loads(text), space_id=space_id)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -26,16 +27,12 @@ from pathlib import Path as FsPath
 
 from . import factorization as fz
 from . import lifting as lf
-from .bundles import label_element, vector_element
-from .errors import FibreTransportError, UnknownLaw
-from .instances import (LAW_ORDER, InstanceSpec, holonomy_angle,
-                        instance_names, make_instance)
-from .transport import (LawReport, check_axioms, check_group_law,
-                        check_identity_law, check_inverse_path_law,
-                        check_inverse_transport, check_linearity,
-                        check_locality, check_metric_consistency,
-                        check_product_cross, check_product_same,
-                        check_reparam_invariance, check_transported_sections)
+from .bundles import fibre_at, label_element, vector_element
+from .errors import ConfigError, FibreTransportError
+from .instances import (InstanceSpec, holonomy_angle, instance_names,
+                        make_instance)
+from .laws import law_named
+from .transport import LawReport, _desc
 
 _FLOAT_FMT = "%.17e"
 
@@ -60,60 +57,8 @@ class RunConfig:
 def run_law(spec: InstanceSpec, law: str, *, trials: int = 200, seed: int = 0,
             tolerance: float | None = None) -> LawReport:
     """Run one registry law against an instance."""
-    T = spec.transport
-    kw = {"trials": trials, "seed": seed, "tolerance": tolerance}
-    if law == "2.2":
-        return check_group_law(T, spec.law_paths, **kw)
-    if law == "2.3":
-        return check_identity_law(T, spec.law_paths, **kw)
-    if law == "2.2+2.3":
-        return check_axioms(T, spec.law_paths, **kw)
-    if law == "2.4":
-        return check_transported_sections(T, spec.law_paths, **kw)
-    if law == "2.5/2.7":
-        return check_locality(T, spec.law_paths, **kw)
-    if law == "2.6":
-        return check_reparam_invariance(T, spec.law_paths, spec.remaps, **kw)
-    if law == "2.8":
-        return check_linearity(T, spec.law_paths, **kw)
-    if law == "2.9":
-        return check_metric_consistency(T, spec.metric, spec.law_paths, **kw)
-    if law == "3.1":
-        return check_inverse_transport(T, spec.law_paths, **kw)
-    if law == "3.2":
-        return check_inverse_path_law(T, spec.law_paths, **kw)
-    if law == "3.4":
-        return check_product_cross(T, *spec.product_pair, **kw) \
-            if spec.product_pair else _no_pair(law)
-    if law == "3.5":
-        return check_product_same(T, *spec.product_pair, **kw) \
-            if spec.product_pair else _no_pair(law)
-    if law == "3.6-roundtrip":
-        return fz.check_factorization_roundtrip(
-            T, spec.law_paths[0], seed=seed, tolerance=tolerance)
-    if law == "3.11/3.12":
-        return fz.check_gauge_freedom(
-            T, spec.law_paths[0], seed=seed, tolerance=tolerance)
-    if law == "4.2":
-        return lf.check_lift_projection(T, spec.law_paths, **kw)
-    if law == "4.4":
-        p = spec.uniqueness_path or spec.law_paths[0]
-        return lf.check_global_uniqueness(T, p, **kw)
-    if law == "4.6":
-        return lf.check_self_consistency(T, spec.law_paths, **kw)
-    if law == "4.7":
-        return lf.check_fibre_cover(T, spec.law_paths[0], seed=seed,
-                                    tolerance=tolerance)
-    raise UnknownLaw(f"unknown law id {law!r}; registry: "
-                     f"{', '.join(LAW_ORDER)} (and 2.2+2.3)")
-
-
-def _no_pair(law: str):
-    from .errors import ConfigError
-    raise ConfigError(f"law {law} needs an instance with a product pair")
-
-
-_RUNNABLE = set(LAW_ORDER) | {"2.2+2.3"}
+    return law_named(law).run(spec, trials=trials, seed=seed,
+                              tolerance=tolerance)
 
 
 def law_filename(law: str) -> str:
@@ -127,10 +72,9 @@ def law_filename(law: str) -> str:
 def cmd_check(cfg: RunConfig, laws: list[str] | None) -> int:
     spec = make_instance(cfg.instance, step=cfg.step)
     chosen = list(spec.applicable) if not laws else laws
-    for law in chosen:
-        if law not in _RUNNABLE:
-            raise UnknownLaw(f"unknown law id {law!r}; registry: "
-                             f"{', '.join(LAW_ORDER)} (and 2.2+2.3)")
+    for law in chosen:  # refuse unknown ids before any report is written
+        law_named(law)
+    _require_tols_run(cfg, chosen)
     reports = []
     for law in chosen:
         report = run_law(spec, law, trials=cfg.trials, seed=cfg.seed,
@@ -150,13 +94,13 @@ def cmd_check(cfg: RunConfig, laws: list[str] | None) -> int:
 
 
 def cmd_holonomy(cfg: RunConfig, loop_name: str | None, steps: list[float]) -> int:
+    _require_tols_run(cfg, [])
     rows = []
     loop_label = loop_name
     for h in steps:
         spec = make_instance(cfg.instance, step=h)
         if loop_label is None:
             if not spec.loops:
-                from .errors import ConfigError
                 raise ConfigError(
                     f"instance {spec.name!r} declares no closed loops")
             loop_label = next(iter(spec.loops))
@@ -183,6 +127,7 @@ def cmd_holonomy(cfg: RunConfig, loop_name: str | None, steps: list[float]) -> i
 
 def cmd_lift(cfg: RunConfig, path_name: str | None, element: str | None,
              s0: float | None, samples: int) -> int:
+    _require_tols_run(cfg, [])
     spec = make_instance(cfg.instance, step=cfg.step)
     p = spec.path_named(path_name) if path_name else spec.law_paths[0]
     if s0 is None:
@@ -197,15 +142,11 @@ def cmd_lift(cfg: RunConfig, path_name: str | None, element: str | None,
         u = vector_element(anchor_point, comps)
     else:
         if element is None:
-            from .bundles import fibre_at
             element = fibre_at(spec.bundle, anchor_point).labels[0]
         u = label_element(anchor_point, element)
     lifted = lf.lift(spec.transport, p, u, s0)
     params = [s0] + [t for t in p.domain.samples(samples) if t != s0]
     values = [(t, lifted.at(t)) for t in params]
-
-    def cell(v):
-        return v.label if v.label is not None else list(v.vector)
 
     if cfg.fmt == "csv":
         if spec.bundle.fibre_kind == "vector":
@@ -220,18 +161,19 @@ def cmd_lift(cfg: RunConfig, path_name: str | None, element: str | None,
         _emit(cfg, "lifting.csv", "\n".join(lines) + "\n")
     else:
         payload = {"instance": cfg.instance, "path": p.name, "s0": s0,
-                   "through": cell(u),
-                   "values": [{"s": t, "value": cell(v)} for t, v in values]}
+                   "through": _desc(u),
+                   "values": [{"s": t, "value": _desc(v)} for t, v in values]}
         _emit(cfg, "lifting.json",
               json.dumps(payload, sort_keys=True, indent=2) + "\n")
     if cfg.out is not None:
         print(f"lifting along {p.name!r} anchored at {s0:g} through "
-              f"{cell(u)}: {len(values)} samples")
+              f"{_desc(u)}: {len(values)} samples")
     return 0
 
 
 def cmd_factorize(cfg: RunConfig, path_name: str | None, s0: float | None,
                   grid: int) -> int:
+    _require_tols_run(cfg, ["3.6-roundtrip"])
     spec = make_instance(cfg.instance, step=cfg.step)
     p = spec.path_named(path_name) if path_name else spec.law_paths[0]
     f = fz.canonical_factorization(spec.transport, p, s0=s0, grid=grid)
@@ -272,8 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--instance", required=True,
                         help=f"one of: {', '.join(instance_names())}")
-        sp.add_argument("--seed", type=int,
-                        default=int(os.environ.get("FT_DEFAULT_SEED", "0")))
+        sp.add_argument("--seed", type=int, default=None,
+                        help="default: $FT_DEFAULT_SEED, or 0")
         sp.add_argument("--trials", type=int, default=200)
         sp.add_argument("--step", type=float, default=None,
                         help="integrator step for numeric instances")
@@ -317,20 +259,49 @@ def _parse_tols(pairs: list[str]) -> dict:
     out = {}
     for pair in pairs:
         law, sep, value = pair.partition("=")
-        if not sep:
-            raise UnknownLaw(f"--tol expects LAW=VALUE, got {pair!r}")
-        out[law.strip()] = float(value)
+        try:
+            tol = float(value)
+        except ValueError:
+            tol = math.nan
+        if not sep or not 0.0 <= tol < math.inf:
+            raise ConfigError(f"--tol expects LAW=VALUE with a finite, "
+                              f"nonnegative value, got {pair!r}")
+        out[law.strip()] = tol
     return out
+
+
+def _require_tols_run(cfg: RunConfig, laws: list[str]) -> None:
+    """Refuse --tol overrides that would silently go unused."""
+    unused = sorted(set(cfg.tol_overrides) - set(laws))
+    if unused:
+        raise ConfigError(f"--tol names laws this run does not execute: "
+                          f"{', '.join(unused)}")
+
+
+def _default_seed() -> int:
+    text = os.environ.get("FT_DEFAULT_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"FT_DEFAULT_SEED must be an integer, "
+                          f"got {text!r}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(instance=args.instance, seed=args.seed,
+        if args.trials < 1:
+            raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+        cfg = RunConfig(instance=args.instance,
+                        seed=_default_seed() if args.seed is None else args.seed,
                         trials=args.trials, step=args.step, out=args.out,
                         fmt=args.fmt, tol_overrides=_parse_tols(args.tol))
         if cfg.out is not None:
-            cfg.out.mkdir(parents=True, exist_ok=True)
+            try:
+                cfg.out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot use --out {str(cfg.out)!r} as a "
+                                  f"report directory: {exc.strerror}") from None
         if args.command == "check":
             laws = None if args.laws == "all" else [
                 l.strip() for l in args.laws.split(",") if l.strip()]
@@ -338,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "holonomy":
             steps = [float(s) for s in args.steps.split(",") if s.strip()]
             if not steps:
-                raise UnknownLaw("--steps needs at least one value")
+                raise ConfigError("--steps needs at least one value")
             return cmd_holonomy(cfg, args.loop, steps)
         if args.command == "lift":
             return cmd_lift(cfg, args.path_name, args.element, args.s0,

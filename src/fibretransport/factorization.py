@@ -22,13 +22,13 @@ import random
 from dataclasses import dataclass, replace
 
 from . import linalg
-from .bundles import FibreBundle, element_deviation, fibre_at, label_element, \
-    vector_element
+from .bundles import FibreBundle, element_deviation, fibre_at, \
+    fibre_elements, label_element, vector_element
 from .errors import (ConfigError, DifferentTransports, GaugeInconsistent,
                      GridMismatch, UnknownParameter)
 from .paths import Interval, Path
-from .transport import (LawReport, Transport, _Collector, _rng, law_tolerance,
-                        transport, unit_ball)
+from .transport import (LawReport, Transport, _desc, run_trials, transport,
+                        unit_ball)
 
 FibreMap = "dict[str, str] | linalg.Mat"
 
@@ -143,7 +143,7 @@ def canonical_factorization(T: Transport, p: Path, s0: float | None = None,
         if T.bundle.fibre_kind == "vector":
             cols = [transport(T, p, s, s0,
                               vector_element(x, basis)).vector
-                    for basis in _basis(T.bundle.dim)]
+                    for basis in linalg.identity(T.bundle.dim)]
             maps.append(tuple(zip(*cols)))
         else:
             maps.append({lab: transport(T, p, s, s0,
@@ -152,10 +152,6 @@ def canonical_factorization(T: Transport, p: Path, s0: float | None = None,
     return Factorization(bundle=T.bundle, space=p.space, path_name=p.name,
                          domain=p.domain, anchor=s0, grid=pts,
                          maps=tuple(maps), tolerance=T.tolerance)
-
-
-def _basis(n: int):
-    return [tuple(1.0 if i == j else 0.0 for j in range(n)) for i in range(n)]
 
 
 def transport_from_factorization(f: Factorization, p: Path) -> Transport:
@@ -249,30 +245,29 @@ def check_factorization_roundtrip(T: Transport, p: Path, *, s0: float | None = N
                                   seed: int = 0) -> LawReport:
     """Law 3.6-roundtrip: the canonical family reassembles the transport on
     every ordered grid pair, and its anchor map is the identity."""
-    tol = law_tolerance("3.6-roundtrip", T) if tolerance is None else tolerance
-    rng = _rng(seed, "3.6-roundtrip")
-    col = _Collector("3.6-roundtrip", T.name, tol)
     f = canonical_factorization(T, p, s0=s0, grid=grid)
     rebuilt = transport_from_factorization(f, p)
 
-    ident = identity_map(T.bundle, p.at(f.anchor))
-    col.record(map_deviation(f.map_at(f.anchor), ident), p.name,
-               {"anchor": f.anchor}, ["anchor map vs identity"])
-
-    for s in f.grid:
+    def trial(k, rng, col):
+        if k == 0:
+            ident = identity_map(T.bundle, p.at(f.anchor))
+            col.record(map_deviation(f.map_at(f.anchor), ident), p.name,
+                       {"anchor": f.anchor}, ["anchor map vs identity"])
+        s = f.grid[k]
         x = p.at(s)
         if T.bundle.fibre_kind == "vector":
             elements = [vector_element(x, unit_ball(rng, T.bundle.dim))
                         for _ in range(samples)]
         else:
-            elements = [label_element(x, lab)
-                        for lab in fibre_at(T.bundle, x).labels]
+            elements = fibre_elements(T.bundle, x)
         for t in f.grid:
             for u in elements:
                 dev = element_deviation(transport(rebuilt, p, s, t, u),
                                         transport(T, p, s, t, u))
-                col.record(dev, p.name, {"s": s, "t": t}, [u.label or list(u.vector)])
-    return col.report(seed, notes=f"grid of {len(f.grid)} points, anchor {f.anchor}")
+                col.record(dev, p.name, {"s": s, "t": t}, [_desc(u)])
+
+    return run_trials("3.6-roundtrip", T, len(f.grid), tolerance, seed, trial,
+                      notes=f"grid of {len(f.grid)} points, anchor {f.anchor}")
 
 
 def random_gauge(rng: random.Random, bundle: FibreBundle, x) -> "FibreMap":
@@ -298,19 +293,19 @@ def check_gauge_freedom(T: Transport, p: Path, *, s0: float | None = None,
                         tolerance: float | None = None, seed: int = 0) -> LawReport:
     """Law 3.11/3.12: gauged families induce the same transport, and the
     relating gauge is recovered from the family pair."""
-    tol = law_tolerance("3.11/3.12", T) if tolerance is None else tolerance
-    rng = _rng(seed, "3.11/3.12")
-    col = _Collector("3.11/3.12", T.name, tol)
     f1 = canonical_factorization(T, p, s0=s0, grid=grid)
-    for k in range(draws):
+
+    def trial(k, rng, col):
         gauge = random_gauge(rng, T.bundle, p.at(f1.anchor))
         f2 = apply_gauge(f1, gauge)
         recovered = gauge_between(f2, f1)
         dev = map_deviation(recovered.map, gauge)
         col.record(dev, p.name, {"draw": float(k)},
                    ["recovered gauge vs applied gauge"])
-    return col.report(seed, notes=f"{draws} random gauges on a "
-                                  f"{len(f1.grid)}-point grid")
+
+    return run_trials("3.11/3.12", T, draws, tolerance, seed, trial,
+                      notes=f"{draws} random gauges on a "
+                            f"{len(f1.grid)}-point grid")
 
 
 def factorization_to_dict(f: Factorization) -> dict:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from . import linalg, sphere
 from .bundles import (BasePoint, BundleMetric, FibreBundle, FibreElement,
@@ -32,14 +32,8 @@ from .integrate import fd_velocity, rk4_linear_flow
 from .paths import (ConcatSchedule, Interval, Path, Reparameterization, UNIT,
                     affine_remap, canonical_schedule, node_sequence,
                     path_from_dict, piecewise_path, square_remap, trace_nodes)
+from .laws import LAW_ORDER, LAWS
 from .transport import Transport, transport
-
-# Registry order for law ids: report sets and CLI output follow it.
-LAW_ORDER = (
-    "2.2", "2.3", "2.4", "2.5/2.7", "2.6", "2.8", "2.9",
-    "3.1", "3.2", "3.4", "3.5", "3.6-roundtrip", "3.11/3.12",
-    "4.2", "4.4", "4.6", "4.7",
-)
 
 COUNTEREXAMPLE_KINDS = (
     "group_breaking", "nonlocal", "non_reparam_invariant",
@@ -146,71 +140,45 @@ def parallelization_transport(bundle: FibreBundle,
                      tolerance=0.0)
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    method: str = "rk4"
-    step: float = 1e-3
-    max_span: float = 8.0
+# Integrator step of numeric presets unless the caller picks one.
+DEFAULT_STEP = 1e-3
 
-    def __post_init__(self) -> None:
-        if self.method != "rk4":
-            raise ConfigError(f"unknown integrator method {self.method!r}")
-        if not (0.0 < self.step <= 1.0):
-            raise ConfigError(f"integrator step out of range: {self.step}")
+# Longest path domain an ODE transport integrates over.
+MAX_SPAN = 8.0
 
 
-@dataclass(frozen=True)
-class ConnectionCoefficients:
-    """Coefficients of a linear transport equation u' = A(x, xdot) u.
-
-    Either supply ``matrix`` directly, or ``gamma(x, a, b, c)`` from which
-    A[a][c] = -sum_b gamma(x, a, b, c) * xdot[b] is assembled.
-    """
-
-    dim: int
-    gamma: Callable[[BasePoint, int, int, int], float] | None = None
-    matrix: Callable[[BasePoint, tuple], linalg.Mat] | None = None
-
-    def __post_init__(self) -> None:
-        if self.gamma is None and self.matrix is None:
-            raise ConfigError("connection coefficients need gamma or matrix")
-
-    def coefficient(self, x: BasePoint, xdot) -> linalg.Mat:
-        if self.matrix is not None:
-            return self.matrix(x, xdot)
-        n = self.dim
-        return tuple(
-            tuple(-sum(self.gamma(x, a, b, c) * xdot[b] for b in range(n))
-                  for c in range(n))
-            for a in range(n))
-
-
-def linear_ode_transport(bundle: FibreBundle, coeffs: ConnectionCoefficients,
-                         integrator: IntegratorConfig | None = None,
+def linear_ode_transport(bundle: FibreBundle,
+                         coefficients: Callable[[BasePoint, tuple], linalg.Mat],
+                         step: float = DEFAULT_STEP,
                          name: str = "linear-ode",
                          tolerance: float = 1e-6) -> Transport:
-    """Transport vectors by integrating u' = A u along chart paths."""
+    """Transport vectors by integrating u' = A u along chart paths.
+
+    ``coefficients(x, xdot)`` gives A at base point x for chart velocity
+    xdot; the flow is fixed-step RK4 with the given step.
+    """
+    if not (0.0 < step <= 1.0):
+        raise ConfigError(f"integrator step out of range: {step}")
     if bundle.fibre_kind != "vector":
         raise WrongFibreKind("ODE transports need vector fibres")
-    cfg = integrator or IntegratorConfig()
 
     def apply(p: Path, s: float, t: float, u: FibreElement) -> FibreElement:
-        if p.domain.width > cfg.max_span:
+        if p.domain.width > MAX_SPAN:
             raise ConfigError(
-                f"path spans {p.domain.width}, integrator allows {cfg.max_span}")
+                f"path spans {p.domain.width}, integrator allows {MAX_SPAN}")
         if t == s:
             return vector_element(p.at(t), u.vector)
         vel = (p.velocity if p.velocity_fn is not None
-               else fd_velocity(p, cfg.step / 10.0))
+               else fd_velocity(p, step / 10.0))
 
         def coefficient(r: float, side: int) -> linalg.Mat:
-            a = coeffs.coefficient(p.at(r), vel(r, side))
+            a = coefficients(p.at(r), vel(r, side))
             if any(not math.isfinite(c) for row in a for c in row):
                 raise ConfigError(f"non-finite transport coefficients at "
                                   f"parameter {r} of {p.name!r}")
             return a
 
-        moved = rk4_linear_flow(coefficient, s, t, u.vector, cfg.step,
+        moved = rk4_linear_flow(coefficient, s, t, u.vector, step,
                                 p.interior_breakpoints(min(s, t), max(s, t)))
         return vector_element(p.at(t), moved)
 
@@ -312,11 +280,9 @@ def loop_matrix(T: Transport, loop: Path) -> linalg.Mat:
     if T.bundle.point_deviation(loop.start, loop.end) > 1e-6:
         raise EndpointMismatch(f"path {loop.name!r} is not closed")
     x0 = loop.at(loop.domain.lo)
-    n = T.bundle.dim
     cols = [transport(T, loop, loop.domain.lo, loop.domain.hi,
-                      vector_element(x0, tuple(
-                          1.0 if i == j else 0.0 for j in range(n)))).vector
-            for i in range(n)]
+                      vector_element(x0, e)).vector
+            for e in linalg.identity(T.bundle.dim)]
     return tuple(zip(*cols))
 
 
@@ -351,12 +317,24 @@ class InstanceSpec:
     product_pair: tuple[Path, Path, ConcatSchedule] | None = None
     uniqueness_path: Path | None = None
     loops: Mapping[str, Path] = field(default_factory=dict)
-    applicable: tuple[str, ...] = ()
     step: float | None = None
 
     @property
     def bundle(self) -> FibreBundle:
         return self.transport.bundle
+
+    @property
+    def applicable(self) -> tuple[str, ...]:
+        """Law ids a default run executes, in registry order.
+
+        A saboteur runs exactly the laws it claims to violate or preserve.
+        """
+        T = self.transport
+        if T.violates is not None:
+            claimed = T.preserves | {T.violates}
+            return tuple(law for law in LAW_ORDER if law in claimed)
+        return tuple(law.id for law in LAWS
+                     if law.applies is not None and law.applies(self))
 
     def path_named(self, name: str) -> Path:
         pair = self.product_pair[:2] if self.product_pair else ()
@@ -374,23 +352,6 @@ class InstanceSpec:
 def _standard_remaps() -> tuple[Reparameterization, ...]:
     return (affine_remap(Interval(0.0, 2.0), UNIT, name="halve"),
             square_remap())
-
-
-def _applicable_laws(T: Transport, metric, product_pair, uniqueness_path,
-                     discrete: bool) -> tuple[str, ...]:
-    laws = {"2.2", "2.3", "2.4", "2.5/2.7", "2.6", "3.1", "3.2",
-            "3.6-roundtrip", "3.11/3.12", "4.2", "4.6"}
-    if T.bundle.fibre_kind == "vector" and "linear" in T.declared:
-        laws.add("2.8")
-    if metric is not None and "metric_consistent" in T.declared:
-        laws.add("2.9")
-    if product_pair is not None:
-        laws.update({"3.4", "3.5"})
-    if "global" in T.declared and uniqueness_path is not None:
-        laws.add("4.4")
-    if T.bundle.fibre_kind in ("finite", "sections") and discrete:
-        laws.add("4.7")
-    return tuple(l for l in LAW_ORDER if l in laws)
 
 
 def _perm_c3() -> InstanceSpec:
@@ -417,9 +378,7 @@ def _perm_c3() -> InstanceSpec:
         name="perm-c3", transport=T, law_paths=(walk, zigzag),
         remaps=_standard_remaps(),
         product_pair=(hop1, hop2, canonical_schedule()),
-        uniqueness_path=zigzag,
-        applicable=_applicable_laws(T, None, (hop1, hop2), zigzag,
-                                    discrete=True))
+        uniqueness_path=zigzag)
 
 
 def _foliation_2sec() -> InstanceSpec:
@@ -444,9 +403,7 @@ def _foliation_2sec() -> InstanceSpec:
         name="foliation-2sec", transport=T, law_paths=(walk, eight),
         remaps=_standard_remaps(),
         product_pair=(hop1, hop2, canonical_schedule()),
-        uniqueness_path=eight,
-        applicable=_applicable_laws(T, None, (hop1, hop2), eight,
-                                    discrete=True))
+        uniqueness_path=eight)
 
 
 _QUARTER_TURNS = (
@@ -480,18 +437,14 @@ def _parallelization_flat() -> InstanceSpec:
         remaps=_standard_remaps(),
         product_pair=(hop1, hop2, canonical_schedule()),
         uniqueness_path=eight,
-        loops={"figure-eight": eight},
-        applicable=_applicable_laws(T, None, (hop1, hop2), eight,
-                                    discrete=True))
+        loops={"figure-eight": eight})
 
 
 def _sphere_levi_civita(step: float | None = None) -> InstanceSpec:
-    bundle = sphere.tangent_bundle()
-    coeffs = ConnectionCoefficients(dim=2, gamma=sphere.christoffel,
-                                    matrix=sphere.coefficient_matrix)
-    cfg = IntegratorConfig(step=step if step is not None else 1e-3)
-    T = linear_ode_transport(bundle, coeffs, cfg, name="sphere-levi-civita",
-                             tolerance=1e-6)
+    if step is None:
+        step = DEFAULT_STEP
+    T = linear_ode_transport(sphere.tangent_bundle(), sphere.coefficient_matrix,
+                             step, name="sphere-levi-civita", tolerance=1e-6)
     metric = sphere.round_metric()
     quarter_equator = sphere.latitude_arc(math.pi / 2, 0.0, math.pi / 2,
                                           name="quarter-equator")
@@ -511,9 +464,7 @@ def _sphere_levi_civita(step: float | None = None) -> InstanceSpec:
         law_paths=(quarter_equator, quarter_meridian, tilted, lat_arc),
         remaps=_standard_remaps(),
         product_pair=(quarter_equator, quarter_meridian, canonical_schedule()),
-        uniqueness_path=octant, loops=loops, step=cfg.step,
-        applicable=_applicable_laws(T, metric, (quarter_equator, quarter_meridian),
-                                    None, discrete=False))
+        uniqueness_path=octant, loops=loops, step=step)
     return spec
 
 
@@ -526,12 +477,9 @@ def _counterexample(kind: str) -> InstanceSpec:
     walk = piecewise_path(space, UNIT,
                           [(1 / 3, "x0"), (2 / 3, "x1"), (1.0, "x3")],
                           name="walk")
-    applicable = tuple(l for l in LAW_ORDER
-                       if l in (T.preserves | {T.violates}))
     return InstanceSpec(
         name=T.name, transport=T, metric=euclidean_metric(2),
-        law_paths=(loop3, walk), remaps=_standard_remaps(),
-        applicable=applicable)
+        law_paths=(loop3, walk), remaps=_standard_remaps())
 
 
 def _cx_bundle() -> FibreBundle:
@@ -607,5 +555,4 @@ def instance_from_dict(data: dict, name: str = "custom") -> InstanceSpec:
     paths = tuple(path_from_dict(space, pd, name=pname)
                   for pname, pd in data["paths"].items())
     return InstanceSpec(
-        name=name, transport=T, law_paths=paths, remaps=_standard_remaps(),
-        applicable=_applicable_laws(T, None, None, None, discrete=True))
+        name=name, transport=T, law_paths=paths, remaps=_standard_remaps())

@@ -15,13 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from . import linalg
 from .bundles import (FibreBundle, FibreElement, element_deviation,
-                      fibre_at, fibre_elements, point_deviation, rebase)
+                      fibre_at, fibre_elements, point_deviation, rebase,
+                      vector_element)
 from .errors import (AnchorMismatch, ConfigError, LiftInconsistent,
                      PointNotOnPath, UniquenessPrereqFailed, WrongFibreKind)
 from .paths import Path, piece_runs
-from .transport import (LawReport, Transport, _Collector, _pick, _rng,
-                        draw_for_bundle, law_tolerance, transport)
+from .transport import (LawReport, Transport, _as_paths, _Collector, _desc,
+                        _draw_params, _pick, _rng, draw_for_bundle,
+                        law_tolerance, run_trials, transport)
 
 _MATCH_TOL = 1e-6
 
@@ -94,15 +97,10 @@ def transport_from_lifting(bundle: FibreBundle,
     lifting.  Violations raise LiftInconsistent.  The returned transport
     evaluates the assigned lifting at the target parameter.
     """
-    if isinstance(paths, Path):
-        paths = (paths,)
-    paths = tuple(paths)
-    if not paths:
-        raise ConfigError("at least one path is required")
+    paths = _as_paths(paths)
     rng = _rng(seed, "lifting-consistency")
     for _ in range(trials):
-        p = _pick(rng, paths)
-        s = rng.uniform(p.domain.lo, p.domain.hi)
+        p, s = _draw_params(rng, paths, 1)
         u = draw_for_bundle(rng, bundle, p.at(s))
         lifted = assignment(p, u, s)
         dev = element_deviation(lifted.at(s), u)
@@ -132,50 +130,38 @@ def transport_from_lifting(bundle: FibreBundle,
 def check_lift_projection(T: Transport, paths, *, trials: int = 200,
                           tolerance: float | None = None, seed: int = 0) -> LawReport:
     """Law 4.2: liftings project onto the base path and hit their anchor."""
-    if isinstance(paths, Path):
-        paths = (paths,)
-    paths = tuple(paths)
-    tol = law_tolerance("4.2", T) if tolerance is None else tolerance
-    rng = _rng(seed, "4.2")
-    col = _Collector("4.2", T.name, tol)
-    for _ in range(trials):
-        p = _pick(rng, paths)
-        s0 = rng.uniform(p.domain.lo, p.domain.hi)
-        t = rng.uniform(p.domain.lo, p.domain.hi)
+    paths = _as_paths(paths)
+
+    def trial(k, rng, col):
+        p, s0, t = _draw_params(rng, paths, 2)
         u = draw_for_bundle(rng, T.bundle, p.at(s0))
         lifted = lift(T, p, u, s0)
         col.record(T.bundle.point_deviation(lifted.at(t).over, p.at(t)),
                    p.name, {"s0": s0, "t": t}, ["projection"])
         col.record(element_deviation(lifted.at(s0), u),
                    p.name, {"s0": s0}, ["anchor"])
-    return col.report(seed, notes="two records per trial: projection, anchor")
+
+    return run_trials("4.2", T, trials, tolerance, seed, trial,
+                      notes="two records per trial: projection, anchor")
 
 
 def check_self_consistency(T: Transport, paths, *, trials: int = 200,
                            grid: int = 7, tolerance: float | None = None,
                            seed: int = 0) -> LawReport:
     """Law 4.6: a lifting re-anchored at any of its own points is unchanged."""
-    if isinstance(paths, Path):
-        paths = (paths,)
-    paths = tuple(paths)
-    tol = law_tolerance("4.6", T) if tolerance is None else tolerance
-    rng = _rng(seed, "4.6")
-    col = _Collector("4.6", T.name, tol)
-    for _ in range(trials):
-        p = _pick(rng, paths)
-        s0 = rng.uniform(p.domain.lo, p.domain.hi)
-        r = rng.uniform(p.domain.lo, p.domain.hi)
+    paths = _as_paths(paths)
+
+    def trial(k, rng, col):
+        p, s0, r = _draw_params(rng, paths, 2)
         u = draw_for_bundle(rng, T.bundle, p.at(s0))
         first = lift(T, p, u, s0)
         second = lift(T, p, first.at(r), r)
         dev = max(element_deviation(first.at(g), second.at(g))
                   for g in p.domain.samples(grid))
-        col.record(dev, p.name, {"r": r, "s0": s0}, [_value(u)])
-    return col.report(seed, notes=f"liftings compared on {grid}-point grids")
+        col.record(dev, p.name, {"r": r, "s0": s0}, [_desc(u)])
 
-
-def _value(u: FibreElement):
-    return u.label if u.label is not None else list(u.vector)
+    return run_trials("4.6", T, trials, tolerance, seed, trial,
+                      notes=f"liftings compared on {grid}-point grids")
 
 
 def _revisit_pairs(p: Path) -> list[tuple[float, float]]:
@@ -199,29 +185,24 @@ def check_global_uniqueness(T: Transport, p: Path, *, at_point=None,
                             seed: int = 0) -> LawReport:
     """Law 4.4: wherever the path revisits a base point, transporting between
     the two visits is the identity, so liftings are single-valued over it."""
-    tol = law_tolerance("4.4", T) if tolerance is None else tolerance
-    rng = _rng(seed, "4.4")
-    col = _Collector("4.4", T.name, tol)
     pairs = _revisit_pairs(p)
     if at_point is not None:
         pairs = [(r, s) for r, s in pairs
                  if T.bundle.point_deviation(p.at(r), at_point) <= _MATCH_TOL]
-    if not pairs:
-        return col.report(seed, notes="no revisited base points; vacuous")
-    extra = max(1, trials // (8 * len(pairs)))
-    for r, s in pairs:
+
+    def trial(k, rng, col):
+        r, s = pairs[k]
         x = p.at(r)
         if T.bundle.fibre_kind == "vector":
-            n = T.bundle.dim
-            elements = [FibreElement(over=x, vector=tuple(
-                1.0 if i == j else 0.0 for j in range(n))) for i in range(n)]
+            extra = max(1, trials // (8 * len(pairs)))
+            elements = [vector_element(x, e) for e in linalg.identity(T.bundle.dim)]
             elements += [draw_for_bundle(rng, T.bundle, x) for _ in range(extra)]
         else:
             elements = list(fibre_elements(T.bundle, x))
         for u in elements:
             back = transport(T, p, r, s, u)
             col.record(element_deviation(back, rebase(u, p.at(s))),
-                       p.name, {"from": r, "to": s}, [_value(u)])
+                       p.name, {"from": r, "to": s}, [_desc(u)])
         # the same requirement, phrased through liftings: anchoring at either
         # visit must produce the same curve
         probe = _pick(rng, elements)
@@ -230,7 +211,10 @@ def check_global_uniqueness(T: Transport, p: Path, *, at_point=None,
         dev = max(element_deviation(l1.at(g), l2.at(g))
                   for g in p.domain.samples(grid))
         col.record(dev, p.name, {"from": r, "to": s}, ["lift comparison"])
-    return col.report(seed, notes=f"{len(pairs)} revisit pair(s)")
+
+    notes = (f"{len(pairs)} revisit pair(s)" if pairs
+             else "no revisited base points; vacuous")
+    return run_trials("4.4", T, len(pairs), tolerance, seed, trial, notes=notes)
 
 
 def liftings_disjoint_or_equal(T: Transport, p: Path, *, trials: int = 50,
@@ -247,9 +231,8 @@ def liftings_disjoint_or_equal(T: Transport, p: Path, *, trials: int = 50,
             f"global uniqueness fails over {p.name!r} "
             f"(deviation {pre.max_deviation})")
     tol = law_tolerance("4.6", T) if tolerance is None else tolerance
-    rng = _rng(seed, "disjoint-or-equal")
-    col = _Collector("disjoint-or-equal", T.name, tol)
-    for _ in range(trials):
+
+    def trial(k, rng, col):
         r = rng.uniform(p.domain.lo, p.domain.hi)
         s = rng.uniform(p.domain.lo, p.domain.hi)
         l1 = lift(T, p, draw_for_bundle(rng, T.bundle, p.at(r)), r)
@@ -259,7 +242,8 @@ def liftings_disjoint_or_equal(T: Transport, p: Path, *, trials: int = 50,
         mixed = min(devs) <= tol < max(devs)
         col.record(max(devs) if mixed else 0.0, p.name,
                    {"r": r, "s": s}, ["mixed agreement" if mixed else "clean"])
-    return col.report(seed)
+
+    return run_trials("disjoint-or-equal", T, trials, tol, seed, trial)
 
 
 def check_fibre_cover(T: Transport, p: Path, *, s0: float | None = None,

@@ -14,10 +14,6 @@ Vec = tuple[float, ...]
 Mat = tuple[tuple[float, ...], ...]
 
 
-def vec(*xs: float) -> Vec:
-    return tuple(float(x) for x in xs)
-
-
 def identity(n: int) -> Mat:
     return tuple(tuple(1.0 if i == j else 0.0 for j in range(n)) for i in range(n))
 
@@ -84,12 +80,6 @@ def inverse(m: Mat) -> Mat:
     n = len(m)
     cols = [solve(m, tuple(1.0 if i == j else 0.0 for i in range(n))) for j in range(n)]
     return transpose(tuple(cols))
-
-
-def det2(m: Mat) -> float:
-    if len(m) != 2:
-        raise DimensionMismatch("det2 expects a 2x2 matrix")
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
 def rotation(angle: float) -> Mat:

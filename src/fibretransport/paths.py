@@ -25,9 +25,8 @@ because a derived path evaluates through the original callable.
 from __future__ import annotations
 
 import bisect
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .bundles import BasePoint, graph_point, point_deviation
@@ -304,10 +303,6 @@ def path_from_dict(space: str, data: dict, name: str = "path") -> Path:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed path descriptor: {exc}") from exc
     return piecewise_path(space, Interval(lo, hi), pieces, name=name)
-
-
-def path_from_json(space: str, text: str, name: str = "path") -> Path:
-    return path_from_dict(space, json.loads(text), name=name)
 
 
 def constant_path(space: str, node: str, domain: Interval = UNIT,

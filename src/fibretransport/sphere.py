@@ -51,21 +51,6 @@ def round_metric() -> BundleMetric:
     return BundleMetric(name="round-sphere", matrix_at=metric_matrix)
 
 
-def christoffel(x: BasePoint, a: int, b: int, c: int) -> float:
-    """Connection coefficients of the round metric in the coordinate frame.
-
-    Index 0 is theta, index 1 is phi.  The nonzero entries are
-    Gamma^0_11 = -sin(theta) cos(theta) and Gamma^1_01 = Gamma^1_10 = cot(theta).
-    """
-    th = x.coords[0]
-    require_chart(th)
-    if a == 0 and b == 1 and c == 1:
-        return -math.sin(th) * math.cos(th)
-    if a == 1 and ((b == 0 and c == 1) or (b == 1 and c == 0)):
-        return math.cos(th) / math.sin(th)
-    return 0.0
-
-
 def coefficient_matrix(x: BasePoint, xdot: tuple[float, ...]) -> linalg.Mat:
     """A(r) with du/dr = A u along a path with chart velocity xdot."""
     th = x.coords[0]
@@ -78,12 +63,6 @@ def coefficient_matrix(x: BasePoint, xdot: tuple[float, ...]) -> linalg.Mat:
         (0.0, sin_th * cos_th * vph),
         (-cot * vph, -cot * vth),
     )
-
-
-def orthonormalizer(x: BasePoint) -> linalg.Mat:
-    """Matrix sending coordinate components to orthonormal-frame components."""
-    s = math.sin(x.coords[0])
-    return ((1.0, 0.0), (0.0, s))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .bundles import (BundleMetric, FibreBundle, FibreElement,
@@ -40,16 +40,6 @@ KNOWN_PROPERTIES = frozenset(
 
 # Relative tolerance used for linearity checks on inexact transports.
 LINEARITY_RTOL = 1e-9
-
-# Multiples of the instance tolerance granted per law.  Two-map compositions
-# get a factor two; single-evaluation comparisons get the tolerance itself.
-_LAW_FACTORS = {
-    "2.2": 2.0, "2.3": 1.0, "2.2+2.3": 2.0, "2.4": 2.0, "2.5/2.7": 2.0,
-    "2.6": 2.0, "2.9": 1.0, "3.1": 2.0, "3.2": 2.0, "3.4": 2.0, "3.5": 2.0,
-    "3.6-roundtrip": 2.0, "3.11/3.12": 2.0, "4.2": 1.0, "4.4": 2.0,
-    "4.6": 2.0, "4.7": 0.0,
-}
-
 
 @dataclass(frozen=True)
 class Transport:
@@ -79,9 +69,12 @@ class Transport:
 
 def law_tolerance(law: str, transport: Transport) -> float:
     """Pass/fail threshold for a law id run against a given transport."""
-    if law == "2.8":
+    from .laws import law_named  # the registry imports this module
+
+    factor = law_named(law).factor
+    if factor is None:
         return 0.0 if transport.tolerance == 0.0 else LINEARITY_RTOL
-    return _LAW_FACTORS.get(law, 2.0) * transport.tolerance
+    return factor * transport.tolerance
 
 
 def transport(T: Transport, p: Path, s: float, t: float,
@@ -239,6 +232,24 @@ def _rng(seed: int, law: str) -> random.Random:
     return random.Random(f"{seed}/{law}")
 
 
+def run_trials(law: str, T: Transport, trials: int, tolerance: float | None,
+               seed: int,
+               trial: Callable[[int, random.Random, _Collector], object],
+               notes: str = "") -> LawReport:
+    """Call ``trial(k, rng, collector)`` for k = 0 .. trials-1 and report.
+
+    ``rng`` is seeded from (seed, law); a ``tolerance`` of None means the
+    law's registry threshold for T.  Each trial records its deviations on
+    the collector.
+    """
+    tol = law_tolerance(law, T) if tolerance is None else tolerance
+    rng = _rng(seed, law)
+    col = _Collector(law, T.name, tol)
+    for k in range(trials):
+        trial(k, rng, col)
+    return col.report(seed, notes=notes)
+
+
 def _as_paths(paths) -> tuple[Path, ...]:
     if isinstance(paths, Path):
         return (paths,)
@@ -267,10 +278,6 @@ def draw_for_bundle(rng: random.Random, bundle: FibreBundle, x) -> FibreElement:
     return label_element(x, labels[rng.randrange(len(labels))])
 
 
-def draw_element(rng: random.Random, T: Transport, x) -> FibreElement:
-    return draw_for_bundle(rng, T.bundle, x)
-
-
 def _desc(u: FibreElement):
     return u.label if u.label is not None else list(u.vector)
 
@@ -279,99 +286,93 @@ def _pick(rng: random.Random, items: Sequence):
     return items[rng.randrange(len(items))]
 
 
+def _draw_params(rng: random.Random, paths, n: int) -> tuple:
+    """One of the paths, then n parameters drawn uniformly on its domain."""
+    p = _pick(rng, paths)
+    return (p, *(rng.uniform(p.domain.lo, p.domain.hi) for _ in range(n)))
+
+
 # ---------------------------------------------------------------------------
 # Law checkers
 # ---------------------------------------------------------------------------
 
-def check_group_law(T: Transport, paths, *, trials: int = 200,
-                    tolerance: float | None = None, seed: int = 0) -> LawReport:
-    """Law 2.2: the (t, r) map after the (s, t) map equals the (s, r) map."""
-    paths = _as_paths(paths)
-    tol = law_tolerance("2.2", T) if tolerance is None else tolerance
-    rng = _rng(seed, "2.2")
-    col = _Collector("2.2", T.name, tol)
-    for _ in range(trials):
-        p = _pick(rng, paths)
-        s, t, r = (rng.uniform(p.domain.lo, p.domain.hi) for _ in range(3))
-        u = draw_element(rng, T, p.at(s))
+def _composition_trial(T: Transport, paths):
+    """Trial of law 2.2; returns its path, start parameter and element."""
+    def trial(k, rng, col):
+        p, s, t, r = _draw_params(rng, paths, 3)
+        u = draw_for_bundle(rng, T.bundle, p.at(s))
         via = transport(T, p, t, r, transport(T, p, s, t, u))
         direct = transport(T, p, s, r, u)
         col.record(element_deviation(via, direct), p.name,
                    {"r": r, "s": s, "t": t}, [_desc(u)])
-    return col.report(seed)
+        return p, s, u
+    return trial
+
+
+def check_group_law(T: Transport, paths, *, trials: int = 200,
+                    tolerance: float | None = None, seed: int = 0) -> LawReport:
+    """Law 2.2: the (t, r) map after the (s, t) map equals the (s, r) map."""
+    return run_trials("2.2", T, trials, tolerance, seed,
+                      _composition_trial(T, _as_paths(paths)))
 
 
 def check_identity_law(T: Transport, paths, *, trials: int = 200,
                        tolerance: float | None = None, seed: int = 0) -> LawReport:
     """Law 2.3: the (s, s) map fixes every element."""
     paths = _as_paths(paths)
-    tol = law_tolerance("2.3", T) if tolerance is None else tolerance
-    rng = _rng(seed, "2.3")
-    col = _Collector("2.3", T.name, tol)
-    for _ in range(trials):
-        p = _pick(rng, paths)
-        s = rng.uniform(p.domain.lo, p.domain.hi)
-        u = draw_element(rng, T, p.at(s))
+
+    def trial(k, rng, col):
+        p, s = _draw_params(rng, paths, 1)
+        u = draw_for_bundle(rng, T.bundle, p.at(s))
         col.record(element_deviation(transport(T, p, s, s, u), u), p.name,
                    {"s": s}, [_desc(u)])
-    return col.report(seed)
+
+    return run_trials("2.3", T, trials, tolerance, seed, trial)
 
 
 def check_axioms(T: Transport, paths, *, trials: int = 200,
                  tolerance: float | None = None, seed: int = 0) -> LawReport:
     """Laws 2.2 and 2.3 exercised together from shared draws."""
-    paths = _as_paths(paths)
-    tol = law_tolerance("2.2+2.3", T) if tolerance is None else tolerance
-    rng = _rng(seed, "2.2+2.3")
-    col = _Collector("2.2+2.3", T.name, tol)
-    for _ in range(trials):
-        p = _pick(rng, paths)
-        s, t, r = (rng.uniform(p.domain.lo, p.domain.hi) for _ in range(3))
-        u = draw_element(rng, T, p.at(s))
-        via = transport(T, p, t, r, transport(T, p, s, t, u))
-        direct = transport(T, p, s, r, u)
-        col.record(element_deviation(via, direct), p.name,
-                   {"r": r, "s": s, "t": t}, [_desc(u)])
+    composition = _composition_trial(T, _as_paths(paths))
+
+    def trial(k, rng, col):
+        p, s, u = composition(k, rng, col)
         col.record(element_deviation(transport(T, p, s, s, u), u), p.name,
                    {"s": s}, [_desc(u)])
-    return col.report(seed, notes="two records per trial: composition, identity")
+
+    return run_trials("2.2+2.3", T, trials, tolerance, seed, trial,
+                      notes="two records per trial: composition, identity")
 
 
 def check_inverse_transport(T: Transport, paths, *, trials: int = 200,
                             tolerance: float | None = None, seed: int = 0) -> LawReport:
     """Law 3.1: the (t, s) map undoes the (s, t) map."""
     paths = _as_paths(paths)
-    tol = law_tolerance("3.1", T) if tolerance is None else tolerance
-    rng = _rng(seed, "3.1")
-    col = _Collector("3.1", T.name, tol)
-    for _ in range(trials):
-        p = _pick(rng, paths)
-        s = rng.uniform(p.domain.lo, p.domain.hi)
-        t = rng.uniform(p.domain.lo, p.domain.hi)
-        u = draw_element(rng, T, p.at(s))
+
+    def trial(k, rng, col):
+        p, s, t = _draw_params(rng, paths, 2)
+        u = draw_for_bundle(rng, T.bundle, p.at(s))
         back = inverse_transport(T, p, s, t)(transport(T, p, s, t, u))
         col.record(element_deviation(back, u), p.name,
                    {"s": s, "t": t}, [_desc(u)])
-    return col.report(seed)
+
+    return run_trials("3.1", T, trials, tolerance, seed, trial)
 
 
 def check_locality(T: Transport, paths, *, trials: int = 200,
                    tolerance: float | None = None, seed: int = 0) -> LawReport:
     """Law 2.5/2.7: restricting the path beyond [s, t] changes nothing."""
     paths = _as_paths(paths)
-    tol = law_tolerance("2.5/2.7", T) if tolerance is None else tolerance
-    rng = _rng(seed, "2.5/2.7")
-    col = _Collector("2.5/2.7", T.name, tol)
-    for _ in range(trials):
-        p = _pick(rng, paths)
-        s = rng.uniform(p.domain.lo, p.domain.hi)
-        t = rng.uniform(p.domain.lo, p.domain.hi)
+
+    def trial(k, rng, col):
+        p, s, t = _draw_params(rng, paths, 2)
         q = restrict(p, Interval(min(s, t), max(s, t)))
-        u = draw_element(rng, T, p.at(s))
+        u = draw_for_bundle(rng, T.bundle, p.at(s))
         dev = element_deviation(transport(T, q, s, t, u),
                                 transport(T, p, s, t, u))
         col.record(dev, p.name, {"s": s, "t": t}, [_desc(u)])
-    return col.report(seed)
+
+    return run_trials("2.5/2.7", T, trials, tolerance, seed, trial)
 
 
 def check_reparam_invariance(T: Transport, paths, remaps, *, trials: int = 200,
@@ -382,10 +383,8 @@ def check_reparam_invariance(T: Transport, paths, remaps, *, trials: int = 200,
     remaps = tuple(remaps) if not isinstance(remaps, Reparameterization) else (remaps,)
     if not remaps:
         raise ConfigError("at least one reparameterization is required")
-    tol = law_tolerance("2.6", T) if tolerance is None else tolerance
-    rng = _rng(seed, "2.6")
-    col = _Collector("2.6", T.name, tol)
-    for _ in range(trials):
+
+    def trial(k, rng, col):
         p = _pick(rng, paths)
         remap = _pick(rng, remaps)
         if not remap.target.same_as(p.domain):
@@ -395,13 +394,14 @@ def check_reparam_invariance(T: Transport, paths, remaps, *, trials: int = 200,
         q = reparameterize(p, remap)
         s = rng.uniform(remap.source.lo, remap.source.hi)
         t = rng.uniform(remap.source.lo, remap.source.hi)
-        u = draw_element(rng, T, q.at(s))
+        u = draw_for_bundle(rng, T.bundle, q.at(s))
         lhs = transport(T, q, s, t, u)
         rhs = transport(T, p, remap.apply(s), remap.apply(t),
                         rebase(u, p.at(remap.apply(s))))
         col.record(element_deviation(lhs, rhs), p.name,
                    {"s": s, "t": t}, [_desc(u), remap.name])
-    return col.report(seed)
+
+    return run_trials("2.6", T, trials, tolerance, seed, trial)
 
 
 def check_inverse_path_law(T: Transport, paths, *, trials: int = 200,
@@ -413,10 +413,8 @@ def check_inverse_path_law(T: Transport, paths, *, trials: int = 200,
         raise PreconditionNotDeclared(
             "inverse-path law requires a transport declared reparam_invariant")
     paths = _as_paths(paths)
-    tol = law_tolerance("3.2", T) if tolerance is None else tolerance
-    rng = _rng(seed, "3.2")
-    col = _Collector("3.2", T.name, tol)
-    for k in range(trials):
+
+    def trial(k, rng, col):
         p = _pick(rng, paths)
         q = reverse(p)
         if k == 0:
@@ -424,12 +422,24 @@ def check_inverse_path_law(T: Transport, paths, *, trials: int = 200,
         else:
             s = rng.uniform(0.0, 1.0)
             t = rng.uniform(0.0, 1.0)
-        u = draw_element(rng, T, q.at(s))
+        u = draw_for_bundle(rng, T.bundle, q.at(s))
         lhs = transport(T, q, s, t, u)
         rhs = transport(T, p, 1.0 - s, 1.0 - t, rebase(u, p.at(1.0 - s)))
         col.record(element_deviation(lhs, rhs), p.name,
                    {"s": s, "t": t}, [_desc(u)])
-    return col.report(seed)
+
+    return run_trials("3.2", T, trials, tolerance, seed, trial)
+
+
+def _product_of(T: Transport, p1: Path, p2: Path,
+                schedule: ConcatSchedule | None):
+    missing = {"local", "reparam_invariant"} - set(T.declared)
+    if missing:
+        raise PreconditionNotDeclared(
+            f"product laws need declared properties {sorted(missing)}")
+    if schedule is None:
+        schedule = canonical_schedule()
+    return concatenate(p1, p2, schedule), schedule
 
 
 def check_product_cross(T: Transport, p1: Path, p2: Path,
@@ -438,20 +448,12 @@ def check_product_cross(T: Transport, p1: Path, p2: Path,
                         seed: int = 0) -> LawReport:
     """Law 3.4: across the seam of a concatenation, the transport factors
     through the two halves."""
-    missing = {"local", "reparam_invariant"} - set(T.declared)
-    if missing:
-        raise PreconditionNotDeclared(
-            f"product laws need declared properties {sorted(missing)}")
-    if schedule is None:
-        schedule = canonical_schedule()
-    prod = concatenate(p1, p2, schedule)
-    tol = law_tolerance("3.4", T) if tolerance is None else tolerance
-    rng = _rng(seed, "3.4")
-    col = _Collector("3.4", T.name, tol)
-    for _ in range(trials):
+    prod, schedule = _product_of(T, p1, p2, schedule)
+
+    def trial(k, rng, col):
         t1 = rng.uniform(schedule.start, schedule.mid)
         t2 = rng.uniform(schedule.mid, schedule.end)
-        u = draw_element(rng, T, prod.at(t1))
+        u = draw_for_bundle(rng, T.bundle, prod.at(t1))
         lhs = transport(T, prod, t1, t2, u)
         a = schedule.left.apply(t1)
         mid_el = transport(T, p1, a, p1.domain.hi, rebase(u, p1.at(a)))
@@ -460,7 +462,8 @@ def check_product_cross(T: Transport, p1: Path, p2: Path,
                         rebase(mid_el, p2.at(p2.domain.lo)))
         col.record(element_deviation(lhs, rhs), prod.name,
                    {"t1": t1, "t2": t2}, [_desc(u)])
-    return col.report(seed)
+
+    return run_trials("3.4", T, trials, tolerance, seed, trial)
 
 
 def check_product_same(T: Transport, p1: Path, p2: Path,
@@ -469,30 +472,23 @@ def check_product_same(T: Transport, p1: Path, p2: Path,
                        seed: int = 0) -> LawReport:
     """Law 3.5: within one half of a concatenation, the transport equals the
     transport along that half alone."""
-    missing = {"local", "reparam_invariant"} - set(T.declared)
-    if missing:
-        raise PreconditionNotDeclared(
-            f"product laws need declared properties {sorted(missing)}")
-    if schedule is None:
-        schedule = canonical_schedule()
-    prod = concatenate(p1, p2, schedule)
-    tol = law_tolerance("3.5", T) if tolerance is None else tolerance
-    rng = _rng(seed, "3.5")
-    col = _Collector("3.5", T.name, tol)
-    for k in range(trials):
+    prod, schedule = _product_of(T, p1, p2, schedule)
+
+    def trial(k, rng, col):
         if k % 2 == 0:
             lo, hi, half, remap = schedule.start, schedule.mid, p1, schedule.left
         else:
             lo, hi, half, remap = schedule.mid, schedule.end, p2, schedule.right
         t1 = rng.uniform(lo, hi)
         t2 = rng.uniform(lo, hi)
-        u = draw_element(rng, T, prod.at(t1))
+        u = draw_for_bundle(rng, T.bundle, prod.at(t1))
         lhs = transport(T, prod, t1, t2, u)
         a = remap.apply(t1)
         rhs = transport(T, half, a, remap.apply(t2), rebase(u, half.at(a)))
         col.record(element_deviation(lhs, rhs), prod.name,
                    {"t1": t1, "t2": t2}, [_desc(u), half.name])
-    return col.report(seed)
+
+    return run_trials("3.5", T, trials, tolerance, seed, trial)
 
 
 def check_linearity(T: Transport, paths, *, trials: int = 200,
@@ -501,14 +497,10 @@ def check_linearity(T: Transport, paths, *, trials: int = 200,
     if T.bundle.fibre_kind != "vector":
         raise WrongFibreKind("linearity applies to vector fibres")
     paths = _as_paths(paths)
-    tol = law_tolerance("2.8", T) if tolerance is None else tolerance
-    rng = _rng(seed, "2.8")
-    col = _Collector("2.8", T.name, tol)
     n = T.bundle.dim
-    for _ in range(trials):
-        p = _pick(rng, paths)
-        s = rng.uniform(p.domain.lo, p.domain.hi)
-        t = rng.uniform(p.domain.lo, p.domain.hi)
+
+    def trial(k, rng, col):
+        p, s, t = _draw_params(rng, paths, 2)
         x = p.at(s)
         u = unit_ball(rng, n)
         v = unit_ball(rng, n)
@@ -523,7 +515,8 @@ def check_linearity(T: Transport, paths, *, trials: int = 200,
         dev = max_abs(vec_sub(tw, combined)) / scale
         col.record(dev, p.name, {"lam": lam, "mu": mu, "s": s, "t": t},
                    [list(u), list(v)])
-    return col.report(seed)
+
+    return run_trials("2.8", T, trials, tolerance, seed, trial)
 
 
 def check_metric_consistency(T: Transport, metric: BundleMetric | None, paths,
@@ -535,14 +528,10 @@ def check_metric_consistency(T: Transport, metric: BundleMetric | None, paths,
     if T.bundle.fibre_kind != "vector":
         raise WrongFibreKind("metric consistency applies to vector fibres")
     paths = _as_paths(paths)
-    tol = law_tolerance("2.9", T) if tolerance is None else tolerance
-    rng = _rng(seed, "2.9")
-    col = _Collector("2.9", T.name, tol)
     n = T.bundle.dim
-    for _ in range(trials):
-        p = _pick(rng, paths)
-        s = rng.uniform(p.domain.lo, p.domain.hi)
-        t = rng.uniform(p.domain.lo, p.domain.hi)
+
+    def trial(k, rng, col):
+        p, s, t = _draw_params(rng, paths, 2)
         x = p.at(s)
         u = vector_element(x, unit_ball(rng, n))
         v = vector_element(x, unit_ball(rng, n))
@@ -552,7 +541,8 @@ def check_metric_consistency(T: Transport, metric: BundleMetric | None, paths,
         after = evaluate_metric(metric, p.at(t), tu, tv)
         col.record(abs(after - before), p.name, {"s": s, "t": t},
                    [_desc(u), _desc(v)])
-    return col.report(seed)
+
+    return run_trials("2.9", T, trials, tolerance, seed, trial)
 
 
 def check_transported_sections(T: Transport, paths, *, grid: int = 11,
@@ -561,20 +551,21 @@ def check_transported_sections(T: Transport, paths, *, grid: int = 11,
     """Law 2.4: a section propagated from one anchor reproduces itself when
     re-propagated from any other parameter on the grid."""
     paths = _as_paths(paths)
-    tol = law_tolerance("2.4", T) if tolerance is None else tolerance
-    rng = _rng(seed, "2.4")
-    col = _Collector("2.4", T.name, tol)
     propagated = []
-    for p in paths:
-        pts = p.domain.samples(grid)
-        u0 = draw_element(rng, T, p.at(pts[0]))
-        values = [transport(T, p, pts[0], t, u0) for t in pts]
-        propagated.append((p, pts, values))
-    for _ in range(trials):
+
+    def trial(k, rng, col):
+        if k == 0:  # one section per path, drawn ahead of the first trial
+            for p in paths:
+                pts = p.domain.samples(grid)
+                u0 = draw_for_bundle(rng, T.bundle, p.at(pts[0]))
+                values = [transport(T, p, pts[0], t, u0) for t in pts]
+                propagated.append((p, pts, values))
         p, pts, values = _pick(rng, propagated)
         i = rng.randrange(len(pts))
         j = rng.randrange(len(pts))
         regrown = transport(T, p, pts[i], pts[j], values[i])
         col.record(element_deviation(regrown, values[j]), p.name,
                    {"from": pts[i], "to": pts[j]}, [_desc(values[i])])
-    return col.report(seed, notes=f"grid of {grid} points per path")
+
+    return run_trials("2.4", T, trials, tolerance, seed, trial,
+                      notes=f"grid of {grid} points per path")

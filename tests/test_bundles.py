@@ -4,7 +4,7 @@ import math
 import pytest
 
 from fibretransport.bundles import (BasePoint, FibreBundle, bundle_from_dict,
-                                    bundle_from_json, chart_point,
+                                    chart_point,
                                     element_deviation, euclidean_metric,
                                     evaluate_metric, fibre_at, fibre_elements,
                                     graph_point, label_element,
@@ -146,7 +146,7 @@ class TestSerialization:
                      "edges": [["n0", "n1"], ["n1", "n2"], ["n2", "n0"]]},
             "fibre": {"kind": "finite", "labels": ["a", "b", "c"]},
         }
-        C = bundle_from_json(json.dumps(data), space_id="g")
+        C = bundle_from_dict(json.loads(json.dumps(data)), space_id="g")
         assert C.nodes == B.nodes and C.labels == B.labels
         assert C.fibre_kind == "finite"
 

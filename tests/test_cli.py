@@ -10,6 +10,13 @@ def read_json(path):
     return json.loads(path.read_text())
 
 
+def one_error_line(capsys) -> str:
+    """The run's stderr, asserted to be a single error line."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
 class TestCheck:
     def test_all_laws_pass_and_files_land(self, tmp_path, capsys):
         rc = main(["check", "--instance", "perm-c3", "--out", str(tmp_path)])
@@ -82,6 +89,12 @@ class TestCheck:
     def test_malformed_tol(self, capsys):
         assert main(["check", "--instance", "perm-c3", "--tol", "oops"]) == 2
 
+    def test_product_law_without_product_pair(self, capsys):
+        rc = main(["check", "--instance", "counterexample:nonlocal",
+                   "--laws", "3.4"])
+        assert rc == 2
+        assert "product pair" in one_error_line(capsys)
+
     def test_aggregate_axiom_id(self, tmp_path):
         rc = main(["check", "--instance", "perm-c3", "--laws", "2.2+2.3",
                    "--out", str(tmp_path)])
@@ -147,6 +160,40 @@ class TestFactorize:
         assert len(fam["grid"]) == 7
         rep = read_json(tmp_path / "law_3.6-roundtrip.json")
         assert rep["passed"] is True
+
+
+@pytest.mark.parametrize("extra", [
+    ["--trials", "0"],
+    ["--trials", "-5"],
+    ["--tol", "2.5/2.7=nan"],
+    ["--tol", "2.5/2.7=inf"],
+    ["--tol", "2.5/2.7=-1"],
+    ["--tol", "2.5/2.7="],
+    ["--tol", "9.9=1"],
+    ["--laws", "2.2", "--tol", "2.5/2.7=1"],
+])
+def test_inputs_that_would_pass_a_saboteur_are_refused(extra, tmp_path,
+                                                       capsys):
+    rc = main(["check", "--instance", "counterexample:nonlocal",
+               "--out", str(tmp_path), *extra])
+    assert rc == 2
+    one_error_line(capsys)
+    assert not any(tmp_path.iterdir())
+
+
+def test_non_integer_default_seed_is_config_error(monkeypatch, capsys):
+    monkeypatch.setenv("FT_DEFAULT_SEED", "abc")
+    assert main(["check", "--instance", "perm-c3", "--laws", "2.2"]) == 2
+    assert "FT_DEFAULT_SEED" in one_error_line(capsys)
+
+
+def test_out_naming_a_file_is_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    assert main(["check", "--instance", "perm-c3", "--laws", "2.2",
+                 "--out", str(taken)]) == 2
+    assert "--out" in one_error_line(capsys)
+    assert taken.read_text() == "keep me\n"
 
 
 def test_law_filename_sanitizes():

@@ -15,7 +15,7 @@ from fibretransport.errors import ChartDomainError
 from fibretransport.instances import holonomy_angle, make_instance
 from fibretransport.linalg import matmul, matvec, transpose
 from fibretransport.sphere import (OCTANT_AREA, OCTANT_VERTICES,
-                                   chart_deviation, christoffel,
+                                   chart_deviation,
                                    closed_latitude, coefficient_matrix,
                                    great_circle_arc, latitude_arc,
                                    metric_matrix, octant_loop, require_chart,
@@ -37,13 +37,6 @@ class TestChartGeometry:
         g = metric_matrix(sphere_point(math.pi / 3, 0.2))
         assert g[0][0] == 1.0
         assert g[1][1] == pytest.approx(math.sin(math.pi / 3) ** 2)
-
-    def test_connection_symmetry(self):
-        x = sphere_point(1.1, 0.4)
-        for a in range(2):
-            for b in range(2):
-                for c in range(2):
-                    assert christoffel(x, a, b, c) == christoffel(x, a, c, b)
 
     def test_coefficients_pair_with_metric(self):
         # the defining compatibility: d/ds g(u, v) = 0 along the flow, i.e.

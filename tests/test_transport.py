@@ -8,7 +8,8 @@ from fibretransport.bundles import (graph_point, label_element, rebase,
 from fibretransport.errors import (ConfigError, DimensionMismatch,
                                    ElementNotOverPoint, PointNotInBase,
                                    PreconditionNotDeclared,
-                                   SectionUndefinedOnPath, WrongFibreKind)
+                                   SectionUndefinedOnPath, UnknownLaw,
+                                   WrongFibreKind)
 from fibretransport.instances import make_instance
 from fibretransport.paths import UNIT, Interval, affine_remap, piecewise_path
 from fibretransport.transport import (Transport, check_group_law,
@@ -121,6 +122,10 @@ class TestTolerancePolicy:
         # relative allowance decoupled from their absolute tolerance
         assert law_tolerance("2.8", make_instance("parallelization-flat").transport) == 0.0
         assert law_tolerance("2.8", sphere.transport) == 1e-9
+
+    def test_unknown_law_has_no_tolerance(self, sphere):
+        with pytest.raises(UnknownLaw):
+            law_tolerance("9.9", sphere.transport)
 
 
 class TestCheckerPreconditions:
