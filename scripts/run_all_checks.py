@@ -3,7 +3,7 @@
 
 Writes one report directory per instance under --out (default ./reports).
 Exact instances run at full trial counts; the integrator-backed instance
-gets a lighter count so the whole sweep stays around a minute.  The broken
+gets a lighter count (``--heavy-trials``, 40 by default).  The broken
 presets are expected to fail exactly their advertised law; anything else
 counts as a surprise and flips the exit status.
 """

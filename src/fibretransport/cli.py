@@ -18,7 +18,6 @@ count reproduces identical files.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -32,7 +31,7 @@ from .errors import ConfigError, FibreTransportError
 from .instances import (InstanceSpec, holonomy_angle, instance_names,
                         make_instance)
 from .laws import law_named
-from .transport import LawReport, _desc
+from .transport import LawReport, _desc, strict_json
 
 _FLOAT_FMT = "%.17e"
 
@@ -117,8 +116,7 @@ def cmd_holonomy(cfg: RunConfig, loop_name: str | None, steps: list[float]) -> i
         payload = {"instance": cfg.instance, "loop": loop_label,
                    "rows": [{"step": h, "angle": a, "error_vs_finest": e}
                             for h, a, e in table]}
-        _emit(cfg, "holonomy.json", json.dumps(payload, sort_keys=True,
-                                               indent=2) + "\n")
+        _emit(cfg, "holonomy.json", strict_json(payload))
     if cfg.out is not None:
         for h, a, e in table:
             print(f"step={h:g}  angle={a:+.12f}  error_vs_finest={e:.3e}")
@@ -163,8 +161,7 @@ def cmd_lift(cfg: RunConfig, path_name: str | None, element: str | None,
         payload = {"instance": cfg.instance, "path": p.name, "s0": s0,
                    "through": _desc(u),
                    "values": [{"s": t, "value": _desc(v)} for t, v in values]}
-        _emit(cfg, "lifting.json",
-              json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _emit(cfg, "lifting.json", strict_json(payload))
     if cfg.out is not None:
         print(f"lifting along {p.name!r} anchored at {s0:g} through "
               f"{_desc(u)}: {len(values)} samples")
@@ -178,8 +175,7 @@ def cmd_factorize(cfg: RunConfig, path_name: str | None, s0: float | None,
     p = spec.path_named(path_name) if path_name else spec.law_paths[0]
     f = fz.canonical_factorization(spec.transport, p, s0=s0, grid=grid)
     _emit(cfg, "factorization.json",
-          json.dumps(fz.factorization_to_dict(f), sort_keys=True, indent=2)
-          + "\n")
+          strict_json(fz.factorization_to_dict(f)))
     report = fz.check_factorization_roundtrip(
         spec.transport, p, s0=s0, grid=grid, seed=cfg.seed,
         tolerance=cfg.tol_overrides.get("3.6-roundtrip"))

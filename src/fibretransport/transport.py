@@ -191,7 +191,27 @@ class LawReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return strict_json(self.to_dict())
+
+
+def strict_json(data) -> str:
+    """``data`` as strict JSON: sorted keys, two-space indent, a newline.
+
+    A non-finite float is written as the string "inf", "-inf" or "nan", so
+    strict parsers accept the output.
+    """
+    return json.dumps(_finite(data), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
+
+
+def _finite(x):
+    if isinstance(x, float) and not math.isfinite(x):
+        return str(x)  # "inf", "-inf" or "nan"
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite(v) for v in x]
+    return x
 
 
 _FAILURE_CAP = 20

@@ -60,7 +60,7 @@ def test_2_integrator_meets_law_tolerances():
     assert linear.passed and linear.max_deviation <= 1e-9
     metric = run_law(spec, "2.9", trials=200, seed=0)
     assert metric.passed and metric.max_deviation <= 1e-6
-    assert time.perf_counter() - started < 60.0
+    assert time.perf_counter() - started < 20.0
 
 
 def test_3_factorizations_roundtrip_and_recover_gauges():

@@ -125,6 +125,12 @@ class TestHolonomy:
     def test_no_loops_declared(self, capsys):
         assert main(["holonomy", "--instance", "perm-c3"]) == 2
 
+    def test_step_below_the_finest_is_config_error(self, capsys):
+        # cells are kept for a transport's whole span, so the step bounds memory
+        assert main(["holonomy", "--instance", "sphere-levi-civita",
+                     "--loop", "octant", "--steps", "1e-3,1e-8"]) == 2
+        assert "step out of range" in capsys.readouterr().err
+
 
 class TestLift:
     def test_label_table(self, tmp_path):

@@ -1,0 +1,139 @@
+"""The lattice RK4 flow and the cell propagators an ODE transport keeps.
+
+A cached cell must never change a result: reports, single transports and
+restricted paths give the same bits whichever transports ran before, and
+no cell outlives the transport that built it.
+"""
+
+import math
+import random
+
+import pytest
+
+from fibretransport import integrate, sphere
+from fibretransport.bundles import FibreBundle, vector_element
+from fibretransport.cli import law_filename, main
+from fibretransport.instances import (holonomy_angle, linear_ode_transport,
+                                      loop_matrix, make_instance)
+from fibretransport.paths import Interval, restrict
+from fibretransport.transport import check_locality, transport
+
+
+def test_report_bytes_do_not_depend_on_earlier_laws(tmp_path):
+    """A law run alone writes what it writes inside a full check."""
+    base = ["check", "--instance", "sphere-levi-civita", "--seed", "0",
+            "--trials", "20"]
+    full = tmp_path / "full"
+    assert main([*base, "--out", str(full)]) == 0
+    for law in ("2.2", "2.5/2.7", "4.6"):
+        alone = tmp_path / law.replace("/", "+")
+        assert main([*base, "--laws", law, "--out", str(alone)]) == 0
+        name = law_filename(law)
+        assert (alone / name).read_bytes() == (full / name).read_bytes(), law
+
+
+def _tilted_transports(spec):
+    p = spec.path_named("tilted")
+    u = vector_element(p.at(0.137), (0.3, -0.7))
+    return [transport(spec.transport, p, 0.137, t, u).vector
+            for t in (0.9, 0.0213, 0.5)]
+
+
+def test_cold_warm_and_fresh_transports_agree_bitwise():
+    spec = make_instance("sphere-levi-civita")
+    cold = _tilted_transports(spec)
+    warm = _tilted_transports(spec)
+    fresh = _tilted_transports(make_instance("sphere-levi-civita"))
+    assert cold == warm == fresh
+
+
+def _counting_coefficients():
+    calls = []
+
+    def coefficients(x, xdot):
+        calls.append(1)
+        return sphere.coefficient_matrix(x, xdot)
+
+    return coefficients, calls
+
+
+def test_no_cell_is_shared_between_transports():
+    path = sphere.great_circle_arc((1.9, 0.3), (1.1, 1.8))
+    s, t = 0.1234, 0.8765         # neither is a lattice node
+    u = vector_element(path.at(s), (1.0, 0.0))
+    costs = []
+    for _ in range(2):
+        coefficients, calls = _counting_coefficients()
+        T = linear_ode_transport(sphere.tangent_bundle(), coefficients)
+        first = transport(T, path, s, t, u)
+        costs.append(len(calls))
+        assert transport(T, path, s, t, u) == first
+        # the second call reuses the cells; only its two partial steps remain
+        assert len(calls) - costs[-1] == 6
+    assert costs[0] == costs[1] > 1000
+
+
+def test_backward_transports_invert_forward_ones():
+    spec = make_instance("sphere-levi-civita")
+    octant = spec.path_named("octant")
+    T = spec.transport
+    forward = loop_matrix(T, octant)
+    x0 = octant.at(1.0)
+    cols = [transport(T, octant, 1.0, 0.0, vector_element(x0, e)).vector
+            for e in ((1.0, 0.0), (0.0, 1.0))]
+    backward = tuple(zip(*cols))
+    product = [sum(backward[i][k] * forward[k][j] for k in range(2))
+               for i in range(2) for j in range(2)]
+    assert product == pytest.approx([1.0, 0.0, 0.0, 1.0], abs=1e-12)
+    tilted = spec.path_named("tilted")
+    u = vector_element(tilted.at(0.8), (0.4, 0.2))
+    there = transport(T, tilted, 0.8, 0.05, u)
+    again = transport(T, tilted, 0.8, 0.05, u)
+    assert there == again
+    back = transport(T, tilted, 0.05, 0.8, there)
+    assert back.vector == pytest.approx(u.vector, abs=1e-12)
+
+
+def test_locality_is_exact_when_a_node_lands_on_a_breakpoint():
+    step = 1.0 / 6.0
+    spec = make_instance("sphere-levi-civita", step=step)
+    octant = spec.path_named("octant")
+    # lattice nodes 2 and 4 are the octant's kinks, to the bit
+    assert octant.breakpoints == (2 * step, 4 * step)
+    T = spec.transport
+    report = check_locality(T, octant, trials=60, seed=0)
+    assert report.passed and report.max_deviation == 0.0
+    third, two_thirds = octant.breakpoints
+    for s, t in ((third, 0.9), (0.1, third), (third, two_thirds),
+                 (two_thirds, 0.05), (0.95, third)):
+        q = restrict(octant, Interval(min(s, t), max(s, t)))
+        u = vector_element(octant.at(s), (0.6, 0.8))
+        assert transport(T, q, s, t, u) == transport(T, octant, s, t, u)
+    angle = holonomy_angle(T, octant, spec.metric)
+    assert abs(angle - math.pi / 2) < 1e-2
+
+
+def test_rank_three_flow_matches_the_exact_rotation():
+    """A constant rotation generator: RK4 cells compose to the rotation."""
+    omega = 2.0
+    gen = ((0.0, -omega, 0.0), (omega, 0.0, 0.0), (0.0, 0.0, 0.0))
+    bundle = FibreBundle(base_space_id=sphere.SPACE, base_kind="sphere",
+                         fibre_kind="vector", dim=3)
+    T = linear_ode_transport(bundle, lambda x, xdot: gen, step=1e-3)
+    path = sphere.latitude_arc(1.0, 0.0, 1.0)
+    for s, t in ((0.05, 0.95), (0.95, 0.05)):
+        u = vector_element(path.at(s), (1.0, 0.0, 0.5))
+        w = transport(T, path, s, t, u).vector
+        angle = omega * (t - s)
+        assert w == pytest.approx((math.cos(angle), math.sin(angle), 0.5),
+                                  abs=1e-12)
+
+
+def test_unrolled_step_equals_the_general_one():
+    rng = random.Random(7)
+    for _ in range(50):
+        a0, am, a1 = (tuple(tuple(rng.uniform(-3, 3) for _ in range(2))
+                            for _ in range(2)) for _ in range(3))
+        h = rng.choice((1e-3, -1e-3, rng.uniform(-0.1, 0.1)))
+        assert integrate._rk4_step2(a0, am, a1, h) == \
+            integrate._rk4_step(a0, am, a1, h)

@@ -12,7 +12,8 @@ from fibretransport.errors import (ConfigError, DimensionMismatch,
                                    WrongFibreKind)
 from fibretransport.instances import make_instance
 from fibretransport.paths import UNIT, Interval, affine_remap, piecewise_path
-from fibretransport.transport import (Transport, check_group_law,
+from fibretransport.transport import (Transport, _Collector,
+                                      check_group_law,
                                       check_inverse_path_law,
                                       check_metric_consistency,
                                       check_reparam_invariance,
@@ -169,3 +170,23 @@ class TestReports:
         assert not report.passed
         assert len(report.failures) <= 20
         assert report.max_deviation > 1.0
+
+    def test_non_finite_deviations_serialize_as_strict_json(self):
+        col = _Collector("2.2", "demo", 1e-9)
+        col.record(math.inf, "walk", {"s": 0.25}, [[1.0, -math.inf]])
+        col.record(math.nan, "walk", {"s": 0.5}, [[math.nan, 2.0]])
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        data = json.loads(col.report(seed=0).to_json(), parse_constant=reject)
+        assert data["max_deviation"] == "nan"
+        assert [f["deviation"] for f in data["failures"]] == ["inf", "nan"]
+        assert [f["elements"] for f in data["failures"]] == [
+            [[1.0, "-inf"]], [["nan", 2.0]]]
+        assert data["passed"] is False
+
+    def test_finite_reports_dump_as_plain_json(self, perm):
+        report = check_group_law(perm.transport, perm.law_paths, trials=20)
+        assert report.to_json() == json.dumps(
+            report.to_dict(), sort_keys=True, indent=2) + "\n"
