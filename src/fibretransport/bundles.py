@@ -78,6 +78,14 @@ def point_deviation(x: BasePoint, y: BasePoint) -> float:
     return max((abs(a - b) for a, b in zip(x.coords, y.coords)), default=0.0)
 
 
+def chart_deviation(x: BasePoint, y: BasePoint) -> float:
+    """Sphere chart distance identifying azimuths modulo the period."""
+    dth = abs(x.coords[0] - y.coords[0])
+    dph = abs(x.coords[1] - y.coords[1]) % (2.0 * math.pi)
+    dph = min(dph, 2.0 * math.pi - dph)
+    return max(dth, dph)
+
+
 def same_point(x: BasePoint, y: BasePoint, tol: float = COORD_TOL) -> bool:
     return point_deviation(x, y) <= tol
 
@@ -222,10 +230,7 @@ class FibreBundle:
         if self.base_kind == "sphere" and not x.is_node and not y.is_node:
             if x.space != y.space or len(x.coords) != 2 or len(y.coords) != 2:
                 return math.inf
-            dth = abs(x.coords[0] - y.coords[0])
-            dph = abs(x.coords[1] - y.coords[1]) % (2.0 * math.pi)
-            dph = min(dph, 2.0 * math.pi - dph)
-            return max(dth, dph)
+            return chart_deviation(x, y)
         return point_deviation(x, y)
 
     def same_point(self, x: BasePoint, y: BasePoint, tol: float = COORD_TOL) -> bool:

@@ -216,9 +216,7 @@ def linear_ode_transport(bundle: FibreBundle,
 # ---------------------------------------------------------------------------
 
 def _rotate(angle: float, v) -> tuple[float, float]:
-    c = math.cos(angle)
-    s = math.sin(angle)
-    return (c * v[0] - s * v[1], s * v[0] + c * v[1])
+    return linalg.matvec(linalg.rotation(angle), v)
 
 
 def counterexample_transport(kind: str) -> Transport:
@@ -320,8 +318,8 @@ def holonomy_angle(T: Transport, loop: Path,
         raise ConfigError("holonomy angles are defined for rank-2 fibres")
     m = loop_matrix(T, loop)
     s = _orthonormalizer(metric, loop.at(loop.domain.lo), 2)
-    mhat = linalg.matmul(linalg.matmul(s, m), linalg.inverse(s))
-    return math.atan2(mhat[1][0], mhat[0][0])
+    return linalg.rotation_angle(
+        linalg.matmul(linalg.matmul(s, m), linalg.inverse(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +375,39 @@ def _standard_remaps() -> tuple[Reparameterization, ...]:
             square_remap())
 
 
+def _tour(space: str, nodes: str, name: str) -> Path:
+    """A unit-domain walk through the space-separated nodes, each node held
+    for an equal share of the domain."""
+    names = nodes.split()
+    return piecewise_path(space, UNIT, [((i + 1) / len(names), n)
+                                        for i, n in enumerate(names)],
+                          name=name)
+
+
+def _graph_spec(T: Transport, walk: str, second: str, name: str,
+                loop: bool = False) -> InstanceSpec:
+    """A graph preset over T's bundle.
+
+    The law paths are the node tours ``walk`` (named "walk") and ``second``
+    (named ``name``); the second is also the uniqueness path and, with
+    ``loop``, a declared loop.  The product pair hops over the first three
+    nodes.
+    """
+    space = T.bundle.base_space_id
+    n0, n1, n2 = T.bundle.nodes[:3]
+    other = _tour(space, second, name)
+    hop1 = _tour(space, f"{n0} {n1}", "hop1")
+    hop2 = _tour(space, f"{n1} {n2}", "hop2")
+    return InstanceSpec(
+        name=T.name, transport=T,
+        law_paths=(_tour(space, walk, "walk"), other),
+        remaps=_standard_remaps(),
+        product_pair=(hop1, hop2, canonical_schedule()),
+        uniqueness_path=other, loops={name: other} if loop else {})
+
+
 def _perm_c3() -> InstanceSpec:
-    space = "c3"
-    bundle = FibreBundle(base_space_id=space, base_kind="graph",
+    bundle = FibreBundle(base_space_id="c3", base_kind="graph",
                          fibre_kind="finite",
                          nodes=("n0", "n1", "n2"),
                          edges=(("n0", "n1"), ("n1", "n2"), ("n2", "n0")),
@@ -389,44 +417,19 @@ def _perm_c3() -> InstanceSpec:
         ("n1", "n2"): {"a": "a", "b": "c", "c": "b"},
         ("n2", "n0"): {"a": "c", "b": "a", "c": "b"},
     }, name="perm-c3")
-    walk = piecewise_path(space, UNIT,
-                          [(1 / 3, "n0"), (2 / 3, "n1"), (1.0, "n2")],
-                          name="walk")
-    zigzag = piecewise_path(space, UNIT,
-                            [(0.25, "n0"), (0.5, "n1"), (0.75, "n0"),
-                             (1.0, "n1")], name="zigzag")
-    hop1 = piecewise_path(space, UNIT, [(0.5, "n0"), (1.0, "n1")], name="hop1")
-    hop2 = piecewise_path(space, UNIT, [(0.5, "n1"), (1.0, "n2")], name="hop2")
-    return InstanceSpec(
-        name="perm-c3", transport=T, law_paths=(walk, zigzag),
-        remaps=_standard_remaps(),
-        product_pair=(hop1, hop2, canonical_schedule()),
-        uniqueness_path=zigzag)
+    return _graph_spec(T, "n0 n1 n2", "n0 n1 n0 n1", "zigzag")
 
 
 def _foliation_2sec() -> InstanceSpec:
     space = "fol3"
-    nodes = ("g0", "g1", "g2")
     alpha = table_section("alpha", space, {"g0": "a0", "g1": "a1", "g2": "a2"})
     beta = table_section("beta", space, {"g0": "b0", "g1": "b1", "g2": "b2"})
     bundle = FibreBundle(base_space_id=space, base_kind="graph",
-                         fibre_kind="sections", nodes=nodes,
+                         fibre_kind="sections", nodes=("g0", "g1", "g2"),
                          edges=(("g0", "g1"), ("g1", "g2"), ("g0", "g2")),
                          sections=(alpha, beta))
     T = foliation_transport(bundle, name="foliation-2sec")
-    walk = piecewise_path(space, UNIT,
-                          [(1 / 3, "g0"), (2 / 3, "g1"), (1.0, "g2")],
-                          name="walk")
-    eight = piecewise_path(space, UNIT,
-                           [(0.2, "g0"), (0.4, "g1"), (0.6, "g0"),
-                            (0.8, "g2"), (1.0, "g0")], name="figure-eight")
-    hop1 = piecewise_path(space, UNIT, [(0.5, "g0"), (1.0, "g1")], name="hop1")
-    hop2 = piecewise_path(space, UNIT, [(0.5, "g1"), (1.0, "g2")], name="hop2")
-    return InstanceSpec(
-        name="foliation-2sec", transport=T, law_paths=(walk, eight),
-        remaps=_standard_remaps(),
-        product_pair=(hop1, hop2, canonical_schedule()),
-        uniqueness_path=eight)
+    return _graph_spec(T, "g0 g1 g2", "g0 g1 g0 g2 g0", "figure-eight")
 
 
 _QUARTER_TURNS = (
@@ -438,29 +441,16 @@ _QUARTER_TURNS = (
 
 
 def _parallelization_flat() -> InstanceSpec:
-    space = "quad"
     nodes = ("w0", "w1", "w2", "w3")
-    bundle = FibreBundle(base_space_id=space, base_kind="graph",
+    bundle = FibreBundle(base_space_id="quad", base_kind="graph",
                          fibre_kind="vector", nodes=nodes,
                          edges=(("w0", "w1"), ("w1", "w2"), ("w2", "w3"),
                                 ("w3", "w0"), ("w0", "w2")),
                          dim=2)
     frames = {n: _QUARTER_TURNS[i] for i, n in enumerate(nodes)}
     T = parallelization_transport(bundle, frames, name="parallelization-flat")
-    walk = piecewise_path(space, UNIT,
-                          [(0.25, "w0"), (0.5, "w1"), (0.75, "w2"),
-                           (1.0, "w3")], name="walk")
-    eight = piecewise_path(space, UNIT,
-                           [(0.2, "w0"), (0.4, "w1"), (0.6, "w0"),
-                            (0.8, "w2"), (1.0, "w0")], name="figure-eight")
-    hop1 = piecewise_path(space, UNIT, [(0.5, "w0"), (1.0, "w1")], name="hop1")
-    hop2 = piecewise_path(space, UNIT, [(0.5, "w1"), (1.0, "w2")], name="hop2")
-    return InstanceSpec(
-        name="parallelization-flat", transport=T, law_paths=(walk, eight),
-        remaps=_standard_remaps(),
-        product_pair=(hop1, hop2, canonical_schedule()),
-        uniqueness_path=eight,
-        loops={"figure-eight": eight})
+    return _graph_spec(T, "w0 w1 w2 w3", "w0 w1 w0 w2 w0", "figure-eight",
+                       loop=True)
 
 
 def _sphere_levi_civita(step: float | None = None) -> InstanceSpec:
@@ -494,15 +484,11 @@ def _sphere_levi_civita(step: float | None = None) -> InstanceSpec:
 def _counterexample(kind: str) -> InstanceSpec:
     T = counterexample_transport(kind)
     space = T.bundle.base_space_id
-    loop3 = piecewise_path(space, UNIT,
-                           [(0.25, "x0"), (0.5, "x1"), (0.75, "x2"),
-                            (1.0, "x0")], name="loop3")
-    walk = piecewise_path(space, UNIT,
-                          [(1 / 3, "x0"), (2 / 3, "x1"), (1.0, "x3")],
-                          name="walk")
     return InstanceSpec(
         name=T.name, transport=T, metric=euclidean_metric(2),
-        law_paths=(loop3, walk), remaps=_standard_remaps())
+        law_paths=(_tour(space, "x0 x1 x2 x0", "loop3"),
+                   _tour(space, "x0 x1 x3", "walk")),
+        remaps=_standard_remaps())
 
 
 def _cx_bundle() -> FibreBundle:
@@ -514,17 +500,20 @@ def _cx_bundle() -> FibreBundle:
                        dim=2)
 
 
-PRESETS: dict[str, Callable[..., InstanceSpec]] = {
-    "perm-c3": _perm_c3,
-    "foliation-2sec": _foliation_2sec,
-    "parallelization-flat": _parallelization_flat,
+# Preset builders by name, called with the integrator step (None for the
+# default); exact presets ignore it.
+PRESETS: dict[str, Callable[[float | None], InstanceSpec]] = {
+    "perm-c3": lambda step: _perm_c3(),
+    "foliation-2sec": lambda step: _foliation_2sec(),
+    "parallelization-flat": lambda step: _parallelization_flat(),
     "sphere-levi-civita": _sphere_levi_civita,
+    **{f"counterexample:{kind}": lambda step, kind=kind: _counterexample(kind)
+       for kind in COUNTEREXAMPLE_KINDS},
 }
 
 
 def instance_names() -> tuple[str, ...]:
-    return tuple(PRESETS) + tuple(f"counterexample:{k}"
-                                  for k in COUNTEREXAMPLE_KINDS)
+    return tuple(PRESETS)
 
 
 def make_instance(name: str, step: float | None = None) -> InstanceSpec:
@@ -533,16 +522,13 @@ def make_instance(name: str, step: float | None = None) -> InstanceSpec:
     ``step`` overrides the integrator step for numeric instances and is
     ignored by exact ones.
     """
-    if name.startswith("counterexample:"):
-        return _counterexample(name.split(":", 1)[1])
-    if name == "sphere-levi-civita":
-        return _sphere_levi_civita(step)
     try:
-        return PRESETS[name]()
+        build = PRESETS[name]
     except KeyError:
         raise UnknownInstance(
             f"unknown instance {name!r}; known: "
             f"{', '.join(instance_names())}") from None
+    return build(step)
 
 
 # ---------------------------------------------------------------------------

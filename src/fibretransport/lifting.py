@@ -22,7 +22,7 @@ from .bundles import (FibreBundle, FibreElement, element_deviation,
 from .errors import (AnchorMismatch, ConfigError, LiftInconsistent,
                      PointNotOnPath, UniquenessPrereqFailed, WrongFibreKind)
 from .paths import Path, piece_runs
-from .transport import (LawReport, Transport, _as_paths, _Collector, _desc,
+from .transport import (LawReport, Transport, _as_paths, _desc,
                         _draw_params, _pick, _rng, draw_for_bundle,
                         law_tolerance, run_trials, transport)
 
@@ -254,24 +254,26 @@ def check_fibre_cover(T: Transport, p: Path, *, s0: float | None = None,
         raise ConfigError("fibre-cover enumeration needs a discrete path")
     if T.bundle.fibre_kind == "vector":
         raise WrongFibreKind("fibre-cover enumeration needs finite fibres")
-    tol = law_tolerance("4.7", T) if tolerance is None else tolerance
-    col = _Collector("4.7", T.name, tol)
     if s0 is None:
         s0 = p.domain.lo
     s0 = p.domain.clamp(s0)
     reps = [(lo + hi) / 2.0 for lo, hi, _ in piece_runs(p)]
     total = {(p.at(r).node, lab)
              for r in reps for lab in fibre_at(T.bundle, p.at(r)).labels}
-    covered = set()
-    for u in fibre_elements(T.bundle, p.at(s0)):
-        lifted = lift(T, p, u, s0)
-        for r in reps:
-            v = lifted.at(r)
-            covered.add((v.over.node, v.label))
-    missing = sorted(total - covered)
-    stray = sorted(covered - total)
-    dev = 0.0 if not missing and not stray else 1.0
-    col.record(dev, p.name, {"s0": s0},
-               [f"missing:{n}/{l}" for n, l in missing]
-               + [f"stray:{n}/{l}" for n, l in stray])
-    return col.report(seed, notes=f"{len(total)} total-space points over the trace")
+
+    def trial(k, rng, col):
+        covered = set()
+        for u in fibre_elements(T.bundle, p.at(s0)):
+            lifted = lift(T, p, u, s0)
+            for r in reps:
+                v = lifted.at(r)
+                covered.add((v.over.node, v.label))
+        missing = sorted(total - covered)
+        stray = sorted(covered - total)
+        dev = 0.0 if not missing and not stray else 1.0
+        col.record(dev, p.name, {"s0": s0},
+                   [f"missing:{n}/{l}" for n, l in missing]
+                   + [f"stray:{n}/{l}" for n, l in stray])
+
+    return run_trials("4.7", T, 1, tolerance, seed, trial,
+                      notes=f"{len(total)} total-space points over the trace")

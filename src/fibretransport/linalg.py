@@ -8,6 +8,8 @@ exactness guarantees of the discrete instances rely on.
 
 from __future__ import annotations
 
+import math
+
 from .errors import DimensionMismatch
 
 Vec = tuple[float, ...]
@@ -83,14 +85,10 @@ def inverse(m: Mat) -> Mat:
 
 
 def rotation(angle: float) -> Mat:
-    import math
-
     c, s = math.cos(angle), math.sin(angle)
     return ((c, -s), (s, c))
 
 
 def rotation_angle(m: Mat) -> float:
     """Angle of a 2x2 matrix that is (close to) a rotation."""
-    import math
-
     return math.atan2(m[1][0], m[0][0])

@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 
 from . import linalg
-from .bundles import POLE_MARGIN, BasePoint, BundleMetric, FibreBundle, chart_point
+from .bundles import (POLE_MARGIN, BasePoint, BundleMetric, FibreBundle,
+                      chart_deviation, chart_point)
 from .errors import ChartDomainError
 
 SPACE = "sphere"
@@ -167,14 +168,6 @@ OCTANT_VERTICES = (
 )
 
 OCTANT_AREA = math.pi / 2
-
-
-def chart_deviation(x: BasePoint, y: BasePoint) -> float:
-    """Chart distance identifying azimuths modulo the period."""
-    dth = abs(x.coords[0] - y.coords[0])
-    dph = abs(x.coords[1] - y.coords[1]) % (2 * math.pi)
-    dph = min(dph, 2 * math.pi - dph)
-    return max(dth, dph)
 
 
 def octant_loop(space: str = SPACE, name: str = "octant"):

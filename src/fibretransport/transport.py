@@ -17,6 +17,7 @@ are short opaque tokens from the project-wide registry ("2.2", "2.5/2.7",
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -403,6 +404,8 @@ def check_reparam_invariance(T: Transport, paths, remaps, *, trials: int = 200,
     remaps = tuple(remaps) if not isinstance(remaps, Reparameterization) else (remaps,)
     if not remaps:
         raise ConfigError("at least one reparameterization is required")
+    # one derived path per (path, remap), so its transports share cells
+    reparameterized = functools.cache(reparameterize)
 
     def trial(k, rng, col):
         p = _pick(rng, paths)
@@ -411,7 +414,7 @@ def check_reparam_invariance(T: Transport, paths, remaps, *, trials: int = 200,
             raise ConfigError(
                 f"reparameterization {remap.name!r} targets {remap.target}, "
                 f"path domain is {p.domain}")
-        q = reparameterize(p, remap)
+        q = reparameterized(p, remap)
         s = rng.uniform(remap.source.lo, remap.source.hi)
         t = rng.uniform(remap.source.lo, remap.source.hi)
         u = draw_for_bundle(rng, T.bundle, q.at(s))
@@ -433,10 +436,11 @@ def check_inverse_path_law(T: Transport, paths, *, trials: int = 200,
         raise PreconditionNotDeclared(
             "inverse-path law requires a transport declared reparam_invariant")
     paths = _as_paths(paths)
+    reversed_path = functools.cache(reverse)  # one per path, as in 2.6
 
     def trial(k, rng, col):
         p = _pick(rng, paths)
-        q = reverse(p)
+        q = reversed_path(p)
         if k == 0:
             s, t = 0.0, 1.0  # always include the full traversal
         else:

@@ -187,6 +187,24 @@ def test_inputs_that_would_pass_a_saboteur_are_refused(extra, tmp_path,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--instance", "perm-c3", "--format", "csv"],
+    ["holonomy", "--instance", "parallelization-flat", "--trials", "5"],
+    ["holonomy", "--instance", "parallelization-flat", "--step", "0.5"],
+    ["holonomy", "--instance", "parallelization-flat", "--tol", "2.2=1"],
+    ["lift", "--instance", "perm-c3", "--trials", "5"],
+    ["lift", "--instance", "perm-c3", "--tol", "2.2=1"],
+    ["factorize", "--instance", "perm-c3", "--trials", "5"],
+    ["factorize", "--instance", "perm-c3", "--format", "csv"],
+])
+def test_options_a_subcommand_does_not_read_are_refused(argv, capsys):
+    # holonomy --step must not be read as an abbreviation of --steps
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[3]}" in capsys.readouterr().err
+
+
 def test_non_integer_default_seed_is_config_error(monkeypatch, capsys):
     monkeypatch.setenv("FT_DEFAULT_SEED", "abc")
     assert main(["check", "--instance", "perm-c3", "--laws", "2.2"]) == 2

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -146,6 +147,27 @@ class TestCheckerPreconditions:
         with pytest.raises(ConfigError):
             check_metric_consistency(sphere.transport, None,
                                      sphere.law_paths, trials=5)
+
+
+class TestDerivedPaths:
+    def test_laws_2_6_and_3_2_build_each_derived_path_once(self, sphere,
+                                                           monkeypatch):
+        # the package attribute fibretransport.transport is the function
+        module = sys.modules["fibretransport.transport"]
+        built = {"reparameterize": 0, "reverse": 0}
+        for name in built:
+            def counted(*args, name=name, build=getattr(module, name)):
+                built[name] += 1
+                return build(*args)
+            monkeypatch.setattr(module, name, counted)
+        T, paths = sphere.transport, sphere.law_paths
+        assert check_reparam_invariance(T, paths, sphere.remaps,
+                                        trials=20).passed
+        assert check_inverse_path_law(T, paths, trials=20).passed
+        # reused paths keep their cached cells: one build per draw would
+        # make 20 of each
+        assert built["reparameterize"] <= len(paths) * len(sphere.remaps)
+        assert built["reverse"] <= len(paths)
 
 
 class TestReports:
