@@ -57,7 +57,7 @@ def graph_point(space: str, node: str) -> BasePoint:
 
 
 def chart_point(space: str, *coords: float) -> BasePoint:
-    return BasePoint(space=space, coords=tuple(float(c) for c in coords))
+    return BasePoint(space=space, coords=tuple(map(float, coords)))
 
 
 def point_deviation(x: BasePoint, y: BasePoint) -> float:

@@ -58,9 +58,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     spec = make_instance(args.instance, step=args.step)
-    chosen = [] if args.laws == "all" else [
-        l.strip() for l in args.laws.split(",") if l.strip()]
-    chosen = chosen or list(spec.applicable)
+    if args.laws == "all":
+        chosen = list(spec.applicable)
+    else:
+        chosen = [l.strip() for l in args.laws.split(",") if l.strip()]
+        if not chosen:
+            raise ConfigError(f"--laws names no law: {args.laws!r}")
     for law in chosen:  # refuse unknown ids before any report is written
         law_named(law)
     tols = _parse_tols(args.tol, chosen)
@@ -116,6 +119,8 @@ def cmd_holonomy(args: argparse.Namespace) -> int:
 
 
 def cmd_lift(args: argparse.Namespace) -> int:
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     spec = make_instance(args.instance, step=args.step)
     p = (spec.path_named(args.path_name) if args.path_name
          else spec.law_paths[0])

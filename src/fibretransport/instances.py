@@ -183,15 +183,20 @@ def linear_ode_transport(bundle: FibreBundle,
         if t == s:
             return vector_element(p.at(t), u.vector)
         if p.velocity_fn is not None:
-            vel, key = p.velocity, p.velocity_fn
+            vel = key = p.velocity_fn
         else:  # finite differences depend on the domain and breakpoints
             vel, key = fd_velocity(p, step / 10.0), (p.domain, p.breakpoints)
+        point_at, isfinite = p.point_at, math.isfinite
 
+        # Stage parameters lie in [s, t], which ``transport`` has clamped,
+        # so the raw maps are read without checking them again.
         def coefficient(r: float, side: int) -> linalg.Mat:
-            a = coefficients(p.at(r), vel(r, side))
-            if any(not math.isfinite(c) for row in a for c in row):
-                raise ConfigError(f"non-finite transport coefficients at "
-                                  f"parameter {r} of {p.name!r}")
+            a = coefficients(point_at(r), vel(r, side))
+            for row in a:
+                for c in row:
+                    if not isfinite(c):
+                        raise ConfigError(f"non-finite transport coefficients"
+                                          f" at parameter {r} of {p.name!r}")
             return a
 
         d = 1 if t > s else -1

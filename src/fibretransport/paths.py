@@ -19,7 +19,10 @@ discrete paths find their self-intersections by enumeration instead).
 Breakpoint convention for piecewise-constant paths: the value at an interior
 breakpoint belongs to the piece on the right, so [n0 on [0, .5), n1 on [.5, 1]]
 evaluates to n1 at 0.5.  Compositions preserve evaluation semantics exactly
-because a derived path evaluates through the original callable.
+because a derived path evaluates through the original callable.  A parameter
+is checked once, at the public entry (``Path.at``, ``Path.velocity``, or the
+transport itself): derived layers call their parent's raw ``point_at`` and
+``velocity_fn`` with the remapped parameter snapped into its domain.
 """
 
 from __future__ import annotations
@@ -77,6 +80,8 @@ class Interval:
         return self.lo - slack <= s <= self.hi + slack
 
     def clamp(self, s: float, slack: float = EDGE_SLACK) -> float:
+        if self.lo <= s <= self.hi:
+            return s
         if not self.contains(s, slack):
             raise ParameterOutOfDomain(f"{s} outside [{self.lo}, {self.hi}]")
         return min(max(s, self.lo), self.hi)
@@ -200,10 +205,12 @@ def compose_remaps(outer: Reparameterization, inner: Reparameterization) -> Repa
 class Path:
     """A parameterized path in one base space.
 
-    ``point_at`` must accept any parameter of ``domain`` (derived paths call it
-    through remap images, which the constructor-supplied callables handle).
-    ``velocity_fn(s, side)`` returns d(coords)/ds; ``side`` (+1, -1, 0) picks
-    the one-sided limit at a breakpoint and is ignored at smooth parameters.
+    ``point_at`` must accept any parameter of ``domain``; it and
+    ``velocity_fn(s, side)``, which returns d(coords)/ds, are the raw maps
+    and check nothing.  ``at`` and ``velocity`` are the checked entries:
+    they refuse a parameter outside the domain and snap one within
+    EDGE_SLACK onto its edge.  ``side`` (+1, -1, 0) picks the one-sided
+    limit at a breakpoint and is ignored at smooth parameters.
     """
 
     space: str
@@ -338,17 +345,24 @@ def reparameterize(p: Path, remap: Reparameterization) -> Path:
             f"path domain is [{p.domain.lo}, {p.domain.hi}]"
         )
 
+    lo, hi = p.domain.lo, p.domain.hi
+    fwd, deriv, point_at, velocity_fn = (remap.fwd, remap.deriv, p.point_at,
+                                         p.velocity_fn)
+
     def at(s: float) -> BasePoint:
-        return p.at(remap.fwd(s))
+        r = fwd(s)
+        return point_at(lo if r < lo else hi if r > hi else r)
 
     velocity = None
-    if p.velocity_fn is not None and remap.deriv is not None:
+    if velocity_fn is not None and deriv is not None:
         sgn = 1 if remap.orientation == "preserving" else -1
 
         def velocity(s: float, side: int) -> tuple[float, ...]:
-            k = remap.deriv(s)
-            inner = p.velocity(remap.fwd(s), side * sgn)
-            return tuple(c * k for c in inner)
+            k = deriv(s)
+            r = fwd(s)
+            inner = velocity_fn(lo if r < lo else hi if r > hi else r,
+                                side * sgn)
+            return tuple([c * k for c in inner])
 
     bps = sorted(remap.invert_param(b) for b in p.breakpoints)
     bps = tuple(b for b in bps if remap.source.lo < b < remap.source.hi)
@@ -435,20 +449,19 @@ def concatenate(p1: Path, p2: Path, schedule: ConcatSchedule | None = None) -> P
 
     q1 = reparameterize(p1, schedule.left)
     q2 = reparameterize(p2, schedule.right)
-    mid = schedule.mid
+    mid, lo2 = schedule.mid, q2.domain.lo      # lo2 may sit EXACT past mid
+    at1, at2, vel1, vel2 = q1.point_at, q2.point_at, q1.velocity_fn, q2.velocity_fn
 
     def at(s: float) -> BasePoint:
-        return q1.at(s) if s <= mid else q2.at(s)
+        return at1(s) if s <= mid else at2(s if s >= lo2 else lo2)
 
     velocity = None
-    if q1.velocity_fn is not None and q2.velocity_fn is not None:
+    if vel1 is not None and vel2 is not None:
 
         def velocity(s: float, side: int) -> tuple[float, ...]:
             if s < mid or (s == mid and side < 0):
-                return q1.velocity(s, side)
-            if s > mid or side > 0:
-                return q2.velocity(s, side)
-            return q2.velocity(s, side)
+                return vel1(s, side)
+            return vel2(s if s >= lo2 else lo2, side)
 
     bps = sorted({*q1.breakpoints, mid, *q2.breakpoints})
     return Path(

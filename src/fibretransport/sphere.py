@@ -16,7 +16,6 @@ the phi seam or the poles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import linalg
 from .bundles import (POLE_MARGIN, BasePoint, BundleMetric, FibreBundle,
@@ -75,27 +74,6 @@ def _embed(theta: float, phi: float) -> tuple[float, float, float]:
     return (st * math.cos(phi), st * math.sin(phi), math.cos(theta))
 
 
-@dataclass(frozen=True)
-class _Slerp:
-    """Great-circle interpolation between two embedded unit vectors."""
-
-    a: tuple[float, float, float]
-    b: tuple[float, float, float]
-    omega: float
-
-    def point(self, t: float) -> tuple[float, float, float]:
-        so = math.sin(self.omega)
-        ca = math.sin((1.0 - t) * self.omega) / so
-        cb = math.sin(t * self.omega) / so
-        return tuple(ca * self.a[i] + cb * self.b[i] for i in range(3))
-
-    def deriv(self, t: float) -> tuple[float, float, float]:
-        so = math.sin(self.omega)
-        ca = -self.omega * math.cos((1.0 - t) * self.omega) / so
-        cb = self.omega * math.cos(t * self.omega) / so
-        return tuple(ca * self.a[i] + cb * self.b[i] for i in range(3))
-
-
 def great_circle_arc(p0: tuple[float, float], p1: tuple[float, float],
                      space: str = SPACE, name: str = "arc"):
     """The geodesic arc between two chart points, parameterized over [0, 1].
@@ -112,20 +90,33 @@ def great_circle_arc(p0: tuple[float, float], p1: tuple[float, float],
     omega = math.acos(d)
     if omega < 1e-9 or math.pi - omega < 1e-9:
         raise ChartDomainError("great-circle arc endpoints coincide or are antipodal")
-    sl = _Slerp(a=a, b=b, omega=omega)
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    sin_omega = math.sin(omega)
+    min_rho2 = math.sin(POLE_MARGIN) ** 2
+
+    def point(t: float) -> tuple[float, float, float]:
+        """Spherical linear interpolation from a to b."""
+        ca = math.sin((1.0 - t) * omega) / sin_omega
+        cb = math.sin(t * omega) / sin_omega
+        return (ca * a0 + cb * b0, ca * a1 + cb * b1, ca * a2 + cb * b2)
+
+    def deriv(t: float) -> tuple[float, float, float]:
+        ca = -omega * math.cos((1.0 - t) * omega) / sin_omega
+        cb = omega * math.cos(t * omega) / sin_omega
+        return (ca * a0 + cb * b0, ca * a1 + cb * b1, ca * a2 + cb * b2)
 
     def at(t: float) -> BasePoint:
-        x, y, z = sl.point(t)
+        x, y, z = point(t)
         theta = math.acos(max(-1.0, min(1.0, z)))
         phi = math.atan2(y, x)
         return chart_point(space, theta, phi)
 
     def velocity(t: float, side: int) -> tuple[float, float]:
-        x, y, z = sl.point(t)
-        dx, dy, dz = sl.deriv(t)
+        x, y, z = point(t)
+        dx, dy, dz = deriv(t)
         rho2 = x * x + y * y
         # rho = sin(theta); inside the chart band it stays >= sin(POLE_MARGIN)
-        if rho2 < math.sin(POLE_MARGIN) ** 2:
+        if rho2 < min_rho2:
             raise ChartDomainError("great-circle arc crossed a pole")
         dtheta = -dz / math.sqrt(max(1e-300, 1.0 - z * z))
         dphi = (x * dy - y * dx) / rho2

@@ -95,6 +95,15 @@ class TestCheck:
         assert rc == 2
         assert "product pair" in one_error_line(capsys)
 
+    @pytest.mark.parametrize("laws", [",", " , ", ""])
+    def test_empty_law_list_is_config_error(self, laws, tmp_path, capsys):
+        # an empty selection must not fall back to every applicable law
+        rc = main(["check", "--instance", "perm-c3", "--laws", laws,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "--laws" in one_error_line(capsys)
+        assert not any(tmp_path.iterdir())
+
     def test_aggregate_axiom_id(self, tmp_path):
         rc = main(["check", "--instance", "perm-c3", "--laws", "2.2+2.3",
                    "--out", str(tmp_path)])
@@ -149,6 +158,19 @@ class TestLift:
         data = read_json(tmp_path / "lifting.json")
         assert data["through"] == [1.0, 0.0]
         assert len(data["values"]) == 11
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_is_config_error(self, samples, capsys):
+        rc = main(["lift", "--instance", "perm-c3", "--samples", samples])
+        assert rc == 2
+        assert "--samples" in one_error_line(capsys)
+
+    def test_one_sample_is_the_anchor_alone(self, tmp_path):
+        rc = main(["lift", "--instance", "perm-c3", "--samples", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        data = read_json(tmp_path / "lifting.json")
+        assert [v["s"] for v in data["values"]] == [data["s0"]]
 
     def test_absent_label_is_config_error(self, capsys):
         rc = main(["lift", "--instance", "foliation-2sec", "--path", "walk",

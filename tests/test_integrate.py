@@ -13,9 +13,10 @@ import pytest
 from fibretransport import integrate, sphere
 from fibretransport.bundles import FibreBundle, vector_element
 from fibretransport.cli import law_filename, main
+from fibretransport.errors import ParameterOutOfDomain
 from fibretransport.instances import (holonomy_angle, linear_ode_transport,
                                       loop_matrix, make_instance)
-from fibretransport.paths import Interval, restrict
+from fibretransport.paths import Interval, Path, restrict
 from fibretransport.transport import check_locality, transport
 
 
@@ -137,3 +138,38 @@ def test_unrolled_step_equals_the_general_one():
         h = rng.choice((1e-3, -1e-3, rng.uniform(-0.1, 0.1)))
         assert integrate._rk4_step2(a0, am, a1, h) == \
             integrate._rk4_step(a0, am, a1, h)
+
+
+def test_transport_checks_its_parameters_once_at_the_entry():
+    spec = make_instance("sphere-levi-civita")
+    octant = spec.path_named("octant")
+    u = vector_element(octant.at(0.0), (0.6, 0.8))
+    with pytest.raises(ParameterOutOfDomain):
+        transport(spec.transport, octant, 0.0, 1.5, u)
+    assert (transport(spec.transport, octant, -1e-12, 1.0 + 1e-12, u)
+            == transport(spec.transport, octant, 0.0, 1.0, u))
+
+
+def test_path_reads_do_not_grow_with_the_number_of_cells(monkeypatch):
+    """A cold octant transport reads the point map and velocity through
+    their raw callables; only the public entry checks a parameter."""
+    octant = sphere.octant_loop()
+    u = vector_element(octant.at(0.0), (0.6, 0.8))
+    reads = []
+    for attr in ("at", "velocity"):
+        original = getattr(Path, attr)
+
+        def counted(self, *args, original=original):
+            reads.append(1)
+            return original(self, *args)
+
+        monkeypatch.setattr(Path, attr, counted)
+    per_step = {}
+    for step in (1e-3, 1e-4):
+        coefficients, calls = _counting_coefficients()
+        T = linear_ode_transport(sphere.tangent_bundle(), coefficients, step)
+        reads.clear()
+        transport(T, octant, 0.0, 1.0, u)
+        assert len(calls) > 1.0 / step
+        per_step[step] = len(reads)
+    assert per_step[1e-3] == per_step[1e-4] <= 4

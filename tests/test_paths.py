@@ -2,9 +2,14 @@ import math
 
 import pytest
 
-from fibretransport.errors import (DomainNotContained, EndpointMismatch,
-                                   NonCanonicalDomain)
+from fibretransport import sphere
+from fibretransport.bundles import vector_element
+from fibretransport.errors import (ConfigError, DomainNotContained,
+                                   EndpointMismatch, NonCanonicalDomain,
+                                   ParameterOutOfDomain)
+from fibretransport.instances import linear_ode_transport
 from fibretransport.paths import (UNIT, ConcatSchedule, Interval,
+                                  Reparameterization,
                                   affine_remap, canonical_reversal,
                                   canonical_schedule, compose_remaps,
                                   concatenate, constant_path, node_sequence,
@@ -12,6 +17,7 @@ from fibretransport.paths import (UNIT, ConcatSchedule, Interval,
                                   piecewise_path, reparameterize, restrict,
                                   reverse, schedule_for, square_remap,
                                   trace_nodes)
+from fibretransport.transport import transport
 
 
 def zigzag():
@@ -198,3 +204,95 @@ def test_paths_equal_discriminates():
     assert paths_equal(zigzag(), zigzag())
     other = piecewise_path("g", UNIT, [(0.25, "n0"), (1.0, "n1")])
     assert not paths_equal(zigzag(), other)
+
+
+# ---------------------------------------------------------------------------
+# Derived layers call their parent's raw maps; the public entries
+# (Path.at, Path.velocity, transport) still refuse a parameter outside the
+# domain and snap one within EDGE_SLACK onto the edge.
+# ---------------------------------------------------------------------------
+
+def _derived_sphere_paths():
+    tilted = sphere.great_circle_arc((1.9, 0.3), (1.1, 1.8), name="tilted")
+    equator = sphere.latitude_arc(math.pi / 2, 0.0, math.pi / 2)
+    meridian = sphere.great_circle_arc((math.pi / 2, math.pi / 2),
+                                       (math.pi / 4, math.pi / 2))
+    return {
+        "reverse": reverse(tilted),
+        "halve": reparameterize(
+            tilted, affine_remap(Interval(0.0, 2.0), UNIT, name="halve")),
+        "square": reparameterize(tilted, square_remap()),
+        "concatenate": concatenate(equator, meridian),
+        "octant": sphere.octant_loop(),
+    }
+
+
+DERIVED = _derived_sphere_paths()
+
+
+@pytest.mark.parametrize("name", DERIVED)
+def test_public_entries_refuse_parameters_outside_the_domain(name):
+    p = DERIVED[name]
+    with pytest.raises(ParameterOutOfDomain):
+        p.at(p.domain.hi + 0.5)
+    with pytest.raises(ParameterOutOfDomain):
+        p.velocity(p.domain.lo - 0.5)
+    with pytest.raises(ParameterOutOfDomain):
+        p.at(math.nan)
+
+
+@pytest.mark.parametrize("name", DERIVED)
+def test_a_parameter_just_past_an_edge_reads_the_edge(name):
+    p = DERIVED[name]
+    lo, hi = p.domain.lo, p.domain.hi
+    assert p.at(hi + 1e-12) == p.at(hi)
+    assert p.at(lo - 1e-12) == p.at(lo)
+    for side in (-1, 0, 1):
+        assert p.velocity(hi + 1e-12, side) == p.velocity(hi, side)
+        assert p.velocity(lo - 1e-12, side) == p.velocity(lo, side)
+
+
+@pytest.mark.parametrize("name", DERIVED)
+def test_non_finite_coefficients_are_refused_on_derived_paths(name):
+    p = DERIVED[name]
+    T = linear_ode_transport(sphere.tangent_bundle(),
+                             lambda x, xdot: ((0.0, math.nan), (0.0, 0.0)))
+    s = p.domain.lo + 0.25 * p.domain.width
+    with pytest.raises(ConfigError) as exc:
+        transport(T, p, s, p.domain.hi, vector_element(p.at(s), (1.0, 0.0)))
+    # the first coefficient a flow reads is at its start
+    assert str(exc.value) == (f"non-finite transport coefficients at "
+                              f"parameter {s} of {p.name!r}")
+
+
+def test_derived_edges_read_the_parent_edges_to_the_bit():
+    tilted = sphere.great_circle_arc((1.9, 0.3), (1.1, 1.8))
+    rev, halve, square = DERIVED["reverse"], DERIVED["halve"], DERIVED["square"]
+    assert rev.at(0.0) == halve.at(2.0) == square.at(1.0) == tilted.at(1.0)
+    assert rev.at(1.0) == halve.at(0.0) == square.at(0.0) == tilted.at(0.0)
+
+
+def test_a_remap_image_just_outside_the_domain_reads_the_edge():
+    lat = sphere.latitude_arc(1.0, 0.0, 1.0)
+    nudge = Reparameterization(
+        source=UNIT, target=UNIT, fwd=lambda s: s * (1.0 + 4e-16) - 1e-17,
+        inv=lambda t: t, orientation="preserving", name="nudge")
+    assert nudge.fwd(0.0) < 0.0 and nudge.fwd(1.0) > 1.0
+    q = reparameterize(lat, nudge)
+    assert q.at(0.0) == lat.at(0.0) and q.at(1.0) == lat.at(1.0)
+
+
+def test_a_seam_gap_reads_the_start_of_the_second_path():
+    """A schedule's right piece may start up to EXACT past the midpoint; a
+    parameter inside that gap reads the right piece at its start."""
+    p1 = sphere.latitude_arc(math.pi / 2, 0.0, math.pi / 2)
+    p2 = sphere.great_circle_arc((math.pi / 2, math.pi / 2),
+                                 (math.pi / 4, math.pi / 2))
+    lo2 = 0.5 + 1e-13
+    right = compose_remaps(square_remap(),
+                           affine_remap(Interval(lo2, 1.0), UNIT))
+    q = concatenate(p1, p2, ConcatSchedule(
+        left=affine_remap(Interval(0.0, 0.5), UNIT), right=right))
+    s = 0.5 + 0.5e-13
+    assert q.at(s) == q.at(lo2) == p2.at(0.0)
+    assert q.velocity(s, 1) == q.velocity(lo2, 1) == (0.0, 0.0)
