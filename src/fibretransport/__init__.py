@@ -11,30 +11,27 @@ checkable from the command line.
 """
 
 from .bundles import (BasePoint, BundleMetric, FibreBundle, FibreElement,
-                      Section, bundle_from_dict, chart_point,
-                      euclidean_metric, evaluate_metric, fibre_at,
-                      graph_point, label_element, rebase, section_through,
-                      table_section, vector_element)
+                      Section, chart_point, euclidean_metric, evaluate_metric,
+                      fibre_at, graph_point, label_element, rebase,
+                      section_through, table_section, vector_element)
 from .errors import FibreTransportError
 from .factorization import (Factorization, GaugeMap, apply_gauge,
                             canonical_factorization,
                             check_factorization_roundtrip,
                             check_gauge_freedom, factorization_to_dict,
                             gauge_between, transport_from_factorization)
-from .instances import (InstanceSpec, holonomy_angle, instance_from_dict,
-                        instance_names, linear_ode_transport, loop_matrix,
-                        make_instance, permutation_transport,
-                        counterexample_transport, foliation_transport,
-                        parallelization_transport)
+from .instances import (InstanceSpec, holonomy_angle, instance_names,
+                        linear_ode_transport, loop_matrix, make_instance,
+                        permutation_transport, counterexample_transport,
+                        foliation_transport, parallelization_transport)
 from .lifting import (Lifting, check_fibre_cover, check_global_uniqueness,
                       check_lift_projection, check_self_consistency, lift,
                       liftings_disjoint_or_equal, occurrence_set,
                       transport_from_lifting)
 from .paths import (ConcatSchedule, Interval, Path, Reparameterization,
                     affine_remap, canonical_reversal, canonical_schedule,
-                    concatenate, constant_path, path_from_dict,
-                    piecewise_path, reparameterize, restrict, reverse,
-                    square_remap)
+                    concatenate, constant_path, piecewise_path,
+                    reparameterize, restrict, reverse, square_remap)
 from .transport import (LawReport, Transport, check_axioms, check_group_law,
                         check_identity_law, check_inverse_path_law,
                         check_inverse_transport, check_linearity,

@@ -86,10 +86,6 @@ def chart_deviation(x: BasePoint, y: BasePoint) -> float:
     return max(dth, dph)
 
 
-def same_point(x: BasePoint, y: BasePoint, tol: float = COORD_TOL) -> bool:
-    return point_deviation(x, y) <= tol
-
-
 @dataclass(frozen=True)
 class FibreElement:
     """A point of the total space, recorded as (base point, fibre value).
@@ -233,14 +229,6 @@ class FibreBundle:
             return chart_deviation(x, y)
         return point_deviation(x, y)
 
-    def same_point(self, x: BasePoint, y: BasePoint, tol: float = COORD_TOL) -> bool:
-        return self.point_deviation(x, y) <= tol
-
-
-def projection(u: FibreElement) -> BasePoint:
-    """The bundle projection: a total-space point sits over its base point."""
-    return u.over
-
 
 def fibre_at(bundle: FibreBundle, x: BasePoint) -> FibreDescription:
     """Describe the fibre over x.  All fibres of one bundle look alike."""
@@ -296,58 +284,3 @@ def evaluate_metric(metric: BundleMetric, x: BasePoint, u: FibreElement, v: Fibr
     if len(g) != len(u.vector) or len(u.vector) != len(v.vector):
         raise DimensionMismatch("metric and vectors disagree on dimension")
     return linalg.dot(u.vector, linalg.matvec(g, v.vector))
-
-
-# -- JSON descriptors ---------------------------------------------------------
-
-def bundle_from_dict(data: dict, space_id: str = "base") -> FibreBundle:
-    """Build a bundle from the descriptor form used by the CLI.
-
-    Finite fibre over a graph:
-        {"base": {"kind": "graph", "nodes": [...], "edges": [[a, b], ...]},
-         "fibre": {"kind": "finite", "labels": [...]}}
-    Tangent-plane fibre over the sphere chart:
-        {"base": {"kind": "sphere"}, "fibre": {"kind": "tangent"}}
-    Section family over a graph:
-        {"base": {"kind": "graph", "nodes": [...]},
-         "fibre": {"kind": "sections", "values": {name: {node: label}}}}
-    """
-    try:
-        base = data["base"]
-        fibre = data["fibre"]
-        bkind = base["kind"]
-        fkind = fibre["kind"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed bundle descriptor: {exc}") from exc
-
-    if bkind == "sphere":
-        if fkind != "tangent":
-            raise ConfigError("the sphere base carries the tangent-plane fibre")
-        return FibreBundle(
-            base_space_id=space_id, base_kind="sphere", fibre_kind="vector", dim=2
-        )
-    if bkind != "graph":
-        raise ConfigError(f"unknown base kind {bkind!r}")
-
-    nodes = tuple(str(n) for n in base.get("nodes", ()))
-    edges = tuple((str(a), str(b)) for a, b in base.get("edges", ()))
-    if fkind == "finite":
-        return FibreBundle(
-            base_space_id=space_id, base_kind="graph", fibre_kind="finite",
-            nodes=nodes, edges=edges, labels=tuple(str(l) for l in fibre["labels"]),
-        )
-    if fkind == "sections":
-        secs = tuple(
-            table_section(name, space_id, table)
-            for name, table in fibre["values"].items()
-        )
-        return FibreBundle(
-            base_space_id=space_id, base_kind="graph", fibre_kind="sections",
-            nodes=nodes, edges=edges, sections=secs,
-        )
-    if fkind == "vector":
-        return FibreBundle(
-            base_space_id=space_id, base_kind="graph", fibre_kind="vector",
-            nodes=nodes, edges=edges, dim=int(fibre["dim"]),
-        )
-    raise ConfigError(f"unknown fibre kind {fkind!r}")

@@ -119,7 +119,7 @@ class UniquenessPrereqFailed(FibreTransportError):
 # ---- configuration / CLI ---------------------------------------------------
 
 class UnknownInstance(FibreTransportError):
-    """No preset or descriptor with that name."""
+    """No preset with that name."""
 
 
 class UnknownLaw(FibreTransportError):
@@ -127,4 +127,5 @@ class UnknownLaw(FibreTransportError):
 
 
 class ConfigError(FibreTransportError):
-    """Malformed run configuration or descriptor file."""
+    """Malformed run configuration, or a path or transport that breaks its
+    construction contract."""

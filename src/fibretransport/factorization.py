@@ -37,12 +37,6 @@ FibreMap = "dict[str, str] | linalg.Mat"
 # Fibre maps: label bijections and invertible matrices under one interface
 # ---------------------------------------------------------------------------
 
-def map_apply(m, value):
-    if isinstance(m, dict):
-        return m[value]
-    return linalg.matvec(m, value)
-
-
 def map_compose(outer, inner):
     """outer after inner."""
     if isinstance(outer, dict) and isinstance(inner, dict):
@@ -240,11 +234,11 @@ def gauge_between(f1: Factorization, f2: Factorization,
 # ---------------------------------------------------------------------------
 
 def check_factorization_roundtrip(T: Transport, p: Path, *, s0: float | None = None,
-                                  grid=11, samples: int = 3,
-                                  tolerance: float | None = None,
+                                  grid=11, tolerance: float | None = None,
                                   seed: int = 0) -> LawReport:
     """Law 3.6-roundtrip: the canonical family reassembles the transport on
-    every ordered grid pair, and its anchor map is the identity."""
+    every ordered grid pair, and its anchor map is the identity.  Vector
+    fibres draw three unit-ball vectors per grid point."""
     f = canonical_factorization(T, p, s0=s0, grid=grid)
     rebuilt = transport_from_factorization(f, p)
 
@@ -257,7 +251,7 @@ def check_factorization_roundtrip(T: Transport, p: Path, *, s0: float | None = N
         x = p.at(s)
         if T.bundle.fibre_kind == "vector":
             elements = [vector_element(x, unit_ball(rng, T.bundle.dim))
-                        for _ in range(samples)]
+                        for _ in range(3)]
         else:
             elements = fibre_elements(T.bundle, x)
         for t in f.grid:

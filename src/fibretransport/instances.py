@@ -26,13 +26,13 @@ from typing import Callable, Mapping
 from . import linalg, sphere
 from .bundles import (BasePoint, BundleMetric, FibreBundle, FibreElement,
                       euclidean_metric, label_element, section_through,
-                      table_section, vector_element, bundle_from_dict)
+                      table_section, vector_element)
 from .errors import (CocycleViolation, ConfigError, EdgeMissing,
                      EndpointMismatch, UnknownInstance, WrongFibreKind)
-from .integrate import CellStore, fd_velocity, rk4_linear_flow
+from .integrate import CellStore, rk4_linear_flow
 from .paths import (ConcatSchedule, Interval, Path, Reparameterization, UNIT,
                     affine_remap, canonical_schedule, node_sequence,
-                    path_from_dict, piecewise_path, square_remap, trace_nodes)
+                    piecewise_path, square_remap, trace_nodes)
 from .laws import LAW_ORDER, LAWS
 from .transport import Transport, transport
 
@@ -182,11 +182,9 @@ def linear_ode_transport(bundle: FibreBundle,
                 f"path spans {p.domain.width}, integrator allows {MAX_SPAN}")
         if t == s:
             return vector_element(p.at(t), u.vector)
-        if p.velocity_fn is not None:
-            vel = key = p.velocity_fn
-        else:  # finite differences depend on the domain and breakpoints
-            vel, key = fd_velocity(p, step / 10.0), (p.domain, p.breakpoints)
-        point_at, isfinite = p.point_at, math.isfinite
+        if p.kind != "chart":
+            raise ConfigError("ODE transports integrate along chart paths")
+        point_at, vel, isfinite = p.point_at, p.velocity_fn, math.isfinite
 
         # Stage parameters lie in [s, t], which ``transport`` has clamped,
         # so the raw maps are read without checking them again.
@@ -201,9 +199,9 @@ def linear_ode_transport(bundle: FibreBundle,
 
         d = 1 if t > s else -1
         by_key = stores.setdefault(p.point_at, {})
-        cells = by_key.get((key, d))
+        cells = by_key.get((vel, d))
         if cells is None:
-            cells = by_key[(key, d)] = CellStore(bundle.dim, step, d)
+            cells = by_key[(vel, d)] = CellStore(bundle.dim, step, d)
         kinks = p.interior_breakpoints(min(s, t), max(s, t))[::d]
         moved = cells.transport(
             lambda a, b, nodes: rk4_linear_flow(coefficient, a, b, nodes),
@@ -534,39 +532,3 @@ def make_instance(name: str, step: float | None = None) -> InstanceSpec:
             f"unknown instance {name!r}; known: "
             f"{', '.join(instance_names())}") from None
     return build(step)
-
-
-# ---------------------------------------------------------------------------
-# Custom finite instances from JSON descriptors
-# ---------------------------------------------------------------------------
-
-def instance_from_dict(data: dict, name: str = "custom") -> InstanceSpec:
-    """Build a finite instance from a plain descriptor.
-
-    Expects {"bundle": {...}, "transport": {"kind": ..., ...},
-    "paths": {name: path descriptor}}.  Transport kinds: "permutation"
-    (with "edge_maps": {"a->b": {label: label}}) and "foliation".
-    """
-    if "bundle" not in data or "paths" not in data:
-        raise ConfigError("instance descriptors need 'bundle' and 'paths'")
-    space = data.get("space", "base")
-    bundle = bundle_from_dict(data["bundle"], space_id=space)
-    tr = data.get("transport", {})
-    kind = tr.get("kind")
-    if kind == "permutation":
-        edge_maps = {}
-        for key, m in tr.get("edge_maps", {}).items():
-            a, sep, b = key.partition("->")
-            if not sep:
-                raise ConfigError(f"edge key {key!r} is not of the form 'a->b'")
-            edge_maps[(a.strip(), b.strip())] = m
-        T = permutation_transport(bundle, edge_maps, name=name)
-    elif kind == "foliation":
-        T = foliation_transport(bundle, name=name)
-    else:
-        raise ConfigError(f"unsupported transport kind {kind!r} "
-                          f"(expected 'permutation' or 'foliation')")
-    paths = tuple(path_from_dict(space, pd, name=pname)
-                  for pname, pd in data["paths"].items())
-    return InstanceSpec(
-        name=name, transport=T, law_paths=paths, remaps=_standard_remaps())

@@ -30,8 +30,6 @@ from array import array
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
-from .errors import ConfigError
-
 CoefficientFn = Callable[[float, int], Sequence[Sequence[float]]]
 
 
@@ -235,50 +233,3 @@ class CellStore:
         v = _apply_propagators(self.mats, range((k - self.base) * size,
                                                 stop * size, size), v)
         return stop + self.base, v
-
-
-def fd_velocity(path, h: float) -> Callable[[float, int], tuple[float, ...]]:
-    """Finite-difference chart velocity for paths without an analytic one.
-
-    Second-order stencils, one-sided near domain bounds and breakpoints so a
-    stencil never spans a kink.  Exact breakpoints resolve by the requested
-    side (nonnegative side reads the right-hand piece).
-    """
-    if path.kind != "chart":
-        raise ConfigError("finite differences need a chart path")
-    dom = path.domain
-
-    def smooth_interval(s: float, side: int) -> tuple[float, float]:
-        lo, hi = dom.lo, dom.hi
-        for b in path.breakpoints:
-            if b < s:
-                lo = max(lo, b)
-            elif b == s and side >= 0:
-                lo = max(lo, b)
-            else:
-                hi = min(hi, b)
-                break
-        return lo, hi
-
-    def coords(r: float) -> tuple[float, ...]:
-        return path.at(r).coords
-
-    def velocity(s: float, side: int) -> tuple[float, ...]:
-        lo, hi = smooth_interval(s, side)
-        width = hi - lo
-        if width <= 0.0:
-            raise ConfigError("degenerate smooth interval for finite differences")
-        hh = min(h, width / 4.0)
-        if s - hh >= lo and s + hh <= hi:
-            f0 = coords(s - hh)
-            f1 = coords(s + hh)
-            return tuple((f1[i] - f0[i]) / (2.0 * hh) for i in range(len(f0)))
-        if s + 2.0 * hh <= hi:
-            f0, f1, f2 = coords(s), coords(s + hh), coords(s + 2.0 * hh)
-            return tuple((-3.0 * f0[i] + 4.0 * f1[i] - f2[i]) / (2.0 * hh)
-                         for i in range(len(f0)))
-        f0, f1, f2 = coords(s), coords(s - hh), coords(s - 2.0 * hh)
-        return tuple((3.0 * f0[i] - 4.0 * f1[i] + f2[i]) / (2.0 * hh)
-                     for i in range(len(f0)))
-
-    return velocity

@@ -179,16 +179,13 @@ def _revisit_pairs(p: Path) -> list[tuple[float, float]]:
     return sorted(p.crossings)
 
 
-def check_global_uniqueness(T: Transport, p: Path, *, at_point=None,
+def check_global_uniqueness(T: Transport, p: Path, *,
                             trials: int = 200, grid: int = 7,
                             tolerance: float | None = None,
                             seed: int = 0) -> LawReport:
     """Law 4.4: wherever the path revisits a base point, transporting between
     the two visits is the identity, so liftings are single-valued over it."""
     pairs = _revisit_pairs(p)
-    if at_point is not None:
-        pairs = [(r, s) for r, s in pairs
-                 if T.bundle.point_deviation(p.at(r), at_point) <= _MATCH_TOL]
 
     def trial(k, rng, col):
         r, s = pairs[k]

@@ -10,9 +10,11 @@ bookkeeping that the transport laws quantify over:
 * concatenation of two paths under a schedule that says how the two factor
   domains embed into the product domain.
 
-Paths carry three optional pieces of structure that downstream code uses:
-``breakpoints`` (parameters where the point map may kink or jump, so exact
-integrators can split there), an analytic ``velocity`` (for chart paths), and
+A chart path must carry its analytic ``velocity``, and a reparameterization
+the derivative ``deriv`` of its forward map, so derived paths push velocities
+through by the chain rule; both are checked at construction.  Paths carry two
+optional pieces of structure as well: ``breakpoints`` (parameters where the
+point map may kink or jump, so exact integrators can split there) and
 ``crossings`` (declared self-intersection parameter pairs of chart paths;
 discrete paths find their self-intersections by enumeration instead).
 
@@ -72,10 +74,6 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
     def contains(self, s: float, slack: float = EDGE_SLACK) -> bool:
         return self.lo - slack <= s <= self.hi + slack
 
@@ -109,8 +107,10 @@ class Reparameterization:
 
     ``fwd`` maps source -> target, ``inv`` is its inverse.  ``orientation`` is
     "preserving" (endpoints map to endpoints in order) or "reversing".
-    ``deriv``, when present, is the derivative of ``fwd``; derived paths use it
-    to push analytic velocities through.
+    ``deriv`` is the derivative of ``fwd``; derived paths use it to push
+    analytic velocities through.  Construction samples ``fwd`` at 33 evenly
+    spaced source points, ends included, and refuses a map whose images
+    leave the target or fail to move strictly in the declared direction.
     """
 
     source: Interval
@@ -118,7 +118,7 @@ class Reparameterization:
     fwd: Callable[[float], float]
     inv: Callable[[float], float]
     orientation: str
-    deriv: Callable[[float], float] | None = None
+    deriv: Callable[[float], float]
     name: str = "remap"
 
     def __post_init__(self) -> None:
@@ -133,10 +133,18 @@ class Reparameterization:
                 f"{self.name}: endpoints map to ({lo_img}, {hi_img}), "
                 f"expected {want}"
             )
-
-    @property
-    def sign(self) -> float:
-        return 1.0 if self.orientation == "preserving" else -1.0
+        sgn = 1.0 if self.orientation == "preserving" else -1.0
+        prev = None
+        for s in self.source.samples(33):
+            r = self.fwd(s)
+            if not self.target.contains(r):
+                raise DomainMismatch(
+                    f"{self.name}: {s} maps to {r}, outside "
+                    f"[{self.target.lo}, {self.target.hi}]")
+            if prev is not None and not sgn * (r - prev) > 0.0:
+                raise DomainMismatch(
+                    f"{self.name}: not strictly {self.orientation} at {s}")
+            prev = r
 
     def apply(self, s: float) -> float:
         return self.target.clamp(self.fwd(self.source.clamp(s)))
@@ -183,16 +191,14 @@ def compose_remaps(outer: Reparameterization, inner: Reparameterization) -> Repa
     """outer after inner: valid when inner.target equals outer.source."""
     if not inner.target.same_as(outer.source):
         raise DomainMismatch("inner remap's target must be outer remap's source")
-    deriv = None
-    if outer.deriv is not None and inner.deriv is not None:
-        deriv = lambda s: outer.deriv(inner.fwd(s)) * inner.deriv(s)
     both = {outer.orientation, inner.orientation}
     orientation = "preserving" if len(both) == 1 else "reversing"
     return Reparameterization(
         source=inner.source, target=outer.target,
         fwd=lambda s: outer.fwd(inner.fwd(s)),
         inv=lambda t: inner.inv(outer.inv(t)),
-        orientation=orientation, deriv=deriv,
+        orientation=orientation,
+        deriv=lambda s: outer.deriv(inner.fwd(s)) * inner.deriv(s),
         name=f"{outer.name}.{inner.name}",
     )
 
@@ -207,7 +213,8 @@ class Path:
 
     ``point_at`` must accept any parameter of ``domain``; it and
     ``velocity_fn(s, side)``, which returns d(coords)/ds, are the raw maps
-    and check nothing.  ``at`` and ``velocity`` are the checked entries:
+    and check nothing.  A chart path must have a ``velocity_fn``; a discrete
+    one has none.  ``at`` and ``velocity`` are the checked entries:
     they refuse a parameter outside the domain and snap one within
     EDGE_SLACK onto its edge.  ``side`` (+1, -1, 0) picks the one-sided
     limit at a breakpoint and is ignored at smooth parameters.
@@ -225,6 +232,8 @@ class Path:
     def __post_init__(self) -> None:
         if self.kind not in ("discrete", "chart"):
             raise ValueError("path kind must be 'discrete' or 'chart'")
+        if self.kind == "chart" and self.velocity_fn is None:
+            raise ConfigError(f"chart path {self.name!r} needs a velocity")
         for b in self.breakpoints:
             if not (self.domain.lo < b < self.domain.hi):
                 raise ValueError(f"breakpoint {b} not interior to the domain")
@@ -302,16 +311,6 @@ def piecewise_path(space: str, domain: Interval,
     )
 
 
-def path_from_dict(space: str, data: dict, name: str = "path") -> Path:
-    """Load {"domain": [lo, hi], "pieces": [{"until": t, "point": n}, ...]}."""
-    try:
-        lo, hi = (float(v) for v in data["domain"])
-        pieces = [(float(pc["until"]), str(pc["point"])) for pc in data["pieces"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed path descriptor: {exc}") from exc
-    return piecewise_path(space, Interval(lo, hi), pieces, name=name)
-
-
 def constant_path(space: str, node: str, domain: Interval = UNIT,
                   name: str = "const") -> Path:
     return piecewise_path(space, domain, [(domain.hi, node)], name=name)
@@ -353,16 +352,13 @@ def reparameterize(p: Path, remap: Reparameterization) -> Path:
         r = fwd(s)
         return point_at(lo if r < lo else hi if r > hi else r)
 
-    velocity = None
-    if velocity_fn is not None and deriv is not None:
-        sgn = 1 if remap.orientation == "preserving" else -1
+    sgn = 1 if remap.orientation == "preserving" else -1
 
-        def velocity(s: float, side: int) -> tuple[float, ...]:
-            k = deriv(s)
-            r = fwd(s)
-            inner = velocity_fn(lo if r < lo else hi if r > hi else r,
-                                side * sgn)
-            return tuple([c * k for c in inner])
+    def velocity(s: float, side: int) -> tuple[float, ...]:
+        k = deriv(s)
+        r = fwd(s)
+        inner = velocity_fn(lo if r < lo else hi if r > hi else r, side * sgn)
+        return tuple([c * k for c in inner])
 
     bps = sorted(remap.invert_param(b) for b in p.breakpoints)
     bps = tuple(b for b in bps if remap.source.lo < b < remap.source.hi)
@@ -372,7 +368,8 @@ def reparameterize(p: Path, remap: Reparameterization) -> Path:
     ))
     return Path(
         space=p.space, domain=remap.source, point_at=at, kind=p.kind,
-        breakpoints=bps, velocity_fn=velocity, crossings=crossings,
+        breakpoints=bps, crossings=crossings,
+        velocity_fn=velocity if p.kind == "chart" else None,
         name=f"{p.name}o{remap.name}",
     )
 
@@ -455,18 +452,16 @@ def concatenate(p1: Path, p2: Path, schedule: ConcatSchedule | None = None) -> P
     def at(s: float) -> BasePoint:
         return at1(s) if s <= mid else at2(s if s >= lo2 else lo2)
 
-    velocity = None
-    if vel1 is not None and vel2 is not None:
-
-        def velocity(s: float, side: int) -> tuple[float, ...]:
-            if s < mid or (s == mid and side < 0):
-                return vel1(s, side)
-            return vel2(s if s >= lo2 else lo2, side)
+    def velocity(s: float, side: int) -> tuple[float, ...]:
+        if s < mid or (s == mid and side < 0):
+            return vel1(s, side)
+        return vel2(s if s >= lo2 else lo2, side)
 
     bps = sorted({*q1.breakpoints, mid, *q2.breakpoints})
     return Path(
         space=p1.space, domain=schedule.domain, point_at=at, kind=p1.kind,
-        breakpoints=tuple(bps), velocity_fn=velocity,
+        breakpoints=tuple(bps),
+        velocity_fn=velocity if p1.kind == "chart" else None,
         name=f"({p1.name}*{p2.name})",
     )
 
@@ -475,18 +470,13 @@ def concatenate(p1: Path, p2: Path, schedule: ConcatSchedule | None = None) -> P
 # Discrete-path walkers
 # ---------------------------------------------------------------------------
 
-def piece_runs(p: Path, lo: float | None = None, hi: float | None = None
-               ) -> list[tuple[float, float, BasePoint]]:
+def piece_runs(p: Path) -> list[tuple[float, float, BasePoint]]:
     """Maximal constancy runs (run_lo, run_hi, point) of a discrete path."""
     if p.kind != "discrete":
         raise ConfigError("piece runs are defined for discrete paths")
-    lo = p.domain.lo if lo is None else lo
-    hi = p.domain.hi if hi is None else hi
-    if lo > hi:
-        lo, hi = hi, lo
+    lo, hi = p.domain.lo, p.domain.hi
     if hi - lo <= 0.0:
-        x = p.at(lo)
-        return [(lo, hi, x)]
+        return [(lo, hi, p.at(lo))]
     cuts = [lo, *p.interior_breakpoints(lo, hi), hi]
     runs: list[tuple[float, float, BasePoint]] = []
     for a, b in zip(cuts, cuts[1:]):

@@ -25,10 +25,6 @@ from .errors import ChartDomainError
 SPACE = "sphere"
 
 
-def sphere_point(theta: float, phi: float, space: str = SPACE) -> BasePoint:
-    return chart_point(space, theta, phi)
-
-
 def require_chart(theta: float) -> None:
     if not (POLE_MARGIN <= theta <= math.pi - POLE_MARGIN):
         raise ChartDomainError(

@@ -11,7 +11,7 @@ from fibretransport.factorization import (Factorization, GaugeMap,
                                           check_factorization_roundtrip,
                                           check_gauge_freedom,
                                           factorization_to_dict, gauge_between,
-                                          map_apply, map_compose,
+                                          map_compose,
                                           map_deviation, map_invert,
                                           random_gauge,
                                           transport_from_factorization)
@@ -22,7 +22,6 @@ class TestFibreMaps:
     def test_dict_maps(self):
         f = {"a": "b", "b": "a"}
         g = {"a": "a", "b": "b"}
-        assert map_apply(f, "a") == "b"
         assert map_compose(f, f) == {"a": "a", "b": "b"}
         assert map_invert(f) == f
         assert map_deviation(f, f) == 0.0
@@ -30,7 +29,6 @@ class TestFibreMaps:
 
     def test_matrix_maps(self):
         m = ((0.0, -1.0), (1.0, 0.0))
-        assert map_apply(m, (1.0, 0.0)) == (0.0, 1.0)
         mm = map_compose(m, m)
         assert mm == ((-1.0, 0.0), (0.0, -1.0))
         assert map_deviation(m, m) == 0.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -8,7 +9,7 @@ from fibretransport.errors import (ConfigError, EdgeMissing,
                                    WrongFibreKind)
 from fibretransport.instances import (COUNTEREXAMPLE_KINDS, LAW_ORDER,
                                       counterexample_transport,
-                                      holonomy_angle, instance_from_dict,
+                                      holonomy_angle,
                                       instance_names, linear_ode_transport,
                                       loop_matrix, make_instance,
                                       parallelization_transport,
@@ -40,6 +41,10 @@ class TestRegistry:
 class TestApplicableLaws:
     def test_perm(self, perm):
         assert set(perm.applicable) == set(LAW_ORDER) - {"2.8", "2.9", "4.4"}
+        # without a product pair, the product laws drop out as well
+        bare = dataclasses.replace(perm, product_pair=None)
+        assert set(bare.applicable) == (set(LAW_ORDER)
+                                        - {"2.8", "2.9", "3.4", "3.5", "4.4"})
 
     def test_foliation(self, fol):
         assert set(fol.applicable) == set(LAW_ORDER) - {"2.8", "2.9"}
@@ -83,7 +88,8 @@ class TestConstructors:
         from fibretransport.paths import Interval, Path
         too_long = Path(space="sphere", domain=Interval(0.0, 100.0),
                         point_at=lambda s: sphere.path_named("tilted").at(0.5),
-                        kind="chart", name="marathon")
+                        kind="chart", velocity_fn=lambda s, side: (0.0, 0.0),
+                        name="marathon")
         u = vector_element(too_long.at(0.0), (1.0, 0.0))
         with pytest.raises(ConfigError):
             transport(sphere.transport, too_long, 0.0, 100.0, u)
@@ -134,26 +140,3 @@ class TestStepOverride:
                             fine.metric)
         assert abs(a2 - math.pi / 2) < abs(a1 - math.pi / 2)
         assert abs(a1 - math.pi / 2) < 1e-3  # even coarse stays close
-
-
-def test_custom_instance_from_dict():
-    spec = instance_from_dict({
-        "bundle": {
-            "base": {"kind": "graph", "nodes": ["p", "q"],
-                     "edges": [["p", "q"]]},
-            "fibre": {"kind": "finite", "labels": ["x", "y"]},
-        },
-        "transport": {"kind": "permutation",
-                      "edge_maps": {"p->q": {"x": "y", "y": "x"}}},
-        "paths": {"over": {"domain": [0.0, 1.0],
-                           "pieces": [{"until": 0.5, "point": "p"},
-                                      {"until": 1.0, "point": "q"}]}},
-    }, name="swap")
-    p = spec.path_named("over")
-    u = label_element(p.at(0.0), "x")
-    assert transport(spec.transport, p, 0.0, 1.0, u).label == "y"
-    # no metric, product pair or uniqueness path; finite fibres over a
-    # discrete path
-    assert spec.applicable == tuple(
-        law for law in LAW_ORDER
-        if law not in {"2.8", "2.9", "3.4", "3.5", "4.4"})

@@ -3,17 +3,17 @@ import math
 import pytest
 
 from fibretransport import sphere
-from fibretransport.bundles import vector_element
-from fibretransport.errors import (ConfigError, DomainNotContained,
-                                   EndpointMismatch, NonCanonicalDomain,
-                                   ParameterOutOfDomain)
+from fibretransport.bundles import chart_point, graph_point, vector_element
+from fibretransport.errors import (ConfigError, DomainMismatch,
+                                   DomainNotContained, EndpointMismatch,
+                                   NonCanonicalDomain, ParameterOutOfDomain)
 from fibretransport.instances import linear_ode_transport
-from fibretransport.paths import (UNIT, ConcatSchedule, Interval,
+from fibretransport.paths import (UNIT, ConcatSchedule, Interval, Path,
                                   Reparameterization,
                                   affine_remap, canonical_reversal,
                                   canonical_schedule, compose_remaps,
                                   concatenate, constant_path, node_sequence,
-                                  path_from_dict, paths_equal, piece_runs,
+                                  paths_equal, piece_runs,
                                   piecewise_path, reparameterize, restrict,
                                   reverse, schedule_for, square_remap,
                                   trace_nodes)
@@ -30,7 +30,6 @@ class TestInterval:
     def test_basic_geometry(self):
         iv = Interval(1.0, 3.0)
         assert iv.width == 2.0
-        assert iv.mid == 2.0
         assert iv.contains(1.0) and iv.contains(3.0)
         assert not iv.contains(3.1)
 
@@ -63,7 +62,6 @@ class TestRemaps:
         r = affine_remap(Interval(0.0, 2.0), UNIT)
         for s in (0.0, 0.3, 1.7, 2.0):
             assert abs(r.invert_param(r.apply(s)) - s) < 1e-12
-        assert r.sign == 1.0
         assert r.orientation == "preserving"
         assert r.deriv(1.0) == 0.5
 
@@ -71,7 +69,6 @@ class TestRemaps:
         r = affine_remap(UNIT, UNIT, reversing=True)
         assert r.apply(0.0) == 1.0
         assert r.apply(1.0) == 0.0
-        assert r.sign == -1.0
         assert r.orientation == "reversing"
         assert r.deriv(0.5) == -1.0
 
@@ -93,7 +90,6 @@ class TestRemaps:
         assert c.apply(0.5) == rev.apply(sq.apply(0.5))
         # chain rule: d(rev∘sq)/ds = rev'(sq(s)) * sq'(s)
         assert c.deriv(0.5) == pytest.approx(-1.0)
-        assert c.sign == -1.0
 
 
 class TestPiecewisePaths:
@@ -126,12 +122,6 @@ class TestPiecewisePaths:
         p = constant_path("g", "n0")
         assert p.at(0.0).node == "n0" and p.at(1.0).node == "n0"
         assert p.breakpoints == ()
-
-    def test_from_dict(self):
-        p = path_from_dict("g", {"domain": [0.0, 1.0],
-                                 "pieces": [{"until": 0.5, "point": "a"},
-                                            {"until": 1.0, "point": "b"}]})
-        assert p.at(0.2).node == "a" and p.at(0.9).node == "b"
 
 
 class TestRestrictReparamReverse:
@@ -276,10 +266,68 @@ def test_a_remap_image_just_outside_the_domain_reads_the_edge():
     lat = sphere.latitude_arc(1.0, 0.0, 1.0)
     nudge = Reparameterization(
         source=UNIT, target=UNIT, fwd=lambda s: s * (1.0 + 4e-16) - 1e-17,
-        inv=lambda t: t, orientation="preserving", name="nudge")
+        inv=lambda t: t, orientation="preserving",
+        deriv=lambda s: 1.0 + 4e-16, name="nudge")
     assert nudge.fwd(0.0) < 0.0 and nudge.fwd(1.0) > 1.0
     q = reparameterize(lat, nudge)
     assert q.at(0.0) == lat.at(0.0) and q.at(1.0) == lat.at(1.0)
+
+
+# ---------------------------------------------------------------------------
+# Construction contracts: a remap's sampled images stay in its target and
+# move strictly in its declared direction; a chart path carries a velocity.
+# ---------------------------------------------------------------------------
+
+def test_a_remap_whose_interior_leaves_its_target_is_refused():
+    """Both ends land on the target's ends, but s = 1/2 maps to 1.5."""
+    with pytest.raises(DomainMismatch, match="outside"):
+        Reparameterization(
+            source=UNIT, target=UNIT, fwd=lambda s: s + math.sin(math.pi * s),
+            inv=lambda t: t, orientation="preserving",
+            deriv=lambda s: 1.0 + math.pi * math.cos(math.pi * s),
+            name="bulge")
+
+
+@pytest.mark.parametrize("orientation", ["preserving", "reversing"])
+def test_a_remap_that_turns_back_inside_its_target_is_refused(orientation):
+    """The images stay inside [0, 1] and hit the right ends, but run
+    backwards between s = 0.39 and s = 0.61."""
+    sign = 1.0 if orientation == "preserving" else -1.0
+    with pytest.raises(DomainMismatch, match=f"not strictly {orientation}"):
+        Reparameterization(
+            source=UNIT, target=UNIT,
+            fwd=lambda s: (0.5 - 0.5 * sign
+                           + sign * (s + math.sin(2.0 * math.pi * s) / 4.0)),
+            inv=lambda t: t, orientation=orientation,
+            deriv=lambda s: sign * (1.0 + math.pi / 2.0
+                                    * math.cos(2.0 * math.pi * s)),
+            name="wobble")
+
+
+def test_the_shipped_remaps_and_their_compositions_are_accepted():
+    rev, sq = canonical_reversal(), square_remap()
+    halve = affine_remap(Interval(0.0, 2.0), UNIT, name="halve")
+    for outer, inner in ((rev, sq), (sq, rev), (rev, rev), (sq, halve),
+                         (rev, halve)):
+        c = compose_remaps(outer, inner)
+        for s in inner.source.samples(5):
+            assert c.apply(s) == pytest.approx(outer.apply(inner.apply(s)))
+    assert sphere.octant_loop().breakpoints == pytest.approx((1 / 3, 2 / 3))
+
+
+def test_a_chart_path_without_a_velocity_is_refused():
+    with pytest.raises(ConfigError):
+        Path(space=sphere.SPACE, domain=UNIT,
+             point_at=lambda s: chart_point(sphere.SPACE, 1.0, s),
+             kind="chart", velocity_fn=None)
+
+
+def test_a_discrete_path_needs_no_velocity():
+    p = Path(space="g", domain=UNIT, point_at=lambda s: graph_point("g", "a"),
+             kind="discrete")
+    assert p.velocity(0.5) is None
+    for q in (reverse(zigzag()), concatenate(zigzag(), reverse(zigzag()))):
+        assert q.velocity_fn is None and q.velocity(0.5) is None
 
 
 def test_a_seam_gap_reads_the_start_of_the_second_path():
