@@ -20,13 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from . import linalg
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    NoSectionThrough,
-    PointNotInBase,
-    WrongFibreKind,
-)
+from .errors import FibreTransportError
 
 # Coordinates of base points are compared to this absolute tolerance.
 COORD_TOL = 1e-9
@@ -45,7 +39,7 @@ class BasePoint:
 
     def __post_init__(self) -> None:
         if (self.node is None) == (self.coords is None):
-            raise ValueError("exactly one of node / coords must be set")
+            raise FibreTransportError("exactly one of node / coords must be set")
 
     @property
     def is_node(self) -> bool:
@@ -100,7 +94,7 @@ class FibreElement:
 
     def __post_init__(self) -> None:
         if (self.label is None) == (self.vector is None):
-            raise ValueError("exactly one of label / vector must be set")
+            raise FibreTransportError("exactly one of label / vector must be set")
 
 
 def label_element(over: BasePoint, label: str) -> FibreElement:
@@ -145,7 +139,7 @@ def table_section(name: str, space: str, values: Mapping[str, str]) -> Section:
 
     def assign(x: BasePoint) -> FibreElement:
         if x.node not in table:
-            raise PointNotInBase(f"section {name!r} undefined at {x.node!r}")
+            raise FibreTransportError(f"section {name!r} undefined at {x.node!r}")
         return label_element(x, table[x.node])
 
     return Section(name=name, assignment=assign)
@@ -175,32 +169,34 @@ class FibreBundle:
 
     def __post_init__(self) -> None:
         if self.base_kind not in ("graph", "sphere"):
-            raise ConfigError(f"unknown base kind {self.base_kind!r}")
+            raise FibreTransportError(f"unknown base kind {self.base_kind!r}")
         if self.fibre_kind not in ("finite", "vector", "sections"):
-            raise ConfigError(f"unknown fibre kind {self.fibre_kind!r}")
+            raise FibreTransportError(f"unknown fibre kind {self.fibre_kind!r}")
         if self.base_kind == "graph" and not self.nodes:
-            raise ConfigError("graph base needs nodes")
+            raise FibreTransportError("graph base needs nodes")
         if self.fibre_kind == "finite" and not self.labels:
-            raise ConfigError("finite fibre needs labels")
+            raise FibreTransportError("finite fibre needs labels")
         if self.fibre_kind == "vector" and not self.dim:
-            raise ConfigError("vector fibre needs a dimension")
+            raise FibreTransportError("vector fibre needs a dimension")
         if self.fibre_kind == "sections":
             if not self.sections or len(self.sections) < 1:
-                raise ConfigError("section fibre needs at least one section")
+                raise FibreTransportError(
+                    "section fibre needs at least one section")
             self._check_sections_disjoint()
 
     def _check_sections_disjoint(self) -> None:
         # Pairwise non-intersecting: two sections never share a value over a
         # point.  Checked exhaustively; only graph bases carry section fibres.
         if self.base_kind != "graph":
-            raise ConfigError("section fibres are supported over graph bases")
+            raise FibreTransportError(
+                "section fibres are supported over graph bases")
         for n in self.nodes:
             x = graph_point(self.base_space_id, n)
             seen: dict[str, str] = {}
             for sec in self.sections:
                 v = sec.at(x).label
                 if v in seen:
-                    raise ConfigError(
+                    raise FibreTransportError(
                         f"sections {seen[v]!r} and {sec.name!r} intersect at {n!r}"
                     )
                 seen[v] = sec.name
@@ -219,7 +215,8 @@ class FibreBundle:
 
     def require_point(self, x: BasePoint) -> None:
         if not self.contains_point(x):
-            raise PointNotInBase(f"{x} is not a point of base {self.base_space_id!r}")
+            raise FibreTransportError(
+                f"{x} is not a point of base {self.base_space_id!r}")
 
     def point_deviation(self, x: BasePoint, y: BasePoint) -> float:
         """Like the module-level helper, but phi-periodic on the sphere."""
@@ -245,13 +242,13 @@ def fibre_elements(bundle: FibreBundle, x: BasePoint) -> tuple[FibreElement, ...
     """All elements of a finite fibre over x."""
     desc = fibre_at(bundle, x)
     if desc.labels is None:
-        raise WrongFibreKind("fibre over this bundle is not finite")
+        raise FibreTransportError("fibre over this bundle is not finite")
     return tuple(label_element(x, lab) for lab in desc.labels)
 
 
 def sections_of_family(bundle: FibreBundle) -> tuple[Section, ...]:
     if bundle.fibre_kind != "sections":
-        raise WrongFibreKind("bundle is not carried by a section family")
+        raise FibreTransportError("bundle is not carried by a section family")
     return bundle.sections
 
 
@@ -260,7 +257,7 @@ def section_through(bundle: FibreBundle, u: FibreElement) -> Section:
     for sec in sections_of_family(bundle):
         if sec.at(u.over).label == u.label:
             return sec
-    raise NoSectionThrough(f"no section of the family passes through {u}")
+    raise FibreTransportError(f"no section of the family passes through {u}")
 
 
 @dataclass(frozen=True)
@@ -279,8 +276,8 @@ def euclidean_metric(dim: int) -> BundleMetric:
 def evaluate_metric(metric: BundleMetric, x: BasePoint, u: FibreElement, v: FibreElement) -> float:
     """g_x(u, v) for two vectors attached over x."""
     if u.vector is None or v.vector is None:
-        raise WrongFibreKind("metric applies to vector fibres")
+        raise FibreTransportError("metric applies to vector fibres")
     g = metric.matrix_at(x)
     if len(g) != len(u.vector) or len(u.vector) != len(v.vector):
-        raise DimensionMismatch("metric and vectors disagree on dimension")
+        raise FibreTransportError("metric and vectors disagree on dimension")
     return linalg.dot(u.vector, linalg.matvec(g, v.vector))

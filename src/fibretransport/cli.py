@@ -26,7 +26,7 @@ from pathlib import Path as FsPath
 from . import factorization as fz
 from . import lifting as lf
 from .bundles import fibre_at, label_element, vector_element
-from .errors import ConfigError, FibreTransportError
+from .errors import FibreTransportError
 from .instances import (InstanceSpec, holonomy_angle, instance_names,
                         make_instance)
 from .laws import law_named
@@ -56,14 +56,14 @@ def law_filename(law: str) -> str:
 
 def cmd_check(args: argparse.Namespace) -> int:
     if args.trials < 1:
-        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+        raise FibreTransportError(f"--trials must be at least 1, got {args.trials}")
     spec = make_instance(args.instance, step=args.step)
     if args.laws == "all":
         chosen = list(spec.applicable)
     else:
         chosen = [l.strip() for l in args.laws.split(",") if l.strip()]
         if not chosen:
-            raise ConfigError(f"--laws names no law: {args.laws!r}")
+            raise FibreTransportError(f"--laws names no law: {args.laws!r}")
     for law in chosen:  # refuse unknown ids before any report is written
         law_named(law)
     tols = _parse_tols(args.tol, chosen)
@@ -88,14 +88,14 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_holonomy(args: argparse.Namespace) -> int:
     steps = [float(s) for s in args.steps.split(",") if s.strip()]
     if not steps:
-        raise ConfigError("--steps needs at least one value")
+        raise FibreTransportError("--steps needs at least one value")
     rows = []
     loop_label = args.loop
     for h in steps:
         spec = make_instance(args.instance, step=h)
         if loop_label is None:
             if not spec.loops:
-                raise ConfigError(
+                raise FibreTransportError(
                     f"instance {spec.name!r} declares no closed loops")
             loop_label = next(iter(spec.loops))
         loop = spec.path_named(loop_label)
@@ -120,7 +120,8 @@ def cmd_holonomy(args: argparse.Namespace) -> int:
 
 def cmd_lift(args: argparse.Namespace) -> int:
     if args.samples < 1:
-        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+        raise FibreTransportError(
+            f"--samples must be at least 1, got {args.samples}")
     spec = make_instance(args.instance, step=args.step)
     p = (spec.path_named(args.path_name) if args.path_name
          else spec.law_paths[0])
@@ -132,7 +133,14 @@ def cmd_lift(args: argparse.Namespace) -> int:
             comps = tuple(1.0 if i == 0 else 0.0
                           for i in range(spec.bundle.dim))
         else:
-            comps = tuple(float(c) for c in element.split(","))
+            try:
+                comps = tuple(float(c) for c in element.split(","))
+            except ValueError:
+                comps = (math.nan,)
+            if not all(map(math.isfinite, comps)):
+                raise FibreTransportError(
+                    f"--element expects finite numbers separated by commas, "
+                    f"got {element!r}")
         u = vector_element(anchor_point, comps)
     else:
         if element is None:
@@ -259,13 +267,14 @@ def _parse_tols(pairs: list[str], laws: list[str]) -> dict:
         except ValueError:
             tol = math.nan
         if not sep or not 0.0 <= tol < math.inf:
-            raise ConfigError(f"--tol expects LAW=VALUE with a finite, "
-                              f"nonnegative value, got {pair!r}")
+            raise FibreTransportError(
+                f"--tol expects LAW=VALUE with a finite, "
+                f"nonnegative value, got {pair!r}")
         out[law.strip()] = tol
     unused = sorted(set(out) - set(laws))
     if unused:
-        raise ConfigError(f"--tol names laws this run does not execute: "
-                          f"{', '.join(unused)}")
+        raise FibreTransportError(
+            f"--tol names laws this run does not execute: {', '.join(unused)}")
     return out
 
 
@@ -274,8 +283,8 @@ def _default_seed() -> int:
     try:
         return int(text)
     except ValueError:
-        raise ConfigError(f"FT_DEFAULT_SEED must be an integer, "
-                          f"got {text!r}") from None
+        raise FibreTransportError(
+            f"FT_DEFAULT_SEED must be an integer, got {text!r}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -287,8 +296,9 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 args.out.mkdir(parents=True, exist_ok=True)
             except OSError as exc:
-                raise ConfigError(f"cannot use --out {str(args.out)!r} as a "
-                                  f"report directory: {exc.strerror}") from None
+                raise FibreTransportError(
+                    f"cannot use --out {str(args.out)!r} as a "
+                    f"report directory: {exc.strerror}") from None
         return args.run(args)
     except (FibreTransportError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

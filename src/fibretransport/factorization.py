@@ -24,8 +24,7 @@ from dataclasses import dataclass, replace
 from . import linalg
 from .bundles import FibreBundle, element_deviation, fibre_at, \
     fibre_elements, label_element, vector_element
-from .errors import (ConfigError, DifferentTransports, GaugeInconsistent,
-                     GridMismatch, UnknownParameter)
+from .errors import FibreTransportError
 from .paths import Interval, Path
 from .transport import (LawReport, Transport, _desc, run_trials, transport,
                         unit_ball)
@@ -42,7 +41,7 @@ def map_compose(outer, inner):
     if isinstance(outer, dict) and isinstance(inner, dict):
         return {k: outer[v] for k, v in inner.items()}
     if isinstance(outer, dict) or isinstance(inner, dict):
-        raise ConfigError("cannot compose a label map with a matrix")
+        raise FibreTransportError("cannot compose a label map with a matrix")
     return linalg.matmul(outer, inner)
 
 
@@ -50,7 +49,7 @@ def map_invert(m):
     if isinstance(m, dict):
         inv = {v: k for k, v in m.items()}
         if len(inv) != len(m):
-            raise ConfigError(f"label map is not a bijection: {m}")
+            raise FibreTransportError(f"label map is not a bijection: {m}")
         return inv
     return linalg.inverse(m)
 
@@ -94,15 +93,16 @@ class Factorization:
 
     def __post_init__(self) -> None:
         if len(self.grid) != len(self.maps):
-            raise ConfigError("factorization grid and maps disagree in length")
+            raise FibreTransportError(
+                "factorization grid and maps disagree in length")
         if self.anchor not in self.grid:
-            raise ConfigError("factorization anchor must lie on its grid")
+            raise FibreTransportError("factorization anchor must lie on its grid")
 
     def map_at(self, s: float):
         try:
             return self.maps[self.grid.index(s)]
         except ValueError:
-            raise UnknownParameter(
+            raise FibreTransportError(
                 f"parameter {s!r} is not on the factorization grid") from None
 
 
@@ -111,7 +111,8 @@ def _as_grid(p: Path, grid) -> tuple:
         grid = 11
     if isinstance(grid, int):
         if grid < 2:
-            raise ConfigError("factorization grids need at least two points")
+            raise FibreTransportError(
+                "factorization grids need at least two points")
         return tuple(p.domain.samples(grid))
     pts = tuple(float(g) for g in grid)
     for g in pts:
@@ -151,7 +152,7 @@ def canonical_factorization(T: Transport, p: Path, s0: float | None = None,
 def transport_from_factorization(f: Factorization, p: Path) -> Transport:
     """The transport induced by a family: F_t^{-1} after F_s, on grid params."""
     if p.space != f.space or not p.domain.same_as(f.domain):
-        raise ConfigError(
+        raise FibreTransportError(
             f"factorization was built along {f.path_name!r} over {f.space!r} "
             f"{f.domain}, got {p.name!r} over {p.space!r} {p.domain}")
 
@@ -175,7 +176,7 @@ def apply_gauge(f: Factorization, gauge) -> Factorization:
         gauge = gauge.map
     is_dict = isinstance(gauge, dict)
     if is_dict != (f.bundle.fibre_kind != "vector"):
-        raise ConfigError("gauge map kind does not match the fibre kind")
+        raise FibreTransportError("gauge map kind does not match the fibre kind")
     map_invert(gauge)  # reject non-bijections early
     return replace(f, maps=tuple(map_compose(gauge, m) for m in f.maps))
 
@@ -192,12 +193,13 @@ def gauge_between(f1: Factorization, f2: Factorization,
                   tolerance: float | None = None) -> GaugeMap:
     """The gauge D with f1 = D after f2, for families inducing one transport.
 
-    Raises GridMismatch for incomparable tabulations, DifferentTransports
-    when the induced transports disagree, and GaugeInconsistent when no
-    single D explains every grid parameter.
+    Raises FibreTransportError for incomparable tabulations, when the
+    induced transports disagree, and when no single D explains every grid
+    parameter.
     """
     if f1.grid != f2.grid or f1.space != f2.space:
-        raise GridMismatch("factorizations tabulate different grids or spaces")
+        raise FibreTransportError(
+            "factorizations tabulate different grids or spaces")
     if tolerance is None:
         # Matrix inverses carry rounding noise even for exact families.
         tolerance = max(1e-9, 4.0 * max(f1.tolerance, f2.tolerance))
@@ -211,7 +213,7 @@ def gauge_between(f1: Factorization, f2: Factorization,
             induced2 = map_compose(inv2[j], f2.maps[i])
             worst = max(worst, map_deviation(induced1, induced2))
     if worst > tolerance:
-        raise DifferentTransports(
+        raise FibreTransportError(
             f"families induce different transports (deviation {worst})")
 
     # Extract at a shared anchor when there is one: a canonical family is the
@@ -224,7 +226,7 @@ def gauge_between(f1: Factorization, f2: Factorization,
         drift = max(drift, map_deviation(map_compose(gauge, f2.maps[i]),
                                          f1.maps[i]))
     if drift > tolerance:
-        raise GaugeInconsistent(
+        raise FibreTransportError(
             f"no single gauge explains the two families (drift {drift})")
     return GaugeMap(map=gauge, deviation=max(worst, drift))
 
@@ -273,7 +275,7 @@ def random_gauge(rng: random.Random, bundle: FibreBundle, x) -> "FibreMap":
                       for _ in range(n))
             try:
                 linalg.inverse(m)
-            except Exception:
+            except ZeroDivisionError:
                 continue
             return m
     labels = list(fibre_at(bundle, x).labels)

@@ -27,8 +27,7 @@ from . import linalg, sphere
 from .bundles import (BasePoint, BundleMetric, FibreBundle, FibreElement,
                       euclidean_metric, label_element, section_through,
                       table_section, vector_element)
-from .errors import (CocycleViolation, ConfigError, EdgeMissing,
-                     EndpointMismatch, UnknownInstance, WrongFibreKind)
+from .errors import FibreTransportError
 from .integrate import CellStore, rk4_linear_flow
 from .paths import (ConcatSchedule, Interval, Path, Reparameterization, UNIT,
                     affine_remap, canonical_schedule, node_sequence,
@@ -52,24 +51,26 @@ def permutation_transport(bundle: FibreBundle,
     """Compose label bijections over the node hops of discrete paths.
 
     Reverse hops use the inverse bijection; supplying both orientations of an
-    edge with inconsistent maps is rejected.  Hops without a map raise
-    EdgeMissing at application time.
+    edge with inconsistent maps is rejected.  Hops without a map, and
+    labels outside the fibre, are refused at application time.
     """
     if bundle.fibre_kind != "finite":
-        raise WrongFibreKind("permutation transports need finite fibres")
+        raise FibreTransportError("permutation transports need finite fibres")
     labels = set(bundle.labels)
     maps: dict[tuple[str, str], dict[str, str]] = {}
     for (a, b), m in edge_maps.items():
         m = dict(m)
         if set(m) != labels or set(m.values()) != labels:
-            raise ConfigError(f"map over edge ({a}, {b}) is not a bijection "
-                              f"of the fibre labels")
+            raise FibreTransportError(
+                f"map over edge ({a}, {b}) is not a bijection "
+                f"of the fibre labels")
         maps[(a, b)] = m
     for (a, b), m in list(maps.items()):
         rev = {v: k for k, v in m.items()}
         if (b, a) in maps and maps[(b, a)] != rev:
-            raise ConfigError(f"maps over ({a}, {b}) and ({b}, {a}) are not "
-                              f"mutually inverse")
+            raise FibreTransportError(
+                f"maps over ({a}, {b}) and ({b}, {a}) are not "
+                f"mutually inverse")
         maps.setdefault((b, a), rev)
 
     def apply(p: Path, s: float, t: float, u: FibreElement) -> FibreElement:
@@ -78,7 +79,7 @@ def permutation_transport(bundle: FibreBundle,
         for x, y in zip(seq, seq[1:]):
             m = maps.get((x, y))
             if m is None:
-                raise EdgeMissing(f"no fibre map across hop ({x}, {y})")
+                raise FibreTransportError(f"no fibre map across hop ({x}, {y})")
             lab = m[lab]
         return label_element(p.at(t), lab)
 
@@ -90,7 +91,7 @@ def permutation_transport(bundle: FibreBundle,
 def foliation_transport(bundle: FibreBundle, name: str = "foliation") -> Transport:
     """Slide each element along the unique family section through it."""
     if bundle.fibre_kind != "sections":
-        raise WrongFibreKind("foliation transports need a section family")
+        raise FibreTransportError("foliation transports need a section family")
 
     def apply(p: Path, s: float, t: float, u: FibreElement) -> FibreElement:
         sec = section_through(bundle, u)
@@ -110,10 +111,10 @@ def parallelization_transport(bundle: FibreBundle,
     identities are validated exhaustively at construction.
     """
     if bundle.fibre_kind != "vector":
-        raise WrongFibreKind("parallelizations need vector fibres")
+        raise FibreTransportError("parallelizations need vector fibres")
     missing = set(bundle.nodes) - set(frames)
     if missing:
-        raise ConfigError(f"no frame for nodes {sorted(missing)}")
+        raise FibreTransportError(f"no frame for nodes {sorted(missing)}")
     inv = {n: linalg.inverse(frames[n]) for n in bundle.nodes}
     pair = {(x, y): linalg.matmul(frames[y], inv[x])
             for x in bundle.nodes for y in bundle.nodes}
@@ -124,7 +125,7 @@ def parallelization_transport(bundle: FibreBundle,
                 gap = max(abs(via[i][j] - pair[(x, z)][i][j])
                           for i in range(bundle.dim) for j in range(bundle.dim))
                 if gap > 1e-12:
-                    raise CocycleViolation(
+                    raise FibreTransportError(
                         f"frame maps fail to compose across ({x}, {y}, {z}); "
                         f"gap {gap}")
 
@@ -169,21 +170,21 @@ def linear_ode_transport(bundle: FibreBundle,
     a store lives as long as its point map.
     """
     if not (MIN_STEP <= step <= 1.0):
-        raise ConfigError(f"integrator step out of range [{MIN_STEP:g}, 1]: "
-                          f"{step}")
+        raise FibreTransportError(
+            f"integrator step out of range [{MIN_STEP:g}, 1]: {step}")
     if bundle.fibre_kind != "vector":
-        raise WrongFibreKind("ODE transports need vector fibres")
+        raise FibreTransportError("ODE transports need vector fibres")
     # point map -> {(velocity, direction): cells}
     stores: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def apply(p: Path, s: float, t: float, u: FibreElement) -> FibreElement:
         if p.domain.width > MAX_SPAN:
-            raise ConfigError(
+            raise FibreTransportError(
                 f"path spans {p.domain.width}, integrator allows {MAX_SPAN}")
         if t == s:
             return vector_element(p.at(t), u.vector)
         if p.kind != "chart":
-            raise ConfigError("ODE transports integrate along chart paths")
+            raise FibreTransportError("ODE transports integrate along chart paths")
         point_at, vel, isfinite = p.point_at, p.velocity_fn, math.isfinite
 
         # Stage parameters lie in [s, t], which ``transport`` has clamped,
@@ -193,8 +194,9 @@ def linear_ode_transport(bundle: FibreBundle,
             for row in a:
                 for c in row:
                     if not isfinite(c):
-                        raise ConfigError(f"non-finite transport coefficients"
-                                          f" at parameter {r} of {p.name!r}")
+                        raise FibreTransportError(
+                            f"non-finite transport coefficients"
+                            f" at parameter {r} of {p.name!r}")
             return a
 
         d = 1 if t > s else -1
@@ -272,7 +274,7 @@ def counterexample_transport(kind: str) -> Transport:
         preserves = frozenset({"2.2", "2.3", "2.5/2.7", "2.8"})
         declared = {"local", "linear"}
     else:
-        raise UnknownInstance(
+        raise FibreTransportError(
             f"unknown counterexample kind {kind!r}; "
             f"expected one of {', '.join(COUNTEREXAMPLE_KINDS)}")
 
@@ -290,7 +292,7 @@ def _orthonormalizer(metric: BundleMetric | None, x: BasePoint, dim: int) -> lin
         return linalg.identity(dim)
     g = metric.matrix_at(x)
     if dim != 2:
-        raise ConfigError("orthonormalization implemented for rank 2")
+        raise FibreTransportError("orthonormalization implemented for rank 2")
     a = math.sqrt(g[0][0])
     b = g[0][1] / a
     c = math.sqrt(g[1][1] - b * b)
@@ -300,9 +302,9 @@ def _orthonormalizer(metric: BundleMetric | None, x: BasePoint, dim: int) -> lin
 def loop_matrix(T: Transport, loop: Path) -> linalg.Mat:
     """The matrix of a full traversal of a closed path, in the chart frame."""
     if T.bundle.fibre_kind != "vector":
-        raise WrongFibreKind("holonomy applies to vector fibres")
+        raise FibreTransportError("holonomy applies to vector fibres")
     if T.bundle.point_deviation(loop.start, loop.end) > 1e-6:
-        raise EndpointMismatch(f"path {loop.name!r} is not closed")
+        raise FibreTransportError(f"path {loop.name!r} is not closed")
     x0 = loop.at(loop.domain.lo)
     cols = [transport(T, loop, loop.domain.lo, loop.domain.hi,
                       vector_element(x0, e)).vector
@@ -318,7 +320,7 @@ def holonomy_angle(T: Transport, loop: Path,
     point first, so the angle is metric-honest even in skewed charts.
     """
     if T.bundle.dim != 2:
-        raise ConfigError("holonomy angles are defined for rank-2 fibres")
+        raise FibreTransportError("holonomy angles are defined for rank-2 fibres")
     m = loop_matrix(T, loop)
     s = _orthonormalizer(metric, loop.at(loop.domain.lo), 2)
     return linalg.rotation_angle(
@@ -370,7 +372,8 @@ class InstanceSpec:
         if self.uniqueness_path is not None and self.uniqueness_path.name == name:
             return self.uniqueness_path
         known = [p.name for p in (*self.law_paths, *pair)] + list(self.loops)
-        raise ConfigError(f"no path named {name!r}; known: {', '.join(known)}")
+        raise FibreTransportError(
+            f"no path named {name!r}; known: {', '.join(known)}")
 
 
 def _standard_remaps() -> tuple[Reparameterization, ...]:
@@ -528,7 +531,7 @@ def make_instance(name: str, step: float | None = None) -> InstanceSpec:
     try:
         build = PRESETS[name]
     except KeyError:
-        raise UnknownInstance(
+        raise FibreTransportError(
             f"unknown instance {name!r}; known: "
             f"{', '.join(instance_names())}") from None
     return build(step)

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Callable
 from . import factorization as fz
 from . import lifting as lf
 from . import transport as tr
-from .errors import ConfigError, UnknownLaw
+from .errors import FibreTransportError
 
 if TYPE_CHECKING:
     from .instances import InstanceSpec
@@ -47,7 +47,8 @@ def _on_first_path(check):
 def _on_product(check):
     def run(spec, **kw):
         if spec.product_pair is None:
-            raise ConfigError("product laws need an instance with a product pair")
+            raise FibreTransportError(
+                "product laws need an instance with a product pair")
         return check(spec.transport, *spec.product_pair, **kw)
     return run
 
@@ -109,5 +110,6 @@ def law_named(law_id: str) -> Law:
     try:
         return _BY_ID[law_id]
     except KeyError:
-        raise UnknownLaw(f"unknown law id {law_id!r}; registry: "
-                         f"{', '.join(_BY_ID)}") from None
+        raise FibreTransportError(
+            f"unknown law id {law_id!r}; registry: "
+            f"{', '.join(_BY_ID)}") from None

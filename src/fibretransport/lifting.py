@@ -19,8 +19,7 @@ from . import linalg
 from .bundles import (FibreBundle, FibreElement, element_deviation,
                       fibre_at, fibre_elements, point_deviation, rebase,
                       vector_element)
-from .errors import (AnchorMismatch, ConfigError, LiftInconsistent,
-                     PointNotOnPath, UniquenessPrereqFailed, WrongFibreKind)
+from .errors import FibreTransportError
 from .paths import Path, piece_runs
 from .transport import (LawReport, Transport, _as_paths, _desc,
                         _draw_params, _pick, _rng, draw_for_bundle,
@@ -53,7 +52,7 @@ def lift(T: Transport, p: Path, u: FibreElement, s0: float) -> Lifting:
     """The lifting through u anchored at parameter s0."""
     s0 = p.domain.clamp(s0)
     if T.bundle.point_deviation(u.over, p.at(s0)) > _MATCH_TOL:
-        raise AnchorMismatch(
+        raise FibreTransportError(
             f"element over {u.over} cannot anchor a lifting at path({s0})")
     return Lifting(path=p, anchor=s0, through=u,
                    value_fn=lambda t: transport(T, p, s0, t, u),
@@ -68,7 +67,7 @@ def occurrence_set(p: Path, u: FibreElement,
     node matches.  Chart paths report matches among the declared
     self-crossing parameters (generic chart points occur once and carry no
     declared parameter, so they are not locatable).  An element whose base
-    point never shows up raises PointNotOnPath.
+    point never shows up raises FibreTransportError.
     """
     found: list[float] = []
     if p.kind == "discrete":
@@ -81,7 +80,7 @@ def occurrence_set(p: Path, u: FibreElement,
             if deviation(p.at(c), u.over) <= _MATCH_TOL:
                 found.append(c)
     if not found:
-        raise PointNotOnPath(
+        raise FibreTransportError(
             f"no occurrence of base point {u.over} along {p.name!r}")
     return tuple(found)
 
@@ -94,7 +93,7 @@ def transport_from_lifting(bundle: FibreBundle,
 
     The rule must reproduce its anchor and be stable under re-anchoring:
     lifting through a point of a produced lifting must reproduce the whole
-    lifting.  Violations raise LiftInconsistent.  The returned transport
+    lifting.  Violations raise FibreTransportError.  The returned transport
     evaluates the assigned lifting at the target parameter.
     """
     paths = _as_paths(paths)
@@ -105,14 +104,14 @@ def transport_from_lifting(bundle: FibreBundle,
         lifted = assignment(p, u, s)
         dev = element_deviation(lifted.at(s), u)
         if dev > tolerance:
-            raise LiftInconsistent(
+            raise FibreTransportError(
                 f"assigned lifting misses its anchor by {dev} at {p.name!r}({s})")
         r = rng.uniform(p.domain.lo, p.domain.hi)
         again = assignment(p, lifted.at(r), r)
         for g in p.domain.samples(5):
             dev = element_deviation(lifted.at(g), again.at(g))
             if dev > tolerance:
-                raise LiftInconsistent(
+                raise FibreTransportError(
                     f"re-anchoring at {p.name!r}({r}) changes the lifting "
                     f"by {dev} at parameter {g}")
 
@@ -220,11 +219,11 @@ def liftings_disjoint_or_equal(T: Transport, p: Path, *, trials: int = 50,
     """Two liftings of one path either coincide everywhere or nowhere.
 
     Requires global uniqueness over the path; without it the dichotomy has
-    no content, so a failed precheck raises UniquenessPrereqFailed.
+    no content, so a failed precheck raises FibreTransportError.
     """
     pre = check_global_uniqueness(T, p, trials=20, seed=seed)
     if not pre.passed:
-        raise UniquenessPrereqFailed(
+        raise FibreTransportError(
             f"global uniqueness fails over {p.name!r} "
             f"(deviation {pre.max_deviation})")
     tol = law_tolerance("4.6", T) if tolerance is None else tolerance
@@ -248,9 +247,9 @@ def check_fibre_cover(T: Transport, p: Path, *, s0: float | None = None,
     """Law 4.7: liftings through one full fibre sweep every fibre over the
     path.  Finite fibres over discrete paths only; the comparison is exact."""
     if p.kind != "discrete":
-        raise ConfigError("fibre-cover enumeration needs a discrete path")
+        raise FibreTransportError("fibre-cover enumeration needs a discrete path")
     if T.bundle.fibre_kind == "vector":
-        raise WrongFibreKind("fibre-cover enumeration needs finite fibres")
+        raise FibreTransportError("fibre-cover enumeration needs finite fibres")
     if s0 is None:
         s0 = p.domain.lo
     s0 = p.domain.clamp(s0)

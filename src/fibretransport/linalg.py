@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DimensionMismatch
+from .errors import FibreTransportError
 
 Vec = tuple[float, ...]
 Mat = tuple[tuple[float, ...], ...]
@@ -22,13 +22,14 @@ def identity(n: int) -> Mat:
 
 def matvec(m: Mat, v: Vec) -> Vec:
     if len(m[0]) != len(v):
-        raise DimensionMismatch(f"matrix is {len(m)}x{len(m[0])}, vector has length {len(v)}")
+        raise FibreTransportError(
+            f"matrix is {len(m)}x{len(m[0])}, vector has length {len(v)}")
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
 
 def matmul(a: Mat, b: Mat) -> Mat:
     if len(a[0]) != len(b):
-        raise DimensionMismatch("inner dimensions differ")
+        raise FibreTransportError("inner dimensions differ")
     cols = range(len(b[0]))
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in cols)
@@ -42,7 +43,7 @@ def transpose(m: Mat) -> Mat:
 
 def lin_comb(lam: float, u: Vec, mu: float, v: Vec) -> Vec:
     if len(u) != len(v):
-        raise DimensionMismatch("vectors have different lengths")
+        raise FibreTransportError("vectors have different lengths")
     return tuple(lam * u[i] + mu * v[i] for i in range(len(u)))
 
 
@@ -62,7 +63,7 @@ def solve(m: Mat, rhs: Vec) -> Vec:
     """Solve m x = rhs by Gauss elimination with partial pivoting."""
     n = len(m)
     if len(rhs) != n:
-        raise DimensionMismatch("right-hand side length differs from matrix size")
+        raise FibreTransportError("right-hand side length differs from matrix size")
     a = [list(row) + [rhs[i]] for i, row in enumerate(m)]
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(a[r][col]))

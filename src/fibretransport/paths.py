@@ -35,15 +35,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .bundles import BasePoint, graph_point, point_deviation
-from .errors import (
-    ConfigError,
-    DomainMismatch,
-    DomainNotContained,
-    EndpointMismatch,
-    NonCanonicalDomain,
-    ParameterOutOfDomain,
-    ScheduleMismatch,
-)
+from .errors import FibreTransportError
 
 # Parameters this close to a domain edge are snapped onto it: float images of
 # exact endpoints under affine maps can land an ulp outside.
@@ -66,9 +58,9 @@ class Interval:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("interval ends must be finite")
+            raise FibreTransportError("interval ends must be finite")
         if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+            raise FibreTransportError(f"empty interval [{self.lo}, {self.hi}]")
 
     @property
     def width(self) -> float:
@@ -81,7 +73,7 @@ class Interval:
         if self.lo <= s <= self.hi:
             return s
         if not self.contains(s, slack):
-            raise ParameterOutOfDomain(f"{s} outside [{self.lo}, {self.hi}]")
+            raise FibreTransportError(f"{s} outside [{self.lo}, {self.hi}]")
         return min(max(s, self.lo), self.hi)
 
     def contains_interval(self, other: "Interval", slack: float = EXACT) -> bool:
@@ -123,13 +115,14 @@ class Reparameterization:
 
     def __post_init__(self) -> None:
         if self.orientation not in ("preserving", "reversing"):
-            raise ValueError("orientation must be 'preserving' or 'reversing'")
+            raise FibreTransportError(
+                "orientation must be 'preserving' or 'reversing'")
         lo_img, hi_img = self.fwd(self.source.lo), self.fwd(self.source.hi)
         want = (self.target.lo, self.target.hi)
         if self.orientation == "reversing":
             want = (self.target.hi, self.target.lo)
         if abs(lo_img - want[0]) > 1e-9 or abs(hi_img - want[1]) > 1e-9:
-            raise DomainMismatch(
+            raise FibreTransportError(
                 f"{self.name}: endpoints map to ({lo_img}, {hi_img}), "
                 f"expected {want}"
             )
@@ -138,11 +131,11 @@ class Reparameterization:
         for s in self.source.samples(33):
             r = self.fwd(s)
             if not self.target.contains(r):
-                raise DomainMismatch(
+                raise FibreTransportError(
                     f"{self.name}: {s} maps to {r}, outside "
                     f"[{self.target.lo}, {self.target.hi}]")
             if prev is not None and not sgn * (r - prev) > 0.0:
-                raise DomainMismatch(
+                raise FibreTransportError(
                     f"{self.name}: not strictly {self.orientation} at {s}")
             prev = r
 
@@ -156,7 +149,7 @@ class Reparameterization:
 def affine_remap(source: Interval, target: Interval, reversing: bool = False,
                  name: str = "affine") -> Reparameterization:
     if source.width <= 0.0 or target.width <= 0.0:
-        raise ValueError("affine remaps need non-degenerate intervals")
+        raise FibreTransportError("affine remaps need non-degenerate intervals")
     k = target.width / source.width
     if reversing:
         fwd = lambda s: target.hi - (s - source.lo) * k
@@ -190,7 +183,8 @@ def canonical_reversal() -> Reparameterization:
 def compose_remaps(outer: Reparameterization, inner: Reparameterization) -> Reparameterization:
     """outer after inner: valid when inner.target equals outer.source."""
     if not inner.target.same_as(outer.source):
-        raise DomainMismatch("inner remap's target must be outer remap's source")
+        raise FibreTransportError(
+            "inner remap's target must be outer remap's source")
     both = {outer.orientation, inner.orientation}
     orientation = "preserving" if len(both) == 1 else "reversing"
     return Reparameterization(
@@ -231,14 +225,15 @@ class Path:
 
     def __post_init__(self) -> None:
         if self.kind not in ("discrete", "chart"):
-            raise ValueError("path kind must be 'discrete' or 'chart'")
+            raise FibreTransportError("path kind must be 'discrete' or 'chart'")
         if self.kind == "chart" and self.velocity_fn is None:
-            raise ConfigError(f"chart path {self.name!r} needs a velocity")
+            raise FibreTransportError(f"chart path {self.name!r} needs a velocity")
         for b in self.breakpoints:
             if not (self.domain.lo < b < self.domain.hi):
-                raise ValueError(f"breakpoint {b} not interior to the domain")
+                raise FibreTransportError(
+                    f"breakpoint {b} not interior to the domain")
         if list(self.breakpoints) != sorted(self.breakpoints):
-            raise ValueError("breakpoints must be sorted")
+            raise FibreTransportError("breakpoints must be sorted")
 
     def at(self, s: float) -> BasePoint:
         return self.point_at(self.domain.clamp(s))
@@ -272,9 +267,10 @@ def with_crossings(p: Path, pairs: Sequence[tuple[float, float]],
     norm = tuple(sorted((min(r, s), max(r, s)) for r, s in pairs))
     for r, s in norm:
         if not (p.domain.contains(r) and p.domain.contains(s)):
-            raise ParameterOutOfDomain("crossing parameters must lie in the domain")
+            raise FibreTransportError("crossing parameters must lie in the domain")
         if deviation(p.at(r), p.at(s)) > 1e-6:
-            raise ValueError(f"declared crossing ({r}, {s}) does not close up")
+            raise FibreTransportError(
+                f"declared crossing ({r}, {s}) does not close up")
     return replace(p, crossings=norm)
 
 
@@ -287,17 +283,18 @@ def piecewise_path(space: str, domain: Interval,
     value at each interior breakpoint belongs to the following piece.
     """
     if not pieces:
-        raise ConfigError("a piecewise path needs at least one piece")
+        raise FibreTransportError("a piecewise path needs at least one piece")
     untils = [float(u) for u, _ in pieces]
     nodes = [str(n) for _, n in pieces]
     for a, b in zip(untils, untils[1:]):
         if not b > a:
-            raise ConfigError("piece boundaries must be strictly increasing")
+            raise FibreTransportError(
+                "piece boundaries must be strictly increasing")
     if abs(untils[-1] - domain.hi) > EXACT:
-        raise ConfigError("last piece must end at the domain end")
+        raise FibreTransportError("last piece must end at the domain end")
     untils[-1] = domain.hi
     if untils[0] <= domain.lo:
-        raise ConfigError("first piece must extend past the domain start")
+        raise FibreTransportError("first piece must extend past the domain start")
     points = [graph_point(space, n) for n in nodes]
     cut = untils[:-1]
 
@@ -323,7 +320,7 @@ def constant_path(space: str, node: str, domain: Interval = UNIT,
 def restrict(p: Path, sub: Interval) -> Path:
     """The same point map considered over a subinterval of the domain."""
     if not p.domain.contains_interval(sub):
-        raise DomainNotContained(
+        raise FibreTransportError(
             f"[{sub.lo}, {sub.hi}] is not inside [{p.domain.lo}, {p.domain.hi}]"
         )
     bps = tuple(b for b in p.breakpoints if sub.lo < b < sub.hi)
@@ -339,7 +336,7 @@ def restrict(p: Path, sub: Interval) -> Path:
 def reparameterize(p: Path, remap: Reparameterization) -> Path:
     """Precompose the path with a bijection onto its domain."""
     if not remap.target.same_as(p.domain):
-        raise DomainMismatch(
+        raise FibreTransportError(
             f"remap targets [{remap.target.lo}, {remap.target.hi}], "
             f"path domain is [{p.domain.lo}, {p.domain.hi}]"
         )
@@ -377,7 +374,7 @@ def reparameterize(p: Path, remap: Reparameterization) -> Path:
 def reverse(p: Path) -> Path:
     """Run a canonically parameterized path backwards: s -> p(1 - s)."""
     if not p.domain.same_as(UNIT):
-        raise NonCanonicalDomain("reverse expects a path over [0, 1]")
+        raise FibreTransportError("reverse expects a path over [0, 1]")
     return reparameterize(p, canonical_reversal())
 
 
@@ -396,9 +393,10 @@ class ConcatSchedule:
 
     def __post_init__(self) -> None:
         if self.left.orientation != "preserving" or self.right.orientation != "preserving":
-            raise ScheduleMismatch("schedule remaps must preserve orientation")
+            raise FibreTransportError("schedule remaps must preserve orientation")
         if abs(self.left.source.hi - self.right.source.lo) > EXACT:
-            raise ScheduleMismatch("left and right pieces must share the midpoint")
+            raise FibreTransportError(
+                "left and right pieces must share the midpoint")
 
     @property
     def start(self) -> float:
@@ -432,15 +430,16 @@ def canonical_schedule() -> ConcatSchedule:
 def concatenate(p1: Path, p2: Path, schedule: ConcatSchedule | None = None) -> Path:
     """The product path: traverse p1 then p2 under the given schedule."""
     if p1.space != p2.space or p1.kind != p2.kind:
-        raise ScheduleMismatch("paths must live in the same base space")
+        raise FibreTransportError("paths must live in the same base space")
     if schedule is None:
         schedule = schedule_for(p1.domain, p2.domain)
     if not schedule.left.target.same_as(p1.domain):
-        raise ScheduleMismatch("schedule's left piece must map onto p1's domain")
+        raise FibreTransportError("schedule's left piece must map onto p1's domain")
     if not schedule.right.target.same_as(p2.domain):
-        raise ScheduleMismatch("schedule's right piece must map onto p2's domain")
+        raise FibreTransportError(
+            "schedule's right piece must map onto p2's domain")
     if point_deviation(p1.end, p2.start) > 1e-9:
-        raise EndpointMismatch(
+        raise FibreTransportError(
             f"p1 ends at {p1.end}, p2 starts at {p2.start}"
         )
 
@@ -473,7 +472,7 @@ def concatenate(p1: Path, p2: Path, schedule: ConcatSchedule | None = None) -> P
 def piece_runs(p: Path) -> list[tuple[float, float, BasePoint]]:
     """Maximal constancy runs (run_lo, run_hi, point) of a discrete path."""
     if p.kind != "discrete":
-        raise ConfigError("piece runs are defined for discrete paths")
+        raise FibreTransportError("piece runs are defined for discrete paths")
     lo, hi = p.domain.lo, p.domain.hi
     if hi - lo <= 0.0:
         return [(lo, hi, p.at(lo))]

@@ -20,14 +20,14 @@ import math
 from . import linalg
 from .bundles import (POLE_MARGIN, BasePoint, BundleMetric, FibreBundle,
                       chart_deviation, chart_point)
-from .errors import ChartDomainError
+from .errors import FibreTransportError
 
 SPACE = "sphere"
 
 
 def require_chart(theta: float) -> None:
     if not (POLE_MARGIN <= theta <= math.pi - POLE_MARGIN):
-        raise ChartDomainError(
+        raise FibreTransportError(
             f"theta={theta} leaves the chart (poles excluded by {POLE_MARGIN})"
         )
 
@@ -85,7 +85,8 @@ def great_circle_arc(p0: tuple[float, float], p1: tuple[float, float],
     d = max(-1.0, min(1.0, sum(a[i] * b[i] for i in range(3))))
     omega = math.acos(d)
     if omega < 1e-9 or math.pi - omega < 1e-9:
-        raise ChartDomainError("great-circle arc endpoints coincide or are antipodal")
+        raise FibreTransportError(
+            "great-circle arc endpoints coincide or are antipodal")
     (a0, a1, a2), (b0, b1, b2) = a, b
     sin_omega = math.sin(omega)
     min_rho2 = math.sin(POLE_MARGIN) ** 2
@@ -113,7 +114,7 @@ def great_circle_arc(p0: tuple[float, float], p1: tuple[float, float],
         rho2 = x * x + y * y
         # rho = sin(theta); inside the chart band it stays >= sin(POLE_MARGIN)
         if rho2 < min_rho2:
-            raise ChartDomainError("great-circle arc crossed a pole")
+            raise FibreTransportError("great-circle arc crossed a pole")
         dtheta = -dz / math.sqrt(max(1e-300, 1.0 - z * z))
         dphi = (x * dy - y * dx) / rho2
         return (dtheta, dphi)

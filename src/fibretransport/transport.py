@@ -27,9 +27,7 @@ from typing import Callable, Iterable, Sequence
 from .bundles import (BundleMetric, FibreBundle, FibreElement,
                       element_deviation, evaluate_metric, fibre_at,
                       label_element, rebase, vector_element)
-from .errors import (ConfigError, DimensionMismatch, ElementNotOverPoint,
-                     PointNotInBase, PreconditionNotDeclared,
-                     SectionUndefinedOnPath, WrongFibreKind)
+from .errors import FibreTransportError
 from .linalg import lin_comb, max_abs, vec_sub
 from .paths import Interval, Path, Reparameterization, ConcatSchedule, \
     canonical_schedule, concatenate, reparameterize, restrict, reverse
@@ -65,7 +63,8 @@ class Transport:
     def __post_init__(self) -> None:
         unknown = set(self.declared) - KNOWN_PROPERTIES
         if unknown:
-            raise ConfigError(f"unknown declared properties: {sorted(unknown)}")
+            raise FibreTransportError(
+                f"unknown declared properties: {sorted(unknown)}")
 
 
 def law_tolerance(law: str, transport: Transport) -> float:
@@ -82,21 +81,24 @@ def transport(T: Transport, p: Path, s: float, t: float,
               u: FibreElement) -> FibreElement:
     """Apply T along p from parameter s to t, validating the inputs."""
     if p.space != T.bundle.base_space_id:
-        raise PointNotInBase(
+        raise FibreTransportError(
             f"path over space {p.space!r} fed to a transport over "
             f"{T.bundle.base_space_id!r}")
     s = p.domain.clamp(s)
     t = p.domain.clamp(t)
     if T.bundle.fibre_kind == "vector":
         if u.vector is None:
-            raise WrongFibreKind("this transport moves vectors")
+            raise FibreTransportError("this transport moves vectors")
         if len(u.vector) != T.bundle.dim:
-            raise DimensionMismatch(
+            raise FibreTransportError(
                 f"vector of length {len(u.vector)} in a rank-{T.bundle.dim} fibre")
     elif u.label is None:
-        raise WrongFibreKind("this transport moves labelled elements")
+        raise FibreTransportError("this transport moves labelled elements")
+    elif T.bundle.fibre_kind == "finite" and u.label not in T.bundle.labels:
+        raise FibreTransportError(
+            f"label {u.label!r} is not in the fibre {list(T.bundle.labels)}")
     if T.bundle.point_deviation(u.over, p.at(s)) > 1e-6:
-        raise ElementNotOverPoint(
+        raise FibreTransportError(
             f"element over {u.over} is not attached over path({s})")
     return T.apply_fn(p, s, t, u)
 
@@ -135,7 +137,7 @@ def is_transported_section(T: Transport, sigma, p: Path, s0: float | None = None
         try:
             return sigma.at(p.at(t))
         except KeyError as exc:
-            raise SectionUndefinedOnPath(
+            raise FibreTransportError(
                 f"section {sigma.name!r} undefined at path({t})") from exc
 
     u0 = value_at(s0)
@@ -276,7 +278,7 @@ def _as_paths(paths) -> tuple[Path, ...]:
         return (paths,)
     out = tuple(paths)
     if not out:
-        raise ConfigError("at least one path is required")
+        raise FibreTransportError("at least one path is required")
     return out
 
 
@@ -403,7 +405,7 @@ def check_reparam_invariance(T: Transport, paths, remaps, *, trials: int = 200,
     paths = _as_paths(paths)
     remaps = tuple(remaps) if not isinstance(remaps, Reparameterization) else (remaps,)
     if not remaps:
-        raise ConfigError("at least one reparameterization is required")
+        raise FibreTransportError("at least one reparameterization is required")
     # one derived path per (path, remap), so its transports share cells
     reparameterized = functools.cache(reparameterize)
 
@@ -411,7 +413,7 @@ def check_reparam_invariance(T: Transport, paths, remaps, *, trials: int = 200,
         p = _pick(rng, paths)
         remap = _pick(rng, remaps)
         if not remap.target.same_as(p.domain):
-            raise ConfigError(
+            raise FibreTransportError(
                 f"reparameterization {remap.name!r} targets {remap.target}, "
                 f"path domain is {p.domain}")
         q = reparameterized(p, remap)
@@ -433,7 +435,7 @@ def check_inverse_path_law(T: Transport, paths, *, trials: int = 200,
     (1-s, 1-t) map along the original.  Needs declared reparameterization
     invariance and canonically parameterized paths."""
     if "reparam_invariant" not in T.declared:
-        raise PreconditionNotDeclared(
+        raise FibreTransportError(
             "inverse-path law requires a transport declared reparam_invariant")
     paths = _as_paths(paths)
     reversed_path = functools.cache(reverse)  # one per path, as in 2.6
@@ -459,7 +461,7 @@ def _product_of(T: Transport, p1: Path, p2: Path,
                 schedule: ConcatSchedule | None):
     missing = {"local", "reparam_invariant"} - set(T.declared)
     if missing:
-        raise PreconditionNotDeclared(
+        raise FibreTransportError(
             f"product laws need declared properties {sorted(missing)}")
     if schedule is None:
         schedule = canonical_schedule()
@@ -519,7 +521,7 @@ def check_linearity(T: Transport, paths, *, trials: int = 200,
                     tolerance: float | None = None, seed: int = 0) -> LawReport:
     """Law 2.8: the maps respect linear combinations (relative deviation)."""
     if T.bundle.fibre_kind != "vector":
-        raise WrongFibreKind("linearity applies to vector fibres")
+        raise FibreTransportError("linearity applies to vector fibres")
     paths = _as_paths(paths)
     n = T.bundle.dim
 
@@ -548,9 +550,9 @@ def check_metric_consistency(T: Transport, metric: BundleMetric | None, paths,
                              tolerance: float | None = None, seed: int = 0) -> LawReport:
     """Law 2.9: the maps preserve the metric pairing of vector pairs."""
     if metric is None:
-        raise ConfigError("metric consistency needs a bundle metric")
+        raise FibreTransportError("metric consistency needs a bundle metric")
     if T.bundle.fibre_kind != "vector":
-        raise WrongFibreKind("metric consistency applies to vector fibres")
+        raise FibreTransportError("metric consistency applies to vector fibres")
     paths = _as_paths(paths)
     n = T.bundle.dim
 

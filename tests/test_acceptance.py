@@ -21,7 +21,7 @@ import pytest
 from fibretransport.bundles import (label_element, section_through,
                                     vector_element)
 from fibretransport.cli import main, run_law
-from fibretransport.errors import LiftInconsistent
+from fibretransport.errors import FibreTransportError
 from fibretransport.factorization import (check_factorization_roundtrip,
                                           check_gauge_freedom)
 from fibretransport.instances import (COUNTEREXAMPLE_KINDS, holonomy_angle,
@@ -126,7 +126,7 @@ def test_4_liftings_and_transports_rebuild_each_other():
         return Lifting(path=path, anchor=s0, through=u, value_fn=value,
                        name="crooked")
 
-    with pytest.raises(LiftInconsistent):
+    with pytest.raises(FibreTransportError, match="changes the lifting"):
         transport_from_lifting(fol.bundle, crooked, [fwalk])
 
 

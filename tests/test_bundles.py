@@ -11,7 +11,7 @@ from fibretransport.bundles import (COORD_TOL, BasePoint, FibreBundle,
                                     section_through,
                                     sections_of_family, table_section,
                                     vector_element)
-from fibretransport.errors import (NoSectionThrough, PointNotInBase)
+from fibretransport.errors import FibreTransportError
 from fibretransport.sphere import SPACE, tangent_bundle
 
 
@@ -78,7 +78,7 @@ class TestBundleQueries:
         B = three_node_bundle()
         assert B.contains_point(graph_point("g", "n1"))
         assert not B.contains_point(graph_point("g", "zz"))
-        with pytest.raises(PointNotInBase):
+        with pytest.raises(FibreTransportError, match="is not a point of base"):
             B.require_point(graph_point("q", "n1"))
 
     def test_fibre_description(self):
@@ -96,7 +96,7 @@ class TestBundleQueries:
         assert fibre_at(B, graph_point("fol", "g0")).labels == ("a0", "b0")
         u = label_element(graph_point("fol", "g1"), "b1")
         assert section_through(B, u).name == "beta"
-        with pytest.raises(NoSectionThrough):
+        with pytest.raises(FibreTransportError, match="no section of the family"):
             section_through(B, label_element(graph_point("fol", "g0"), "zz"))
 
     def test_table_section_eval(self):

@@ -172,10 +172,21 @@ class TestLift:
         data = read_json(tmp_path / "lifting.json")
         assert [v["s"] for v in data["values"]] == [data["s0"]]
 
-    def test_absent_label_is_config_error(self, capsys):
-        rc = main(["lift", "--instance", "foliation-2sec", "--path", "walk",
+    @pytest.mark.parametrize("instance", ["perm-c3", "foliation-2sec"])
+    def test_absent_label_is_config_error(self, instance, capsys):
+        rc = main(["lift", "--instance", instance, "--path", "walk",
                    "--element", "zz"])
         assert rc == 2
+        assert "'zz'" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("element", ["nan,1", "1,inf", "1,x"])
+    def test_non_finite_component_is_config_error(self, element, tmp_path,
+                                                  capsys):
+        rc = main(["lift", "--instance", "parallelization-flat",
+                   "--element", element, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "--element" in one_error_line(capsys)
+        assert not any(tmp_path.iterdir())
 
 
 class TestFactorize:

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from fibretransport.bundles import label_element, vector_element
-from fibretransport.errors import (ConfigError, DifferentTransports,
-                                   GridMismatch, UnknownParameter)
+from fibretransport.errors import FibreTransportError
 from fibretransport.factorization import (Factorization, GaugeMap,
                                           apply_gauge,
                                           canonical_factorization,
@@ -36,11 +35,11 @@ class TestFibreMaps:
         assert map_deviation(map_compose(inv, m), ((1.0, 0.0), (0.0, 1.0))) < 1e-12
 
     def test_non_bijection_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(FibreTransportError, match="not a bijection"):
             map_invert({"a": "b", "b": "b"})
 
     def test_mixed_kinds_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(FibreTransportError, match="label map with a matrix"):
             map_compose({"a": "b"}, ((1.0,),))
 
 
@@ -56,7 +55,7 @@ class TestCanonicalFamily:
         f = canonical_factorization(perm.transport, p, grid=5)
         assert len(f.grid) == 5
         f.map_at(f.grid[2])
-        with pytest.raises(UnknownParameter):
+        with pytest.raises(FibreTransportError, match="not on the factorization grid"):
             f.map_at(0.123456)
 
     def test_anchor_inserted_when_absent(self, perm):
@@ -91,7 +90,7 @@ class TestCanonicalFamily:
         from fibretransport.paths import Interval, restrict
         f = canonical_factorization(perm.transport, perm.path_named("walk"))
         shorter = restrict(perm.path_named("walk"), Interval(0.0, 0.5))
-        with pytest.raises(ConfigError):
+        with pytest.raises(FibreTransportError, match="factorization was built along"):
             transport_from_factorization(f, shorter)
 
 
@@ -106,6 +105,24 @@ class TestGauge:
         assert isinstance(rec, GaugeMap)
         assert map_deviation(rec.map, D) == 0.0
 
+    def test_random_gauge_retries_only_singular_draws(self, par,
+                                                      monkeypatch):
+        # a second call means the TypeError was swallowed and the draw
+        # retried; the sentinel ends that loop instead of letting it spin
+        class Retried(BaseException):
+            pass
+
+        calls = []
+
+        def inverse(m):
+            calls.append(m)
+            raise TypeError("not a matrix") if len(calls) == 1 else Retried
+
+        monkeypatch.setattr("fibretransport.linalg.inverse", inverse)
+        p = par.path_named("walk")
+        with pytest.raises(TypeError):
+            random_gauge(random.Random(0), par.bundle, p.at(0.0))
+
     def test_gauge_roundtrip_matrices(self, par):
         p = par.path_named("figure-eight")
         f1 = canonical_factorization(par.transport, p)
@@ -118,7 +135,7 @@ class TestGauge:
         p = perm.path_named("walk")
         f1 = canonical_factorization(perm.transport, p, grid=5)
         f2 = canonical_factorization(perm.transport, p, grid=7)
-        with pytest.raises(GridMismatch):
+        with pytest.raises(FibreTransportError, match="different grids"):
             gauge_between(f1, f2)
 
     def test_unrelated_families_rejected(self, perm):
@@ -132,7 +149,7 @@ class TestGauge:
                            anchor=f1.anchor, grid=f1.grid,
                            maps=tuple(broken[g] for g in f1.grid),
                            tolerance=f1.tolerance)
-        with pytest.raises(DifferentTransports):
+        with pytest.raises(FibreTransportError, match="induce different transports"):
             gauge_between(f1, f2)
 
 

@@ -13,7 +13,7 @@ import pytest
 from fibretransport import integrate, sphere
 from fibretransport.bundles import FibreBundle, vector_element
 from fibretransport.cli import law_filename, main
-from fibretransport.errors import ParameterOutOfDomain
+from fibretransport.errors import FibreTransportError
 from fibretransport.instances import (holonomy_angle, linear_ode_transport,
                                       loop_matrix, make_instance)
 from fibretransport.paths import Interval, Path, restrict
@@ -144,7 +144,7 @@ def test_transport_checks_its_parameters_once_at_the_entry():
     spec = make_instance("sphere-levi-civita")
     octant = spec.path_named("octant")
     u = vector_element(octant.at(0.0), (0.6, 0.8))
-    with pytest.raises(ParameterOutOfDomain):
+    with pytest.raises(FibreTransportError, match="outside"):
         transport(spec.transport, octant, 0.0, 1.5, u)
     assert (transport(spec.transport, octant, -1e-12, 1.0 + 1e-12, u)
             == transport(spec.transport, octant, 0.0, 1.0, u))
