@@ -86,9 +86,15 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_holonomy(args: argparse.Namespace) -> int:
-    steps = [float(s) for s in args.steps.split(",") if s.strip()]
+    try:
+        steps = [float(s) for s in args.steps.split(",") if s.strip()]
+    except ValueError:
+        steps = [math.nan]
     if not steps:
         raise FibreTransportError("--steps needs at least one value")
+    if not all(0.0 < h < math.inf for h in steps):
+        raise FibreTransportError(f"--steps expects positive numbers separated"
+                                  f" by commas, got {args.steps!r}")
     rows = []
     loop_label = args.loop
     for h in steps:
@@ -300,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"cannot use --out {str(args.out)!r} as a "
                     f"report directory: {exc.strerror}") from None
         return args.run(args)
-    except (FibreTransportError, ValueError) as exc:
+    except FibreTransportError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

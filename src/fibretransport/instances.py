@@ -164,17 +164,17 @@ def linear_ode_transport(bundle: FibreBundle,
     """Transport vectors by integrating u' = A u along chart paths.
 
     ``coefficients(x, xdot)`` gives A at base point x for chart velocity
-    xdot; the flow is fixed-step RK4 on the lattice of parameters k * step
-    (see ``integrate``).  Cell propagators are built on first use and kept
-    by this transport, one store per point map, velocity and direction;
-    a store lives as long as its point map.
+    xdot, read together from the path's jet; the flow is fixed-step RK4 on
+    the lattice of parameters k * step (see ``integrate``).  Cell
+    propagators are built on first use and kept by this transport, one
+    store per jet and direction; a store lives as long as its jet.
     """
     if not (MIN_STEP <= step <= 1.0):
         raise FibreTransportError(
             f"integrator step out of range [{MIN_STEP:g}, 1]: {step}")
     if bundle.fibre_kind != "vector":
         raise FibreTransportError("ODE transports need vector fibres")
-    # point map -> {(velocity, direction): cells}
+    # jet -> {direction: cells}
     stores: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def apply(p: Path, s: float, t: float, u: FibreElement) -> FibreElement:
@@ -185,12 +185,12 @@ def linear_ode_transport(bundle: FibreBundle,
             return vector_element(p.at(t), u.vector)
         if p.kind != "chart":
             raise FibreTransportError("ODE transports integrate along chart paths")
-        point_at, vel, isfinite = p.point_at, p.velocity_fn, math.isfinite
+        jet, isfinite = p.jet, math.isfinite
 
         # Stage parameters lie in [s, t], which ``transport`` has clamped,
-        # so the raw maps are read without checking them again.
+        # so the raw jet is read without checking them again.
         def coefficient(r: float, side: int) -> linalg.Mat:
-            a = coefficients(point_at(r), vel(r, side))
+            a = coefficients(*jet(r, side))
             for row in a:
                 for c in row:
                     if not isfinite(c):
@@ -200,10 +200,10 @@ def linear_ode_transport(bundle: FibreBundle,
             return a
 
         d = 1 if t > s else -1
-        by_key = stores.setdefault(p.point_at, {})
-        cells = by_key.get((vel, d))
+        by_direction = stores.setdefault(jet, {})
+        cells = by_direction.get(d)
         if cells is None:
-            cells = by_key[(vel, d)] = CellStore(bundle.dim, step, d)
+            cells = by_direction[d] = CellStore(bundle.dim, step, d)
         kinks = p.interior_breakpoints(min(s, t), max(s, t))[::d]
         moved = cells.transport(
             lambda a, b, nodes: rk4_linear_flow(coefficient, a, b, nodes),
@@ -371,7 +371,8 @@ class InstanceSpec:
             return self.loops[name]
         if self.uniqueness_path is not None and self.uniqueness_path.name == name:
             return self.uniqueness_path
-        known = [p.name for p in (*self.law_paths, *pair)] + list(self.loops)
+        known = dict.fromkeys([p.name for p in (*self.law_paths, *pair)]
+                              + list(self.loops))
         raise FibreTransportError(
             f"no path named {name!r}; known: {', '.join(known)}")
 

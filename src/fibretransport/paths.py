@@ -10,21 +10,24 @@ bookkeeping that the transport laws quantify over:
 * concatenation of two paths under a schedule that says how the two factor
   domains embed into the product domain.
 
-A chart path must carry its analytic ``velocity``, and a reparameterization
-the derivative ``deriv`` of its forward map, so derived paths push velocities
-through by the chain rule; both are checked at construction.  Paths carry two
-optional pieces of structure as well: ``breakpoints`` (parameters where the
-point map may kink or jump, so exact integrators can split there) and
-``crossings`` (declared self-intersection parameter pairs of chart paths;
-discrete paths find their self-intersections by enumeration instead).
+A path is one raw map, its jet: ``jet(s, side)`` gives the point at s and the
+velocity d(coords)/ds there, the pair a transport's coefficients read.  A
+chart path's jet must give an analytic velocity, and a reparameterization
+must carry the derivative ``deriv`` of its forward map, so derived paths push
+velocities through by the chain rule; both are checked at construction.  A
+discrete path's velocity is None.  Paths carry two optional pieces of
+structure as well: ``breakpoints`` (parameters where the point map may kink
+or jump, so exact integrators can split there) and ``crossings`` (declared
+self-intersection parameter pairs of chart paths; discrete paths find their
+self-intersections by enumeration instead).
 
 Breakpoint convention for piecewise-constant paths: the value at an interior
 breakpoint belongs to the piece on the right, so [n0 on [0, .5), n1 on [.5, 1]]
 evaluates to n1 at 0.5.  Compositions preserve evaluation semantics exactly
-because a derived path evaluates through the original callable.  A parameter
-is checked once, at the public entry (``Path.at``, ``Path.velocity``, or the
-transport itself): derived layers call their parent's raw ``point_at`` and
-``velocity_fn`` with the remapped parameter snapped into its domain.
+because a derived path evaluates through the original jet.  A parameter is
+checked once, at the public entry (``Path.at``, ``Path.velocity``, or the
+transport itself): derived layers call their parent's raw ``jet`` with the
+remapped parameter snapped into its domain.
 """
 
 from __future__ import annotations
@@ -205,28 +208,28 @@ def compose_remaps(outer: Reparameterization, inner: Reparameterization) -> Repa
 class Path:
     """A parameterized path in one base space.
 
-    ``point_at`` must accept any parameter of ``domain``; it and
-    ``velocity_fn(s, side)``, which returns d(coords)/ds, are the raw maps
-    and check nothing.  A chart path must have a ``velocity_fn``; a discrete
-    one has none.  ``at`` and ``velocity`` are the checked entries:
-    they refuse a parameter outside the domain and snap one within
-    EDGE_SLACK onto its edge.  ``side`` (+1, -1, 0) picks the one-sided
-    limit at a breakpoint and is ignored at smooth parameters.
+    ``jet(s, side)`` is the raw map: it must accept any parameter of
+    ``domain``, checks nothing, and returns the point and d(coords)/ds
+    there.  A chart path's jet must give a velocity; a discrete one's gives
+    None.  ``at`` and ``velocity`` are the checked entries: they refuse a
+    parameter outside the domain and snap one within EDGE_SLACK onto its
+    edge.  ``side`` (+1, -1, 0) picks the one-sided velocity at a
+    breakpoint and is ignored at smooth parameters; the point never
+    depends on it.
     """
 
     space: str
     domain: Interval
-    point_at: Callable[[float], BasePoint]
+    jet: Callable[[float, int], tuple[BasePoint, tuple[float, ...] | None]]
     kind: str                                  # discrete | chart
     breakpoints: tuple[float, ...] = ()
-    velocity_fn: Callable[[float, int], tuple[float, ...]] | None = None
     crossings: tuple[tuple[float, float], ...] = ()
     name: str = "path"
 
     def __post_init__(self) -> None:
         if self.kind not in ("discrete", "chart"):
             raise FibreTransportError("path kind must be 'discrete' or 'chart'")
-        if self.kind == "chart" and self.velocity_fn is None:
+        if self.kind == "chart" and self.jet(self.domain.lo, 1)[1] is None:
             raise FibreTransportError(f"chart path {self.name!r} needs a velocity")
         for b in self.breakpoints:
             if not (self.domain.lo < b < self.domain.hi):
@@ -236,12 +239,10 @@ class Path:
             raise FibreTransportError("breakpoints must be sorted")
 
     def at(self, s: float) -> BasePoint:
-        return self.point_at(self.domain.clamp(s))
+        return self.jet(self.domain.clamp(s), 0)[0]
 
     def velocity(self, s: float, side: int = 0) -> tuple[float, ...] | None:
-        if self.velocity_fn is None:
-            return None
-        return self.velocity_fn(self.domain.clamp(s), side)
+        return self.jet(self.domain.clamp(s), side)[1]
 
     @property
     def start(self) -> BasePoint:
@@ -298,12 +299,11 @@ def piecewise_path(space: str, domain: Interval,
     points = [graph_point(space, n) for n in nodes]
     cut = untils[:-1]
 
-    def at(s: float) -> BasePoint:
-        i = bisect.bisect_right(cut, s)
-        return points[i]
+    def jet(s: float, side: int) -> tuple[BasePoint, None]:
+        return points[bisect.bisect_right(cut, s)], None
 
     return Path(
-        space=space, domain=domain, point_at=at, kind="discrete",
+        space=space, domain=domain, jet=jet, kind="discrete",
         breakpoints=tuple(cut), name=name,
     )
 
@@ -342,20 +342,16 @@ def reparameterize(p: Path, remap: Reparameterization) -> Path:
         )
 
     lo, hi = p.domain.lo, p.domain.hi
-    fwd, deriv, point_at, velocity_fn = (remap.fwd, remap.deriv, p.point_at,
-                                         p.velocity_fn)
-
-    def at(s: float) -> BasePoint:
-        r = fwd(s)
-        return point_at(lo if r < lo else hi if r > hi else r)
-
+    fwd, deriv, inner = remap.fwd, remap.deriv, p.jet
     sgn = 1 if remap.orientation == "preserving" else -1
 
-    def velocity(s: float, side: int) -> tuple[float, ...]:
-        k = deriv(s)
+    def jet(s: float, side: int):
         r = fwd(s)
-        inner = velocity_fn(lo if r < lo else hi if r > hi else r, side * sgn)
-        return tuple([c * k for c in inner])
+        x, v = inner(lo if r < lo else hi if r > hi else r, side * sgn)
+        if v is None:
+            return x, None
+        k = deriv(s)
+        return x, tuple([c * k for c in v])
 
     bps = sorted(remap.invert_param(b) for b in p.breakpoints)
     bps = tuple(b for b in bps if remap.source.lo < b < remap.source.hi)
@@ -364,10 +360,8 @@ def reparameterize(p: Path, remap: Reparameterization) -> Path:
         for r, s in p.crossings
     ))
     return Path(
-        space=p.space, domain=remap.source, point_at=at, kind=p.kind,
-        breakpoints=bps, crossings=crossings,
-        velocity_fn=velocity if p.kind == "chart" else None,
-        name=f"{p.name}o{remap.name}",
+        space=p.space, domain=remap.source, jet=jet, kind=p.kind,
+        breakpoints=bps, crossings=crossings, name=f"{p.name}o{remap.name}",
     )
 
 
@@ -446,22 +440,19 @@ def concatenate(p1: Path, p2: Path, schedule: ConcatSchedule | None = None) -> P
     q1 = reparameterize(p1, schedule.left)
     q2 = reparameterize(p2, schedule.right)
     mid, lo2 = schedule.mid, q2.domain.lo      # lo2 may sit EXACT past mid
-    at1, at2, vel1, vel2 = q1.point_at, q2.point_at, q1.velocity_fn, q2.velocity_fn
+    jet1, jet2 = q1.jet, q2.jet
 
-    def at(s: float) -> BasePoint:
-        return at1(s) if s <= mid else at2(s if s >= lo2 else lo2)
-
-    def velocity(s: float, side: int) -> tuple[float, ...]:
+    # The seam's point is the left piece's; its velocity follows the side.
+    def jet(s: float, side: int):
         if s < mid or (s == mid and side < 0):
-            return vel1(s, side)
-        return vel2(s if s >= lo2 else lo2, side)
+            return jet1(s, side)
+        x, v = jet2(s if s >= lo2 else lo2, side)
+        return (jet1(s, side)[0] if s == mid else x), v
 
     bps = sorted({*q1.breakpoints, mid, *q2.breakpoints})
     return Path(
-        space=p1.space, domain=schedule.domain, point_at=at, kind=p1.kind,
-        breakpoints=tuple(bps),
-        velocity_fn=velocity if p1.kind == "chart" else None,
-        name=f"({p1.name}*{p2.name})",
+        space=p1.space, domain=schedule.domain, jet=jet, kind=p1.kind,
+        breakpoints=tuple(bps), name=f"({p1.name}*{p2.name})",
     )
 
 

@@ -1,26 +1,29 @@
 """The unit round sphere in a single (theta, phi) chart.
 
 theta is the polar angle in (0, pi), phi the azimuth.  The chart excludes both
-poles by a fixed margin; paths that cross the margin make the coefficient
-evaluation raise rather than silently degrade.  The tangent plane at each
-point is expressed in the coordinate frame (d_theta, d_phi) with metric
+poles by a fixed margin; a path that crosses the margin makes its coefficient
+evaluation raise rather than silently degrade, and a great-circle arc raises
+wherever it is evaluated there.  The tangent plane at each point is
+expressed in the coordinate frame (d_theta, d_phi) with metric
 diag(1, sin(theta)^2).
 
-Path generators return unit-interval chart paths with analytic velocities:
-great-circle arcs (via spherical linear interpolation of the embedded
-endpoints) and constant-latitude arcs.  Generated arcs keep phi inside a
-single atan2 branch; the shipped presets are chosen so that no arc approaches
-the phi seam or the poles.
+Path generators return unit-interval chart paths whose jets give analytic
+velocities: great-circle arcs (via spherical linear interpolation of the
+embedded endpoints, and its derivative) and constant-latitude arcs.
+Generated arcs keep phi inside a single atan2 branch; the shipped presets
+are chosen so that no arc approaches the phi seam or the poles.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from . import linalg
 from .bundles import (POLE_MARGIN, BasePoint, BundleMetric, FibreBundle,
                       chart_deviation, chart_point)
 from .errors import FibreTransportError
+from .paths import UNIT, Path, concatenate, schedule_for, with_crossings
 
 SPACE = "sphere"
 
@@ -71,15 +74,12 @@ def _embed(theta: float, phi: float) -> tuple[float, float, float]:
 
 
 def great_circle_arc(p0: tuple[float, float], p1: tuple[float, float],
-                     space: str = SPACE, name: str = "arc"):
+                     space: str = SPACE, name: str = "arc") -> Path:
     """The geodesic arc between two chart points, parameterized over [0, 1].
 
     The endpoints must not be equal or antipodal, and the arc must stay clear
-    of the poles (checked lazily by the chart guard when coefficients are
-    evaluated).
+    of the poles (checked lazily, wherever the arc is evaluated).
     """
-    from .paths import Interval, Path
-
     a = _embed(*p0)
     b = _embed(*p1)
     d = max(-1.0, min(1.0, sum(a[i] * b[i] for i in range(3))))
@@ -91,54 +91,37 @@ def great_circle_arc(p0: tuple[float, float], p1: tuple[float, float],
     sin_omega = math.sin(omega)
     min_rho2 = math.sin(POLE_MARGIN) ** 2
 
-    def point(t: float) -> tuple[float, float, float]:
-        """Spherical linear interpolation from a to b."""
-        ca = math.sin((1.0 - t) * omega) / sin_omega
-        cb = math.sin(t * omega) / sin_omega
-        return (ca * a0 + cb * b0, ca * a1 + cb * b1, ca * a2 + cb * b2)
-
-    def deriv(t: float) -> tuple[float, float, float]:
-        ca = -omega * math.cos((1.0 - t) * omega) / sin_omega
-        cb = omega * math.cos(t * omega) / sin_omega
-        return (ca * a0 + cb * b0, ca * a1 + cb * b1, ca * a2 + cb * b2)
-
-    def at(t: float) -> BasePoint:
-        x, y, z = point(t)
-        theta = math.acos(max(-1.0, min(1.0, z)))
-        phi = math.atan2(y, x)
-        return chart_point(space, theta, phi)
-
-    def velocity(t: float, side: int) -> tuple[float, float]:
-        x, y, z = point(t)
-        dx, dy, dz = deriv(t)
+    def jet(t: float, side: int) -> tuple[BasePoint, tuple[float, float]]:
+        """Spherical linear interpolation from a to b, and its derivative,
+        in chart coordinates."""
+        u, w = (1.0 - t) * omega, t * omega
+        ca, cb = math.sin(u) / sin_omega, math.sin(w) / sin_omega
+        da = -omega * math.cos(u) / sin_omega
+        db = omega * math.cos(w) / sin_omega
+        x, y, z = ca * a0 + cb * b0, ca * a1 + cb * b1, ca * a2 + cb * b2
+        dx, dy, dz = da * a0 + db * b0, da * a1 + db * b1, da * a2 + db * b2
         rho2 = x * x + y * y
         # rho = sin(theta); inside the chart band it stays >= sin(POLE_MARGIN)
         if rho2 < min_rho2:
             raise FibreTransportError("great-circle arc crossed a pole")
-        dtheta = -dz / math.sqrt(max(1e-300, 1.0 - z * z))
-        dphi = (x * dy - y * dx) / rho2
-        return (dtheta, dphi)
+        theta = math.acos(max(-1.0, min(1.0, z)))
+        return (chart_point(space, theta, math.atan2(y, x)),
+                (-dz / math.sqrt(max(1e-300, 1.0 - z * z)),
+                 (x * dy - y * dx) / rho2))
 
-    return Path(space=space, domain=Interval(0.0, 1.0), point_at=at,
-                kind="chart", velocity_fn=velocity, name=name)
+    return Path(space=space, domain=UNIT, jet=jet, kind="chart", name=name)
 
 
 def latitude_arc(theta: float, phi0: float, phi1: float,
-                 space: str = SPACE, name: str = "latitude"):
+                 space: str = SPACE, name: str = "latitude") -> Path:
     """Constant-latitude arc from phi0 to phi1, parameterized over [0, 1]."""
-    from .paths import Interval, Path
-
     require_chart(theta)
     span = phi1 - phi0
 
-    def at(t: float) -> BasePoint:
-        return chart_point(space, theta, phi0 + span * t)
+    def jet(t: float, side: int) -> tuple[BasePoint, tuple[float, float]]:
+        return chart_point(space, theta, phi0 + span * t), (0.0, span)
 
-    def velocity(t: float, side: int) -> tuple[float, float]:
-        return (0.0, span)
-
-    return Path(space=space, domain=Interval(0.0, 1.0), point_at=at,
-                kind="chart", velocity_fn=velocity, name=name)
+    return Path(space=space, domain=UNIT, jet=jet, kind="chart", name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +141,12 @@ OCTANT_VERTICES = (
 OCTANT_AREA = math.pi / 2
 
 
-def octant_loop(space: str = SPACE, name: str = "octant"):
+def octant_loop(space: str = SPACE, name: str = "octant") -> Path:
     """Closed geodesic triangle enclosing an eighth of the sphere.
 
     Domain [0, 1] with velocity kinks at 1/3 and 2/3, one quarter great
     circle per leg, and a declared self-crossing at (0, 1).
     """
-    import dataclasses
-
-    from .paths import concatenate, schedule_for, with_crossings
-
     b, c, a = OCTANT_VERTICES
     leg1 = great_circle_arc(b, c, space=space, name=f"{name}-leg1")
     leg2 = great_circle_arc(c, a, space=space, name=f"{name}-leg2")
@@ -179,15 +158,13 @@ def octant_loop(space: str = SPACE, name: str = "octant"):
     loop = concatenate(first, leg3,
                        schedule_for(first.domain, leg3.domain,
                                     0.0, 2 * third, 1.0))
-    loop = dataclasses.replace(loop, name=name)
+    loop = replace(loop, name=name)
     return with_crossings(loop, [(0.0, 1.0)], deviation=chart_deviation)
 
 
 def closed_latitude(theta: float, space: str = SPACE,
-                    name: str | None = None):
+                    name: str | None = None) -> Path:
     """Full constant-latitude circle, phi sweeping 0 to 2*pi over [0, 1]."""
-    from .paths import with_crossings
-
     p = latitude_arc(theta, 0.0, 2 * math.pi, space=space,
                      name=name or f"latitude-{theta:.4f}")
     return with_crossings(p, [(0.0, 1.0)], deviation=chart_deviation)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -139,6 +140,27 @@ class TestHolonomy:
         assert main(["holonomy", "--instance", "sphere-levi-civita",
                      "--loop", "octant", "--steps", "1e-3,1e-8"]) == 2
         assert "step out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("instance, steps", [
+        ("sphere-levi-civita", "1e-3,x"), ("sphere-levi-civita", "fine"),
+        ("sphere-levi-civita", "1e-3,nan"),
+        # an exact instance ignores the step, but not a malformed one
+        ("parallelization-flat", "inf"), ("parallelization-flat", "1e-3,-1")])
+    def test_malformed_steps_is_config_error(self, instance, steps, capsys):
+        rc = main(["holonomy", "--instance", instance, "--steps", steps])
+        assert rc == 2
+        assert "--steps" in one_error_line(capsys)
+
+    def test_a_value_error_inside_the_library_is_not_a_config_error(
+            self, monkeypatch):
+        """Only a refused input exits 2; a fault inside the library keeps
+        its traceback."""
+        from fibretransport import sphere
+        monkeypatch.setattr(sphere, "coefficient_matrix",
+                            lambda x, xdot: math.acos(2.0))
+        with pytest.raises(ValueError, match="math domain error"):
+            main(["holonomy", "--instance", "sphere-levi-civita",
+                  "--loop", "octant"])
 
 
 class TestLift:

@@ -30,6 +30,14 @@ class TestRegistry:
         with pytest.raises(FibreTransportError, match="unknown instance"):
             make_instance("counterexample:flies")
 
+    def test_an_unknown_path_lists_each_known_name_once(self, sphere):
+        # the product pair's paths are law paths too
+        with pytest.raises(FibreTransportError) as info:
+            sphere.path_named("nope")
+        assert str(info.value) == (
+            "no path named 'nope'; known: quarter-equator, quarter-meridian, "
+            "tilted, latitude-arc, octant, equator, latitude-60")
+
     def test_law_order_is_complete(self):
         assert len(LAW_ORDER) == 17
         assert LAW_ORDER[0] == "2.2"
@@ -84,10 +92,10 @@ class TestConstructors:
 
     def test_ode_transport_guards_span(self, sphere):
         from fibretransport.paths import Interval, Path
+        x = sphere.path_named("tilted").at(0.5)
         too_long = Path(space="sphere", domain=Interval(0.0, 100.0),
-                        point_at=lambda s: sphere.path_named("tilted").at(0.5),
-                        kind="chart", velocity_fn=lambda s, side: (0.0, 0.0),
-                        name="marathon")
+                        jet=lambda s, side: (x, (0.0, 0.0)),
+                        kind="chart", name="marathon")
         u = vector_element(too_long.at(0.0), (1.0, 0.0))
         with pytest.raises(FibreTransportError, match="integrator allows"):
             transport(sphere.transport, too_long, 0.0, 100.0, u)

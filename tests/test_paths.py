@@ -316,16 +316,17 @@ def test_the_shipped_remaps_and_their_compositions_are_accepted():
 def test_a_chart_path_without_a_velocity_is_refused():
     with pytest.raises(FibreTransportError, match="needs a velocity"):
         Path(space=sphere.SPACE, domain=UNIT,
-             point_at=lambda s: chart_point(sphere.SPACE, 1.0, s),
-             kind="chart", velocity_fn=None)
+             jet=lambda s, side: (chart_point(sphere.SPACE, 1.0, s), None),
+             kind="chart")
 
 
 def test_a_discrete_path_needs_no_velocity():
-    p = Path(space="g", domain=UNIT, point_at=lambda s: graph_point("g", "a"),
+    p = Path(space="g", domain=UNIT,
+             jet=lambda s, side: (graph_point("g", "a"), None),
              kind="discrete")
     assert p.velocity(0.5) is None
     for q in (reverse(zigzag()), concatenate(zigzag(), reverse(zigzag()))):
-        assert q.velocity_fn is None and q.velocity(0.5) is None
+        assert q.jet(0.5, 1)[1] is None and q.velocity(0.5) is None
 
 
 def test_a_seam_gap_reads_the_start_of_the_second_path():
@@ -342,3 +343,44 @@ def test_a_seam_gap_reads_the_start_of_the_second_path():
     s = 0.5 + 0.5e-13
     assert q.at(s) == q.at(lo2) == p2.at(0.0)
     assert q.velocity(s, 1) == q.velocity(lo2, 1) == (0.0, 0.0)
+
+
+def seam_cases():
+    """(p1, p2, schedule) for a latitude-to-meridian corner whose ends
+    differ at roundoff, as ``concatenate`` allows, and for both seams of
+    the octant, glued as ``sphere.octant_loop`` glues them."""
+    lat = sphere.latitude_arc(math.pi / 2, 0.0, math.pi / 2)
+    phi = math.pi / 2 + 1e-12
+    arc = sphere.great_circle_arc((math.pi / 2, phi), (math.pi / 4, phi))
+    b, c, a = sphere.OCTANT_VERTICES
+    legs = [sphere.great_circle_arc(u, v) for u, v in ((b, c), (c, a), (a, b))]
+    third = 1.0 / 3.0
+    inner = schedule_for(UNIT, UNIT, 0.0, third, 2 * third)
+    first = concatenate(legs[0], legs[1], inner)
+    outer = schedule_for(first.domain, UNIT, 0.0, 2 * third, 1.0)
+    return [(lat, arc, schedule_for(UNIT, UNIT)), (legs[0], legs[1], inner),
+            (first, legs[2], outer)]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_a_seam_reads_the_left_point_and_the_velocity_of_its_side(case):
+    p1, p2, sched = seam_cases()[case]
+    q = concatenate(p1, p2, sched)
+    left = reparameterize(p1, sched.left)
+    right = reparameterize(p2, sched.right)
+    mid = sched.mid
+    for side in (-1, 0, 1):
+        assert q.jet(mid, side)[0] == q.at(mid) == left.at(mid)
+    assert q.velocity(mid, -1) == left.velocity(mid, -1)
+    assert q.velocity(mid, 1) == q.velocity(mid, 0) == right.velocity(mid, 1)
+    assert q.velocity(mid, -1) != q.velocity(mid, 1)
+
+
+def test_the_shipped_octant_is_the_glued_legs_at_its_seams():
+    octant = sphere.octant_loop()
+    glued = concatenate(*seam_cases()[2])
+    assert octant.breakpoints == glued.breakpoints
+    for b in octant.breakpoints:
+        for side in (-1, 0, 1):
+            assert octant.jet(b, side) == glued.jet(b, side)
+            assert octant.jet(b, side)[0] == octant.at(b)

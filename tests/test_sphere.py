@@ -72,6 +72,8 @@ class TestArcs:
         p = great_circle_arc((math.pi / 4, 0.0), (math.pi / 4, math.pi))
         with pytest.raises(FibreTransportError, match="crossed a pole"):
             p.velocity(0.5)
+        with pytest.raises(FibreTransportError, match="crossed a pole"):
+            p.at(0.5)
 
     def test_constant_metric_speed(self):
         p = great_circle_arc((1.0, 0.2), (2.0, 1.1))
