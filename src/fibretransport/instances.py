@@ -156,22 +156,27 @@ MIN_STEP = 1e-5
 MAX_SPAN = 8.0
 
 
+def require_step(step: float) -> float:
+    if not (MIN_STEP <= step <= 1.0):
+        raise FibreTransportError(
+            f"integrator step out of range [{MIN_STEP:g}, 1]: {step}")
+    return step
+
+
 def linear_ode_transport(bundle: FibreBundle,
-                         coefficients: Callable[[BasePoint, tuple], linalg.Mat],
+                         coefficients: Callable[[tuple, tuple], linalg.Mat],
                          step: float = DEFAULT_STEP,
                          name: str = "linear-ode",
                          tolerance: float = 1e-6) -> Transport:
     """Transport vectors by integrating u' = A u along chart paths.
 
-    ``coefficients(x, xdot)`` gives A at base point x for chart velocity
-    xdot, read together from the path's jet; the flow is fixed-step RK4 on
-    the lattice of parameters k * step (see ``integrate``).  Cell
+    ``coefficients(x, xdot)`` gives A at chart coordinates x for chart
+    velocity xdot, read together from the path's jet; the flow is fixed-step
+    RK4 on the lattice of parameters k * step (see ``integrate``).  Cell
     propagators are built on first use and kept by this transport, one
     store per jet and direction; a store lives as long as its jet.
     """
-    if not (MIN_STEP <= step <= 1.0):
-        raise FibreTransportError(
-            f"integrator step out of range [{MIN_STEP:g}, 1]: {step}")
+    require_step(step)
     if bundle.fibre_kind != "vector":
         raise FibreTransportError("ODE transports need vector fibres")
     # jet -> {direction: cells}
@@ -460,9 +465,7 @@ def _parallelization_flat() -> InstanceSpec:
                        loop=True)
 
 
-def _sphere_levi_civita(step: float | None = None) -> InstanceSpec:
-    if step is None:
-        step = DEFAULT_STEP
+def _sphere_levi_civita(step: float) -> InstanceSpec:
     T = linear_ode_transport(sphere.tangent_bundle(), sphere.coefficient_matrix,
                              step, name="sphere-levi-civita", tolerance=1e-6)
     metric = sphere.round_metric()
@@ -507,9 +510,9 @@ def _cx_bundle() -> FibreBundle:
                        dim=2)
 
 
-# Preset builders by name, called with the integrator step (None for the
-# default); exact presets ignore it.
-PRESETS: dict[str, Callable[[float | None], InstanceSpec]] = {
+# Preset builders by name, called with the checked integrator step; exact
+# presets ignore it.
+PRESETS: dict[str, Callable[[float], InstanceSpec]] = {
     "perm-c3": lambda step: _perm_c3(),
     "foliation-2sec": lambda step: _foliation_2sec(),
     "parallelization-flat": lambda step: _parallelization_flat(),
@@ -526,8 +529,8 @@ def instance_names() -> tuple[str, ...]:
 def make_instance(name: str, step: float | None = None) -> InstanceSpec:
     """Instantiate a preset by name.
 
-    ``step`` overrides the integrator step for numeric instances and is
-    ignored by exact ones.
+    ``step`` (default DEFAULT_STEP) must lie in [MIN_STEP, 1] for every
+    preset; numeric instances integrate at it and exact ones ignore it.
     """
     try:
         build = PRESETS[name]
@@ -535,4 +538,4 @@ def make_instance(name: str, step: float | None = None) -> InstanceSpec:
         raise FibreTransportError(
             f"unknown instance {name!r}; known: "
             f"{', '.join(instance_names())}") from None
-    return build(step)
+    return build(require_step(DEFAULT_STEP if step is None else step))

@@ -12,10 +12,12 @@ bookkeeping that the transport laws quantify over:
 
 A path is one raw map, its jet: ``jet(s, side)`` gives the point at s and the
 velocity d(coords)/ds there, the pair a transport's coefficients read.  A
-chart path's jet must give an analytic velocity, and a reparameterization
-must carry the derivative ``deriv`` of its forward map, so derived paths push
-velocities through by the chain rule; both are checked at construction.  A
-discrete path's velocity is None.  Paths carry two optional pieces of
+chart path's point is its coordinate tuple, which ``Path.at`` wraps in a
+``BasePoint``; its jet must give an analytic velocity, and a
+reparameterization must carry the derivative ``deriv`` of its forward map, so
+derived paths push velocities through by the chain rule; both are checked at
+construction.  A discrete path's jet gives a node point and the velocity
+None.  Paths carry two optional pieces of
 structure as well: ``breakpoints`` (parameters where the point map may kink
 or jump, so exact integrators can split there) and ``crossings`` (declared
 self-intersection parameter pairs of chart paths; discrete paths find their
@@ -210,17 +212,19 @@ class Path:
 
     ``jet(s, side)`` is the raw map: it must accept any parameter of
     ``domain``, checks nothing, and returns the point and d(coords)/ds
-    there.  A chart path's jet must give a velocity; a discrete one's gives
-    None.  ``at`` and ``velocity`` are the checked entries: they refuse a
-    parameter outside the domain and snap one within EDGE_SLACK onto its
-    edge.  ``side`` (+1, -1, 0) picks the one-sided velocity at a
-    breakpoint and is ignored at smooth parameters; the point never
-    depends on it.
+    there.  A chart path's jet gives its coordinate tuple and a velocity,
+    and ``at`` wraps the tuple in a ``BasePoint``; a discrete one's gives a
+    node point and None.  ``at`` and ``velocity`` are the checked entries:
+    they refuse a parameter outside the domain and snap one within
+    EDGE_SLACK onto its edge.  ``side`` (+1, -1, 0) picks the one-sided
+    velocity at a breakpoint and is ignored at smooth parameters; the point
+    never depends on it.
     """
 
     space: str
     domain: Interval
-    jet: Callable[[float, int], tuple[BasePoint, tuple[float, ...] | None]]
+    jet: Callable[[float, int], tuple[BasePoint | tuple[float, ...],
+                                      tuple[float, ...] | None]]
     kind: str                                  # discrete | chart
     breakpoints: tuple[float, ...] = ()
     crossings: tuple[tuple[float, float], ...] = ()
@@ -239,7 +243,8 @@ class Path:
             raise FibreTransportError("breakpoints must be sorted")
 
     def at(self, s: float) -> BasePoint:
-        return self.jet(self.domain.clamp(s), 0)[0]
+        x = self.jet(self.domain.clamp(s), 0)[0]
+        return BasePoint(self.space, coords=x) if self.kind == "chart" else x
 
     def velocity(self, s: float, side: int = 0) -> tuple[float, ...] | None:
         return self.jet(self.domain.clamp(s), side)[1]

@@ -7,9 +7,11 @@ wherever it is evaluated there.  The tangent plane at each point is
 expressed in the coordinate frame (d_theta, d_phi) with metric
 diag(1, sin(theta)^2).
 
-Path generators return unit-interval chart paths whose jets give analytic
-velocities: great-circle arcs (via spherical linear interpolation of the
-embedded endpoints, and its derivative) and constant-latitude arcs.
+Path generators return unit-interval chart paths whose jets give the
+coordinates (theta, phi) and analytic velocities: great-circle arcs (via
+spherical linear interpolation of the embedded endpoints, and its derivative)
+and constant-latitude arcs.  ``coefficient_matrix`` reads the coordinates, so
+no ``BasePoint`` is built per integrator stage.
 Generated arcs keep phi inside a single atan2 branch; the shipped presets
 are chosen so that no arc approaches the phi seam or the poles.
 """
@@ -21,7 +23,7 @@ from dataclasses import replace
 
 from . import linalg
 from .bundles import (POLE_MARGIN, BasePoint, BundleMetric, FibreBundle,
-                      chart_deviation, chart_point)
+                      chart_deviation)
 from .errors import FibreTransportError
 from .paths import UNIT, Path, concatenate, schedule_for, with_crossings
 
@@ -50,9 +52,10 @@ def round_metric() -> BundleMetric:
     return BundleMetric(name="round-sphere", matrix_at=metric_matrix)
 
 
-def coefficient_matrix(x: BasePoint, xdot: tuple[float, ...]) -> linalg.Mat:
-    """A(r) with du/dr = A u along a path with chart velocity xdot."""
-    th = x.coords[0]
+def coefficient_matrix(x: tuple[float, ...],
+                       xdot: tuple[float, ...]) -> linalg.Mat:
+    """A(r) with du/dr = A u at chart coordinates x, chart velocity xdot."""
+    th = x[0]
     require_chart(th)
     sin_th = math.sin(th)
     cos_th = math.cos(th)
@@ -91,7 +94,7 @@ def great_circle_arc(p0: tuple[float, float], p1: tuple[float, float],
     sin_omega = math.sin(omega)
     min_rho2 = math.sin(POLE_MARGIN) ** 2
 
-    def jet(t: float, side: int) -> tuple[BasePoint, tuple[float, float]]:
+    def jet(t: float, side: int) -> tuple[tuple[float, float], ...]:
         """Spherical linear interpolation from a to b, and its derivative,
         in chart coordinates."""
         u, w = (1.0 - t) * omega, t * omega
@@ -105,7 +108,7 @@ def great_circle_arc(p0: tuple[float, float], p1: tuple[float, float],
         if rho2 < min_rho2:
             raise FibreTransportError("great-circle arc crossed a pole")
         theta = math.acos(max(-1.0, min(1.0, z)))
-        return (chart_point(space, theta, math.atan2(y, x)),
+        return ((theta, math.atan2(y, x)),
                 (-dz / math.sqrt(max(1e-300, 1.0 - z * z)),
                  (x * dy - y * dx) / rho2))
 
@@ -116,10 +119,10 @@ def latitude_arc(theta: float, phi0: float, phi1: float,
                  space: str = SPACE, name: str = "latitude") -> Path:
     """Constant-latitude arc from phi0 to phi1, parameterized over [0, 1]."""
     require_chart(theta)
-    span = phi1 - phi0
+    theta, phi0, span = float(theta), float(phi0), float(phi1 - phi0)
 
-    def jet(t: float, side: int) -> tuple[BasePoint, tuple[float, float]]:
-        return chart_point(space, theta, phi0 + span * t), (0.0, span)
+    def jet(t: float, side: int) -> tuple[tuple[float, float], ...]:
+        return (theta, phi0 + span * t), (0.0, span)
 
     return Path(space=space, domain=UNIT, jet=jet, kind="chart", name=name)
 

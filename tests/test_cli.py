@@ -260,6 +260,18 @@ def test_options_a_subcommand_does_not_read_are_refused(argv, capsys):
     assert f"unrecognized arguments: {argv[3]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--instance", "perm-c3", "--step", "nan"],
+    ["lift", "--instance", "perm-c3", "--step", "7"],
+    ["factorize", "--instance", "foliation-2sec", "--step", "1e-9"],
+    ["holonomy", "--instance", "parallelization-flat", "--steps", "1e-8"],
+])
+def test_an_exact_instance_refuses_an_out_of_range_step(argv, capsys):
+    # the step is ignored on exact presets, but never taken when out of range
+    assert main(argv) == 2
+    assert "step out of range" in one_error_line(capsys)
+
+
 def test_non_integer_default_seed_is_config_error(monkeypatch, capsys):
     monkeypatch.setenv("FT_DEFAULT_SEED", "abc")
     assert main(["check", "--instance", "perm-c3", "--laws", "2.2"]) == 2

@@ -92,7 +92,7 @@ class TestConstructors:
 
     def test_ode_transport_guards_span(self, sphere):
         from fibretransport.paths import Interval, Path
-        x = sphere.path_named("tilted").at(0.5)
+        x = sphere.path_named("tilted").at(0.5).coords
         too_long = Path(space="sphere", domain=Interval(0.0, 100.0),
                         jet=lambda s, side: (x, (0.0, 0.0)),
                         kind="chart", name="marathon")

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from fibretransport import integrate, sphere
-from fibretransport.bundles import FibreBundle, vector_element
+from fibretransport.bundles import BasePoint, FibreBundle, vector_element
 from fibretransport.cli import law_filename, main
 from fibretransport.errors import FibreTransportError
 from fibretransport.instances import (holonomy_angle, linear_ode_transport,
@@ -172,4 +172,27 @@ def test_path_reads_do_not_grow_with_the_number_of_cells(monkeypatch):
         transport(T, octant, 0.0, 1.0, u)
         assert len(calls) > 1.0 / step
         per_step[step] = len(reads)
+    assert per_step[1e-3] == per_step[1e-4] <= 4
+
+
+def test_no_base_point_is_built_per_integrator_stage(monkeypatch):
+    """Coefficients read chart coordinates straight from the jet, so a cold
+    octant transport builds the same few BasePoints at any step."""
+    octant = sphere.octant_loop()
+    u = vector_element(octant.at(0.0), (0.6, 0.8))
+    built = []
+    original = BasePoint.__post_init__
+
+    def counted(self):
+        built.append(1)
+        original(self)
+
+    monkeypatch.setattr(BasePoint, "__post_init__", counted)
+    per_step = {}
+    for step in (1e-3, 1e-4):
+        T = linear_ode_transport(sphere.tangent_bundle(),
+                                 sphere.coefficient_matrix, step)
+        built.clear()
+        transport(T, octant, 0.0, 1.0, u)
+        per_step[step] = len(built)
     assert per_step[1e-3] == per_step[1e-4] <= 4

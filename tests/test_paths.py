@@ -3,7 +3,7 @@ import math
 import pytest
 
 from fibretransport import sphere
-from fibretransport.bundles import chart_point, graph_point, vector_element
+from fibretransport.bundles import graph_point, vector_element
 from fibretransport.errors import FibreTransportError
 from fibretransport.instances import linear_ode_transport
 from fibretransport.paths import (UNIT, ConcatSchedule, Interval, Path,
@@ -316,7 +316,7 @@ def test_the_shipped_remaps_and_their_compositions_are_accepted():
 def test_a_chart_path_without_a_velocity_is_refused():
     with pytest.raises(FibreTransportError, match="needs a velocity"):
         Path(space=sphere.SPACE, domain=UNIT,
-             jet=lambda s, side: (chart_point(sphere.SPACE, 1.0, s), None),
+             jet=lambda s, side: ((1.0, s), None),
              kind="chart")
 
 
@@ -370,7 +370,7 @@ def test_a_seam_reads_the_left_point_and_the_velocity_of_its_side(case):
     right = reparameterize(p2, sched.right)
     mid = sched.mid
     for side in (-1, 0, 1):
-        assert q.jet(mid, side)[0] == q.at(mid) == left.at(mid)
+        assert q.jet(mid, side)[0] == q.at(mid).coords == left.at(mid).coords
     assert q.velocity(mid, -1) == left.velocity(mid, -1)
     assert q.velocity(mid, 1) == q.velocity(mid, 0) == right.velocity(mid, 1)
     assert q.velocity(mid, -1) != q.velocity(mid, 1)
@@ -383,4 +383,4 @@ def test_the_shipped_octant_is_the_glued_legs_at_its_seams():
     for b in octant.breakpoints:
         for side in (-1, 0, 1):
             assert octant.jet(b, side) == glued.jet(b, side)
-            assert octant.jet(b, side)[0] == octant.at(b)
+            assert octant.jet(b, side)[0] == octant.at(b).coords

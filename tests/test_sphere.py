@@ -42,9 +42,9 @@ class TestChartGeometry:
         # A^T G + G A + dG/ds vanishes for every direction of travel
         for theta, vth, vph in [(0.7, 0.3, -1.2), (2.2, -0.8, 0.5),
                                 (HALF_PI, 1.0, 1.0)]:
-            x = chart_point(SPACE, theta, 0.0)
+            x = (theta, 0.0)
             a = coefficient_matrix(x, (vth, vph))
-            g = metric_matrix(x)
+            g = metric_matrix(chart_point(SPACE, *x))
             s, c = math.sin(theta), math.cos(theta)
             gdot = ((0.0, 0.0), (0.0, 2.0 * s * c * vth))
             total = [[sum(m[i][j] for m in
