@@ -146,8 +146,9 @@ def parallelization_transport(bundle: FibreBundle,
 DEFAULT_STEP = 1e-3
 
 # Finest integrator step.  Cells are kept for the whole span a transport
-# covers, 8 * n * n bytes each, so a step bounds memory as well as work:
-# MAX_SPAN / MIN_STEP cells are 26 MB per direction at rank 2.  A finer
+# covers, 8 * n * n bytes each, and their aligned block products at most as
+# much again, so a step bounds memory as well as work: MAX_SPAN / MIN_STEP
+# cells and their blocks are about 52 MB per direction at rank 2.  A finer
 # step buys nothing: RK4's octant holonomy error is 2.6e-13 at 5e-4 and
 # falls as step**4.
 MIN_STEP = 1e-5

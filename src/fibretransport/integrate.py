@@ -12,10 +12,13 @@ details matter more than the integrator itself:
 * A cell's propagator (one RK4 step applied to the identity) depends only on
   the point map, the velocity, the cell and the direction of travel.
   ``CellStore`` keeps the propagators of whole lattice cells once they are
-  built, so later transports reuse them.  A restriction of a path shares its
-  point map and velocity, and so replays bit-identical arithmetic, which is
-  what lets locality checks demand deviation zero even for numeric
-  transports.
+  built, so later transports reuse them, and beside them the products of
+  aligned blocks of 2**L cells.  Every block whose cells are all built is
+  built, so a run of cells from node i to node j is applied as the same
+  greedy split into about 2 * log2(j - i) aligned blocks whatever ran
+  before.  A restriction of a path shares its point map and velocity, and
+  so replays bit-identical arithmetic, which is what lets locality checks
+  demand deviation zero even for numeric transports.
 * Stage evaluations at cell ends pass a side hint so that velocity kinks
   (concatenation seams) never leak the wrong one-sided derivative into a
   stage: a cell's start is read from inside the cell, its end likewise, its
@@ -101,19 +104,39 @@ def rk4_linear_flow(coeff: CoefficientFn, s: float, t: float,
     return props
 
 
-def _apply_propagators(m: array, offsets: range,
+def _apply_propagators(steps: Iterable[tuple[array, int]],
                        v: tuple[float, ...]) -> tuple[float, ...]:
-    """v after the propagators starting at ``offsets`` of m, in that order."""
+    """v after the propagators ``m[o:o + n * n]`` of each (m, o) in steps,
+    in that order."""
     n = len(v)
     if n == 2:
         x, y = v
-        for o in offsets:
+        for m, o in steps:
             x, y = m[o] * x + m[o + 1] * y, m[o + 2] * x + m[o + 3] * y
         return (x, y)
-    for o in offsets:
+    for m, o in steps:
         v = tuple(sum(m[o + i * n + j] * v[j] for j in range(n))
                   for i in range(n))
     return v
+
+
+def _pair_products(m: array, n: int) -> array:
+    """The products B A of the consecutive pairs (A, B) of n * n propagators
+    in m: A applied first, then B."""
+    it = iter(m)
+    out: list[float] = []
+    put = out.extend
+    if n == 2:
+        for a00, a01, a10, a11, b00, b01, b10, b11 in zip(*(it,) * 8):
+            put((b00 * a00 + b01 * a10, b00 * a01 + b01 * a11,
+                 b10 * a00 + b11 * a10, b10 * a01 + b11 * a11))
+        return array("d", out)
+    size = n * n
+    for ab in zip(*(it,) * (2 * size)):
+        a, b = ab[:size], ab[size:]
+        put(sum(b[i * n + k] * a[k * n + j] for k in range(n))
+            for i in range(n) for j in range(n))
+    return array("d", out)
 
 
 def _node_above(x: float, step: float) -> int:
@@ -138,37 +161,62 @@ def _node_below(x: float, step: float) -> int:
 
 class CellStore:
     """Propagators of the whole lattice cells of one point map, velocity and
-    direction of travel d.
+    direction of travel d, and the products of aligned blocks of them.
 
     Positions are read in the direction of travel, x' = d * x, so that node
     k sits at x' = k * step and cell k runs from node k to node k + 1 in
-    both directions.  A cell's n * n entries sit at a fixed offset of one
-    flat array of doubles; ``built`` marks the cells computed so far.
+    both directions.  Level 0 holds the cells; level L holds block m, the
+    product of cells m * 2**L .. (m + 1) * 2**L - 1 in the order of travel,
+    which is the product of blocks 2m and 2m + 1 of level L - 1.  Each
+    level keeps its n * n entries per slot in one flat array of doubles,
+    ``built`` marks the slots computed so far, and ``base`` is the index in
+    its first slot.
+
+    Invariant: every block whose cells are all built is built.  Each run of
+    cells a transport stores is followed by the blocks it completes, level
+    by level.  A transport builds the cells it lacks first and then applies
+    the cells from node i to node j as the greedy split of [i, j) into
+    aligned blocks, about 2 * log2(j - i) of them.  That split depends only
+    on (i, j), so a transport replays the same arithmetic whichever
+    transports came before, and so does any restriction of the path.
     Cells cut by a breakpoint and the partial steps at either end of a
     transport are integrated afresh each time.
     """
 
     def __init__(self, n: int, step: float, d: int) -> None:
+        self.n = n
         self.size = n * n
         self.step = step
         self.d = d
-        self.base = 0                 # index of the cell in the first slot
-        self.mats = array("d")
-        self.built = bytearray()
+        self.mats = [array("d")]
+        self.built = [bytearray()]
+        self.base = [0]
 
-    def _cover(self, k0: int, k1: int) -> None:
-        """Give cells k0 .. k1 - 1 a slot."""
-        if not self.built:
-            self.base = k0
-        if k0 < self.base:
-            pad = self.base - k0
-            self.mats[:0] = array("d", (0.0,)) * (self.size * pad)
-            self.built[:0] = bytes(pad)
-            self.base = k0
-        pad = k1 - self.base - len(self.built)
+    def _cover(self, level: int, k0: int, k1: int) -> None:
+        """Give slots k0 .. k1 - 1 of ``level`` a place, adding the level
+        if it is the next one up."""
+        if level == len(self.mats):
+            self.mats.append(array("d"))
+            self.built.append(bytearray())
+            self.base.append(k0)
+        mats, built = self.mats[level], self.built[level]
+        if not built:
+            self.base[level] = k0
+        base = self.base[level]
+        if k0 < base:
+            pad = base - k0
+            mats[:0] = array("d", (0.0,)) * (self.size * pad)
+            built[:0] = bytes(pad)
+            self.base[level] = base = k0
+        pad = k1 - base - len(built)
         if pad > 0:
-            self.mats.extend(array("d", (0.0,)) * (self.size * pad))
-            self.built.extend(bytes(pad))
+            mats.extend(array("d", (0.0,)) * (self.size * pad))
+            built.extend(bytes(pad))
+
+    def _has(self, level: int, k: int) -> bool:
+        """Whether slot k of ``level`` is built."""
+        at = k - self.base[level]
+        return 0 <= at < len(self.built[level]) and self.built[level][at] == 1
 
     def transport(self, build: Callable[[float, float, Iterable[float]], array],
                   s: float, t: float, kinks: Sequence[float],
@@ -177,59 +225,94 @@ class CellStore:
 
         ``kinks`` are the breakpoints strictly between s and t in the order
         of travel.  ``build(a, b, nodes)`` is ``rk4_linear_flow`` over the
-        stretch a, *nodes, b.  Each run of cells not stored yet between two
-        breakpoints, with the partial steps next to it, goes through one
-        call, so a matrix is carried across lattice nodes but never across
-        a breakpoint.
+        stretch a, *nodes, b.  Between two breakpoints, each run of cells
+        not stored yet goes through one call with the partial steps next
+        to it, so a matrix is carried across lattice nodes but never across
+        a breakpoint; then the stretch is applied as its head partial step,
+        the blocks over its whole cells and its tail partial step.
         """
         d, h = self.d, self.step
         s, t = d * s, d * t
-        self._cover(math.floor(s / h) - 1, math.ceil(t / h) + 1)
+        self._cover(0, math.floor(s / h) - 1, math.ceil(t / h) + 1)
         v = tuple(float(c) for c in u)
         stops = [s, *(d * b for b in kinks), t]
         for a, b in zip(stops, stops[1:]):
             i, j = _node_above(a, h), _node_below(b, h)
             if i > j:                 # no node between two stops
-                v = _apply_propagators(build(d * a, d * b, ()),
-                                       range(0, self.size, self.size), v)
-                continue
-            x, k = a, i
-            while True:
-                gap = self.built.find(1, k - self.base, j - self.base)
-                m = j if gap < 0 else gap + self.base
-                v = self._integrate(build, x, k, m, b if m == j else m * h, v)
-                if m == j:
-                    break
-                k, v = self._sweep(m, j, v)
-                x = k * h
+                v = _apply_propagators(((build(d * a, d * b, ()), 0),), v)
+            else:
+                v = _apply_propagators(self._steps(build, a, i, j, b), v)
         return v
 
-    def _integrate(self, build, x: float, k0: int, k1: int, y: float,
-                   v: tuple) -> tuple:
-        """Integrate from x through nodes k0 .. k1 to y, where k0 * step >= x
-        and k1 * step <= y, store cells k0 .. k1 - 1, and apply it all."""
-        if x == y:
-            return v
+    def _steps(self, build, a: float, i: int, j: int, b: float) -> list:
+        """Store the cells from node i to node j that are not built yet and
+        return the propagators from a to b: a partial step up to node i,
+        the blocks over cells i .. j - 1 and a partial step from node j."""
         d, h, size = self.d, self.step, self.size
-        head = x != k0 * h                     # a partial step up to node k0
-        first = k0 if head else k0 + 1         # nodes strictly inside (x, y)
-        last = k1 if y != k1 * h else k1 - 1
-        props = build(d * x, d * y,
-                      (d * (k * h) for k in range(first, last + 1)))
-        if k1 > k0:
-            at = size if head else 0
-            slot = (k0 - self.base) * size
-            self.mats[slot:slot + (k1 - k0) * size] = \
-                props[at:at + (k1 - k0) * size]
-            self.built[k0 - self.base:k1 - self.base] = b"\x01" * (k1 - k0)
-        return _apply_propagators(props, range(0, len(props), size), v)
+        built, base = self.built[0], self.base[0]
+        head = tail = ()
+        x, k = a, i
+        while True:
+            gap = built.find(1, k - base, j - base)
+            m = j if gap < 0 else gap + base
+            y = b if m == j else m * h
+            if x != y:
+                first = k if x != k * h else k + 1   # nodes inside (x, y)
+                last = m if y != m * h else m - 1
+                props = build(d * x, d * y,
+                              (d * (q * h) for q in range(first, last + 1)))
+                at = size if x != k * h else 0
+                if at:
+                    head = ((props, 0),)
+                if y != m * h:
+                    tail = ((props, len(props) - size),)
+                if m > k:
+                    slot = (k - base) * size
+                    self.mats[0][slot:slot + (m - k) * size] = \
+                        props[at:at + (m - k) * size]
+                    built[k - base:m - base] = b"\x01" * (m - k)
+                    self._blocks(k, m)
+            if m == j:
+                break
+            stop = built.find(0, m - base, j - base)
+            k = j if stop < 0 else stop + base
+            x = k * h
+        return [*head, *self._split(i, j), *tail]
 
-    def _sweep(self, k: int, j: int, v: tuple) -> tuple[int, tuple]:
-        """Apply the stored cells from cell k on, up to the first one not
-        built or node j; return the node reached and the vector there."""
-        stop = self.built.find(0, k - self.base, j - self.base)
-        stop = j - self.base if stop < 0 else stop
-        size = self.size
-        v = _apply_propagators(self.mats, range((k - self.base) * size,
-                                                stop * size, size), v)
-        return stop + self.base, v
+    def _blocks(self, k0: int, k1: int) -> None:
+        """Build the blocks that cells k0 .. k1 - 1, just stored, complete."""
+        level, n, size = 0, self.n, self.size
+        while True:
+            lo, hi = k0 >> 1, (k1 + 1) >> 1
+            if k0 & 1 and not self._has(level, k0 - 1):
+                lo += 1
+            if k1 & 1 and not self._has(level, k1):
+                hi -= 1
+            if lo >= hi:
+                return
+            base = self.base[level]
+            products = _pair_products(
+                self.mats[level][(2 * lo - base) * size:(2 * hi - base) * size], n)
+            # each level spans the cells' slots, so it is padded when they are
+            lo0, hi0 = self.base[0], self.base[0] + len(self.built[0])
+            level += 1
+            self._cover(level, lo0 >> level, ((hi0 - 1) >> level) + 1)
+            base = self.base[level]
+            self.mats[level][(lo - base) * size:(hi - base) * size] = products
+            self.built[level][lo - base:hi - base] = b"\x01" * (hi - lo)
+            k0, k1 = lo, hi
+
+    def _split(self, i: int, j: int) -> list[tuple[array, int]]:
+        """The blocks over cells i .. j - 1 in the order of travel: at each
+        cell k the largest aligned block that starts there and fits."""
+        mats, base, size = self.mats, self.base, self.size
+        out = []
+        k = i
+        while k < j:
+            level = (j - k).bit_length() - 1
+            low = (k & -k).bit_length() - 1
+            if 0 <= low < level:
+                level = low
+            out.append((mats[level], ((k >> level) - base[level]) * size))
+            k += 1 << level
+        return out

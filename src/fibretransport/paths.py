@@ -29,7 +29,8 @@ evaluates to n1 at 0.5.  Compositions preserve evaluation semantics exactly
 because a derived path evaluates through the original jet.  A parameter is
 checked once, at the public entry (``Path.at``, ``Path.velocity``, or the
 transport itself): derived layers call their parent's raw ``jet`` with the
-remapped parameter snapped into its domain.
+remapped parameter snapped into its domain.  A reparameterized layer snaps
+an image only within EDGE_SLACK of the domain and refuses one beyond.
 """
 
 from __future__ import annotations
@@ -346,13 +347,13 @@ def reparameterize(p: Path, remap: Reparameterization) -> Path:
             f"path domain is [{p.domain.lo}, {p.domain.hi}]"
         )
 
-    lo, hi = p.domain.lo, p.domain.hi
+    lo, hi, snap = p.domain.lo, p.domain.hi, p.domain.clamp
     fwd, deriv, inner = remap.fwd, remap.deriv, p.jet
     sgn = 1 if remap.orientation == "preserving" else -1
 
     def jet(s: float, side: int):
         r = fwd(s)
-        x, v = inner(lo if r < lo else hi if r > hi else r, side * sgn)
+        x, v = inner(snap(r) if r < lo or r > hi else r, side * sgn)
         if v is None:
             return x, None
         k = deriv(s)

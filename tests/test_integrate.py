@@ -196,3 +196,94 @@ def test_no_base_point_is_built_per_integrator_stage(monkeypatch):
         transport(T, octant, 0.0, 1.0, u)
         per_step[step] = len(built)
     assert per_step[1e-3] == per_step[1e-4] <= 4
+
+
+# ---------------------------------------------------------------------------
+# Aligned blocks: a run of stored cells is applied as O(log) block products.
+# ---------------------------------------------------------------------------
+
+def _whole_cells(s, t, step):
+    lo, hi = min(s, t), max(s, t)
+    return math.floor(hi / step) - math.ceil(lo / step)
+
+
+def test_a_transport_applies_logarithmically_many_blocks(monkeypatch):
+    step = 2.0 ** -10
+    T = linear_ode_transport(sphere.tangent_bundle(),
+                             sphere.coefficient_matrix, step)
+    path = sphere.great_circle_arc((1.9, 0.3), (1.1, 1.8))
+    applied = []
+    original = integrate._apply_propagators
+
+    def counted(steps, v):
+        steps = list(steps)
+        applied.append(len(steps))
+        return original(steps, v)
+
+    monkeypatch.setattr(integrate, "_apply_propagators", counted)
+    for s, t in ((0.0, 1.0), (0.1234, 0.8765), (0.8765, 0.1234),
+                 (3 * step, 1000 * step), (0.999, 0.001)):
+        u = vector_element(path.at(s), (1.0, 0.0))
+        applied.clear()
+        cold = transport(T, path, s, t, u)
+        warm = transport(T, path, s, t, u)
+        n = _whole_cells(s, t, step)
+        assert n > 700
+        # one stretch, no breakpoint: one application per transport, and
+        # the transport that builds the cells applies them as blocks too
+        assert applied[0] == applied[1] <= 2 * math.ceil(math.log2(n)) + 2
+        assert cold == warm
+
+
+def test_a_transport_gives_the_same_bits_after_any_earlier_transports():
+    targets = ((0.1, 0.9), (0.9, 0.1), (0.3, 0.37), (0.7, 0.2), (0.5, 0.5001))
+    spec = make_instance("sphere-levi-civita")
+    octant = spec.path_named("octant")
+    u = (0.6, -0.8)
+
+    def run(T):
+        return [transport(T, octant, s, t, vector_element(octant.at(s), u))
+                for s, t in targets]
+
+    expected = run(spec.transport)
+    rng = random.Random(5)
+    for _ in range(4):
+        T = make_instance("sphere-levi-civita").transport
+        earlier = [(rng.random(), rng.random()) for _ in range(12)]
+        earlier += targets
+        rng.shuffle(earlier)
+        for s, t in earlier:
+            transport(T, octant, s, t, vector_element(octant.at(s), u))
+        assert run(T) == expected
+
+
+@pytest.mark.parametrize("d", (1, -1))
+def test_blocks_match_the_cell_by_cell_product(d):
+    step = 1e-3
+    path = sphere.great_circle_arc((1.9, 0.3), (1.1, 1.8))
+
+    def coefficient(r, side):
+        return sphere.coefficient_matrix(*path.jet(r, side))
+
+    def build(a, b, nodes):
+        return integrate.rk4_linear_flow(coefficient, a, b, nodes)
+
+    s, t = (0.0123, 0.9876)[::d]
+    store = integrate.CellStore(2, step, d)
+    u = (0.3, -0.7)
+    nodes = [k * step for k in range(13, 988)][::d]
+    props = build(s, t, nodes)
+    one_by_one = integrate._apply_propagators(
+        [(props, o) for o in range(0, len(props), 4)], u)
+    blocks = store.transport(build, s, t, (), u)
+    assert len(store.mats) == 9         # cells up to blocks of 256 cells
+    assert blocks == pytest.approx(one_by_one, abs=1e-14)
+    assert store.transport(build, s, t, (), u) == blocks
+
+
+@pytest.mark.parametrize("seed", (0, 3))
+def test_locality_is_exact_at_the_default_step(seed):
+    spec = make_instance("sphere-levi-civita")
+    for p in spec.law_paths:
+        report = check_locality(spec.transport, p, trials=40, seed=seed)
+        assert report.passed and report.max_deviation == 0.0, p.name

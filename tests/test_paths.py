@@ -271,6 +271,21 @@ def test_a_remap_image_just_outside_the_domain_reads_the_edge():
     assert q.at(0.0) == lat.at(0.0) and q.at(1.0) == lat.at(1.0)
 
 
+def test_a_remap_image_far_outside_the_domain_is_refused_by_the_jet():
+    """A spike narrower than the construction samples gets past them; the
+    derived path's jet then refuses its image instead of clamping it."""
+    spike = Reparameterization(
+        source=UNIT, target=UNIT,
+        fwd=lambda s: s + 1.5 * max(0.0, 1.0 - abs(s - 1 / 64) * 128),
+        inv=lambda t: t, orientation="preserving", deriv=lambda s: 1.0,
+        name="spike")
+    q = reparameterize(sphere.latitude_arc(1.0, 0.0, 1.0), spike)
+    with pytest.raises(FibreTransportError, match="outside"):
+        q.at(1 / 64)
+    with pytest.raises(FibreTransportError, match="outside"):
+        q.jet(1 / 64, 1)
+
+
 # ---------------------------------------------------------------------------
 # Construction contracts: a remap's sampled images stay in its target and
 # move strictly in its declared direction; a chart path carries a velocity.
