@@ -124,19 +124,21 @@ def _pair_products(m: array, n: int) -> array:
     """The products B A of the consecutive pairs (A, B) of n * n propagators
     in m: A applied first, then B."""
     it = iter(m)
-    out: list[float] = []
-    put = out.extend
+    out = array("d")
     if n == 2:
+        put = out.append
         for a00, a01, a10, a11, b00, b01, b10, b11 in zip(*(it,) * 8):
-            put((b00 * a00 + b01 * a10, b00 * a01 + b01 * a11,
-                 b10 * a00 + b11 * a10, b10 * a01 + b11 * a11))
-        return array("d", out)
+            put(b00 * a00 + b01 * a10)
+            put(b00 * a01 + b01 * a11)
+            put(b10 * a00 + b11 * a10)
+            put(b10 * a01 + b11 * a11)
+        return out
     size = n * n
     for ab in zip(*(it,) * (2 * size)):
         a, b = ab[:size], ab[size:]
-        put(sum(b[i * n + k] * a[k * n + j] for k in range(n))
-            for i in range(n) for j in range(n))
-    return array("d", out)
+        out.extend(sum(b[i * n + k] * a[k * n + j] for k in range(n))
+                   for i in range(n) for j in range(n))
+    return out
 
 
 def _node_above(x: float, step: float) -> int:
@@ -198,7 +200,7 @@ class CellStore:
         if level == len(self.mats):
             self.mats.append(array("d"))
             self.built.append(bytearray())
-            self.base.append(k0)
+            self.base.append(0)
         mats, built = self.mats[level], self.built[level]
         if not built:
             self.base[level] = k0
