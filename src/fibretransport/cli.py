@@ -64,6 +64,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         chosen = [l.strip() for l in args.laws.split(",") if l.strip()]
         if not chosen:
             raise FibreTransportError(f"--laws names no law: {args.laws!r}")
+        if len(set(chosen)) < len(chosen):
+            raise FibreTransportError(
+                f"--laws names a law more than once: {args.laws!r}")
     for law in chosen:  # refuse unknown ids before any report is written
         law_named(law)
     tols = _parse_tols(args.tol, chosen)
@@ -276,6 +279,9 @@ def _parse_tols(pairs: list[str], laws: list[str]) -> dict:
             raise FibreTransportError(
                 f"--tol expects LAW=VALUE with a finite, "
                 f"nonnegative value, got {pair!r}")
+        if law.strip() in out:
+            raise FibreTransportError(
+                f"--tol names law {law.strip()!r} more than once")
         out[law.strip()] = tol
     unused = sorted(set(out) - set(laws))
     if unused:

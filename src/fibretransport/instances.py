@@ -29,9 +29,8 @@ from .bundles import (BasePoint, BundleMetric, FibreBundle, FibreElement,
                       table_section, vector_element)
 from .errors import FibreTransportError
 from .integrate import CellStore, rk4_linear_flow
-from .paths import (ConcatSchedule, Interval, Path, Reparameterization, UNIT,
-                    affine_remap, canonical_schedule, node_sequence,
-                    piecewise_path, square_remap, trace_nodes)
+from .paths import (Interval, Path, Reparameterization, UNIT, affine_remap,
+                    node_sequence, piecewise_path, square_remap, trace_nodes)
 from .laws import LAW_ORDER, LAWS
 from .transport import Transport, transport
 
@@ -346,7 +345,7 @@ class InstanceSpec:
     metric: BundleMetric | None = None
     law_paths: tuple[Path, ...] = ()
     remaps: tuple[Reparameterization, ...] = ()
-    product_pair: tuple[Path, Path, ConcatSchedule] | None = None
+    product_pair: tuple[Path, Path] | None = None
     uniqueness_path: Path | None = None
     loops: Mapping[str, Path] = field(default_factory=dict)
     step: float | None = None
@@ -369,7 +368,7 @@ class InstanceSpec:
                      if law.applies is not None and law.applies(self))
 
     def path_named(self, name: str) -> Path:
-        pair = self.product_pair[:2] if self.product_pair else ()
+        pair = self.product_pair or ()
         for p in (*self.law_paths, *pair):
             if p.name == name:
                 return p
@@ -415,7 +414,7 @@ def _graph_spec(T: Transport, walk: str, second: str, name: str,
         name=T.name, transport=T,
         law_paths=(_tour(space, walk, "walk"), other),
         remaps=_standard_remaps(),
-        product_pair=(hop1, hop2, canonical_schedule()),
+        product_pair=(hop1, hop2),
         uniqueness_path=other, loops={name: other} if loop else {})
 
 
@@ -487,7 +486,7 @@ def _sphere_levi_civita(step: float) -> InstanceSpec:
         name="sphere-levi-civita", transport=T, metric=metric,
         law_paths=(quarter_equator, quarter_meridian, tilted, lat_arc),
         remaps=_standard_remaps(),
-        product_pair=(quarter_equator, quarter_meridian, canonical_schedule()),
+        product_pair=(quarter_equator, quarter_meridian),
         uniqueness_path=octant, loops=loops, step=step)
     return spec
 

@@ -22,8 +22,7 @@ import math
 from dataclasses import replace
 
 from . import linalg
-from .bundles import (POLE_MARGIN, BasePoint, BundleMetric, FibreBundle,
-                      chart_deviation)
+from .bundles import POLE_MARGIN, BasePoint, BundleMetric, FibreBundle
 from .errors import FibreTransportError
 from .paths import UNIT, Path, concatenate, schedule_for, with_crossings
 
@@ -162,7 +161,7 @@ def octant_loop(space: str = SPACE, name: str = "octant") -> Path:
                        schedule_for(first.domain, leg3.domain,
                                     0.0, 2 * third, 1.0))
     loop = replace(loop, name=name)
-    return with_crossings(loop, [(0.0, 1.0)], deviation=chart_deviation)
+    return with_crossings(loop, [(0.0, 1.0)])
 
 
 def closed_latitude(theta: float, space: str = SPACE,
@@ -170,4 +169,4 @@ def closed_latitude(theta: float, space: str = SPACE,
     """Full constant-latitude circle, phi sweeping 0 to 2*pi over [0, 1]."""
     p = latitude_arc(theta, 0.0, 2 * math.pi, space=space,
                      name=name or f"latitude-{theta:.4f}")
-    return with_crossings(p, [(0.0, 1.0)], deviation=chart_deviation)
+    return with_crossings(p, [(0.0, 1.0)])

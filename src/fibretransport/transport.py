@@ -29,7 +29,7 @@ from .bundles import (BundleMetric, FibreBundle, FibreElement,
                       label_element, rebase, vector_element)
 from .errors import FibreTransportError
 from .linalg import lin_comb, max_abs, vec_sub
-from .paths import Interval, Path, Reparameterization, ConcatSchedule, \
+from .paths import Interval, Path, Reparameterization, \
     canonical_schedule, concatenate, reparameterize, restrict, reverse
 
 # Properties a transport can declare.  Checkers whose law only makes sense
@@ -457,24 +457,21 @@ def check_inverse_path_law(T: Transport, paths, *, trials: int = 200,
     return run_trials("3.2", T, trials, tolerance, seed, trial)
 
 
-def _product_of(T: Transport, p1: Path, p2: Path,
-                schedule: ConcatSchedule | None):
+def _product_of(T: Transport, p1: Path, p2: Path):
     missing = {"local", "reparam_invariant"} - set(T.declared)
     if missing:
         raise FibreTransportError(
             f"product laws need declared properties {sorted(missing)}")
-    if schedule is None:
-        schedule = canonical_schedule()
+    schedule = canonical_schedule()
     return concatenate(p1, p2, schedule), schedule
 
 
-def check_product_cross(T: Transport, p1: Path, p2: Path,
-                        schedule: ConcatSchedule | None = None, *,
+def check_product_cross(T: Transport, p1: Path, p2: Path, *,
                         trials: int = 200, tolerance: float | None = None,
                         seed: int = 0) -> LawReport:
-    """Law 3.4: across the seam of a concatenation, the transport factors
-    through the two halves."""
-    prod, schedule = _product_of(T, p1, p2, schedule)
+    """Law 3.4: across the seam of the canonical concatenation, the
+    transport factors through the two halves."""
+    prod, schedule = _product_of(T, p1, p2)
 
     def trial(k, rng, col):
         t1 = rng.uniform(schedule.start, schedule.mid)
@@ -492,13 +489,12 @@ def check_product_cross(T: Transport, p1: Path, p2: Path,
     return run_trials("3.4", T, trials, tolerance, seed, trial)
 
 
-def check_product_same(T: Transport, p1: Path, p2: Path,
-                       schedule: ConcatSchedule | None = None, *,
+def check_product_same(T: Transport, p1: Path, p2: Path, *,
                        trials: int = 200, tolerance: float | None = None,
                        seed: int = 0) -> LawReport:
-    """Law 3.5: within one half of a concatenation, the transport equals the
-    transport along that half alone."""
-    prod, schedule = _product_of(T, p1, p2, schedule)
+    """Law 3.5: within one half of the canonical concatenation, the
+    transport equals the transport along that half alone."""
+    prod, schedule = _product_of(T, p1, p2)
 
     def trial(k, rng, col):
         if k % 2 == 0:

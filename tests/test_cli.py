@@ -105,6 +105,18 @@ class TestCheck:
         assert "--laws" in one_error_line(capsys)
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "--laws", "2.2,2.2"],
+        ["check", "--laws", "2.2, 2.3,2.2"],
+        ["check", "--tol", "2.2=1", "--tol", "2.2=0.5"],
+        ["factorize", "--tol", "3.6-roundtrip=1", "--tol", "3.6-roundtrip=1"]])
+    def test_a_law_named_twice_is_config_error(self, argv, tmp_path, capsys):
+        # a repeated law would run twice; a repeated --tol would keep the last
+        rc = main([*argv, "--instance", "perm-c3", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "more than once" in one_error_line(capsys)
+        assert not any(tmp_path.iterdir())
+
     def test_aggregate_axiom_id(self, tmp_path):
         rc = main(["check", "--instance", "perm-c3", "--laws", "2.2+2.3",
                    "--out", str(tmp_path)])

@@ -9,13 +9,15 @@ from fibretransport.bundles import label_element, vector_element
 from fibretransport.instances import make_instance
 from fibretransport.linalg import (identity, inverse, matmul, matvec,
                                    rotation, rotation_angle, solve)
-from fibretransport.paths import Interval, UNIT, affine_remap
+from fibretransport.paths import (EDGE_SLACK, Interval, Reparameterization,
+                                  UNIT, affine_remap)
 from fibretransport.transport import transport, unit_ball
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
 params = st.floats(min_value=0.0, max_value=1.0,
                    allow_nan=False, allow_infinity=False)
+widths = st.floats(min_value=1e-3, max_value=10.0)
 
 
 def well_conditioned(entries):
@@ -62,6 +64,33 @@ def test_affine_remap_is_invertible(s):
     inside = 2.0 + 3.0 * s
     assert r.invert_param(r.apply(inside)) == pytest.approx(inside, abs=1e-12)
     assert UNIT.contains(r.apply(inside))
+
+
+@given(finite, widths, finite, widths, st.booleans(), st.booleans())
+def test_closed_form_remaps_are_monotone_bijections(a, w, c, v, reversing,
+                                                    squared):
+    r = Reparameterization(Interval(a, a + w), Interval(c, c + v),
+                           reversing=reversing, squared=squared)
+    src, tgt = r.source, r.target
+    grid = src.samples(257)
+    images = [r.fwd(s) for s in grid]
+    assert all(tgt.lo - EDGE_SLACK <= x <= tgt.hi + EDGE_SLACK for x in images)
+    sign = -1.0 if reversing else 1.0
+    assert all(sign * (y - x) > 0.0 for x, y in zip(images, images[1:]))
+
+    # An image carries a rounding error of a few ulps of the target; the
+    # inverse divides it by the slope, or, through the square root at the
+    # vertex, turns it into width * sqrt(error / target width).
+    err = 8.0 * math.ulp(max(abs(tgt.lo), abs(tgt.hi)))
+    grow = (math.sqrt(err / tgt.width) if squared else err / tgt.width)
+    tol = 8.0 * math.ulp(max(abs(src.lo), abs(src.hi))) + src.width * grow
+    assert all(abs(r.invert_param(r.apply(s)) - s) <= tol for s in grid)
+
+    # a central difference is exact on a quadratic, up to rounding
+    h = src.width / 512
+    for s in grid[1:-1]:
+        fd = (r.fwd(s + h) - r.fwd(s - h)) / (2.0 * h)
+        assert abs(fd - r.deriv(s)) <= err / h + 1e-8 * abs(r.deriv(s))
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32))

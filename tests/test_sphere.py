@@ -10,12 +10,11 @@ import math
 
 import pytest
 
-from fibretransport.bundles import chart_point, vector_element
+from fibretransport.bundles import chart_deviation, chart_point, vector_element
 from fibretransport.errors import FibreTransportError
 from fibretransport.instances import holonomy_angle, make_instance
 from fibretransport.linalg import matmul, matvec, transpose
 from fibretransport.sphere import (OCTANT_AREA, OCTANT_VERTICES, SPACE,
-                                   chart_deviation,
                                    closed_latitude, coefficient_matrix,
                                    great_circle_arc, latitude_arc,
                                    metric_matrix, octant_loop, require_chart)
