@@ -18,6 +18,7 @@ count reproduces identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -98,6 +99,9 @@ def cmd_holonomy(args: argparse.Namespace) -> int:
     if not all(0.0 < h < math.inf for h in steps):
         raise FibreTransportError(f"--steps expects positive numbers separated"
                                   f" by commas, got {args.steps!r}")
+    if len(set(steps)) < len(steps):  # 1e-2 and 0.01 are the same step
+        raise FibreTransportError(
+            f"--steps names a step more than once: {args.steps!r}")
     rows = []
     loop_label = args.loop
     for h in steps:
@@ -214,7 +218,10 @@ def _emit(out: FsPath | None, filename: str, text: str) -> None:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused after it:
+    parsing reads it without changing it."""
     ap = argparse.ArgumentParser(
         prog="fibretransport",
         description="Check transport laws, holonomy, liftings, and "

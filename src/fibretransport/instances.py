@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from . import linalg, sphere
 from .bundles import (BasePoint, BundleMetric, FibreBundle, FibreElement,
@@ -175,6 +175,13 @@ def linear_ode_transport(bundle: FibreBundle,
     RK4 on the lattice of parameters k * step (see ``integrate``).  Cell
     propagators are built on first use and kept by this transport, one
     store per jet and direction; a store lives as long as its jet.
+
+    Finiteness is checked once per flow, on its propagators: a non-finite
+    stage coefficient always makes its propagator non-finite.  A flow that
+    raises or returns a non-finite entry is replayed with every stage's
+    coefficients checked as they are read, so the error names the first
+    non-finite stage, or is the one the first failing stage raised; if the
+    replay returns, its propagators are taken as they are.
     """
     require_step(step)
     if bundle.fibre_kind != "vector":
@@ -195,6 +202,9 @@ def linear_ode_transport(bundle: FibreBundle,
         # Stage parameters lie in [s, t], which ``transport`` has clamped,
         # so the raw jet is read without checking them again.
         def coefficient(r: float, side: int) -> linalg.Mat:
+            return coefficients(*jet(r, side))
+
+        def checked(r: float, side: int) -> linalg.Mat:
             a = coefficients(*jet(r, side))
             for row in a:
                 for c in row:
@@ -204,15 +214,23 @@ def linear_ode_transport(bundle: FibreBundle,
                             f" at parameter {r} of {p.name!r}")
             return a
 
+        def flow(a: float, b: float, nodes: Iterable[float]):
+            nodes = tuple(nodes)
+            try:
+                props = rk4_linear_flow(coefficient, a, b, nodes)
+                if all(map(isfinite, props)):
+                    return props
+            except Exception:  # the checked replay raises it in stage order
+                pass
+            return rk4_linear_flow(checked, a, b, nodes)
+
         d = 1 if t > s else -1
         by_direction = stores.setdefault(jet, {})
         cells = by_direction.get(d)
         if cells is None:
             cells = by_direction[d] = CellStore(bundle.dim, step, d)
         kinks = p.interior_breakpoints(min(s, t), max(s, t))[::d]
-        moved = cells.transport(
-            lambda a, b, nodes: rk4_linear_flow(coefficient, a, b, nodes),
-            s, t, kinks, u.vector)
+        moved = cells.transport(flow, s, t, kinks, u.vector)
         return vector_element(p.at(t), moved)
 
     return Transport(name=name, bundle=bundle, apply_fn=apply,

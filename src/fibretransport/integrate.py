@@ -24,6 +24,10 @@ details matter more than the integrator itself:
   stage: a cell's start is read from inside the cell, its end likewise, its
   midpoint with side 0.  Away from breakpoints the side is ignored, so the
   end matrix of one cell doubles as the start matrix of the next one.
+* The flow checks nothing about A.  A non-finite coefficient makes its
+  cell's propagator non-finite, so a caller checks the propagators once per
+  flow (``instances.linear_ode_transport`` does, and replays a flow that
+  fails with every stage checked).
 """
 
 from __future__ import annotations
@@ -94,12 +98,13 @@ def rk4_linear_flow(coeff: CoefficientFn, s: float, t: float,
     d = 1 if t > s else -1
     props = array("d")
     a0 = coeff(s, d)
+    step = _rk4_step2 if len(a0) == 2 else _rk4_step
     a = s
     for b in chain(nodes, (t,)):
         h = b - a
         am = coeff(a + h / 2.0, 0)
         a1 = coeff(b, -d)
-        props.extend((_rk4_step2 if len(a0) == 2 else _rk4_step)(a0, am, a1, h))
+        props.extend(step(a0, am, a1, h))
         a, a0 = b, a1
     return props
 

@@ -107,9 +107,11 @@ class Reparameterization:
     u = (s - source.lo) / source.width is the source fraction.  It runs from
     source.lo to target.lo, or to target.hi when ``reversing``.  Every such
     map is onto and strictly monotone, so only degenerate intervals are
-    refused.  ``fwd`` maps source -> target, ``inv`` is its inverse and
-    ``deriv`` the derivative of ``fwd``, which derived paths use to push
-    analytic velocities through; all three are built at construction.
+    refused, and so are flags that are not bools.  ``fwd`` maps source ->
+    target, ``inv`` is its inverse and ``deriv`` the derivative of ``fwd``,
+    which derived paths use to push analytic velocities through; all three
+    are built at construction.  ``affine`` is (a, c, k) with
+    fwd(s) = c + (s - a) * k when the map is affine, and None otherwise.
     """
 
     source: Interval
@@ -121,8 +123,14 @@ class Reparameterization:
     fwd: Callable[[float], float] = field(init=False, repr=False, compare=False)
     inv: Callable[[float], float] = field(init=False, repr=False, compare=False)
     deriv: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    affine: tuple[float, float, float] | None = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.reversing, bool)
+                and isinstance(self.squared, bool)):
+            raise FibreTransportError(
+                f"{self.name}: reversing and squared must be bools")
         if self.source.width <= 0.0 or self.target.width <= 0.0:
             raise FibreTransportError(
                 f"{self.name}: remaps need non-degenerate intervals")
@@ -130,10 +138,12 @@ class Reparameterization:
         c, k = self.target.lo, self.target.width
         if self.reversing:
             c, k = self.target.hi, -k
+        affine = None
         if not self.squared:
             k /= w
             maps = (lambda s: c + (s - a) * k, lambda t: a + (t - c) / k,
                     lambda s: k)
+            affine = (a, c, k)
         elif (a, w, c, k) == (0.0, 1.0, 0.0, 1.0):    # s -> s*s on [0, 1]
             maps = (lambda s: s * s, math.sqrt, lambda s: 2.0 * s)
         else:
@@ -141,7 +151,8 @@ class Reparameterization:
             maps = (lambda s: c + (s - a) * (s - a) * k,
                     lambda t: a + math.sqrt((t - c) / k),
                     lambda s: 2.0 * k * (s - a))
-        for attr, f in zip(("fwd", "inv", "deriv"), maps):
+        for attr, f in zip(("fwd", "inv", "deriv", "affine"),
+                           (*maps, affine)):
             object.__setattr__(self, attr, f)
 
     @property
@@ -313,15 +324,22 @@ def reparameterize(p: Path, remap: Reparameterization) -> Path:
 
     lo, hi, snap = p.domain.lo, p.domain.hi, p.domain.clamp
     fwd, deriv, inner = remap.fwd, remap.deriv, p.jet
-    sgn = 1 if remap.orientation == "preserving" else -1
+    sgn = -1 if remap.reversing else 1
 
-    def jet(s: float, side: int):
-        r = fwd(s)
-        x, v = inner(snap(r) if r < lo or r > hi else r, side * sgn)
-        if v is None:
-            return x, None
-        k = deriv(s)
-        return x, tuple([c * k for c in v])
+    if remap.affine is not None:
+        # fwd and deriv inlined: a derived path's jet runs at every RK4 stage
+        a, c, k = remap.affine
+        scale = k.__mul__
+
+        def jet(s: float, side: int):
+            r = c + (s - a) * k
+            x, v = inner(snap(r) if r < lo or r > hi else r, side * sgn)
+            return x, (None if v is None else tuple(map(scale, v)))
+    else:
+        def jet(s: float, side: int):
+            r = fwd(s)
+            x, v = inner(snap(r) if r < lo or r > hi else r, side * sgn)
+            return x, (None if v is None else tuple(map(deriv(s).__mul__, v)))
 
     bps = sorted(remap.invert_param(b) for b in p.breakpoints)
     bps = tuple(b for b in bps if remap.source.lo < b < remap.source.hi)

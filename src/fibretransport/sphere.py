@@ -27,10 +27,11 @@ from .errors import FibreTransportError
 from .paths import UNIT, Path, concatenate, schedule_for, with_crossings
 
 SPACE = "sphere"
+_THETA_MAX = math.pi - POLE_MARGIN      # the chart is POLE_MARGIN..this
 
 
 def require_chart(theta: float) -> None:
-    if not (POLE_MARGIN <= theta <= math.pi - POLE_MARGIN):
+    if not (POLE_MARGIN <= theta <= _THETA_MAX):
         raise FibreTransportError(
             f"theta={theta} leaves the chart (poles excluded by {POLE_MARGIN})"
         )
@@ -55,7 +56,8 @@ def coefficient_matrix(x: tuple[float, ...],
                        xdot: tuple[float, ...]) -> linalg.Mat:
     """A(r) with du/dr = A u at chart coordinates x, chart velocity xdot."""
     th = x[0]
-    require_chart(th)
+    if not (POLE_MARGIN <= th <= _THETA_MAX):  # inline: runs at every stage
+        require_chart(th)
     sin_th = math.sin(th)
     cos_th = math.cos(th)
     cot = cos_th / sin_th
@@ -92,23 +94,27 @@ def great_circle_arc(p0: tuple[float, float], p1: tuple[float, float],
     (a0, a1, a2), (b0, b1, b2) = a, b
     sin_omega = math.sin(omega)
     min_rho2 = math.sin(POLE_MARGIN) ** 2
+    sin, cos, acos, atan2, sqrt = (math.sin, math.cos, math.acos, math.atan2,
+                                   math.sqrt)
 
     def jet(t: float, side: int) -> tuple[tuple[float, float], ...]:
         """Spherical linear interpolation from a to b, and its derivative,
         in chart coordinates."""
         u, w = (1.0 - t) * omega, t * omega
-        ca, cb = math.sin(u) / sin_omega, math.sin(w) / sin_omega
-        da = -omega * math.cos(u) / sin_omega
-        db = omega * math.cos(w) / sin_omega
+        ca, cb = sin(u) / sin_omega, sin(w) / sin_omega
+        da = -omega * cos(u) / sin_omega
+        db = omega * cos(w) / sin_omega
         x, y, z = ca * a0 + cb * b0, ca * a1 + cb * b1, ca * a2 + cb * b2
         dx, dy, dz = da * a0 + db * b0, da * a1 + db * b1, da * a2 + db * b2
         rho2 = x * x + y * y
         # rho = sin(theta); inside the chart band it stays >= sin(POLE_MARGIN)
         if rho2 < min_rho2:
             raise FibreTransportError("great-circle arc crossed a pole")
-        theta = math.acos(max(-1.0, min(1.0, z)))
-        return ((theta, math.atan2(y, x)),
-                (-dz / math.sqrt(max(1e-300, 1.0 - z * z)),
+        # clamps by comparison, sending NaN where max(lo, min(hi, .)) does
+        c = z if -1.0 < z < 1.0 else (-1.0 if z <= -1.0 else 1.0)
+        q = 1.0 - z * z
+        return ((acos(c), atan2(y, x)),
+                (-dz / sqrt(q if q > 1e-300 else 1e-300),
                  (x * dy - y * dx) / rho2))
 
     return Path(space=space, domain=UNIT, jet=jet, kind="chart", name=name)

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from fibretransport.cli import law_filename, main
+from fibretransport.cli import law_filename, main, run_law
+from fibretransport.instances import make_instance
 
 
 def read_json(path):
@@ -157,7 +158,10 @@ class TestHolonomy:
         ("sphere-levi-civita", "1e-3,x"), ("sphere-levi-civita", "fine"),
         ("sphere-levi-civita", "1e-3,nan"),
         # an exact instance ignores the step, but not a malformed one
-        ("parallelization-flat", "inf"), ("parallelization-flat", "1e-3,-1")])
+        ("parallelization-flat", "inf"), ("parallelization-flat", "1e-3,-1"),
+        # a step named twice would be integrated twice, however it is spelt
+        ("sphere-levi-civita", "1e-2,1e-2"), ("sphere-levi-civita", "1e-2,0.01"),
+        ("parallelization-flat", "1e-3,5e-4,0.001")])
     def test_malformed_steps_is_config_error(self, instance, steps, capsys):
         rc = main(["holonomy", "--instance", instance, "--steps", steps])
         assert rc == 2
@@ -282,6 +286,22 @@ def test_an_exact_instance_refuses_an_out_of_range_step(argv, capsys):
     # the step is ignored on exact presets, but never taken when out of range
     assert main(argv) == 2
     assert "step out of range" in one_error_line(capsys)
+
+
+def test_a_reused_parser_carries_nothing_between_calls(tmp_path,
+                                                      monkeypatch):
+    argv = ["check", "--instance", "perm-c3", "--laws", "2.2", "--trials", "5"]
+    assert main([*argv, "--tol", "2.2=1", "--out", str(tmp_path / "a")]) == 0
+    assert read_json(tmp_path / "a" / "law_2.2.json")["tolerance"] == 1.0
+    assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+    default = run_law(make_instance("perm-c3"), "2.2", trials=5).tolerance
+    assert default != 1.0
+    assert read_json(tmp_path / "b" / "law_2.2.json")["tolerance"] == default
+    for seed in ("7", "8"):  # the default seed is read on every call
+        monkeypatch.setenv("FT_DEFAULT_SEED", seed)
+        assert main([*argv, "--out", str(tmp_path / seed)]) == 0
+        report = read_json(tmp_path / seed / "law_2.2.json")
+        assert report["seed"] == int(seed)
 
 
 def test_non_integer_default_seed_is_config_error(monkeypatch, capsys):

@@ -287,3 +287,67 @@ def test_locality_is_exact_at_the_default_step(seed):
     for p in spec.law_paths:
         report = check_locality(spec.transport, p, trials=40, seed=seed)
         assert report.passed and report.max_deviation == 0.0, p.name
+
+
+# ---------------------------------------------------------------------------
+# Finiteness is checked once per flow, on its propagators; a flow that fails
+# is replayed with each stage checked, so the refusal names the first stage.
+# ---------------------------------------------------------------------------
+
+# phi = 0.0 + 1.0 * r on this arc, so a coefficient callable reads r as x[1]
+ARC = sphere.latitude_arc(1.0, 0.0, 1.0)
+
+
+def _transport_along_arc(coefficients, s, t):
+    T = linear_ode_transport(sphere.tangent_bundle(), coefficients)
+    return transport(T, ARC, s, t, vector_element(ARC.at(s), (1.0, 0.0)))
+
+
+def _stage_parameters(s, t):
+    """The parameters a cold transport reads coefficients at, in order."""
+    seen = []
+
+    def coefficients(x, xdot):
+        seen.append(x[1])
+        return sphere.coefficient_matrix(x, xdot)
+
+    _transport_along_arc(coefficients, s, t)
+    return seen
+
+
+@pytest.mark.parametrize("s, t", [(0.1, 0.9), (0.9, 0.1)])
+def test_stages_non_finite_past_mid_flow_are_refused_at_the_first(s, t):
+    def bad(r):
+        return r >= 0.6 if t > s else r <= 0.4
+
+    def coefficients(x, xdot):
+        if bad(x[1]):
+            return ((0.0, 0.0), (math.nan, 0.0))
+        return sphere.coefficient_matrix(x, xdot)
+
+    first = next(r for r in _stage_parameters(s, t) if bad(r))
+    with pytest.raises(FibreTransportError) as exc:
+        _transport_along_arc(coefficients, s, t)
+    assert str(exc.value) == (f"non-finite transport coefficients at "
+                              f"parameter {first} of {ARC.name!r}")
+
+
+def test_a_non_finite_stage_is_refused_before_a_later_stage_raises():
+    def coefficients(x, xdot):
+        if x[1] >= 0.6:
+            raise ValueError("a stage past the non-finite one")
+        if x[1] >= 0.5:
+            return ((math.inf, 0.0), (0.0, 0.0))
+        return sphere.coefficient_matrix(x, xdot)
+
+    first = next(r for r in _stage_parameters(0.1, 0.9) if r >= 0.5)
+    with pytest.raises(FibreTransportError) as exc:
+        _transport_along_arc(coefficients, 0.1, 0.9)
+    assert str(exc.value) == (f"non-finite transport coefficients at "
+                              f"parameter {first} of {ARC.name!r}")
+
+
+def test_finite_coefficients_whose_propagators_overflow_are_not_refused():
+    huge = ((0.0, 1e300), (-1e300, 0.0))
+    moved = _transport_along_arc(lambda x, xdot: huge, 0.1, 0.9).vector
+    assert not all(map(math.isfinite, moved))

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -251,6 +252,43 @@ def test_non_finite_coefficients_are_refused_on_derived_paths(name):
                               f"parameter {s} of {p.name!r}")
 
 
+def _jet_by_hand(p, remap):
+    """The jet of ``reparameterize(p, remap)`` composed from ``remap.fwd``
+    and ``remap.deriv``."""
+    sgn = -1 if remap.reversing else 1
+
+    def jet(s, side):
+        x, v = p.jet(p.domain.clamp(remap.fwd(s)), side * sgn)
+        return x, (None if v is None else
+                   tuple([c * remap.deriv(s) for c in v]))
+
+    return jet
+
+
+@pytest.mark.parametrize("remap", [
+    affine_remap(Interval(0.0, 2.0), UNIT),
+    canonical_reversal(),
+    canonical_schedule().right,
+    Reparameterization(UNIT, Interval(0.1, 0.4), reversing=True),
+    Reparameterization(Interval(-1.0, 3.0), UNIT, reversing=True),
+    square_remap(),
+    Reparameterization(Interval(0.5, 1.0), UNIT, squared=True),
+    Reparameterization(Interval(2.0, 5.0), UNIT, reversing=True,
+                       squared=True)], ids=lambda r: repr(r))
+def test_a_reparameterized_jet_is_the_composition_to_the_bit(remap):
+    rng = random.Random(11)
+    src = remap.source
+    params = [*src.samples(257), *(rng.uniform(src.lo, src.hi)
+                                   for _ in range(256))]
+    for base in (sphere.great_circle_arc((1.9, 0.3), (1.1, 1.8)),
+                 sphere.latitude_arc(1.0, 0.2, 1.3), zigzag()):
+        p = restrict(base, remap.target)
+        jet, by_hand = reparameterize(p, remap).jet, _jet_by_hand(p, remap)
+        for s in params:
+            for side in (-1, 0, 1):
+                assert jet(s, side) == by_hand(s, side), (s, side)
+
+
 def test_derived_edges_read_the_parent_edges_to_the_bit():
     tilted = sphere.great_circle_arc((1.9, 0.3), (1.1, 1.8))
     rev, halve, square = DERIVED["reverse"], DERIVED["halve"], DERIVED["square"]
@@ -280,6 +318,14 @@ def test_a_remap_takes_no_callables(keyword):
     # the flags are keyword-only, so a callable cannot slip in by position
     with pytest.raises(TypeError):
         Reparameterization(UNIT, UNIT, lambda s: s)  # type: ignore[misc]
+
+
+@pytest.mark.parametrize("flag", ["reversing", "squared"])
+@pytest.mark.parametrize("value", [lambda s: s, 1, None, "yes"],
+                         ids=["callable", "int", "None", "str"])
+def test_a_remap_flag_must_be_a_bool(flag, value):
+    with pytest.raises(FibreTransportError, match="must be bools"):
+        Reparameterization(UNIT, UNIT, **{flag: value})
 
 
 @pytest.mark.parametrize("degenerate", ["source", "target"])

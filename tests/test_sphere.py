@@ -7,6 +7,7 @@ to reproduce them within the stated slack at its default step.
 """
 
 import math
+import random
 
 import pytest
 
@@ -14,6 +15,7 @@ from fibretransport.bundles import chart_deviation, chart_point, vector_element
 from fibretransport.errors import FibreTransportError
 from fibretransport.instances import holonomy_angle, make_instance
 from fibretransport.linalg import matmul, matvec, transpose
+from fibretransport.paths import UNIT
 from fibretransport.sphere import (OCTANT_AREA, OCTANT_VERTICES, SPACE,
                                    closed_latitude, coefficient_matrix,
                                    great_circle_arc, latitude_arc,
@@ -53,6 +55,28 @@ class TestChartGeometry:
             assert max(flat) < 1e-14
 
 
+def _slerp_jet(p0, p1):
+    """A great-circle arc's jet written with ``math.`` lookups and clamps
+    by ``min`` and ``max``."""
+    a, b = ((math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph),
+             math.cos(th)) for th, ph in (p0, p1))
+    omega = math.acos(max(-1.0, min(1.0, sum(x * y for x, y in zip(a, b)))))
+    sin_omega = math.sin(omega)
+
+    def jet(t):
+        u, w = (1.0 - t) * omega, t * omega
+        ca, cb = math.sin(u) / sin_omega, math.sin(w) / sin_omega
+        da = -omega * math.cos(u) / sin_omega
+        db = omega * math.cos(w) / sin_omega
+        x, y, z = (ca * i + cb * j for i, j in zip(a, b))
+        dx, dy, dz = (da * i + db * j for i, j in zip(a, b))
+        return ((math.acos(max(-1.0, min(1.0, z))), math.atan2(y, x)),
+                (-dz / math.sqrt(max(1e-300, 1.0 - z * z)),
+                 (x * dy - y * dx) / (x * x + y * y)))
+
+    return jet
+
+
 class TestArcs:
     def test_great_circle_hits_endpoints(self):
         p = great_circle_arc((1.0, 0.2), (2.0, 1.1))
@@ -64,6 +88,15 @@ class TestArcs:
             great_circle_arc((1.0, 0.2), (1.0, 0.2))
         with pytest.raises(FibreTransportError, match="coincide or are antipodal"):
             great_circle_arc((1.0, 0.0), (math.pi - 1.0, math.pi))
+
+    def test_the_jet_matches_the_min_max_clamped_formula_to_the_bit(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            p0, p1 = ((rng.uniform(0.9, 2.2), rng.uniform(-0.7, 0.7))
+                      for _ in range(2))
+            jet, reference = great_circle_arc(p0, p1).jet, _slerp_jet(p0, p1)
+            for t in [*UNIT.samples(101), *(rng.random() for _ in range(100))]:
+                assert jet(t, 0) == reference(t), (p0, p1, t)
 
     def test_pole_crossing_detected(self):
         # endpoints at the same latitude, half a turn apart: the geodesic
