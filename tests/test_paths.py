@@ -274,7 +274,9 @@ def _jet_by_hand(p, remap):
     square_remap(),
     Reparameterization(Interval(0.5, 1.0), UNIT, squared=True),
     Reparameterization(Interval(2.0, 5.0), UNIT, reversing=True,
-                       squared=True)], ids=lambda r: repr(r))
+                       squared=True)],
+    ids=["halve", "reversal", "right", "nudge", "wide-reversing", "square",
+         "squared", "squared-reversing"])
 def test_a_reparameterized_jet_is_the_composition_to_the_bit(remap):
     rng = random.Random(11)
     src = remap.source
