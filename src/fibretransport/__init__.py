@@ -28,9 +28,8 @@ from .lifting import (Lifting, check_fibre_cover, check_global_uniqueness,
                       check_lift_projection, check_self_consistency, lift,
                       liftings_disjoint_or_equal, occurrence_set,
                       transport_from_lifting)
-from .paths import (ConcatSchedule, Interval, Path, Reparameterization,
-                    affine_remap, canonical_reversal, canonical_schedule,
-                    concatenate, constant_path, piecewise_path,
+from .paths import (Interval, Path, Reparameterization, affine_remap,
+                    canonical_reversal, concatenate, piecewise_path,
                     reparameterize, restrict, reverse, square_remap)
 from .transport import (LawReport, Transport, check_axioms, check_group_law,
                         check_identity_law, check_inverse_path_law,

@@ -29,8 +29,7 @@ from .bundles import (BasePoint, BundleMetric, FibreBundle, FibreElement,
                       table_section, vector_element)
 from .errors import FibreTransportError
 from .integrate import CellStore, rk4_linear_flow
-from .paths import (Interval, Path, Reparameterization, UNIT, affine_remap,
-                    node_sequence, piecewise_path, square_remap, trace_nodes)
+from .paths import Path, UNIT, node_sequence, piecewise_path, trace_nodes
 from .laws import LAW_ORDER, LAWS
 from .transport import Transport, transport
 
@@ -362,7 +361,6 @@ class InstanceSpec:
     transport: Transport
     metric: BundleMetric | None = None
     law_paths: tuple[Path, ...] = ()
-    remaps: tuple[Reparameterization, ...] = ()
     product_pair: tuple[Path, Path] | None = None
     uniqueness_path: Path | None = None
     loops: Mapping[str, Path] = field(default_factory=dict)
@@ -400,11 +398,6 @@ class InstanceSpec:
             f"no path named {name!r}; known: {', '.join(known)}")
 
 
-def _standard_remaps() -> tuple[Reparameterization, ...]:
-    return (affine_remap(Interval(0.0, 2.0), UNIT, name="halve"),
-            square_remap())
-
-
 def _tour(space: str, nodes: str, name: str) -> Path:
     """A unit-domain walk through the space-separated nodes, each node held
     for an equal share of the domain."""
@@ -431,7 +424,6 @@ def _graph_spec(T: Transport, walk: str, second: str, name: str,
     return InstanceSpec(
         name=T.name, transport=T,
         law_paths=(_tour(space, walk, "walk"), other),
-        remaps=_standard_remaps(),
         product_pair=(hop1, hop2),
         uniqueness_path=other, loops={name: other} if loop else {})
 
@@ -503,7 +495,6 @@ def _sphere_levi_civita(step: float) -> InstanceSpec:
     spec = InstanceSpec(
         name="sphere-levi-civita", transport=T, metric=metric,
         law_paths=(quarter_equator, quarter_meridian, tilted, lat_arc),
-        remaps=_standard_remaps(),
         product_pair=(quarter_equator, quarter_meridian),
         uniqueness_path=octant, loops=loops, step=step)
     return spec
@@ -515,8 +506,7 @@ def _counterexample(kind: str) -> InstanceSpec:
     return InstanceSpec(
         name=T.name, transport=T, metric=euclidean_metric(2),
         law_paths=(_tour(space, "x0 x1 x2 x0", "loop3"),
-                   _tour(space, "x0 x1 x3", "walk")),
-        remaps=_standard_remaps())
+                   _tour(space, "x0 x1 x3", "walk")))
 
 
 def _cx_bundle() -> FibreBundle:

@@ -13,6 +13,7 @@ from . import factorization as fz
 from . import lifting as lf
 from . import transport as tr
 from .errors import FibreTransportError
+from .paths import UNIT, Interval, affine_remap, square_remap
 
 if TYPE_CHECKING:
     from .instances import InstanceSpec
@@ -53,6 +54,10 @@ def _on_product(check):
     return run
 
 
+# The reparameterizations law 2.6 draws from, on every instance.
+REMAPS = (affine_remap(Interval(0.0, 2.0), UNIT, name="halve"), square_remap())
+
+
 def _always(spec) -> bool:
     return True
 
@@ -67,7 +72,7 @@ LAWS = (
     Law("2.5/2.7", 2.0, _always, _on_paths(tr.check_locality)),
     Law("2.6", 2.0, _always,
         lambda spec, **kw: tr.check_reparam_invariance(
-            spec.transport, spec.law_paths, spec.remaps, **kw)),
+            spec.transport, spec.law_paths, REMAPS, **kw)),
     Law("2.8", None,
         lambda spec: (spec.bundle.fibre_kind == "vector"
                       and "linear" in spec.transport.declared),

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import linalg
-from .bundles import (FibreBundle, FibreElement, element_deviation,
-                      fibre_at, fibre_elements, point_deviation, rebase,
+from .bundles import (FibreBundle, FibreElement, chart_deviation,
+                      element_deviation, fibre_at, fibre_elements, rebase,
                       vector_element)
 from .errors import FibreTransportError
 from .paths import Path, piece_runs
@@ -59,25 +59,25 @@ def lift(T: Transport, p: Path, u: FibreElement, s0: float) -> Lifting:
                    name=f"lift[{p.name}@{s0:g}]")
 
 
-def occurrence_set(p: Path, u: FibreElement,
-                   deviation=point_deviation) -> tuple[float, ...]:
+def occurrence_set(p: Path, u: FibreElement) -> tuple[float, ...]:
     """Parameters at which the path sits under u's base point.
 
     Discrete paths report the midpoint of each maximal constancy run whose
     node matches.  Chart paths report matches among the declared
     self-crossing parameters (generic chart points occur once and carry no
-    declared parameter, so they are not locatable).  An element whose base
-    point never shows up raises FibreTransportError.
+    declared parameter, so they are not locatable), compared under
+    ``chart_deviation`` as ``with_crossings`` compares them.  An element
+    whose base point never shows up raises FibreTransportError.
     """
     found: list[float] = []
     if p.kind == "discrete":
         for lo, hi, x in piece_runs(p):
             if x.node == u.over.node:
                 found.append((lo + hi) / 2.0)
-    else:
+    elif u.over.space == p.space and not u.over.is_node:
         candidates = sorted({c for pair in p.crossings for c in pair})
         for c in candidates:
-            if deviation(p.at(c), u.over) <= _MATCH_TOL:
+            if chart_deviation(p.at(c), u.over) <= _MATCH_TOL:
                 found.append(c)
     if not found:
         raise FibreTransportError(

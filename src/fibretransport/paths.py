@@ -8,8 +8,8 @@ bookkeeping that the transport laws quantify over:
 * reparameterization by a closed-form monotone bijection between intervals
   (affine, or affine in the square of the source fraction; orientation
   preserving or reversing), with the canonical reversal s -> 1 - s on [0, 1],
-* concatenation of two paths under a schedule that says how the two factor
-  domains embed into the product domain.
+* concatenation of two or more paths over [0, 1], path i of n running over
+  the equal share [i/n, (i+1)/n].
 
 A path is one raw map, its jet: ``jet(s, side)`` gives the point at s and the
 velocity d(coords)/ds there, the pair a transport's coefficients read.  A
@@ -51,12 +51,6 @@ EDGE_SLACK = 1e-9
 EXACT = 1e-12
 
 
-def linspace(lo: float, hi: float, n: int) -> list[float]:
-    if n <= 1:
-        return [lo]
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-
-
 @dataclass(frozen=True)
 class Interval:
     lo: float
@@ -89,7 +83,9 @@ class Interval:
         return abs(self.lo - other.lo) <= tol and abs(self.hi - other.hi) <= tol
 
     def samples(self, n: int) -> list[float]:
-        return linspace(self.lo, self.hi, n)
+        if n <= 1:
+            return [self.lo]
+        return [self.lo + self.width * i / (n - 1) for i in range(n)]
 
 
 UNIT = Interval(0.0, 1.0)
@@ -154,10 +150,6 @@ class Reparameterization:
         for attr, f in zip(("fwd", "inv", "deriv", "affine"),
                            (*maps, affine)):
             object.__setattr__(self, attr, f)
-
-    @property
-    def orientation(self) -> str:
-        return "reversing" if self.reversing else "preserving"
 
     def apply(self, s: float) -> float:
         return self.target.clamp(self.fwd(self.source.clamp(s)))
@@ -289,11 +281,6 @@ def piecewise_path(space: str, domain: Interval,
     )
 
 
-def constant_path(space: str, node: str, domain: Interval = UNIT,
-                  name: str = "const") -> Path:
-    return piecewise_path(space, domain, [(domain.hi, node)], name=name)
-
-
 # ---------------------------------------------------------------------------
 # The algebra: restrict / reparameterize / reverse / concatenate
 # ---------------------------------------------------------------------------
@@ -360,82 +347,49 @@ def reverse(p: Path) -> Path:
     return reparameterize(p, canonical_reversal())
 
 
-@dataclass(frozen=True)
-class ConcatSchedule:
-    """How two factor domains embed into a product domain.
+def share_remaps(paths: Sequence[Path]) -> list[Reparameterization]:
+    """The affine maps of the equal shares [i/n, (i+1)/n] of [0, 1] onto the
+    domains of the n paths ``concatenate`` glues, in order."""
+    n = len(paths)
+    return [affine_remap(Interval(i / n, (i + 1) / n), p.domain)
+            for i, p in enumerate(paths)]
 
-    ``left`` maps [start, mid] onto the first path's domain and ``right`` maps
-    [mid, end] onto the second's; both must preserve orientation.  The
-    canonical schedule glues two unit-interval paths over [0, 1] with the
-    midpoint at 1/2 and the affine stretches s -> 2s and s -> 2s - 1.
+
+def concatenate(*paths: Path) -> Path:
+    """The product path: traverse two or more paths in order over [0, 1].
+
+    Path i of n runs over the equal share [i/n, (i+1)/n], mapped affinely
+    onto its domain, so the seams sit at exactly i/n.  A seam's point is the
+    left piece's; its velocity is the left piece's for side < 0 and the
+    right piece's otherwise.
     """
-
-    left: Reparameterization
-    right: Reparameterization
-
-    def __post_init__(self) -> None:
-        if self.left.orientation != "preserving" or self.right.orientation != "preserving":
-            raise FibreTransportError("schedule remaps must preserve orientation")
-        if abs(self.left.source.hi - self.right.source.lo) > EXACT:
-            raise FibreTransportError(
-                "left and right pieces must share the midpoint")
-
-    @property
-    def start(self) -> float:
-        return self.left.source.lo
-
-    @property
-    def mid(self) -> float:
-        return self.left.source.hi
-
-    @property
-    def end(self) -> float:
-        return self.right.source.hi
-
-    @property
-    def domain(self) -> Interval:
-        return Interval(self.start, self.end)
-
-
-def schedule_for(dom1: Interval, dom2: Interval, start: float = 0.0,
-                 mid: float = 0.5, end: float = 1.0) -> ConcatSchedule:
-    return ConcatSchedule(
-        left=affine_remap(Interval(start, mid), dom1, name="left"),
-        right=affine_remap(Interval(mid, end), dom2, name="right"),
-    )
-
-
-def canonical_schedule() -> ConcatSchedule:
-    return schedule_for(UNIT, UNIT)
-
-
-def concatenate(p1: Path, p2: Path, schedule: ConcatSchedule | None = None) -> Path:
-    """The product path: traverse p1 then p2 under the given schedule."""
-    if p1.space != p2.space or p1.kind != p2.kind:
+    if len(paths) < 2:
+        raise FibreTransportError("concatenate needs at least two paths")
+    first = paths[0]
+    if any(p.space != first.space or p.kind != first.kind for p in paths):
         raise FibreTransportError("paths must live in the same base space")
-    if schedule is None:
-        schedule = schedule_for(p1.domain, p2.domain)
-    if point_deviation(p1.end, p2.start) > 1e-9:
-        raise FibreTransportError(
-            f"p1 ends at {p1.end}, p2 starts at {p2.start}"
-        )
+    for i, (p, q) in enumerate(zip(paths, paths[1:]), 1):
+        if point_deviation(p.end, q.start) > 1e-9:
+            raise FibreTransportError(
+                f"p{i} ends at {p.end}, p{i + 1} starts at {q.start}")
 
-    q1 = reparameterize(p1, schedule.left)
-    q2 = reparameterize(p2, schedule.right)
-    mid, lo2 = schedule.mid, q2.domain.lo      # lo2 may sit EXACT past mid
-    jet1, jet2 = q1.jet, q2.jet
+    pieces = [reparameterize(p, r) for p, r in zip(paths, share_remaps(paths))]
+    jets = [q.jet for q in pieces]
+    seams = [q.domain.lo for q in pieces[1:]]
+    find = bisect.bisect_right          # bound once: the jet runs per RK4 stage
 
-    # The seam's point is the left piece's; its velocity follows the side.
     def jet(s: float, side: int):
-        if s < mid or (s == mid and side < 0):
-            return jet1(s, side)
-        x, v = jet2(s if s >= lo2 else lo2, side)
-        return (jet1(s, side)[0] if s == mid else x), v
+        i = find(seams, s)
+        if i and s == seams[i - 1]:
+            x, v = jets[i - 1](s, side)
+            return x, (v if side < 0 else jets[i](s, side)[1])
+        return jets[i](s, side)
 
-    bps = sorted({*q1.breakpoints, mid, *q2.breakpoints})
+    bps = sorted({*seams, *(b for q in pieces for b in q.breakpoints)})
     return Path(
-        space=p1.space, domain=schedule.domain, jet=jet, kind=p1.kind,
-        breakpoints=tuple(bps), name=f"({p1.name}*{p2.name})",
+        space=first.space, domain=UNIT, jet=jet, kind=first.kind,
+        breakpoints=tuple(bps),
+        name=f"({'*'.join(p.name for p in paths)})",
     )
 
 
@@ -485,13 +439,3 @@ def trace_nodes(p: Path) -> tuple[str, ...]:
         if x.node not in seen:
             seen.append(x.node)
     return tuple(seen)
-
-
-def paths_equal(p: Path, q: Path, samples: int = 101, tol: float = 1e-12) -> bool:
-    """Pointwise comparison on a uniform parameter grid."""
-    if p.space != q.space or not p.domain.same_as(q.domain, tol=1e-12):
-        return False
-    for s in p.domain.samples(samples):
-        if point_deviation(p.at(s), q.at(s)) > tol:
-            return False
-    return True

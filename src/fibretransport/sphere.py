@@ -24,7 +24,7 @@ from dataclasses import replace
 from . import linalg
 from .bundles import POLE_MARGIN, BasePoint, BundleMetric, FibreBundle
 from .errors import FibreTransportError
-from .paths import UNIT, Path, concatenate, schedule_for, with_crossings
+from .paths import UNIT, Path, concatenate, with_crossings
 
 SPACE = "sphere"
 _THETA_MAX = math.pi - POLE_MARGIN      # the chart is POLE_MARGIN..this
@@ -37,8 +37,8 @@ def require_chart(theta: float) -> None:
         )
 
 
-def tangent_bundle(space: str = SPACE) -> FibreBundle:
-    return FibreBundle(base_space_id=space, base_kind="sphere",
+def tangent_bundle() -> FibreBundle:
+    return FibreBundle(base_space_id=SPACE, base_kind="sphere",
                        fibre_kind="vector", dim=2)
 
 
@@ -78,7 +78,7 @@ def _embed(theta: float, phi: float) -> tuple[float, float, float]:
 
 
 def great_circle_arc(p0: tuple[float, float], p1: tuple[float, float],
-                     space: str = SPACE, name: str = "arc") -> Path:
+                     name: str = "arc") -> Path:
     """The geodesic arc between two chart points, parameterized over [0, 1].
 
     The endpoints must not be equal or antipodal, and the arc must stay clear
@@ -117,11 +117,11 @@ def great_circle_arc(p0: tuple[float, float], p1: tuple[float, float],
                 (-dz / sqrt(q if q > 1e-300 else 1e-300),
                  (x * dy - y * dx) / rho2))
 
-    return Path(space=space, domain=UNIT, jet=jet, kind="chart", name=name)
+    return Path(space=SPACE, domain=UNIT, jet=jet, kind="chart", name=name)
 
 
 def latitude_arc(theta: float, phi0: float, phi1: float,
-                 space: str = SPACE, name: str = "latitude") -> Path:
+                 name: str = "latitude") -> Path:
     """Constant-latitude arc from phi0 to phi1, parameterized over [0, 1]."""
     require_chart(theta)
     theta, phi0, span = float(theta), float(phi0), float(phi1 - phi0)
@@ -129,7 +129,7 @@ def latitude_arc(theta: float, phi0: float, phi1: float,
     def jet(t: float, side: int) -> tuple[tuple[float, float], ...]:
         return (theta, phi0 + span * t), (0.0, span)
 
-    return Path(space=space, domain=UNIT, jet=jet, kind="chart", name=name)
+    return Path(space=SPACE, domain=UNIT, jet=jet, kind="chart", name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -149,30 +149,22 @@ OCTANT_VERTICES = (
 OCTANT_AREA = math.pi / 2
 
 
-def octant_loop(space: str = SPACE, name: str = "octant") -> Path:
+def octant_loop(name: str = "octant") -> Path:
     """Closed geodesic triangle enclosing an eighth of the sphere.
 
-    Domain [0, 1] with velocity kinks at 1/3 and 2/3, one quarter great
-    circle per leg, and a declared self-crossing at (0, 1).
+    The three quarter-great-circle legs glued by ``concatenate``: domain
+    [0, 1], one leg per third, velocity kinks at the seams 1/3 and 2/3, and
+    a declared self-crossing at (0, 1).
     """
     b, c, a = OCTANT_VERTICES
-    leg1 = great_circle_arc(b, c, space=space, name=f"{name}-leg1")
-    leg2 = great_circle_arc(c, a, space=space, name=f"{name}-leg2")
-    leg3 = great_circle_arc(a, b, space=space, name=f"{name}-leg3")
-    third = 1.0 / 3.0
-    first = concatenate(leg1, leg2,
-                        schedule_for(leg1.domain, leg2.domain,
-                                     0.0, third, 2 * third))
-    loop = concatenate(first, leg3,
-                       schedule_for(first.domain, leg3.domain,
-                                    0.0, 2 * third, 1.0))
-    loop = replace(loop, name=name)
-    return with_crossings(loop, [(0.0, 1.0)])
+    loop = concatenate(great_circle_arc(b, c, name=f"{name}-leg1"),
+                       great_circle_arc(c, a, name=f"{name}-leg2"),
+                       great_circle_arc(a, b, name=f"{name}-leg3"))
+    return with_crossings(replace(loop, name=name), [(0.0, 1.0)])
 
 
-def closed_latitude(theta: float, space: str = SPACE,
-                    name: str | None = None) -> Path:
+def closed_latitude(theta: float, name: str | None = None) -> Path:
     """Full constant-latitude circle, phi sweeping 0 to 2*pi over [0, 1]."""
-    p = latitude_arc(theta, 0.0, 2 * math.pi, space=space,
+    p = latitude_arc(theta, 0.0, 2 * math.pi,
                      name=name or f"latitude-{theta:.4f}")
     return with_crossings(p, [(0.0, 1.0)])

@@ -29,8 +29,8 @@ from .bundles import (BundleMetric, FibreBundle, FibreElement,
                       label_element, rebase, vector_element)
 from .errors import FibreTransportError
 from .linalg import lin_comb, max_abs, vec_sub
-from .paths import Interval, Path, Reparameterization, \
-    canonical_schedule, concatenate, reparameterize, restrict, reverse
+from .paths import Interval, Path, Reparameterization, concatenate, \
+    reparameterize, restrict, reverse, share_remaps
 
 # Properties a transport can declare.  Checkers whose law only makes sense
 # under a property refuse to run unless it is declared.
@@ -462,25 +462,24 @@ def _product_of(T: Transport, p1: Path, p2: Path):
     if missing:
         raise FibreTransportError(
             f"product laws need declared properties {sorted(missing)}")
-    schedule = canonical_schedule()
-    return concatenate(p1, p2, schedule), schedule
+    return concatenate(p1, p2), share_remaps((p1, p2))
 
 
 def check_product_cross(T: Transport, p1: Path, p2: Path, *,
                         trials: int = 200, tolerance: float | None = None,
                         seed: int = 0) -> LawReport:
-    """Law 3.4: across the seam of the canonical concatenation, the
-    transport factors through the two halves."""
-    prod, schedule = _product_of(T, p1, p2)
+    """Law 3.4: across the seam of the concatenation, the transport
+    factors through the two halves."""
+    prod, (left, right) = _product_of(T, p1, p2)
 
     def trial(k, rng, col):
-        t1 = rng.uniform(schedule.start, schedule.mid)
-        t2 = rng.uniform(schedule.mid, schedule.end)
+        t1 = rng.uniform(left.source.lo, left.source.hi)
+        t2 = rng.uniform(right.source.lo, right.source.hi)
         u = draw_for_bundle(rng, T.bundle, prod.at(t1))
         lhs = transport(T, prod, t1, t2, u)
-        a = schedule.left.apply(t1)
+        a = left.apply(t1)
         mid_el = transport(T, p1, a, p1.domain.hi, rebase(u, p1.at(a)))
-        b = schedule.right.apply(t2)
+        b = right.apply(t2)
         rhs = transport(T, p2, p2.domain.lo, b,
                         rebase(mid_el, p2.at(p2.domain.lo)))
         col.record(element_deviation(lhs, rhs), prod.name,
@@ -492,17 +491,14 @@ def check_product_cross(T: Transport, p1: Path, p2: Path, *,
 def check_product_same(T: Transport, p1: Path, p2: Path, *,
                        trials: int = 200, tolerance: float | None = None,
                        seed: int = 0) -> LawReport:
-    """Law 3.5: within one half of the canonical concatenation, the
-    transport equals the transport along that half alone."""
-    prod, schedule = _product_of(T, p1, p2)
+    """Law 3.5: within one half of the concatenation, the transport
+    equals the transport along that half alone."""
+    prod, remaps = _product_of(T, p1, p2)
 
     def trial(k, rng, col):
-        if k % 2 == 0:
-            lo, hi, half, remap = schedule.start, schedule.mid, p1, schedule.left
-        else:
-            lo, hi, half, remap = schedule.mid, schedule.end, p2, schedule.right
-        t1 = rng.uniform(lo, hi)
-        t2 = rng.uniform(lo, hi)
+        half, remap = (p1, p2)[k % 2], remaps[k % 2]
+        t1 = rng.uniform(remap.source.lo, remap.source.hi)
+        t2 = rng.uniform(remap.source.lo, remap.source.hi)
         u = draw_for_bundle(rng, T.bundle, prod.at(t1))
         lhs = transport(T, prod, t1, t2, u)
         a = remap.apply(t1)

@@ -53,6 +53,13 @@ class TestOccurrences:
         occ = occurrence_set(loop, u)
         assert occ == (0.0, 1.0)
 
+    @pytest.mark.parametrize("name", ["equator", "latitude-60"])
+    def test_closed_latitudes_occur_at_both_ends(self, sphere, name):
+        # phi reads 0 at s = 0 and 2*pi at s = 1: one point of the sphere
+        loop = sphere.path_named(name)
+        u = vector_element(loop.at(0.0), (1.0, 0.0))
+        assert occurrence_set(loop, u) == (0.0, 1.0)
+
     def test_absent_point(self, perm):
         p = perm.path_named("hop1")
         from fibretransport.bundles import graph_point

@@ -7,14 +7,11 @@ from fibretransport import sphere
 from fibretransport.bundles import graph_point, vector_element
 from fibretransport.errors import FibreTransportError
 from fibretransport.instances import linear_ode_transport
-from fibretransport.paths import (UNIT, ConcatSchedule, Interval, Path,
-                                  Reparameterization,
+from fibretransport.paths import (UNIT, Interval, Path, Reparameterization,
                                   affine_remap, canonical_reversal,
-                                  canonical_schedule,
-                                  concatenate, constant_path, node_sequence,
-                                  paths_equal, piece_runs,
+                                  concatenate, node_sequence, piece_runs,
                                   piecewise_path, reparameterize, restrict,
-                                  reverse, schedule_for, square_remap,
+                                  reverse, share_remaps, square_remap,
                                   trace_nodes)
 from fibretransport.transport import transport
 
@@ -61,19 +58,19 @@ class TestRemaps:
         r = affine_remap(Interval(0.0, 2.0), UNIT)
         for s in (0.0, 0.3, 1.7, 2.0):
             assert abs(r.invert_param(r.apply(s)) - s) < 1e-12
-        assert r.orientation == "preserving"
+        assert r.reversing is False
         assert r.deriv(1.0) == 0.5
 
     def test_affine_reversing(self):
         r = affine_remap(UNIT, UNIT, reversing=True)
         assert r.apply(0.0) == 1.0
         assert r.apply(1.0) == 0.0
-        assert r.orientation == "reversing"
+        assert r.reversing is True
         assert r.deriv(0.5) == -1.0
 
     def test_square_remap_derivative(self):
         r = square_remap()
-        assert r.orientation == "preserving"
+        assert r.reversing is False
         assert r.apply(0.5) == 0.25
         assert r.deriv(0.5) == 1.0
         assert abs(r.invert_param(0.25) - 0.5) < 1e-15
@@ -109,11 +106,6 @@ class TestPiecewisePaths:
         runs = piece_runs(p)
         assert [x.node for _, _, x in runs] == ["a", "b"]
         assert runs[0][0] == 0.0 and runs[0][1] == 0.6
-
-    def test_constant_path(self):
-        p = constant_path("g", "n0")
-        assert p.at(0.0).node == "n0" and p.at(1.0).node == "n0"
-        assert p.breakpoints == ()
 
 
 class TestRestrictReparamReverse:
@@ -153,14 +145,31 @@ class TestRestrictReparamReverse:
 
 
 class TestConcatenation:
-    def test_schedule_shape(self):
-        sch = canonical_schedule()
-        assert sch.start == 0.0 and sch.mid == 0.5 and sch.end == 1.0
-        assert sch.domain.same_as(UNIT)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_the_seams_sit_at_i_over_n(self, n):
+        hops = [piecewise_path("g", UNIT, [(0.5, f"n{i}"), (1.0, f"n{i + 1}")])
+                for i in range(n)]
+        q = concatenate(*hops)
+        seams = [i / n for i in range(1, n)]
+        assert [r.source for r in share_remaps(hops)] == [
+            Interval(i / n, (i + 1) / n) for i in range(n)]
+        assert q.domain == UNIT and set(seams) <= set(q.breakpoints)
+        # each hop keeps its own kink, in the middle of its share
+        assert q.breakpoints == pytest.approx(sorted(
+            [*seams, *((i + 0.5) / n for i in range(n))]))
+        for i, s in enumerate(seams, 1):
+            assert q.at(s).node == f"n{i}"
 
-    def test_uneven_schedule(self):
-        sch = schedule_for(UNIT, UNIT, 0.0, 1.0 / 3.0, 1.0)
-        assert sch.mid == pytest.approx(1.0 / 3.0)
+    def test_each_share_maps_onto_its_path_domain(self):
+        p1 = piecewise_path("g", Interval(0.0, 2.0),
+                            [(0.5, "a"), (2.0, "b")])
+        p2 = piecewise_path("g", Interval(-1.0, 0.0),
+                            [(-0.5, "b"), (0.0, "c")])
+        q = concatenate(p1, p2)
+        assert q.domain == UNIT and q.name == "(path*path)"
+        assert q.breakpoints == (0.125, 0.5, 0.75)
+        for s, node in ((0.1, "a"), (0.3, "b"), (0.6, "b"), (0.9, "c")):
+            assert q.at(s).node == node
 
     def test_concatenate_walks_both_pieces(self):
         p1 = piecewise_path("g", UNIT, [(1.0, "a")])
@@ -176,21 +185,17 @@ class TestConcatenation:
         p2 = piecewise_path("g", UNIT, [(1.0, "b")])
         with pytest.raises(FibreTransportError, match="p1 ends at"):
             concatenate(p1, p2)
+        with pytest.raises(FibreTransportError, match="p2 ends at"):
+            concatenate(p1, p1, p2)
 
-    def test_a_schedule_must_map_onto_both_domains(self):
+    def test_a_glue_needs_two_paths_of_one_kind(self):
         p = piecewise_path("g", UNIT, [(1.0, "a")])
-        with pytest.raises(FibreTransportError, match="remap targets"):
-            concatenate(p, p, schedule_for(UNIT, Interval(0.0, 2.0)))
-
-    def test_bad_schedule_ordering(self):
-        with pytest.raises(Exception):
-            ConcatSchedule(left=None, right=None)  # type: ignore[arg-type]
-
-
-def test_paths_equal_discriminates():
-    assert paths_equal(zigzag(), zigzag())
-    other = piecewise_path("g", UNIT, [(0.25, "n0"), (1.0, "n1")])
-    assert not paths_equal(zigzag(), other)
+        with pytest.raises(FibreTransportError, match="at least two"):
+            concatenate(p)
+        lat = sphere.latitude_arc(1.0, 0.0, 1.0)
+        node = piecewise_path(sphere.SPACE, UNIT, [(1.0, "a")])
+        with pytest.raises(FibreTransportError, match="same base space"):
+            concatenate(lat, lat, node)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +273,7 @@ def _jet_by_hand(p, remap):
 @pytest.mark.parametrize("remap", [
     affine_remap(Interval(0.0, 2.0), UNIT),
     canonical_reversal(),
-    canonical_schedule().right,
+    Reparameterization(Interval(0.5, 1.0), UNIT, name="right"),
     Reparameterization(UNIT, Interval(0.1, 0.4), reversing=True),
     Reparameterization(Interval(-1.0, 3.0), UNIT, reversing=True),
     square_remap(),
@@ -358,45 +363,26 @@ def test_a_discrete_path_needs_no_velocity():
         assert q.jet(0.5, 1)[1] is None and q.velocity(0.5) is None
 
 
-def test_a_seam_gap_reads_the_start_of_the_second_path():
-    """A schedule's right piece may start up to EXACT past the midpoint; a
-    parameter inside that gap reads the right piece at its start."""
-    p1 = sphere.latitude_arc(math.pi / 2, 0.0, math.pi / 2)
-    p2 = sphere.great_circle_arc((math.pi / 2, math.pi / 2),
-                                 (math.pi / 4, math.pi / 2))
-    lo2 = 0.5 + 1e-13
-    right = Reparameterization(Interval(lo2, 1.0), UNIT, squared=True)
-    q = concatenate(p1, p2, ConcatSchedule(
-        left=affine_remap(Interval(0.0, 0.5), UNIT), right=right))
-    s = 0.5 + 0.5e-13
-    assert q.at(s) == q.at(lo2) == p2.at(0.0)
-    assert q.velocity(s, 1) == q.velocity(lo2, 1) == (0.0, 0.0)
-
-
 def seam_cases():
-    """(p1, p2, schedule) for a latitude-to-meridian corner whose ends
+    """(paths, i) for seam i of a latitude-to-meridian corner whose ends
     differ at roundoff, as ``concatenate`` allows, and for both seams of
-    the octant, glued as ``sphere.octant_loop`` glues them."""
+    the octant's legs."""
     lat = sphere.latitude_arc(math.pi / 2, 0.0, math.pi / 2)
     phi = math.pi / 2 + 1e-12
     arc = sphere.great_circle_arc((math.pi / 2, phi), (math.pi / 4, phi))
     b, c, a = sphere.OCTANT_VERTICES
     legs = [sphere.great_circle_arc(u, v) for u, v in ((b, c), (c, a), (a, b))]
-    third = 1.0 / 3.0
-    inner = schedule_for(UNIT, UNIT, 0.0, third, 2 * third)
-    first = concatenate(legs[0], legs[1], inner)
-    outer = schedule_for(first.domain, UNIT, 0.0, 2 * third, 1.0)
-    return [(lat, arc, schedule_for(UNIT, UNIT)), (legs[0], legs[1], inner),
-            (first, legs[2], outer)]
+    return [((lat, arc), 1), (legs, 1), (legs, 2)]
 
 
 @pytest.mark.parametrize("case", range(3))
 def test_a_seam_reads_the_left_point_and_the_velocity_of_its_side(case):
-    p1, p2, sched = seam_cases()[case]
-    q = concatenate(p1, p2, sched)
-    left = reparameterize(p1, sched.left)
-    right = reparameterize(p2, sched.right)
-    mid = sched.mid
+    paths, i = seam_cases()[case]
+    q = concatenate(*paths)
+    remaps = share_remaps(paths)
+    left = reparameterize(paths[i - 1], remaps[i - 1])
+    right = reparameterize(paths[i], remaps[i])
+    mid = i / len(paths)
     for side in (-1, 0, 1):
         assert q.jet(mid, side)[0] == q.at(mid).coords == left.at(mid).coords
     assert q.velocity(mid, -1) == left.velocity(mid, -1)
@@ -404,11 +390,49 @@ def test_a_seam_reads_the_left_point_and_the_velocity_of_its_side(case):
     assert q.velocity(mid, -1) != q.velocity(mid, 1)
 
 
+def _nested_thirds_jet(legs):
+    """The octant glued in two steps, legs 1 and 2 over [0, 2/3] and then
+    leg 3 over [2/3, 1], with each seam's point taken from the left and its
+    velocity from the side, written out from the remaps."""
+    third = 1.0 / 3.0
+    j1, j2, j3 = (_jet_by_hand(leg, Reparameterization(Interval(lo, hi), UNIT))
+                  for leg, (lo, hi) in zip(legs, ((0.0, third),
+                                                  (third, 2 * third),
+                                                  (2 * third, 1.0))))
+
+    def glue(jl, jr, mid):
+        def jet(s, side):
+            if s < mid or (s == mid and side < 0):
+                return jl(s, side)
+            x, v = jr(s, side)
+            return (jl(s, side)[0] if s == mid else x), v
+        return jet
+
+    first = Path(space=sphere.SPACE, domain=Interval(0.0, 2 * third),
+                 jet=glue(j1, j2, third), kind="chart")
+    outer_left = Reparameterization(first.domain, first.domain)
+    return glue(_jet_by_hand(first, outer_left), j3, 2 * third)
+
+
 def test_the_shipped_octant_is_the_glued_legs_at_its_seams():
+    """The one-call octant is the old nested glue of its legs to the bit,
+    at its seams and everywhere else."""
     octant = sphere.octant_loop()
-    glued = concatenate(*seam_cases()[2])
-    assert octant.breakpoints == glued.breakpoints
-    for b in octant.breakpoints:
+    b, c, a = sphere.OCTANT_VERTICES
+    legs = [sphere.great_circle_arc(u, v) for u, v in ((b, c), (c, a), (a, b))]
+    nested = _nested_thirds_jet(legs)
+    assert octant.breakpoints == (1 / 3, 2 / 3) == (1.0 / 3.0, 2 * (1.0 / 3.0))
+    rng = random.Random(13)
+    params = [*UNIT.samples(3001), *(rng.random() for _ in range(3000))]
+    for bp in octant.breakpoints:
+        params.append(bp)
+        for step in (-1.0, 1.0):
+            s = bp
+            for _ in range(8):
+                s = math.nextafter(s, bp + step)
+                params.append(s)
+    for s in params:
         for side in (-1, 0, 1):
-            assert octant.jet(b, side) == glued.jet(b, side)
-            assert octant.jet(b, side)[0] == octant.at(b).coords
+            assert octant.jet(s, side) == nested(s, side), (s, side)
+    for bp in octant.breakpoints:
+        assert octant.jet(bp, 1)[0] == octant.at(bp).coords

@@ -8,6 +8,7 @@ from fibretransport.bundles import (graph_point, label_element, rebase,
                                     vector_element)
 from fibretransport.errors import FibreTransportError
 from fibretransport.instances import make_instance
+from fibretransport.laws import REMAPS
 from fibretransport.paths import UNIT, Interval, affine_remap, piecewise_path
 from fibretransport.transport import (Transport, _Collector,
                                       check_group_law,
@@ -163,12 +164,12 @@ class TestDerivedPaths:
                 return build(*args)
             monkeypatch.setattr(module, name, counted)
         T, paths = sphere.transport, sphere.law_paths
-        assert check_reparam_invariance(T, paths, sphere.remaps,
+        assert check_reparam_invariance(T, paths, REMAPS,
                                         trials=20).passed
         assert check_inverse_path_law(T, paths, trials=20).passed
         # reused paths keep their cached cells: one build per draw would
         # make 20 of each
-        assert built["reparameterize"] <= len(paths) * len(sphere.remaps)
+        assert built["reparameterize"] <= len(paths) * len(REMAPS)
         assert built["reverse"] <= len(paths)
 
 
