@@ -244,11 +244,11 @@ def check_factorization_roundtrip(T: Transport, p: Path, *, s0: float | None = N
     f = canonical_factorization(T, p, s0=s0, grid=grid)
     rebuilt = transport_from_factorization(f, p)
 
-    def trial(k, rng, col):
+    def trial(k, rng):
         if k == 0:
             ident = identity_map(T.bundle, p.at(f.anchor))
-            col.record(map_deviation(f.map_at(f.anchor), ident), p.name,
-                       {"anchor": f.anchor}, ["anchor map vs identity"])
+            yield (map_deviation(f.map_at(f.anchor), ident), p.name,
+                   {"anchor": f.anchor}, ["anchor map vs identity"])
         s = f.grid[k]
         x = p.at(s)
         if T.bundle.fibre_kind == "vector":
@@ -260,7 +260,7 @@ def check_factorization_roundtrip(T: Transport, p: Path, *, s0: float | None = N
             for u in elements:
                 dev = element_deviation(transport(rebuilt, p, s, t, u),
                                         transport(T, p, s, t, u))
-                col.record(dev, p.name, {"s": s, "t": t}, [_desc(u)])
+                yield dev, p.name, {"s": s, "t": t}, [_desc(u)]
 
     return run_trials("3.6-roundtrip", T, len(f.grid), tolerance, seed, trial,
                       notes=f"grid of {len(f.grid)} points, anchor {f.anchor}")
@@ -291,13 +291,13 @@ def check_gauge_freedom(T: Transport, p: Path, *, s0: float | None = None,
     relating gauge is recovered from the family pair."""
     f1 = canonical_factorization(T, p, s0=s0, grid=grid)
 
-    def trial(k, rng, col):
+    def trial(k, rng):
         gauge = random_gauge(rng, T.bundle, p.at(f1.anchor))
         f2 = apply_gauge(f1, gauge)
         recovered = gauge_between(f2, f1)
         dev = map_deviation(recovered.map, gauge)
-        col.record(dev, p.name, {"draw": float(k)},
-                   ["recovered gauge vs applied gauge"])
+        yield (dev, p.name, {"draw": float(k)},
+               ["recovered gauge vs applied gauge"])
 
     return run_trials("3.11/3.12", T, draws, tolerance, seed, trial,
                       notes=f"{draws} random gauges on a "

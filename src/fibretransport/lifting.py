@@ -131,14 +131,14 @@ def check_lift_projection(T: Transport, paths, *, trials: int = 200,
     """Law 4.2: liftings project onto the base path and hit their anchor."""
     paths = _as_paths(paths)
 
-    def trial(k, rng, col):
+    def trial(k, rng):
         p, s0, t = _draw_params(rng, paths, 2)
         u = draw_for_bundle(rng, T.bundle, p.at(s0))
         lifted = lift(T, p, u, s0)
-        col.record(T.bundle.point_deviation(lifted.at(t).over, p.at(t)),
-                   p.name, {"s0": s0, "t": t}, ["projection"])
-        col.record(element_deviation(lifted.at(s0), u),
-                   p.name, {"s0": s0}, ["anchor"])
+        yield (T.bundle.point_deviation(lifted.at(t).over, p.at(t)),
+               p.name, {"s0": s0, "t": t}, ["projection"])
+        yield (element_deviation(lifted.at(s0), u),
+               p.name, {"s0": s0}, ["anchor"])
 
     return run_trials("4.2", T, trials, tolerance, seed, trial,
                       notes="two records per trial: projection, anchor")
@@ -150,14 +150,14 @@ def check_self_consistency(T: Transport, paths, *, trials: int = 200,
     """Law 4.6: a lifting re-anchored at any of its own points is unchanged."""
     paths = _as_paths(paths)
 
-    def trial(k, rng, col):
+    def trial(k, rng):
         p, s0, r = _draw_params(rng, paths, 2)
         u = draw_for_bundle(rng, T.bundle, p.at(s0))
         first = lift(T, p, u, s0)
         second = lift(T, p, first.at(r), r)
         dev = max(element_deviation(first.at(g), second.at(g))
                   for g in p.domain.samples(grid))
-        col.record(dev, p.name, {"r": r, "s0": s0}, [_desc(u)])
+        yield dev, p.name, {"r": r, "s0": s0}, [_desc(u)]
 
     return run_trials("4.6", T, trials, tolerance, seed, trial,
                       notes=f"liftings compared on {grid}-point grids")
@@ -186,7 +186,7 @@ def check_global_uniqueness(T: Transport, p: Path, *,
     the two visits is the identity, so liftings are single-valued over it."""
     pairs = _revisit_pairs(p)
 
-    def trial(k, rng, col):
+    def trial(k, rng):
         r, s = pairs[k]
         x = p.at(r)
         if T.bundle.fibre_kind == "vector":
@@ -197,8 +197,8 @@ def check_global_uniqueness(T: Transport, p: Path, *,
             elements = list(fibre_elements(T.bundle, x))
         for u in elements:
             back = transport(T, p, r, s, u)
-            col.record(element_deviation(back, rebase(u, p.at(s))),
-                       p.name, {"from": r, "to": s}, [_desc(u)])
+            yield (element_deviation(back, rebase(u, p.at(s))),
+                   p.name, {"from": r, "to": s}, [_desc(u)])
         # the same requirement, phrased through liftings: anchoring at either
         # visit must produce the same curve
         probe = _pick(rng, elements)
@@ -206,7 +206,7 @@ def check_global_uniqueness(T: Transport, p: Path, *,
         l2 = lift(T, p, rebase(l1.at(s), p.at(s)), s)
         dev = max(element_deviation(l1.at(g), l2.at(g))
                   for g in p.domain.samples(grid))
-        col.record(dev, p.name, {"from": r, "to": s}, ["lift comparison"])
+        yield dev, p.name, {"from": r, "to": s}, ["lift comparison"]
 
     notes = (f"{len(pairs)} revisit pair(s)" if pairs
              else "no revisited base points; vacuous")
@@ -228,7 +228,7 @@ def liftings_disjoint_or_equal(T: Transport, p: Path, *, trials: int = 50,
             f"(deviation {pre.max_deviation})")
     tol = law_tolerance("4.6", T) if tolerance is None else tolerance
 
-    def trial(k, rng, col):
+    def trial(k, rng):
         r = rng.uniform(p.domain.lo, p.domain.hi)
         s = rng.uniform(p.domain.lo, p.domain.hi)
         l1 = lift(T, p, draw_for_bundle(rng, T.bundle, p.at(r)), r)
@@ -236,8 +236,8 @@ def liftings_disjoint_or_equal(T: Transport, p: Path, *, trials: int = 50,
         devs = [element_deviation(l1.at(g), l2.at(g))
                 for g in p.domain.samples(grid)]
         mixed = min(devs) <= tol < max(devs)
-        col.record(max(devs) if mixed else 0.0, p.name,
-                   {"r": r, "s": s}, ["mixed agreement" if mixed else "clean"])
+        yield (max(devs) if mixed else 0.0, p.name,
+               {"r": r, "s": s}, ["mixed agreement" if mixed else "clean"])
 
     return run_trials("disjoint-or-equal", T, trials, tol, seed, trial)
 
@@ -257,7 +257,7 @@ def check_fibre_cover(T: Transport, p: Path, *, s0: float | None = None,
     total = {(p.at(r).node, lab)
              for r in reps for lab in fibre_at(T.bundle, p.at(r)).labels}
 
-    def trial(k, rng, col):
+    def trial(k, rng):
         covered = set()
         for u in fibre_elements(T.bundle, p.at(s0)):
             lifted = lift(T, p, u, s0)
@@ -267,9 +267,9 @@ def check_fibre_cover(T: Transport, p: Path, *, s0: float | None = None,
         missing = sorted(total - covered)
         stray = sorted(covered - total)
         dev = 0.0 if not missing and not stray else 1.0
-        col.record(dev, p.name, {"s0": s0},
-                   [f"missing:{n}/{l}" for n, l in missing]
-                   + [f"stray:{n}/{l}" for n, l in stray])
+        yield (dev, p.name, {"s0": s0},
+               [f"missing:{n}/{l}" for n, l in missing]
+               + [f"stray:{n}/{l}" for n, l in stray])
 
     return run_trials("4.7", T, 1, tolerance, seed, trial,
                       notes=f"{len(total)} total-space points over the trace")

@@ -22,7 +22,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .bundles import (BundleMetric, FibreBundle, FibreElement,
                       element_deviation, evaluate_metric, fibre_at,
@@ -220,35 +220,6 @@ def _finite(x):
 _FAILURE_CAP = 20
 
 
-class _Collector:
-    """Accumulates deviations and caps the retained failure examples."""
-
-    def __init__(self, law: str, instance: str, tolerance: float) -> None:
-        self.law = law
-        self.instance = instance
-        self.tolerance = tolerance
-        self.max_deviation = 0.0
-        self.failures: list[Failure] = []
-        self.count = 0
-
-    def record(self, deviation: float, path_name: str, params: dict,
-               elements: Iterable = ()) -> None:
-        self.count += 1
-        if deviation > self.max_deviation or math.isnan(deviation):
-            self.max_deviation = deviation
-        if deviation > self.tolerance or math.isnan(deviation):
-            if len(self.failures) < _FAILURE_CAP:
-                self.failures.append(Failure(
-                    path=path_name, params=dict(params),
-                    elements=tuple(elements), deviation=deviation))
-
-    def report(self, seed: int, notes: str = "") -> LawReport:
-        return LawReport(law=self.law, instance=self.instance,
-                         trials=self.count, tolerance=self.tolerance,
-                         max_deviation=self.max_deviation,
-                         failures=tuple(self.failures), seed=seed, notes=notes)
-
-
 def _rng(seed: int, law: str) -> random.Random:
     # String seeds hash through SHA-512 inside random.Random: stable across
     # runs and platforms, and decorrelated between laws sharing a seed.
@@ -257,20 +228,33 @@ def _rng(seed: int, law: str) -> random.Random:
 
 def run_trials(law: str, T: Transport, trials: int, tolerance: float | None,
                seed: int,
-               trial: Callable[[int, random.Random, _Collector], object],
+               trial: Callable[[int, random.Random], Iterator[tuple]],
                notes: str = "") -> LawReport:
-    """Call ``trial(k, rng, collector)`` for k = 0 .. trials-1 and report.
+    """Run ``trial(k, rng)`` for k = 0 .. trials-1 and tally its records.
 
-    ``rng`` is seeded from (seed, law); a ``tolerance`` of None means the
-    law's registry threshold for T.  Each trial records its deviations on
-    the collector.
+    Each trial is a generator yielding records ``(deviation, path_name,
+    params, elements)``, and is run to its end before the next one starts;
+    the report's ``trials`` counts the records.  ``rng`` is seeded from
+    (seed, law); a ``tolerance`` of None means the law's registry threshold
+    for T.  A record fails when its deviation is above the tolerance or is
+    NaN, and the first _FAILURE_CAP failures are kept.  A NaN deviation
+    becomes the maximum and stays it.
     """
     tol = law_tolerance(law, T) if tolerance is None else tolerance
     rng = _rng(seed, law)
-    col = _Collector(law, T.name, tol)
+    count, worst, failures = 0, 0.0, []
     for k in range(trials):
-        trial(k, rng, col)
-    return col.report(seed, notes=notes)
+        for dev, path_name, params, elements in trial(k, rng):
+            count += 1
+            if dev > worst or math.isnan(dev):
+                worst = dev
+            if ((dev > tol or math.isnan(dev))
+                    and len(failures) < _FAILURE_CAP):
+                failures.append(Failure(path_name, dict(params),
+                                        tuple(elements), dev))
+    return LawReport(law=law, instance=T.name, trials=count, tolerance=tol,
+                     max_deviation=worst, failures=tuple(failures),
+                     seed=seed, notes=notes)
 
 
 def _as_paths(paths) -> tuple[Path, ...]:
@@ -320,14 +304,15 @@ def _draw_params(rng: random.Random, paths, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _composition_trial(T: Transport, paths):
-    """Trial of law 2.2; returns its path, start parameter and element."""
-    def trial(k, rng, col):
+    """Trial of law 2.2: yields its record, then returns its path, start
+    parameter and element to a trial that delegates to it."""
+    def trial(k, rng):
         p, s, t, r = _draw_params(rng, paths, 3)
         u = draw_for_bundle(rng, T.bundle, p.at(s))
         via = transport(T, p, t, r, transport(T, p, s, t, u))
         direct = transport(T, p, s, r, u)
-        col.record(element_deviation(via, direct), p.name,
-                   {"r": r, "s": s, "t": t}, [_desc(u)])
+        yield (element_deviation(via, direct), p.name,
+               {"r": r, "s": s, "t": t}, [_desc(u)])
         return p, s, u
     return trial
 
@@ -344,11 +329,11 @@ def check_identity_law(T: Transport, paths, *, trials: int = 200,
     """Law 2.3: the (s, s) map fixes every element."""
     paths = _as_paths(paths)
 
-    def trial(k, rng, col):
+    def trial(k, rng):
         p, s = _draw_params(rng, paths, 1)
         u = draw_for_bundle(rng, T.bundle, p.at(s))
-        col.record(element_deviation(transport(T, p, s, s, u), u), p.name,
-                   {"s": s}, [_desc(u)])
+        yield (element_deviation(transport(T, p, s, s, u), u), p.name,
+               {"s": s}, [_desc(u)])
 
     return run_trials("2.3", T, trials, tolerance, seed, trial)
 
@@ -358,10 +343,10 @@ def check_axioms(T: Transport, paths, *, trials: int = 200,
     """Laws 2.2 and 2.3 exercised together from shared draws."""
     composition = _composition_trial(T, _as_paths(paths))
 
-    def trial(k, rng, col):
-        p, s, u = composition(k, rng, col)
-        col.record(element_deviation(transport(T, p, s, s, u), u), p.name,
-                   {"s": s}, [_desc(u)])
+    def trial(k, rng):
+        p, s, u = yield from composition(k, rng)
+        yield (element_deviation(transport(T, p, s, s, u), u), p.name,
+               {"s": s}, [_desc(u)])
 
     return run_trials("2.2+2.3", T, trials, tolerance, seed, trial,
                       notes="two records per trial: composition, identity")
@@ -372,12 +357,11 @@ def check_inverse_transport(T: Transport, paths, *, trials: int = 200,
     """Law 3.1: the (t, s) map undoes the (s, t) map."""
     paths = _as_paths(paths)
 
-    def trial(k, rng, col):
+    def trial(k, rng):
         p, s, t = _draw_params(rng, paths, 2)
         u = draw_for_bundle(rng, T.bundle, p.at(s))
         back = inverse_transport(T, p, s, t)(transport(T, p, s, t, u))
-        col.record(element_deviation(back, u), p.name,
-                   {"s": s, "t": t}, [_desc(u)])
+        yield element_deviation(back, u), p.name, {"s": s, "t": t}, [_desc(u)]
 
     return run_trials("3.1", T, trials, tolerance, seed, trial)
 
@@ -387,13 +371,13 @@ def check_locality(T: Transport, paths, *, trials: int = 200,
     """Law 2.5/2.7: restricting the path beyond [s, t] changes nothing."""
     paths = _as_paths(paths)
 
-    def trial(k, rng, col):
+    def trial(k, rng):
         p, s, t = _draw_params(rng, paths, 2)
         q = restrict(p, Interval(min(s, t), max(s, t)))
         u = draw_for_bundle(rng, T.bundle, p.at(s))
         dev = element_deviation(transport(T, q, s, t, u),
                                 transport(T, p, s, t, u))
-        col.record(dev, p.name, {"s": s, "t": t}, [_desc(u)])
+        yield dev, p.name, {"s": s, "t": t}, [_desc(u)]
 
     return run_trials("2.5/2.7", T, trials, tolerance, seed, trial)
 
@@ -409,7 +393,7 @@ def check_reparam_invariance(T: Transport, paths, remaps, *, trials: int = 200,
     # one derived path per (path, remap), so its transports share cells
     reparameterized = functools.cache(reparameterize)
 
-    def trial(k, rng, col):
+    def trial(k, rng):
         p = _pick(rng, paths)
         remap = _pick(rng, remaps)
         if not remap.target.same_as(p.domain):
@@ -423,8 +407,8 @@ def check_reparam_invariance(T: Transport, paths, remaps, *, trials: int = 200,
         lhs = transport(T, q, s, t, u)
         rhs = transport(T, p, remap.apply(s), remap.apply(t),
                         rebase(u, p.at(remap.apply(s))))
-        col.record(element_deviation(lhs, rhs), p.name,
-                   {"s": s, "t": t}, [_desc(u), remap.name])
+        yield (element_deviation(lhs, rhs), p.name,
+               {"s": s, "t": t}, [_desc(u), remap.name])
 
     return run_trials("2.6", T, trials, tolerance, seed, trial)
 
@@ -440,7 +424,7 @@ def check_inverse_path_law(T: Transport, paths, *, trials: int = 200,
     paths = _as_paths(paths)
     reversed_path = functools.cache(reverse)  # one per path, as in 2.6
 
-    def trial(k, rng, col):
+    def trial(k, rng):
         p = _pick(rng, paths)
         q = reversed_path(p)
         if k == 0:
@@ -451,8 +435,7 @@ def check_inverse_path_law(T: Transport, paths, *, trials: int = 200,
         u = draw_for_bundle(rng, T.bundle, q.at(s))
         lhs = transport(T, q, s, t, u)
         rhs = transport(T, p, 1.0 - s, 1.0 - t, rebase(u, p.at(1.0 - s)))
-        col.record(element_deviation(lhs, rhs), p.name,
-                   {"s": s, "t": t}, [_desc(u)])
+        yield element_deviation(lhs, rhs), p.name, {"s": s, "t": t}, [_desc(u)]
 
     return run_trials("3.2", T, trials, tolerance, seed, trial)
 
@@ -472,7 +455,7 @@ def check_product_cross(T: Transport, p1: Path, p2: Path, *,
     factors through the two halves."""
     prod, (left, right) = _product_of(T, p1, p2)
 
-    def trial(k, rng, col):
+    def trial(k, rng):
         t1 = rng.uniform(left.source.lo, left.source.hi)
         t2 = rng.uniform(right.source.lo, right.source.hi)
         u = draw_for_bundle(rng, T.bundle, prod.at(t1))
@@ -482,8 +465,8 @@ def check_product_cross(T: Transport, p1: Path, p2: Path, *,
         b = right.apply(t2)
         rhs = transport(T, p2, p2.domain.lo, b,
                         rebase(mid_el, p2.at(p2.domain.lo)))
-        col.record(element_deviation(lhs, rhs), prod.name,
-                   {"t1": t1, "t2": t2}, [_desc(u)])
+        yield (element_deviation(lhs, rhs), prod.name,
+               {"t1": t1, "t2": t2}, [_desc(u)])
 
     return run_trials("3.4", T, trials, tolerance, seed, trial)
 
@@ -495,7 +478,7 @@ def check_product_same(T: Transport, p1: Path, p2: Path, *,
     equals the transport along that half alone."""
     prod, remaps = _product_of(T, p1, p2)
 
-    def trial(k, rng, col):
+    def trial(k, rng):
         half, remap = (p1, p2)[k % 2], remaps[k % 2]
         t1 = rng.uniform(remap.source.lo, remap.source.hi)
         t2 = rng.uniform(remap.source.lo, remap.source.hi)
@@ -503,8 +486,8 @@ def check_product_same(T: Transport, p1: Path, p2: Path, *,
         lhs = transport(T, prod, t1, t2, u)
         a = remap.apply(t1)
         rhs = transport(T, half, a, remap.apply(t2), rebase(u, half.at(a)))
-        col.record(element_deviation(lhs, rhs), prod.name,
-                   {"t1": t1, "t2": t2}, [_desc(u), half.name])
+        yield (element_deviation(lhs, rhs), prod.name,
+               {"t1": t1, "t2": t2}, [_desc(u), half.name])
 
     return run_trials("3.5", T, trials, tolerance, seed, trial)
 
@@ -517,7 +500,7 @@ def check_linearity(T: Transport, paths, *, trials: int = 200,
     paths = _as_paths(paths)
     n = T.bundle.dim
 
-    def trial(k, rng, col):
+    def trial(k, rng):
         p, s, t = _draw_params(rng, paths, 2)
         x = p.at(s)
         u = unit_ball(rng, n)
@@ -531,8 +514,8 @@ def check_linearity(T: Transport, paths, *, trials: int = 200,
         combined = lin_comb(lam, tu, mu, tv)
         scale = max(1.0, max_abs(w), max_abs(tw), max_abs(combined))
         dev = max_abs(vec_sub(tw, combined)) / scale
-        col.record(dev, p.name, {"lam": lam, "mu": mu, "s": s, "t": t},
-                   [list(u), list(v)])
+        yield (dev, p.name, {"lam": lam, "mu": mu, "s": s, "t": t},
+               [list(u), list(v)])
 
     return run_trials("2.8", T, trials, tolerance, seed, trial)
 
@@ -548,7 +531,7 @@ def check_metric_consistency(T: Transport, metric: BundleMetric | None, paths,
     paths = _as_paths(paths)
     n = T.bundle.dim
 
-    def trial(k, rng, col):
+    def trial(k, rng):
         p, s, t = _draw_params(rng, paths, 2)
         x = p.at(s)
         u = vector_element(x, unit_ball(rng, n))
@@ -557,8 +540,8 @@ def check_metric_consistency(T: Transport, metric: BundleMetric | None, paths,
         tu = transport(T, p, s, t, u)
         tv = transport(T, p, s, t, v)
         after = evaluate_metric(metric, p.at(t), tu, tv)
-        col.record(abs(after - before), p.name, {"s": s, "t": t},
-                   [_desc(u), _desc(v)])
+        yield (abs(after - before), p.name, {"s": s, "t": t},
+               [_desc(u), _desc(v)])
 
     return run_trials("2.9", T, trials, tolerance, seed, trial)
 
@@ -571,7 +554,7 @@ def check_transported_sections(T: Transport, paths, *, grid: int = 11,
     paths = _as_paths(paths)
     propagated = []
 
-    def trial(k, rng, col):
+    def trial(k, rng):
         if k == 0:  # one section per path, drawn ahead of the first trial
             for p in paths:
                 pts = p.domain.samples(grid)
@@ -582,8 +565,8 @@ def check_transported_sections(T: Transport, paths, *, grid: int = 11,
         i = rng.randrange(len(pts))
         j = rng.randrange(len(pts))
         regrown = transport(T, p, pts[i], pts[j], values[i])
-        col.record(element_deviation(regrown, values[j]), p.name,
-                   {"from": pts[i], "to": pts[j]}, [_desc(values[i])])
+        yield (element_deviation(regrown, values[j]), p.name,
+               {"from": pts[i], "to": pts[j]}, [_desc(values[i])])
 
     return run_trials("2.4", T, trials, tolerance, seed, trial,
                       notes=f"grid of {grid} points per path")

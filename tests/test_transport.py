@@ -4,20 +4,18 @@ import sys
 
 import pytest
 
-from fibretransport.bundles import (graph_point, label_element, rebase,
-                                    vector_element)
+from fibretransport.bundles import graph_point, label_element, vector_element
 from fibretransport.errors import FibreTransportError
 from fibretransport.instances import make_instance
 from fibretransport.laws import REMAPS
 from fibretransport.paths import UNIT, Interval, affine_remap, piecewise_path
-from fibretransport.transport import (Transport, _Collector,
-                                      check_group_law,
+from fibretransport.transport import (Transport, check_group_law,
                                       check_inverse_path_law,
                                       check_metric_consistency,
                                       check_reparam_invariance,
                                       inverse_transport, is_transported_section,
                                       law_tolerance, propagate_section,
-                                      transport)
+                                      run_trials, transport)
 
 
 class TestValidation:
@@ -196,15 +194,16 @@ class TestReports:
         assert len(report.failures) <= 20
         assert report.max_deviation > 1.0
 
-    def test_non_finite_deviations_serialize_as_strict_json(self):
-        col = _Collector("2.2", "demo", 1e-9)
-        col.record(math.inf, "walk", {"s": 0.25}, [[1.0, -math.inf]])
-        col.record(math.nan, "walk", {"s": 0.5}, [[math.nan, 2.0]])
+    def test_non_finite_deviations_serialize_as_strict_json(self, perm):
+        def trial(k, rng):
+            yield math.inf, "walk", {"s": 0.25}, [[1.0, -math.inf]]
+            yield math.nan, "walk", {"s": 0.5}, [[math.nan, 2.0]]
 
         def reject(name):
             raise ValueError(f"non-standard JSON constant {name}")
 
-        data = json.loads(col.report(seed=0).to_json(), parse_constant=reject)
+        report = run_trials("2.2", perm.transport, 1, 1e-9, 0, trial)
+        data = json.loads(report.to_json(), parse_constant=reject)
         assert data["max_deviation"] == "nan"
         assert [f["deviation"] for f in data["failures"]] == ["inf", "nan"]
         assert [f["elements"] for f in data["failures"]] == [
