@@ -12,7 +12,7 @@ checkable from the command line.
 
 from .bundles import (BasePoint, BundleMetric, FibreBundle, FibreElement,
                       Section, chart_point, euclidean_metric, evaluate_metric,
-                      fibre_at, graph_point, label_element, rebase,
+                      fibre_labels, graph_point, label_element, rebase,
                       section_through, table_section, vector_element)
 from .errors import FibreTransportError
 from .factorization import (Factorization, GaugeMap, apply_gauge,

@@ -1,8 +1,7 @@
 """Base spaces, fibres, bundles, sections, and fibre metrics.
 
-Two families of base space are supported: finite node sets (optionally with
-edges, for transports generated by per-edge maps) and the unit sphere in a
-single (theta, phi) chart with the poles excluded.  Three fibre kinds exist:
+Two families of base space are supported: finite node sets and the unit
+sphere in a single (theta, phi) chart with the poles excluded.  Three fibre kinds exist:
 
 * ``finite``   -- a fixed label set, the same over every base point;
 * ``vector``   -- R^n expressed in a per-point coordinate frame;
@@ -22,8 +21,13 @@ from typing import Callable, Mapping
 from . import linalg
 from .errors import FibreTransportError
 
-# Coordinates of base points are compared to this absolute tolerance.
+# Coordinates of base points that must agree up to rounding, as where
+# concatenated paths meet, are compared to this absolute tolerance.
 COORD_TOL = 1e-9
+
+# Two base points closer than this are one point: an element attached over a
+# path point, the two ends of a closed loop, a declared self-crossing.
+SAME_POINT_TOL = 1e-6
 
 # Chart paths on the sphere must keep theta this far away from the poles.
 POLE_MARGIN = 1e-6
@@ -146,15 +150,6 @@ def table_section(name: str, space: str, values: Mapping[str, str]) -> Section:
 
 
 @dataclass(frozen=True)
-class FibreDescription:
-    """What the fibre over a particular point looks like."""
-
-    kind: str                                   # finite | vector | sections
-    labels: tuple[str, ...] | None = None       # finite / sections
-    dim: int | None = None                      # vector
-
-
-@dataclass(frozen=True)
 class FibreBundle:
     """A total space over a base, described by base kind and fibre kind."""
 
@@ -162,7 +157,6 @@ class FibreBundle:
     base_kind: str                              # graph | sphere
     fibre_kind: str                             # finite | vector | sections
     nodes: tuple[str, ...] | None = None
-    edges: tuple[tuple[str, str], ...] | None = None
     labels: tuple[str, ...] | None = None
     dim: int | None = None
     sections: tuple[Section, ...] | None = None
@@ -227,23 +221,22 @@ class FibreBundle:
         return point_deviation(x, y)
 
 
-def fibre_at(bundle: FibreBundle, x: BasePoint) -> FibreDescription:
-    """Describe the fibre over x.  All fibres of one bundle look alike."""
+def fibre_labels(bundle: FibreBundle, x: BasePoint) -> tuple[str, ...] | None:
+    """The labels of the fibre over x, or None for a vector fibre."""
     bundle.require_point(x)
     if bundle.fibre_kind == "finite":
-        return FibreDescription(kind="finite", labels=bundle.labels)
+        return bundle.labels
     if bundle.fibre_kind == "vector":
-        return FibreDescription(kind="vector", dim=bundle.dim)
-    vals = tuple(sec.at(x).label for sec in bundle.sections)
-    return FibreDescription(kind="sections", labels=vals)
+        return None
+    return tuple(sec.at(x).label for sec in bundle.sections)
 
 
 def fibre_elements(bundle: FibreBundle, x: BasePoint) -> tuple[FibreElement, ...]:
     """All elements of a finite fibre over x."""
-    desc = fibre_at(bundle, x)
-    if desc.labels is None:
+    labels = fibre_labels(bundle, x)
+    if labels is None:
         raise FibreTransportError("fibre over this bundle is not finite")
-    return tuple(label_element(x, lab) for lab in desc.labels)
+    return tuple(label_element(x, lab) for lab in labels)
 
 
 def sections_of_family(bundle: FibreBundle) -> tuple[Section, ...]:

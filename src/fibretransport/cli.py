@@ -26,7 +26,7 @@ from pathlib import Path as FsPath
 
 from . import factorization as fz
 from . import lifting as lf
-from .bundles import fibre_at, label_element, vector_element
+from .bundles import fibre_labels, label_element, vector_element
 from .errors import FibreTransportError
 from .instances import (InstanceSpec, holonomy_angle, instance_names,
                         make_instance)
@@ -157,7 +157,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
         u = vector_element(anchor_point, comps)
     else:
         if element is None:
-            element = fibre_at(spec.bundle, anchor_point).labels[0]
+            element = fibre_labels(spec.bundle, anchor_point)[0]
         u = label_element(anchor_point, element)
     lifted = lf.lift(spec.transport, p, u, s0)
     params = [s0] + [t for t in p.domain.samples(args.samples) if t != s0]

@@ -22,8 +22,8 @@ import random
 from dataclasses import dataclass, replace
 
 from . import linalg
-from .bundles import FibreBundle, element_deviation, fibre_at, \
-    fibre_elements, label_element, vector_element
+from .bundles import FibreBundle, element_deviation, fibre_elements, \
+    fibre_labels, label_element, vector_element
 from .errors import FibreTransportError
 from .paths import Interval, Path
 from .transport import (LawReport, Transport, _desc, run_trials, transport,
@@ -71,7 +71,7 @@ def map_deviation(a, b) -> float:
 def identity_map(bundle: FibreBundle, x) -> "FibreMap":
     if bundle.fibre_kind == "vector":
         return linalg.identity(bundle.dim)
-    return {lab: lab for lab in fibre_at(bundle, x).labels}
+    return {lab: lab for lab in fibre_labels(bundle, x)}
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +143,7 @@ def canonical_factorization(T: Transport, p: Path, s0: float | None = None,
         else:
             maps.append({lab: transport(T, p, s, s0,
                                         label_element(x, lab)).label
-                         for lab in fibre_at(T.bundle, x).labels})
+                         for lab in fibre_labels(T.bundle, x)})
     return Factorization(bundle=T.bundle, space=p.space, path_name=p.name,
                          domain=p.domain, anchor=s0, grid=pts,
                          maps=tuple(maps), tolerance=T.tolerance)
@@ -278,7 +278,7 @@ def random_gauge(rng: random.Random, bundle: FibreBundle, x) -> "FibreMap":
             except ZeroDivisionError:
                 continue
             return m
-    labels = list(fibre_at(bundle, x).labels)
+    labels = list(fibre_labels(bundle, x))
     images = labels[:]
     rng.shuffle(images)
     return dict(zip(labels, images))

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from . import linalg, sphere
-from .bundles import (BasePoint, BundleMetric, FibreBundle, FibreElement,
-                      euclidean_metric, label_element, section_through,
-                      table_section, vector_element)
+from .bundles import (SAME_POINT_TOL, BasePoint, BundleMetric, FibreBundle,
+                      FibreElement, euclidean_metric, label_element,
+                      section_through, table_section, vector_element)
 from .errors import FibreTransportError
 from .integrate import CellStore, rk4_linear_flow
 from .paths import Path, UNIT, node_sequence, piecewise_path, trace_nodes
@@ -325,7 +325,7 @@ def loop_matrix(T: Transport, loop: Path) -> linalg.Mat:
     """The matrix of a full traversal of a closed path, in the chart frame."""
     if T.bundle.fibre_kind != "vector":
         raise FibreTransportError("holonomy applies to vector fibres")
-    if T.bundle.point_deviation(loop.start, loop.end) > 1e-6:
+    if T.bundle.point_deviation(loop.start, loop.end) > SAME_POINT_TOL:
         raise FibreTransportError(f"path {loop.name!r} is not closed")
     x0 = loop.at(loop.domain.lo)
     cols = [transport(T, loop, loop.domain.lo, loop.domain.hi,
@@ -432,7 +432,6 @@ def _perm_c3() -> InstanceSpec:
     bundle = FibreBundle(base_space_id="c3", base_kind="graph",
                          fibre_kind="finite",
                          nodes=("n0", "n1", "n2"),
-                         edges=(("n0", "n1"), ("n1", "n2"), ("n2", "n0")),
                          labels=("a", "b", "c"))
     T = permutation_transport(bundle, {
         ("n0", "n1"): {"a": "b", "b": "c", "c": "a"},
@@ -448,7 +447,6 @@ def _foliation_2sec() -> InstanceSpec:
     beta = table_section("beta", space, {"g0": "b0", "g1": "b1", "g2": "b2"})
     bundle = FibreBundle(base_space_id=space, base_kind="graph",
                          fibre_kind="sections", nodes=("g0", "g1", "g2"),
-                         edges=(("g0", "g1"), ("g1", "g2"), ("g0", "g2")),
                          sections=(alpha, beta))
     T = foliation_transport(bundle, name="foliation-2sec")
     return _graph_spec(T, "g0 g1 g2", "g0 g1 g0 g2 g0", "figure-eight")
@@ -466,8 +464,6 @@ def _parallelization_flat() -> InstanceSpec:
     nodes = ("w0", "w1", "w2", "w3")
     bundle = FibreBundle(base_space_id="quad", base_kind="graph",
                          fibre_kind="vector", nodes=nodes,
-                         edges=(("w0", "w1"), ("w1", "w2"), ("w2", "w3"),
-                                ("w3", "w0"), ("w0", "w2")),
                          dim=2)
     frames = {n: _QUARTER_TURNS[i] for i, n in enumerate(nodes)}
     T = parallelization_transport(bundle, frames, name="parallelization-flat")
@@ -513,8 +509,6 @@ def _cx_bundle() -> FibreBundle:
     return FibreBundle(base_space_id="cx", base_kind="graph",
                        fibre_kind="vector",
                        nodes=("x0", "x1", "x2", "x3"),
-                       edges=(("x0", "x1"), ("x1", "x2"), ("x2", "x0"),
-                              ("x1", "x3")),
                        dim=2)
 
 

@@ -16,16 +16,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import linalg
-from .bundles import (FibreBundle, FibreElement, chart_deviation,
-                      element_deviation, fibre_at, fibre_elements, rebase,
-                      vector_element)
+from .bundles import (SAME_POINT_TOL, FibreBundle, FibreElement,
+                      chart_deviation, element_deviation, fibre_elements,
+                      fibre_labels, rebase, vector_element)
 from .errors import FibreTransportError
 from .paths import Path, piece_runs
 from .transport import (LawReport, Transport, _as_paths, _desc,
                         _draw_params, _pick, _rng, draw_for_bundle,
                         law_tolerance, run_trials, transport)
-
-_MATCH_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,7 @@ class Lifting:
 def lift(T: Transport, p: Path, u: FibreElement, s0: float) -> Lifting:
     """The lifting through u anchored at parameter s0."""
     s0 = p.domain.clamp(s0)
-    if T.bundle.point_deviation(u.over, p.at(s0)) > _MATCH_TOL:
+    if T.bundle.point_deviation(u.over, p.at(s0)) > SAME_POINT_TOL:
         raise FibreTransportError(
             f"element over {u.over} cannot anchor a lifting at path({s0})")
     return Lifting(path=p, anchor=s0, through=u,
@@ -77,7 +75,7 @@ def occurrence_set(p: Path, u: FibreElement) -> tuple[float, ...]:
     elif u.over.space == p.space and not u.over.is_node:
         candidates = sorted({c for pair in p.crossings for c in pair})
         for c in candidates:
-            if chart_deviation(p.at(c), u.over) <= _MATCH_TOL:
+            if chart_deviation(p.at(c), u.over) <= SAME_POINT_TOL:
                 found.append(c)
     if not found:
         raise FibreTransportError(
@@ -255,7 +253,7 @@ def check_fibre_cover(T: Transport, p: Path, *, s0: float | None = None,
     s0 = p.domain.clamp(s0)
     reps = [(lo + hi) / 2.0 for lo, hi, _ in piece_runs(p)]
     total = {(p.at(r).node, lab)
-             for r in reps for lab in fibre_at(T.bundle, p.at(r)).labels}
+             for r in reps for lab in fibre_labels(T.bundle, p.at(r))}
 
     def trial(k, rng):
         covered = set()

@@ -40,7 +40,8 @@ import math
 from dataclasses import KW_ONLY, dataclass, field, replace
 from typing import Callable, Sequence
 
-from .bundles import BasePoint, chart_deviation, graph_point, point_deviation
+from .bundles import (COORD_TOL, SAME_POINT_TOL, BasePoint, chart_deviation,
+                      graph_point, point_deviation)
 from .errors import FibreTransportError
 
 # Parameters this close to a domain edge are snapped onto it: float images of
@@ -69,18 +70,18 @@ class Interval:
     def contains(self, s: float, slack: float = EDGE_SLACK) -> bool:
         return self.lo - slack <= s <= self.hi + slack
 
-    def clamp(self, s: float, slack: float = EDGE_SLACK) -> float:
+    def clamp(self, s: float) -> float:
         if self.lo <= s <= self.hi:
             return s
-        if not self.contains(s, slack):
+        if not self.contains(s):
             raise FibreTransportError(f"{s} outside [{self.lo}, {self.hi}]")
         return min(max(s, self.lo), self.hi)
 
-    def contains_interval(self, other: "Interval", slack: float = EXACT) -> bool:
-        return other.lo >= self.lo - slack and other.hi <= self.hi + slack
+    def contains_interval(self, other: "Interval") -> bool:
+        return other.lo >= self.lo - EXACT and other.hi <= self.hi + EXACT
 
-    def same_as(self, other: "Interval", tol: float = EXACT) -> bool:
-        return abs(self.lo - other.lo) <= tol and abs(self.hi - other.hi) <= tol
+    def same_as(self, other: "Interval") -> bool:
+        return max(abs(self.lo - other.lo), abs(self.hi - other.hi)) <= EXACT
 
     def samples(self, n: int) -> list[float]:
         if n <= 1:
@@ -140,8 +141,6 @@ class Reparameterization:
             maps = (lambda s: c + (s - a) * k, lambda t: a + (t - c) / k,
                     lambda s: k)
             affine = (a, c, k)
-        elif (a, w, c, k) == (0.0, 1.0, 0.0, 1.0):    # s -> s*s on [0, 1]
-            maps = (lambda s: s * s, math.sqrt, lambda s: 2.0 * s)
         else:
             k /= w * w
             maps = (lambda s: c + (s - a) * (s - a) * k,
@@ -242,7 +241,7 @@ def with_crossings(p: Path, pairs: Sequence[tuple[float, float]]) -> Path:
     for r, s in norm:
         if not (p.domain.contains(r) and p.domain.contains(s)):
             raise FibreTransportError("crossing parameters must lie in the domain")
-        if chart_deviation(p.at(r), p.at(s)) > 1e-6:
+        if chart_deviation(p.at(r), p.at(s)) > SAME_POINT_TOL:
             raise FibreTransportError(
                 f"declared crossing ({r}, {s}) does not close up")
     return replace(p, crossings=norm)
@@ -366,10 +365,14 @@ def concatenate(*paths: Path) -> Path:
     if len(paths) < 2:
         raise FibreTransportError("concatenate needs at least two paths")
     first = paths[0]
-    if any(p.space != first.space or p.kind != first.kind for p in paths):
-        raise FibreTransportError("paths must live in the same base space")
+    for p in paths[1:]:
+        if p.space != first.space:
+            raise FibreTransportError("paths must live in the same base space")
+        if p.kind != first.kind:
+            raise FibreTransportError(
+                f"cannot glue a {p.kind} path to a {first.kind} path")
     for i, (p, q) in enumerate(zip(paths, paths[1:]), 1):
-        if point_deviation(p.end, q.start) > 1e-9:
+        if point_deviation(p.end, q.start) > COORD_TOL:
             raise FibreTransportError(
                 f"p{i} ends at {p.end}, p{i + 1} starts at {q.start}")
 

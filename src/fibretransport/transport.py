@@ -24,9 +24,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .bundles import (BundleMetric, FibreBundle, FibreElement,
-                      element_deviation, evaluate_metric, fibre_at,
-                      label_element, rebase, vector_element)
+from .bundles import (SAME_POINT_TOL, BundleMetric, FibreBundle,
+                      FibreElement, element_deviation, evaluate_metric,
+                      fibre_labels, label_element, rebase, vector_element)
 from .errors import FibreTransportError
 from .linalg import lin_comb, max_abs, vec_sub
 from .paths import Interval, Path, Reparameterization, concatenate, \
@@ -97,7 +97,7 @@ def transport(T: Transport, p: Path, s: float, t: float,
     elif T.bundle.fibre_kind == "finite" and u.label not in T.bundle.labels:
         raise FibreTransportError(
             f"label {u.label!r} is not in the fibre {list(T.bundle.labels)}")
-    if T.bundle.point_deviation(u.over, p.at(s)) > 1e-6:
+    if T.bundle.point_deviation(u.over, p.at(s)) > SAME_POINT_TOL:
         raise FibreTransportError(
             f"element over {u.over} is not attached over path({s})")
     return T.apply_fn(p, s, t, u)
@@ -281,7 +281,7 @@ def draw_for_bundle(rng: random.Random, bundle: FibreBundle, x) -> FibreElement:
     """A random fibre element over x, matched to the bundle's fibre kind."""
     if bundle.fibre_kind == "vector":
         return vector_element(x, unit_ball(rng, bundle.dim))
-    labels = fibre_at(bundle, x).labels
+    labels = fibre_labels(bundle, x)
     return label_element(x, labels[rng.randrange(len(labels))])
 
 

@@ -18,8 +18,7 @@ import time
 
 import pytest
 
-from fibretransport.bundles import (label_element, section_through,
-                                    vector_element)
+from fibretransport.bundles import label_element, section_through
 from fibretransport.cli import main, run_law
 from fibretransport.errors import FibreTransportError
 from fibretransport.factorization import (check_factorization_roundtrip,

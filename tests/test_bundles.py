@@ -2,13 +2,11 @@ import math
 
 import pytest
 
-from fibretransport.bundles import (COORD_TOL, BasePoint, FibreBundle,
-                                    chart_point,
+from fibretransport.bundles import (COORD_TOL, FibreBundle, chart_point,
                                     element_deviation, euclidean_metric,
-                                    evaluate_metric, fibre_at, fibre_elements,
-                                    graph_point, label_element,
-                                    point_deviation, rebase,
-                                    section_through,
+                                    evaluate_metric, fibre_elements,
+                                    fibre_labels, graph_point, label_element,
+                                    point_deviation, rebase, section_through,
                                     sections_of_family, table_section,
                                     vector_element)
 from fibretransport.errors import FibreTransportError
@@ -18,14 +16,13 @@ from fibretransport.sphere import SPACE, tangent_bundle
 def three_node_bundle():
     return FibreBundle(base_space_id="g", base_kind="graph",
                        fibre_kind="finite", nodes=("n0", "n1", "n2"),
-                       edges=(("n0", "n1"), ("n1", "n2"), ("n2", "n0")),
                        labels=("a", "b", "c"))
 
 
 def sectioned_bundle():
     return FibreBundle(
         base_space_id="fol", base_kind="graph", fibre_kind="sections",
-        nodes=("g0", "g1"), edges=(("g0", "g1"),),
+        nodes=("g0", "g1"),
         sections=(table_section("alpha", "fol", {"g0": "a0", "g1": "a1"}),
                   table_section("beta", "fol", {"g0": "b0", "g1": "b1"})))
 
@@ -83,8 +80,7 @@ class TestBundleQueries:
 
     def test_fibre_description(self):
         B = three_node_bundle()
-        d = fibre_at(B, graph_point("g", "n0"))
-        assert d.labels == ("a", "b", "c")
+        assert fibre_labels(B, graph_point("g", "n0")) == ("a", "b", "c")
         els = fibre_elements(B, graph_point("g", "n0"))
         assert [u.label for u in els] == ["a", "b", "c"]
 
@@ -93,7 +89,7 @@ class TestBundleQueries:
         fam = sections_of_family(B)
         assert [s.name for s in fam] == ["alpha", "beta"]
         # the fibre over a point is carved out of the family's values there
-        assert fibre_at(B, graph_point("fol", "g0")).labels == ("a0", "b0")
+        assert fibre_labels(B, graph_point("fol", "g0")) == ("a0", "b0")
         u = label_element(graph_point("fol", "g1"), "b1")
         assert section_through(B, u).name == "beta"
         with pytest.raises(FibreTransportError, match="no section of the family"):

@@ -6,11 +6,9 @@ import pytest
 from fibretransport.bundles import label_element, vector_element
 from fibretransport.errors import FibreTransportError
 from fibretransport.instances import (COUNTEREXAMPLE_KINDS, LAW_ORDER,
-                                      counterexample_transport,
-                                      holonomy_angle,
-                                      instance_names, linear_ode_transport,
-                                      loop_matrix, make_instance,
-                                      parallelization_transport,
+                                      counterexample_transport, holonomy_angle,
+                                      instance_names, loop_matrix,
+                                      make_instance, parallelization_transport,
                                       permutation_transport)
 from fibretransport.transport import transport
 

@@ -1,11 +1,8 @@
-import math
-
 import pytest
 
 from fibretransport.bundles import (label_element, section_through,
                                     vector_element)
 from fibretransport.errors import FibreTransportError
-from fibretransport.instances import make_instance
 from fibretransport.lifting import (check_fibre_cover,
                                     check_global_uniqueness,
                                     check_lift_projection,

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -74,6 +75,11 @@ class TestRemaps:
         assert r.apply(0.5) == 0.25
         assert r.deriv(0.5) == 1.0
         assert abs(r.invert_param(0.25) - 0.5) < 1e-15
+        # the squared formulas reproduce s*s on [0, 1] to the bit
+        for s in (0.0, 5e-324, 0.3, 1.0, *(i / 4096 for i in range(4097))):
+            assert r.fwd(s) == s * s
+            assert r.inv(s) == math.sqrt(s)
+            assert r.deriv(s) == 2.0 * s
 
     def test_canonical_reversal_is_involution(self):
         r = canonical_reversal()
@@ -194,8 +200,12 @@ class TestConcatenation:
             concatenate(p)
         lat = sphere.latitude_arc(1.0, 0.0, 1.0)
         node = piecewise_path(sphere.SPACE, UNIT, [(1.0, "a")])
-        with pytest.raises(FibreTransportError, match="same base space"):
+        with pytest.raises(FibreTransportError,
+                           match="cannot glue a discrete path to a chart path"):
             concatenate(lat, lat, node)
+        elsewhere = replace(lat, space="plane")
+        with pytest.raises(FibreTransportError, match="same base space"):
+            concatenate(lat, elsewhere)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ import pytest
 
 from fibretransport.bundles import chart_deviation, chart_point, vector_element
 from fibretransport.errors import FibreTransportError
-from fibretransport.instances import holonomy_angle, make_instance
-from fibretransport.linalg import matmul, matvec, transpose
+from fibretransport.instances import holonomy_angle
+from fibretransport.linalg import matmul, transpose
 from fibretransport.paths import UNIT
 from fibretransport.sphere import (OCTANT_AREA, OCTANT_VERTICES, SPACE,
                                    closed_latitude, coefficient_matrix,
