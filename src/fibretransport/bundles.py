@@ -1,7 +1,8 @@
 """Base spaces, fibres, bundles, sections, and fibre metrics.
 
 Two families of base space are supported: finite node sets and the unit
-sphere in a single (theta, phi) chart with the poles excluded.  Three fibre kinds exist:
+sphere in a single (theta, phi) chart with the poles excluded.  Three fibre
+kinds exist:
 
 * ``finite``   -- a fixed label set, the same over every base point;
 * ``vector``   -- R^n expressed in a per-point coordinate frame;
