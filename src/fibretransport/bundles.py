@@ -64,17 +64,19 @@ def point_deviation(x: BasePoint, y: BasePoint) -> float:
 
     Node points compare by identifier.  Chart points compare coordinatewise
     with no periodicity assumptions; space-aware comparisons (phi mod 2*pi on
-    the sphere) live on the bundle, see FibreBundle.point_deviation.
+    the sphere) live on the bundle, see FibreBundle.point_deviation.  A NaN
+    coordinate gap makes the result NaN.
     """
     if x.space != y.space:
         return math.inf
-    if x.is_node != y.is_node:
+    node = x.node
+    if (node is None) != (y.node is None):
         return math.inf
-    if x.is_node:
-        return 0.0 if x.node == y.node else 1.0
+    if node is not None:
+        return 0.0 if node == y.node else 1.0
     if len(x.coords) != len(y.coords):
         return math.inf
-    return max((abs(a - b) for a, b in zip(x.coords, y.coords)), default=0.0)
+    return linalg.max_abs(linalg.vec_sub(x.coords, y.coords))
 
 
 def chart_deviation(x: BasePoint, y: BasePoint) -> float:
@@ -82,7 +84,7 @@ def chart_deviation(x: BasePoint, y: BasePoint) -> float:
     dth = abs(x.coords[0] - y.coords[0])
     dph = abs(x.coords[1] - y.coords[1]) % (2.0 * math.pi)
     dph = min(dph, 2.0 * math.pi - dph)
-    return max(dth, dph)
+    return linalg.max_abs((dth, dph))  # both >= 0: their NaN-keeping maximum
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,7 @@ def label_element(over: BasePoint, label: str) -> FibreElement:
 
 
 def vector_element(over: BasePoint, components) -> FibreElement:
-    return FibreElement(over=over, vector=tuple(float(c) for c in components))
+    return FibreElement(over=over, vector=tuple(map(float, components)))
 
 
 def rebase(u: FibreElement, over: BasePoint) -> FibreElement:
@@ -116,15 +118,17 @@ def rebase(u: FibreElement, over: BasePoint) -> FibreElement:
 
 
 def element_deviation(a: FibreElement, b: FibreElement) -> float:
-    """Gap between two total-space points; 0.0 means indistinguishable."""
+    """Gap between two total-space points; 0.0 means indistinguishable, and
+    a NaN base or fibre gap gives NaN."""
     base_gap = point_deviation(a.over, b.over)
     if a.label is not None and b.label is not None:
         return max(base_gap, 0.0 if a.label == b.label else 1.0)
-    if a.vector is not None and b.vector is not None:
-        if len(a.vector) != len(b.vector):
-            return math.inf
-        return max(base_gap, linalg.max_abs(linalg.vec_sub(a.vector, b.vector)))
-    return math.inf
+    u, v = a.vector, b.vector
+    if u is None or v is None or len(u) != len(v):
+        return math.inf
+    gap = linalg.max_abs(linalg.vec_sub(u, v))
+    # max(base_gap, gap), except that a NaN gap is kept
+    return gap if gap > base_gap or gap != gap else base_gap
 
 
 @dataclass(frozen=True)

@@ -55,17 +55,22 @@ def map_invert(m):
 
 
 def map_deviation(a, b) -> float:
-    """0.0 for equal maps; label maps disagree at distance 1."""
+    """0.0 for equal maps; label maps disagree at distance 1.  Matrix maps
+    compare entrywise, NaN if any entry gap is NaN."""
     if isinstance(a, dict) and isinstance(b, dict):
         if set(a) != set(b):
             return math.inf
         return 0.0 if a == b else 1.0
     if isinstance(a, dict) or isinstance(b, dict):
         return math.inf
-    if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)):
+    if len(a) != len(b):
         return math.inf
-    return max((abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)),
-               default=0.0)
+    gaps = []
+    for ra, rb in zip(a, b):
+        if len(ra) != len(rb):
+            return math.inf
+        gaps.append(linalg.max_abs(linalg.vec_sub(ra, rb)))
+    return linalg.max_abs(gaps)
 
 
 def identity_map(bundle: FibreBundle, x) -> "FibreMap":

@@ -153,8 +153,9 @@ def check_self_consistency(T: Transport, paths, *, trials: int = 200,
         u = draw_for_bundle(rng, T.bundle, p.at(s0))
         first = lift(T, p, u, s0)
         second = lift(T, p, first.at(r), r)
-        dev = max(element_deviation(first.at(g), second.at(g))
-                  for g in p.domain.samples(grid))
+        # deviations are non-negative: max_abs is their NaN-keeping maximum
+        dev = linalg.max_abs([element_deviation(first.at(g), second.at(g))
+                              for g in p.domain.samples(grid)])
         yield dev, p.name, {"r": r, "s0": s0}, [_desc(u)]
 
     return run_trials("4.6", T, trials, tolerance, seed, trial,
@@ -202,13 +203,17 @@ def check_global_uniqueness(T: Transport, p: Path, *,
         probe = _pick(rng, elements)
         l1 = lift(T, p, probe, r)
         l2 = lift(T, p, rebase(l1.at(s), p.at(s)), s)
-        dev = max(element_deviation(l1.at(g), l2.at(g))
-                  for g in p.domain.samples(grid))
+        dev = linalg.max_abs([element_deviation(l1.at(g), l2.at(g))
+                              for g in p.domain.samples(grid)])
         yield dev, p.name, {"from": r, "to": s}, ["lift comparison"]
 
-    notes = (f"{len(pairs)} revisit pair(s)" if pairs
-             else "no revisited base points; vacuous")
-    return run_trials("4.4", T, len(pairs), tolerance, seed, trial, notes=notes)
+    if not pairs:
+        tol = law_tolerance("4.4", T) if tolerance is None else tolerance
+        return LawReport(law="4.4", instance=T.name, trials=0, tolerance=tol,
+                         max_deviation=0.0, seed=seed,
+                         notes="no revisited base points; vacuous")
+    return run_trials("4.4", T, len(pairs), tolerance, seed, trial,
+                      notes=f"{len(pairs)} revisit pair(s)")
 
 
 def liftings_disjoint_or_equal(T: Transport, p: Path, *, trials: int = 50,

@@ -238,8 +238,12 @@ def run_trials(law: str, T: Transport, trials: int, tolerance: float | None,
     (seed, law); a ``tolerance`` of None means the law's registry threshold
     for T.  A record fails when its deviation is above the tolerance or is
     NaN, and the first _FAILURE_CAP failures are kept.  A NaN deviation
-    becomes the maximum and stays it.
+    becomes the maximum and stays it.  Fewer than one trial is refused: a
+    check that draws nothing would pass whatever T does.
     """
+    if trials < 1:
+        raise FibreTransportError(
+            f"law {law} needs at least one trial, got {trials}")
     tol = law_tolerance(law, T) if tolerance is None else tolerance
     rng = _rng(seed, law)
     count, worst, failures = 0, 0.0, []

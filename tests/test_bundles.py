@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
 
-from fibretransport.bundles import (COORD_TOL, FibreBundle, chart_point,
-                                    element_deviation, euclidean_metric,
+from fibretransport.bundles import (COORD_TOL, FibreBundle, chart_deviation,
+                                    chart_point, element_deviation,
+                                    euclidean_metric,
                                     evaluate_metric, fibre_elements,
                                     fibre_labels, graph_point, label_element,
                                     point_deviation, rebase, section_through,
@@ -68,6 +70,79 @@ class TestElements:
         a = vector_element(p, (1.0, 0.0))
         b = vector_element(p, (1.0, 0.25))
         assert element_deviation(a, b) == pytest.approx(0.25)
+
+
+def bits(x):
+    return (x, math.copysign(1.0, x))
+
+
+class TestDeviationsAgainstTheGenericMaxima:
+    """Finite deviations equal the plain ``max`` they replace, to the bit."""
+
+    def test_points_and_elements(self):
+        rng = random.Random(3)
+        for _ in range(500):
+            c = [rng.choice((0.0, -0.0, 1.0, rng.uniform(-4.0, 4.0)))
+                 for _ in range(4)]
+            x, y = chart_point("c", *c[:2]), chart_point("c", *c[2:])
+            gap = max((abs(a - b) for a, b in zip(c[:2], c[2:])), default=0.0)
+            assert bits(point_deviation(x, y)) == bits(gap)
+            u = [rng.choice((0.0, -0.0, 0.5, rng.uniform(-2.0, 2.0)))
+                 for _ in range(4)]
+            a, b = vector_element(x, u[:2]), vector_element(y, u[2:])
+            want = max(gap, max(abs(p - q) for p, q in zip(u[:2], u[2:])))
+            assert bits(element_deviation(a, b)) == bits(want)
+            dth = abs(c[0] - c[2])
+            dph = abs(c[1] - c[3]) % (2.0 * math.pi)
+            want = max(dth, min(dph, 2.0 * math.pi - dph))
+            assert bits(chart_deviation(x, y)) == bits(want)
+
+    def test_other_lengths(self):
+        x = chart_point("c", 0.0, 1.0, 2.0)
+        assert point_deviation(x, chart_point("c", 0.5, 1.0, 1.0)) == 1.0
+        a = vector_element(x, (1.0, 2.0, 3.0))
+        b = vector_element(x, (1.0, 2.5, 3.0))
+        assert element_deviation(a, b) == 0.5
+        assert element_deviation(a, vector_element(x, (1.0, 2.0))) == math.inf
+
+
+class TestDeviationsKeepNaN:
+    """A NaN anywhere in the compared values makes the deviation NaN."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_point_deviation(self, n):
+        for i in range(n):
+            for side in (0, 1):
+                c = [[0.0] * n, [5.0] * n]
+                c[side][i] = math.nan
+                x, y = chart_point("c", *c[0]), chart_point("c", *c[1])
+                assert math.isnan(point_deviation(x, y)), c
+
+    def test_chart_deviation(self):
+        for i in range(4):
+            c = [1.0, 0.5, 1.5, 0.25]
+            c[i] = math.nan
+            x, y = chart_point(SPACE, *c[:2]), chart_point(SPACE, *c[2:])
+            assert math.isnan(chart_deviation(x, y)), c
+        assert math.isnan(chart_deviation(chart_point(SPACE, 1.0, math.inf),
+                                          chart_point(SPACE, 2.0, 0.0)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_element_deviation(self, n):
+        for over in (graph_point("g", "n0"), chart_point("c", 0.0, 1.0)):
+            for i in range(n):
+                for side in (0, 1):
+                    v = [[0.0] * n, [3.0] * n]
+                    v[side][i] = math.nan
+                    a = vector_element(over, v[0])
+                    b = vector_element(over, v[1])
+                    assert math.isnan(element_deviation(a, b)), v
+        # a NaN base gap with equal vectors or labels
+        x, y = chart_point("c", math.nan, 0.0), chart_point("c", 0.0, 0.0)
+        assert math.isnan(element_deviation(vector_element(x, (1.0, 2.0)),
+                                            vector_element(y, (1.0, 2.0))))
+        assert math.isnan(element_deviation(label_element(x, "a"),
+                                            label_element(y, "a")))
 
 
 class TestBundleQueries:

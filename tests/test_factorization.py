@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -33,6 +34,33 @@ class TestFibreMaps:
         assert map_deviation(m, m) == 0.0
         inv = map_invert(m)
         assert map_deviation(map_compose(inv, m), ((1.0, 0.0), (0.0, 1.0))) < 1e-12
+
+    def test_matrix_deviation_is_the_generic_maximum(self):
+        rng = random.Random(5)
+        for n in (1, 2, 3):
+            for _ in range(200):
+                a, b = (tuple(tuple(rng.choice((0.0, -0.0, 1.0,
+                                                rng.uniform(-3.0, 3.0)))
+                                    for _ in range(n)) for _ in range(n))
+                        for _ in range(2))
+                want = max(abs(x - y) for ra, rb in zip(a, b)
+                           for x, y in zip(ra, rb))
+                got = map_deviation(a, b)
+                assert (got, math.copysign(1.0, got)) == \
+                    (want, math.copysign(1.0, want))
+        assert map_deviation((), ()) == 0.0
+        assert map_deviation(((1.0, 2.0),), ((1.0,),)) == math.inf
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matrix_deviation_keeps_nan(self, n):
+        for i in range(n):
+            for j in range(n):
+                for side in (0, 1):
+                    m = [[[0.0] * n for _ in range(n)],
+                         [[2.0] * n for _ in range(n)]]
+                    m[side][i][j] = math.nan
+                    a, b = (tuple(map(tuple, rows)) for rows in m)
+                    assert math.isnan(map_deviation(a, b)), m
 
     def test_non_bijection_rejected(self):
         with pytest.raises(FibreTransportError, match="not a bijection"):

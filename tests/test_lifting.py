@@ -119,6 +119,25 @@ class TestLawCheckers:
         assert r.passed
         assert "vacuous" in (r.notes or "")
 
+    def test_vacuous_uniqueness_report_is_unchanged(self, perm):
+        r = check_global_uniqueness(perm.transport, perm.path_named("hop1"),
+                                    seed=4)
+        assert r.to_json() == """{
+  "failures": [],
+  "instance": "perm-c3",
+  "law": "4.4",
+  "max_deviation": 0.0,
+  "notes": "no revisited base points; vacuous",
+  "passed": true,
+  "seed": 4,
+  "tolerance": 0.0,
+  "trials": 0
+}
+"""
+        r = check_global_uniqueness(perm.transport, perm.path_named("hop1"),
+                                    tolerance=0.25)
+        assert (r.tolerance, r.trials, r.passed) == (0.25, 0, True)
+
     def test_dichotomy_holds_for_permutations(self, perm):
         r = liftings_disjoint_or_equal(perm.transport,
                                        perm.path_named("zigzag"), trials=30)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -5,9 +6,12 @@ import sys
 import pytest
 
 from fibretransport.bundles import graph_point, label_element, vector_element
+from fibretransport.cli import run_law
 from fibretransport.errors import FibreTransportError
+from fibretransport.factorization import check_gauge_freedom
 from fibretransport.instances import make_instance
-from fibretransport.laws import REMAPS
+from fibretransport.laws import LAWS, REMAPS
+from fibretransport.lifting import liftings_disjoint_or_equal
 from fibretransport.paths import UNIT, Interval, affine_remap, piecewise_path
 from fibretransport.transport import (Transport, check_group_law,
                                       check_inverse_path_law,
@@ -214,3 +218,79 @@ class TestReports:
         report = check_group_law(perm.transport, perm.law_paths, trials=20)
         assert report.to_json() == json.dumps(
             report.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestNaNTransports:
+    """A transport that answers NaN must fail, however the NaN falls."""
+
+    @staticmethod
+    def nan_at(spec, component, reach=0.0):
+        """spec with NaN in one component of every map from s to a t != s
+        with t >= reach."""
+        T = spec.transport
+
+        def apply(p, s, t, u):
+            w = T.apply_fn(p, s, t, u)
+            if s == t or t < reach:
+                return w
+            vec = list(w.vector)
+            vec[component] = math.nan
+            return vector_element(w.over, vec)
+
+        return dataclasses.replace(
+            spec, transport=dataclasses.replace(T, apply_fn=apply))
+
+    @pytest.mark.parametrize("component", [0, 1])
+    @pytest.mark.parametrize("law", ["2.2", "2.8"])
+    def test_laws_fail_with_a_nan_maximum(self, par, law, component):
+        report = run_law(self.nan_at(par, component), law, trials=30)
+        assert not report.passed
+        assert math.isnan(report.max_deviation)
+        data = json.loads(report.to_json(), parse_constant=reject_constant)
+        assert data["passed"] is False
+        assert data["max_deviation"] == "nan"
+
+    def test_a_nan_at_the_end_of_the_lifting_grid_is_kept(self, par):
+        # law 4.6 compares two liftings on a grid, and only its last point,
+        # s = 1, sees the NaN
+        report = run_law(self.nan_at(par, 0, reach=0.99), "4.6", trials=30)
+        assert not report.passed
+        assert math.isnan(report.max_deviation)
+
+
+# Laws whose checker takes its trial count from the caller; the others size
+# their own samples from a grid, a path or a single enumeration.
+SAMPLED = [law.id for law in LAWS
+           if law.id not in ("3.6-roundtrip", "3.11/3.12", "4.4", "4.7")]
+
+
+class TestTrialCounts:
+    @pytest.mark.parametrize("trials", [0, -5])
+    @pytest.mark.parametrize("law", SAMPLED)
+    def test_sampled_checkers_refuse_fewer_than_one_trial(self, law, trials):
+        preset = ("counterexample:metric_breaking" if law == "2.9"
+                  else "parallelization-flat")
+        spec = make_instance(preset)
+        with pytest.raises(FibreTransportError, match="at least one trial"):
+            run_law(spec, law, trials=trials)
+
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_gauge_draws_and_dichotomy_trials_refuse_too(self, par, count):
+        p = par.path_named("figure-eight")
+        with pytest.raises(FibreTransportError, match="at least one trial"):
+            check_gauge_freedom(par.transport, p, draws=count)
+        with pytest.raises(FibreTransportError, match="at least one trial"):
+            liftings_disjoint_or_equal(par.transport, p, trials=count)
+
+    def test_run_trials_refuses_before_drawing(self, perm):
+        def trial(k, rng):
+            raise AssertionError("no trial may run")
+            yield
+
+        with pytest.raises(FibreTransportError,
+                           match="law 2.2 needs at least one trial, got 0"):
+            run_trials("2.2", perm.transport, 0, None, 0, trial)
