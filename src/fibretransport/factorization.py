@@ -45,13 +45,27 @@ def map_compose(outer, inner):
     return linalg.matmul(outer, inner)
 
 
+def _finite(m) -> bool:
+    return all(math.isfinite(c) for row in m for c in row)
+
+
 def map_invert(m):
+    """The inverse map; a label map that is not a bijection, and a matrix
+    that is singular or holds a non-finite entry, are refused."""
     if isinstance(m, dict):
         inv = {v: k for k, v in m.items()}
         if len(inv) != len(m):
             raise FibreTransportError(f"label map is not a bijection: {m}")
         return inv
-    return linalg.inverse(m)
+    if _finite(m):
+        try:
+            inv = linalg.inverse(m)
+        except ZeroDivisionError:
+            pass
+        else:
+            if _finite(inv):
+                return inv
+    raise FibreTransportError(f"matrix map is singular or not finite: {m}")
 
 
 def map_deviation(a, b) -> float:
@@ -161,16 +175,25 @@ def transport_from_factorization(f: Factorization, p: Path) -> Transport:
             f"factorization was built along {f.path_name!r} over {f.space!r} "
             f"{f.domain}, got {p.name!r} over {p.space!r} {p.domain}")
 
+    name = f"factored[{f.path_name}]"
+
     def apply(path: Path, s: float, t: float, u):
         fs = f.map_at(s)
         ft = f.map_at(t)
         if isinstance(fs, dict):
             value = map_invert(ft)[fs[u.label]]
             return label_element(path.at(t), value)
-        moved = linalg.solve(ft, linalg.matvec(fs, u.vector))
-        return vector_element(path.at(t), moved)
+        if _finite(ft):
+            try:
+                moved = linalg.solve(ft, linalg.matvec(fs, u.vector))
+            except ZeroDivisionError:
+                pass
+            else:
+                return vector_element(path.at(t), moved)
+        raise FibreTransportError(
+            f"{name}: the family's map at {t} is singular or not finite")
 
-    return Transport(name=f"factored[{f.path_name}]", bundle=f.bundle,
+    return Transport(name=name, bundle=f.bundle,
                      apply_fn=apply, declared=frozenset(),
                      tolerance=f.tolerance)
 
@@ -209,15 +232,15 @@ def gauge_between(f1: Factorization, f2: Factorization,
         # Matrix inverses carry rounding noise even for exact families.
         tolerance = max(1e-9, 4.0 * max(f1.tolerance, f2.tolerance))
 
-    inv1 = [map_invert(m) for m in f1.maps]
-    inv2 = [map_invert(m) for m in f2.maps]
+    inv1, inv2 = _inverses(f1), _inverses(f2)
+    # folded as linalg.max_abs does, so a NaN deviation is kept and refused
     worst = 0.0
     for i in range(len(f1.grid)):
         for j in range(len(f1.grid)):
             induced1 = map_compose(inv1[j], f1.maps[i])
             induced2 = map_compose(inv2[j], f2.maps[i])
-            worst = max(worst, map_deviation(induced1, induced2))
-    if worst > tolerance:
+            worst = linalg.max_abs((worst, map_deviation(induced1, induced2)))
+    if not worst <= tolerance:
         raise FibreTransportError(
             f"families induce different transports (deviation {worst})")
 
@@ -228,12 +251,26 @@ def gauge_between(f1: Factorization, f2: Factorization,
     gauge = map_compose(f1.maps[idx], inv2[idx])
     drift = 0.0
     for i in range(len(f1.grid)):
-        drift = max(drift, map_deviation(map_compose(gauge, f2.maps[i]),
-                                         f1.maps[i]))
-    if drift > tolerance:
+        drift = linalg.max_abs((drift, map_deviation(
+            map_compose(gauge, f2.maps[i]), f1.maps[i])))
+    if not drift <= tolerance:
         raise FibreTransportError(
             f"no single gauge explains the two families (drift {drift})")
     return GaugeMap(map=gauge, deviation=max(worst, drift))
+
+
+def _inverses(f: Factorization) -> list:
+    """The inverse of every map of the family, in grid order; a map that has
+    none is refused with the name of the transport the family induces."""
+    out = []
+    for s, m in zip(f.grid, f.maps):
+        try:
+            out.append(map_invert(m))
+        except FibreTransportError as exc:
+            raise FibreTransportError(
+                f"factored[{f.path_name}]: the family's map at {s}: {exc}"
+            ) from None
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ controls for the checkers.
 from __future__ import annotations
 
 import math
+import sys
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
@@ -140,15 +141,19 @@ def parallelization_transport(bundle: FibreBundle,
                      tolerance=0.0)
 
 
-# Integrator step of numeric presets unless the caller picks one.
-DEFAULT_STEP = 1e-3
+# Integrator step of numeric presets unless the caller picks one.  It is
+# the coarsest step at which the sphere's tolerance (see
+# ``_sphere_levi_civita``) still flags an error of 1e-8 in the coefficients'
+# metric part: 5e-9 on law 2.9 against a threshold of 3.5e-10.
+DEFAULT_STEP = 4e-3
 
 # Finest integrator step.  Cells are kept for the whole span a transport
 # covers, 8 * n * n bytes each, and their aligned block products at most as
 # much again, so a step bounds memory as well as work: MAX_SPAN / MIN_STEP
 # cells and their blocks are about 52 MB per direction at rank 2.  A finer
-# step buys nothing: RK4's octant holonomy error is 2.6e-13 at 5e-4 and
-# falls as step**4.
+# step buys nothing: below about 1e-3 the roundoff summed over 1/step cells
+# outgrows RK4's truncation, and the honest error rises again, to 6.5e-12 at
+# MIN_STEP against 1.3e-13 at 1e-3.
 MIN_STEP = 1e-5
 
 # Longest path domain an ODE transport integrates over.
@@ -471,9 +476,31 @@ def _parallelization_flat() -> InstanceSpec:
                        loop=True)
 
 
+# The honest sphere error at step h follows e(h) = 0.135 h**4 + 0.5 eps / h:
+# RK4 truncation (Hairer, Norsett and Wanner, Solving ODEs I, II.3) plus
+# roundoff summed over about 1/h cells (Higham, Accuracy and Stability of
+# Numerical Algorithms, ch. 3).  The worst deviation over every sphere law
+# but the relative 2.8, at seeds 1-3 (0-3 for h >= 0.1):
+#
+#   h      worst           e(h)     worst/e(h)
+#   1e-5   6.5e-12 (2.2)   1.1e-11  0.59
+#   3e-5   2.6e-12 (4.6)   3.7e-12  0.69
+#   1e-4   8.4e-13 (4.6)   1.1e-12  0.75
+#   3e-4   2.0e-13 (2.6)   3.7e-13  0.54
+#   1e-3   1.3e-13 (2.6)   2.5e-13  0.52
+#   2e-2   1.8e-8  (2.6)   2.2e-8   0.83
+#   0.1    8.9e-6  (2.6)   1.4e-5   0.66
+#   0.25   3.7e-4  (2.6)   5.3e-4   0.70
+#   0.5    5.1e-3  (2.6)   8.4e-3   0.61
+#   1      4.8e-2  (2.6)   0.135    0.36
+#
+# The sphere's tolerance is ten times e(h), before the law factors.
 def _sphere_levi_civita(step: float) -> InstanceSpec:
+    eps = sys.float_info.epsilon
+    tolerance = 10 * (0.135 * step ** 4 + 0.5 * eps / step)
     T = linear_ode_transport(sphere.tangent_bundle(), sphere.coefficient_matrix,
-                             step, name="sphere-levi-civita", tolerance=1e-6)
+                             step, name="sphere-levi-civita",
+                             tolerance=tolerance)
     metric = sphere.round_metric()
     quarter_equator = sphere.latitude_arc(math.pi / 2, 0.0, math.pi / 2,
                                           name="quarter-equator")

@@ -312,6 +312,9 @@ def reparameterize(p: Path, remap: Reparameterization) -> Path:
     fwd, deriv, inner = remap.fwd, remap.deriv, p.jet
     sgn = -1 if remap.reversing else 1
 
+    # A velocity scales by the remap's derivative k, as (v[0] * k, v[1] * k)
+    # at rank 2, which equals k * v[i] to the bit: IEEE multiplication
+    # commutes.  Other ranks take the generic map.
     if remap.affine is not None:
         # fwd and deriv inlined: a derived path's jet runs at every RK4 stage
         a, c, k = remap.affine
@@ -320,12 +323,21 @@ def reparameterize(p: Path, remap: Reparameterization) -> Path:
         def jet(s: float, side: int):
             r = c + (s - a) * k
             x, v = inner(snap(r) if r < lo or r > hi else r, side * sgn)
-            return x, (None if v is None else tuple(map(scale, v)))
+            if v is None:
+                return x, None
+            if len(v) == 2:
+                return x, (v[0] * k, v[1] * k)
+            return x, tuple(map(scale, v))
     else:
         def jet(s: float, side: int):
             r = fwd(s)
             x, v = inner(snap(r) if r < lo or r > hi else r, side * sgn)
-            return x, (None if v is None else tuple(map(deriv(s).__mul__, v)))
+            if v is None:
+                return x, None
+            k = deriv(s)
+            if len(v) == 2:
+                return x, (v[0] * k, v[1] * k)
+            return x, tuple(map(k.__mul__, v))
 
     bps = sorted(remap.invert_param(b) for b in p.breakpoints)
     bps = tuple(b for b in bps if remap.source.lo < b < remap.source.hi)

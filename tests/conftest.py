@@ -20,5 +20,5 @@ def par():
 
 @pytest.fixture(scope="session")
 def sphere():
-    # step 1e-3 everywhere; tests that need other steps rebuild their own
+    # the default step; tests that need other steps build their own
     return make_instance("sphere-levi-civita")

@@ -62,6 +62,21 @@ class TestFibreMaps:
                     a, b = (tuple(map(tuple, rows)) for rows in m)
                     assert math.isnan(map_deviation(a, b)), m
 
+    @pytest.mark.parametrize("m", [
+        ((0.0, 1.0), (0.0, 2.0)),
+        ((1.0, 2.0), (2.0, 4.0)),
+        ((1.0, 0.0), (math.nan, 1.0)),
+        ((0.0, 1.0), (math.nan, math.nan)),
+        ((math.inf, 0.0), (0.0, 1.0)),
+        ((1e-310, 0.0), (0.0, 1.0)),
+        ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.0))],
+        ids=["zero-column", "rank-one", "nan", "nan-row", "inf", "overflow",
+             "rank-three-singular"])
+    def test_singular_or_non_finite_matrix_refused(self, m):
+        with pytest.raises(FibreTransportError,
+                           match="singular or not finite"):
+            map_invert(m)
+
     def test_non_bijection_rejected(self):
         with pytest.raises(FibreTransportError, match="not a bijection"):
             map_invert({"a": "b", "b": "b"})
@@ -165,6 +180,38 @@ class TestGauge:
         f2 = canonical_factorization(perm.transport, p, grid=7)
         with pytest.raises(FibreTransportError, match="different grids"):
             gauge_between(f1, f2)
+
+    def test_a_nan_deviation_is_refused_wherever_it_falls(self, par):
+        # finite, invertible maps whose induced transports overflow: the
+        # pair (1.0, 0.5) composes 1e300 * 1e300 = inf on both sides, and
+        # inf - inf is a NaN deviation after the zero of the pair (0, 0)
+        f = canonical_factorization(par.transport, par.path_named("walk"),
+                                    grid=[0.0, 0.5, 1.0])
+        f = Factorization(bundle=f.bundle, space=f.space,
+                          path_name=f.path_name, domain=f.domain,
+                          anchor=0.0, grid=f.grid,
+                          maps=(((1.0, 0.0), (0.0, 1.0)),
+                                ((1e-300, 0.0), (0.0, 1.0)),
+                                ((1e300, 0.0), (0.0, 1.0))))
+        with pytest.raises(FibreTransportError,
+                           match=r"induce different transports \(deviation nan\)"):
+            gauge_between(f, f)
+
+    def test_a_singular_family_map_names_the_induced_transport(self, par):
+        f = canonical_factorization(par.transport, par.path_named("walk"),
+                                    grid=3)
+        maps = (f.maps[0], ((1.0, 2.0), (2.0, 4.0)), f.maps[2])
+        g = Factorization(bundle=f.bundle, space=f.space,
+                          path_name=f.path_name, domain=f.domain,
+                          anchor=f.anchor, grid=f.grid, maps=maps)
+        with pytest.raises(FibreTransportError,
+                           match=r"factored\[walk\]: the family's map at 0.5"):
+            gauge_between(g, f)
+        S = transport_from_factorization(g, par.path_named("walk"))
+        u = vector_element(par.path_named("walk").at(0.0), (1.0, 0.0))
+        with pytest.raises(FibreTransportError,
+                           match=r"factored\[walk\]: the family's map at 0.5"):
+            transport(S, par.path_named("walk"), 0.0, 0.5, u)
 
     def test_unrelated_families_rejected(self, perm):
         p = perm.path_named("walk")

@@ -65,7 +65,8 @@ def test_no_cell_is_shared_between_transports():
     costs = []
     for _ in range(2):
         coefficients, calls = _counting_coefficients()
-        T = linear_ode_transport(sphere.tangent_bundle(), coefficients)
+        T = linear_ode_transport(sphere.tangent_bundle(), coefficients,
+                                 step=1e-3)
         first = transport(T, path, s, t, u)
         costs.append(len(calls))
         assert transport(T, path, s, t, u) == first
@@ -75,7 +76,7 @@ def test_no_cell_is_shared_between_transports():
 
 
 def test_backward_transports_invert_forward_ones():
-    spec = make_instance("sphere-levi-civita")
+    spec = make_instance("sphere-levi-civita", step=1e-3)
     octant = spec.path_named("octant")
     T = spec.transport
     forward = loop_matrix(T, octant)

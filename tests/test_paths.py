@@ -297,8 +297,13 @@ def test_a_reparameterized_jet_is_the_composition_to_the_bit(remap):
     src = remap.source
     params = [*src.samples(257), *(rng.uniform(src.lo, src.hi)
                                    for _ in range(256))]
+    # a rank-3 chart path takes the generic velocity scaling
+    twisted = Path(space="r3", domain=Interval(-1.0, 5.0), kind="chart",
+                   jet=lambda s, side: ((s, s * s, -0.0 * s),
+                                        (1.0, 2.0 * s, -0.0)),
+                   name="twisted")
     for base in (sphere.great_circle_arc((1.9, 0.3), (1.1, 1.8)),
-                 sphere.latitude_arc(1.0, 0.2, 1.3), zigzag()):
+                 sphere.latitude_arc(1.0, 0.2, 1.3), zigzag(), twisted):
         p = restrict(base, remap.target)
         jet, by_hand = reparameterize(p, remap).jet, _jet_by_hand(p, remap)
         for s in params:

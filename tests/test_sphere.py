@@ -3,9 +3,11 @@
 The loop angles asserted here were computed two independent ways before being
 pinned: from the enclosed-area defect of each loop and from a fine-step
 integration run, which agreed to twelve digits.  The integrator is expected
-to reproduce them within the stated slack at its default step.
+to reproduce them within the stated slack at the step each test names, or
+at its default step.
 """
 
+import dataclasses
 import math
 import random
 
@@ -13,7 +15,9 @@ import pytest
 
 from fibretransport.bundles import chart_deviation, chart_point, vector_element
 from fibretransport.errors import FibreTransportError
-from fibretransport.instances import holonomy_angle
+from fibretransport.cli import run_law
+from fibretransport.instances import (DEFAULT_STEP, holonomy_angle,
+                                      linear_ode_transport, make_instance)
 from fibretransport.linalg import matmul, transpose
 from fibretransport.paths import UNIT
 from fibretransport.sphere import (OCTANT_AREA, OCTANT_VERTICES, SPACE,
@@ -162,10 +166,16 @@ class TestLoops:
         assert chart_deviation(loop.at(0.0), loop.at(1.0)) < 1e-12
 
 
+@pytest.fixture(scope="module")
+def sphere_1e3():
+    # a 1e-10 slack on a loop angle needs a finer step than the default
+    return make_instance("sphere-levi-civita", step=1e-3)
+
+
 class TestFrozenAngles:
-    def test_octant_angle_is_enclosed_area(self, sphere):
-        ang = holonomy_angle(sphere.transport, sphere.path_named("octant"),
-                             sphere.metric)
+    def test_octant_angle_is_enclosed_area(self, sphere_1e3):
+        ang = holonomy_angle(sphere_1e3.transport,
+                             sphere_1e3.path_named("octant"), sphere_1e3.metric)
         assert ang == pytest.approx(OCTANT_AREA, abs=1e-10)
 
     def test_equator_angle_vanishes(self, sphere):
@@ -173,10 +183,11 @@ class TestFrozenAngles:
                              sphere.metric)
         assert abs(ang) < 1e-13
 
-    def test_latitude_60_angle(self, sphere):
+    def test_latitude_60_angle(self, sphere_1e3):
         # enclosed-area defect 2*pi*(1 - cos(pi/3)) = pi, i.e. a half turn
-        ang = holonomy_angle(sphere.transport,
-                             sphere.path_named("latitude-60"), sphere.metric)
+        ang = holonomy_angle(sphere_1e3.transport,
+                             sphere_1e3.path_named("latitude-60"),
+                             sphere_1e3.metric)
         assert abs(abs(ang) - math.pi) < 1e-10
 
     def test_meridian_closed_form(self, sphere):
@@ -189,3 +200,43 @@ class TestFrozenAngles:
         assert w.vector[0] == pytest.approx(0.3, abs=1e-12)
         expected = 0.8 * math.sin(th0) / math.sin(th1)
         assert w.vector[1] == pytest.approx(expected, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The sphere's tolerance, 10 * (0.135 h**4 + 0.5 eps / h) at step h, must let
+# the honest preset pass at every step and still catch a small metric error.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("step, seeds", [
+    (1.0, range(4)), (0.25, range(4)), (1.6e-2, range(4)), (4e-3, range(4)),
+    (1e-3, range(4)), (1e-4, range(1))])
+def test_the_honest_preset_passes_every_law_at_every_step(step, seeds):
+    spec = make_instance("sphere-levi-civita", step=step)
+    for seed in seeds:
+        failed = [law for law in spec.applicable
+                  if not run_law(spec, law, trials=5, seed=seed).passed]
+        assert failed == [], (step, seed)
+
+
+def _metric_saboteur(spec, eps=1e-8):
+    """spec with eps * theta' * I added to the sphere's coefficients: the
+    transport scales each vector by exp(eps * dtheta), which moves the
+    fibre metric and nothing else a law compares."""
+    def coefficients(x, xdot):
+        (a, b), (c, d) = coefficient_matrix(x, xdot)
+        e = eps * xdot[0]
+        return ((a + e, b), (c, d + e))
+
+    T = linear_ode_transport(spec.bundle, coefficients, DEFAULT_STEP,
+                             name="metric-saboteur",
+                             tolerance=spec.transport.tolerance)
+    return dataclasses.replace(spec, transport=T)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_1e_8_metric_error_fails_law_2_9_only(sphere, seed):
+    assert sphere.step == DEFAULT_STEP
+    saboteur = _metric_saboteur(sphere)
+    failed = [law for law in sphere.applicable
+              if not run_law(saboteur, law, trials=20, seed=seed).passed]
+    assert failed == ["2.9"]

@@ -254,6 +254,15 @@ class TestNaNTransports:
         assert data["passed"] is False
         assert data["max_deviation"] == "nan"
 
+    @pytest.mark.parametrize("component", [0, 1])
+    @pytest.mark.parametrize("law", ["3.6-roundtrip", "3.11/3.12"])
+    def test_factorization_laws_refuse_a_nan_family(self, par, law,
+                                                    component):
+        # the canonical family holds the NaN maps, which have no inverse
+        with pytest.raises(FibreTransportError,
+                           match=r"factored\[walk\]: the family's map at 0.1"):
+            run_law(self.nan_at(par, component), law, trials=30)
+
     def test_a_nan_at_the_end_of_the_lifting_grid_is_kept(self, par):
         # law 4.6 compares two liftings on a grid, and only its last point,
         # s = 1, sees the NaN
