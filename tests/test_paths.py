@@ -299,8 +299,7 @@ def test_a_reparameterized_jet_is_the_composition_to_the_bit(remap):
                                    for _ in range(256))]
     # a rank-3 chart path takes the generic velocity scaling
     twisted = Path(space="r3", domain=Interval(-1.0, 5.0), kind="chart",
-                   jet=lambda s, side: ((s, s * s, -0.0 * s),
-                                        (1.0, 2.0 * s, -0.0)),
+                   jet=lambda s, side: ((s, s * s, 1.0), (1.0, 2.0 * s, 0.0)),
                    name="twisted")
     for base in (sphere.great_circle_arc((1.9, 0.3), (1.1, 1.8)),
                  sphere.latitude_arc(1.0, 0.2, 1.3), zigzag(), twisted):
