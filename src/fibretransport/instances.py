@@ -9,7 +9,7 @@ Four well-behaved instances cover the fibre kinds the package supports:
   signed permutation matrices, giving a curvature-free linear transport whose
   law deviations are bitwise zero.
 * ``sphere-levi-civita``: parallel transport of tangent vectors on the round
-  sphere by a fixed-step RK4 flow.
+  sphere by a fixed-step fourth-order Magnus flow.
 
 A fifth family, ``counterexample:<kind>``, deliberately breaks exactly one
 law each while keeping a stated set of the others; they act as negative
@@ -142,22 +142,56 @@ def parallelization_transport(bundle: FibreBundle,
 
 
 # Integrator step of numeric presets unless the caller picks one.  It is
-# the coarsest step at which the sphere's tolerance (see
-# ``_sphere_levi_civita``) still flags an error of 1e-8 in the coefficients'
-# metric part: 5e-9 on law 2.9 against a threshold of 3.5e-10.
-DEFAULT_STEP = 4e-3
+# the coarsest step of the halving ladder from 1 at which the sphere's
+# tolerance (see ``step_error``) still flags an error of 1e-8 in the
+# coefficients' metric part: 3.0e-9 to 4.9e-9 on law 2.9 (seeds 0-3, 20
+# trials) against a threshold of 7.0e-10, where step 1.6e-2 sets 1.1e-8.
+DEFAULT_STEP = 8e-3
 
 # Finest integrator step.  Cells are kept for the whole span a transport
 # covers, 8 * n * n bytes each, and their aligned block products at most as
 # much again, so a step bounds memory as well as work: MAX_SPAN / MIN_STEP
 # cells and their blocks are about 52 MB per direction at rank 2.  A finer
 # step buys nothing: below about 1e-3 the roundoff summed over 1/step cells
-# outgrows RK4's truncation, and the honest error rises again, to 6.5e-12 at
-# MIN_STEP against 1.3e-13 at 1e-3.
+# outgrows the Magnus truncation, and the honest error rises again, to
+# 4.3e-12 at MIN_STEP against 7.8e-14 at 1e-3.
 MIN_STEP = 1e-5
 
 # Longest path domain an ODE transport integrates over.
 MAX_SPAN = 8.0
+
+
+# The honest sphere error at step h is modelled as e(h) = 0.017 h**4 + 0.5
+# eps / h: the fourth-order Magnus truncation (see ``integrate``) plus
+# roundoff summed over about 1/h cells (Higham, Accuracy and Stability of
+# Numerical Algorithms, ch. 3).  The worst deviation over every sphere law
+# but the relative 2.8, at 200 trials and seeds 1-3 (0-3 for h >= 0.1), over
+# its law's factor K:
+#
+#   h       worst            e(h)     worst/(K e(h))
+#   1e-5    4.3e-12 (2.9)    1.1e-11  0.39
+#   3e-5    1.4e-12 (2.9)    3.7e-12  0.39
+#   1e-4    4.2e-13 (2.9)    1.1e-12  0.38
+#   3e-4    2.0e-13 (2.6)    3.7e-13  0.27
+#   1e-3    7.8e-14 (2.6)    1.3e-13  0.30
+#   2e-3    1.2e-12 (2.6)    3.3e-13  1.90
+#   4e-3    1.9e-11 (2.6)    4.4e-12  2.21
+#   8e-3    3.0e-10 (2.6)    7.0e-11  2.17
+#   1.6e-2  4.7e-9  (2.6)    1.1e-9   2.13
+#   2e-2    1.1e-8  (2.6)    2.7e-9   1.98
+#   0.1     5.6e-6  (2.6)    1.7e-6   1.64
+#   0.25    2.3e-4  (2.6)    6.6e-5   1.75
+#   0.5     2.6e-3  (2.6)    1.1e-3   1.25
+#   1       1.6e-2  (2.6)    1.7e-2   0.48
+#
+# An ODE transport's tolerance is ten times e(h) unless its builder names
+# one, so each law's threshold, 10 K e(h), stays at least 4.5 times above
+# the worst honest deviation.  Fitting the h**4 constant to the worst ratio
+# instead (about 0.037) would leave law 2.9's threshold within a factor of
+# 2 of the metric error it must flag at DEFAULT_STEP.
+def step_error(step: float) -> float:
+    """e(step), the model of the worst honest integrator error above."""
+    return 0.017 * step ** 4 + 0.5 * sys.float_info.epsilon / step
 
 
 def require_step(step: float) -> float:
@@ -171,14 +205,16 @@ def linear_ode_transport(bundle: FibreBundle,
                          coefficients: Callable[[tuple, tuple], linalg.Mat],
                          step: float = DEFAULT_STEP,
                          name: str = "linear-ode",
-                         tolerance: float = 1e-6) -> Transport:
+                         tolerance: float | None = None) -> Transport:
     """Transport vectors by integrating u' = A u along chart paths.
 
     ``coefficients(x, xdot)`` gives A at chart coordinates x for chart
-    velocity xdot, read together from the path's jet; the flow is fixed-step
-    RK4 on the lattice of parameters k * step (see ``integrate``).  Cell
-    propagators are built on first use and kept by this transport, one
-    store per jet and direction; a store lives as long as its jet.
+    velocity xdot, read together from the path's jet; the flow is the
+    fixed-step fourth-order Magnus method on the lattice of parameters
+    k * step (see ``integrate``).  Cell propagators are built on first use
+    and kept by this transport, one store per jet and direction; a store
+    lives as long as its jet.  The tolerance is ``10 * step_error(step)``
+    unless one is named.
 
     Finiteness is checked once per flow, on its propagators: a non-finite
     stage coefficient always makes its propagator non-finite.  A flow that
@@ -203,13 +239,13 @@ def linear_ode_transport(bundle: FibreBundle,
             raise FibreTransportError("ODE transports integrate along chart paths")
         jet, isfinite = p.jet, math.isfinite
 
-        # Stage parameters lie in [s, t], which ``transport`` has clamped,
-        # so the raw jet is read without checking them again.
-        def coefficient(r: float, side: int) -> linalg.Mat:
-            return coefficients(*jet(r, side))
+        # Stage parameters lie inside cells of [s, t], which ``transport``
+        # has clamped, so the raw jet is read without checking them again.
+        def coefficient(r: float) -> linalg.Mat:
+            return coefficients(*jet(r, 0))
 
-        def checked(r: float, side: int) -> linalg.Mat:
-            a = coefficients(*jet(r, side))
+        def checked(r: float) -> linalg.Mat:
+            a = coefficients(*jet(r, 0))
             for row in a:
                 for c in row:
                     if not isfinite(c):
@@ -240,7 +276,8 @@ def linear_ode_transport(bundle: FibreBundle,
     return Transport(name=name, bundle=bundle, apply_fn=apply,
                      declared=frozenset({"local", "reparam_invariant",
                                          "linear", "metric_consistent"}),
-                     tolerance=tolerance)
+                     tolerance=(10 * step_error(step) if tolerance is None
+                                else tolerance))
 
 
 # ---------------------------------------------------------------------------
@@ -476,31 +513,9 @@ def _parallelization_flat() -> InstanceSpec:
                        loop=True)
 
 
-# The honest sphere error at step h follows e(h) = 0.135 h**4 + 0.5 eps / h:
-# RK4 truncation (Hairer, Norsett and Wanner, Solving ODEs I, II.3) plus
-# roundoff summed over about 1/h cells (Higham, Accuracy and Stability of
-# Numerical Algorithms, ch. 3).  The worst deviation over every sphere law
-# but the relative 2.8, at seeds 1-3 (0-3 for h >= 0.1):
-#
-#   h      worst           e(h)     worst/e(h)
-#   1e-5   6.5e-12 (2.2)   1.1e-11  0.59
-#   3e-5   2.6e-12 (4.6)   3.7e-12  0.69
-#   1e-4   8.4e-13 (4.6)   1.1e-12  0.75
-#   3e-4   2.0e-13 (2.6)   3.7e-13  0.54
-#   1e-3   1.3e-13 (2.6)   2.5e-13  0.52
-#   2e-2   1.8e-8  (2.6)   2.2e-8   0.83
-#   0.1    8.9e-6  (2.6)   1.4e-5   0.66
-#   0.25   3.7e-4  (2.6)   5.3e-4   0.70
-#   0.5    5.1e-3  (2.6)   8.4e-3   0.61
-#   1      4.8e-2  (2.6)   0.135    0.36
-#
-# The sphere's tolerance is ten times e(h), before the law factors.
 def _sphere_levi_civita(step: float) -> InstanceSpec:
-    eps = sys.float_info.epsilon
-    tolerance = 10 * (0.135 * step ** 4 + 0.5 * eps / step)
     T = linear_ode_transport(sphere.tangent_bundle(), sphere.coefficient_matrix,
-                             step, name="sphere-levi-civita",
-                             tolerance=tolerance)
+                             step, name="sphere-levi-civita")
     metric = sphere.round_metric()
     quarter_equator = sphere.latitude_arc(math.pi / 2, 0.0, math.pi / 2,
                                           name="quarter-equator")

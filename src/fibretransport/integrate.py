@@ -1,33 +1,26 @@
-"""Fixed-step RK4 propagators for linear, parameter-dependent ODE systems.
+"""Fourth-order Magnus propagators for linear, parameter-dependent ODE systems.
 
-The right-hand side is u' = A(r) u with A supplied as a callable.  Three
-details matter more than the integrator itself:
+The right-hand side is u' = A(r) u with A supplied as a callable.  A cell of
+signed length h from a is propagated by exp(Omega), Omega = (h / 2)(A1 + A2)
++ (sqrt(3) / 12) h**2 [A2, A1], with A1 and A2 the values of A at the
+Gauss-Legendre nodes a + h (1/2 -+ sqrt(3)/6) in the order of travel
+(Iserles and Norsett 1999; Blanes, Casas, Oteo and Ros, Phys. Rep. 2009).
 
-* The abscissa lattice is fixed.  Its nodes are k * step for integer k, and a
-  cell between two neighbouring nodes is cut only at the path's breakpoints,
-  so no RK4 step straddles a kink.  The lattice depends on none of s, t or
-  the path's domain: a transport from s to t is one partial step from s to
-  the first node, the cells in between in a fixed order, and one partial
-  step from the last node to t.
-* A cell's propagator (one RK4 step applied to the identity) depends only on
-  the point map, the velocity, the cell and the direction of travel.
-  ``CellStore`` keeps the propagators of whole lattice cells once they are
-  built, so later transports reuse them, and beside them the products of
-  aligned blocks of 2**L cells.  Every block whose cells are all built is
-  built, so a run of cells from node i to node j is applied as the same
-  greedy split into about 2 * log2(j - i) aligned blocks whatever ran
-  before.  A restriction of a path shares its point map and velocity, and
-  so replays bit-identical arithmetic, which is what lets locality checks
-  demand deviation zero even for numeric transports.
-* Stage evaluations at cell ends pass a side hint so that velocity kinks
-  (concatenation seams) never leak the wrong one-sided derivative into a
-  stage: a cell's start is read from inside the cell, its end likewise, its
-  midpoint with side 0.  Away from breakpoints the side is ignored, so the
-  end matrix of one cell doubles as the start matrix of the next one.
-* The flow checks nothing about A.  A non-finite coefficient makes its
-  cell's propagator non-finite, so a caller checks the propagators once per
-  flow (``instances.linear_ode_transport`` does, and replays a flow that
-  fails with every stage checked).
+* The lattice is fixed: its nodes are k * step, and a cell between two
+  neighbouring nodes is cut only at the path's breakpoints.  A transport
+  from s to t is a partial step up to the first node, the cells in between
+  and a partial step from the last node.  The Gauss nodes lie inside a
+  cell, so A is never read at a kink and nothing passes between cells.
+* A cell's propagator depends only on the point map, the velocity, the cell
+  and the direction of travel.  ``CellStore`` keeps whole cells' propagators
+  and the products of aligned blocks of 2**L cells, and applies a run of
+  cells as one split into about 2 * log2(cells) blocks whatever ran before,
+  so a restriction of a path replays the same bits: locality checks demand
+  deviation zero even for numeric transports.
+* The flow checks nothing about A.  A non-finite coefficient, or an Omega
+  whose exponential overflows, makes its cell's propagator non-finite, so a
+  caller checks the propagators once per flow (``instances`` does, and
+  replays a flow that fails with every stage checked).
 """
 
 from __future__ import annotations
@@ -37,75 +30,91 @@ from array import array
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
-CoefficientFn = Callable[[float, int], Sequence[Sequence[float]]]
+# Gauss-Legendre nodes on [0, 1] and the weight of Omega's commutator term.
+_NODE1, _NODE2 = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
+_BRACKET = math.sqrt(3.0) / 12.0
 
 
-def _rk4_step(a0, am, a1, h: float) -> tuple[float, ...]:
-    """One RK4 step of size h applied to the identity, for any n."""
-    n = len(a0)
-    eye = [1.0 if i == j else 0.0 for i in range(n) for j in range(n)]
-
-    def times(a, x):
-        return [sum(a[i][k] * x[k * n + j] for k in range(n))
-                for i in range(n) for j in range(n)]
-
-    def shifted(c, k):
-        return [e + c * y for e, y in zip(eye, k)]
-
-    k1 = [c for row in a0 for c in row]
-    k2 = times(am, shifted(h / 2.0, k1))
-    k3 = times(am, shifted(h / 2.0, k2))
-    k4 = times(a1, shifted(h, k3))
-    return tuple(e + h / 6.0 * (w + 2.0 * x + 2.0 * y + z)
-                 for e, w, x, y, z in zip(eye, k1, k2, k3, k4))
-
-
-def _rk4_step2(a0, am, a1, h: float) -> tuple[float, ...]:
-    """``_rk4_step`` unrolled for n = 2, in the same order of operations."""
-    (k00, k01), (k10, k11) = a0
-    (m00, m01), (m10, m11) = am
-    (e00, e01), (e10, e11) = a1
-    g = h / 2.0
-    x00, x01, x10, x11 = 1.0 + g * k00, g * k01, g * k10, 1.0 + g * k11
-    p00, p01 = m00 * x00 + m01 * x10, m00 * x01 + m01 * x11
-    p10, p11 = m10 * x00 + m11 * x10, m10 * x01 + m11 * x11
-    x00, x01, x10, x11 = 1.0 + g * p00, g * p01, g * p10, 1.0 + g * p11
-    q00, q01 = m00 * x00 + m01 * x10, m00 * x01 + m01 * x11
-    q10, q11 = m10 * x00 + m11 * x10, m10 * x01 + m11 * x11
-    x00, x01, x10, x11 = 1.0 + h * q00, h * q01, h * q10, 1.0 + h * q11
-    r00, r01 = e00 * x00 + e01 * x10, e00 * x01 + e01 * x11
-    r10, r11 = e10 * x00 + e11 * x10, e10 * x01 + e11 * x11
-    c = h / 6.0
-    return (1.0 + c * (k00 + 2.0 * p00 + 2.0 * q00 + r00),
-            c * (k01 + 2.0 * p01 + 2.0 * q01 + r01),
-            c * (k10 + 2.0 * p10 + 2.0 * q10 + r10),
-            1.0 + c * (k11 + 2.0 * p11 + 2.0 * q11 + r11))
+def _exp2(o00: float, o01: float, o10: float, o11: float) -> tuple:
+    """exp of ((o00, o01), (o10, o11)), row-major, in closed form: with tau
+    half the trace and N the traceless part, N**2 = delta * I, so it is
+    e**tau (c I + f N).  Non-finite entries or an overflow give non-finite
+    entries, never an exception."""
+    tau, n = 0.5 * (o00 + o11), 0.5 * (o00 - o11)
+    delta = n * n + o01 * o10
+    r = math.sqrt(abs(delta))
+    try:
+        if delta > 0.0:
+            c, f = math.cosh(r), math.sinh(r) / r
+        elif delta < 0.0:
+            c, f = math.cos(r), math.sin(r) / r
+        else:                         # delta is 0, or NaN
+            c = f = 1.0
+        e = math.exp(tau)
+    except (OverflowError, ValueError):
+        return (math.nan,) * 4
+    c, f = e * c, e * f
+    return (c + f * n, f * o01, f * o10, c - f * n)
 
 
-def rk4_linear_flow(coeff: CoefficientFn, s: float, t: float,
-                    nodes: Iterable[float] = ()) -> array:
-    """RK4 propagators of u' = A(r) u over the cells of s, *nodes, t.
+def _cell2(a1, a2, h: float) -> tuple[float, ...]:
+    """The Magnus propagator of one cell at n = 2."""
+    ((p00, p01), (p10, p11)), ((q00, q01), (q10, q11)) = a1, a2
+    g, k = 0.5 * h, _BRACKET * h * h
+    d = k * (q01 * p10 - p01 * q10)   # [A2, A1] is traceless
+    return _exp2(g * (p00 + q00) + d,
+                 g * (p01 + q01) + k * (p01 * (q00 - q11) - q01 * (p00 - p11)),
+                 g * (p10 + q10) + k * (q10 * (p00 - p11) - p10 * (q00 - q11)),
+                 g * (p11 + q11) - d)
 
-    ``coeff(r, side)`` returns the matrix A at parameter r; ``side`` is the
-    direction of travel at a cell's start, its opposite at a cell's end, and
-    0 at the midpoint, so the derivative is always taken from inside the
-    cell.  ``nodes`` lie strictly between s and t, in the order of travel,
-    and A must not jump at any of them: the end matrix of each cell is
-    carried over as the start matrix of the next.  Returns the propagators
-    in the order of travel, n * n entries each, row-major, in one flat
-    array.
-    """
-    d = 1 if t > s else -1
+
+def _cell(a1, a2, h: float) -> tuple[float, ...]:
+    """The Magnus propagator of one cell, for any n."""
+    n = len(a1)
+    g, k = 0.5 * h, _BRACKET * h * h
+    return _expm([g * (a1[i][j] + a2[i][j])
+                  + k * sum(a2[i][m] * a1[m][j] - a1[i][m] * a2[m][j]
+                            for m in range(n))
+                  for i in range(n) for j in range(n)], n)
+
+
+def _matmul(x: Sequence[float], y: Sequence[float], n: int) -> list[float]:
+    return [sum(x[i * n + m] * y[m * n + j] for m in range(n))
+            for i in range(n) for j in range(n)]
+
+
+def _expm(o: Sequence[float], n: int) -> tuple[float, ...]:
+    """exp of the n * n matrix o, row-major: o scaled by 2**-q to a row-sum
+    norm below 1, its Taylor polynomial of degree 18 in Horner form (the
+    remainder is below 1 / 19!, under 2**-55), squared q times."""
+    norm = max(sum(map(abs, o[i:i + n])) for i in range(0, n * n, n))
+    q = max(0, math.frexp(norm)[1])
+    x = [math.ldexp(c, -q) for c in o]
+    eye = total = [float(i == j) for i in range(n) for j in range(n)]
+    for k in range(18, 0, -1):
+        total = [e + c / k for e, c in zip(eye, _matmul(x, total, n))]
+    for _ in range(q):
+        total = _matmul(total, total, n)
+    return tuple(total)
+
+
+# Named for the RK4 flow it replaced: the benchmark traces it by this name.
+def rk4_linear_flow(coeff: Callable[[float], Sequence[Sequence[float]]],
+                    s: float, t: float, nodes: Iterable[float] = ()) -> array:
+    """Magnus propagators of u' = A(r) u over the cells of s, *nodes, t.
+
+    ``coeff(r)`` is A at r, read at each cell's two Gauss nodes in the order
+    of travel, never at s, t or a node, so A may jump at any of them.
+    ``nodes`` lie strictly between s and t in the order of travel.  Returns
+    the propagators in that order, n * n entries each, row-major, in one
+    flat array."""
     props = array("d")
-    a0 = coeff(s, d)
-    step = _rk4_step2 if len(a0) == 2 else _rk4_step
     a = s
     for b in chain(nodes, (t,)):
         h = b - a
-        am = coeff(a + h / 2.0, 0)
-        a1 = coeff(b, -d)
-        props.extend(step(a0, am, a1, h))
-        a, a0 = b, a1
+        a1, a2 = coeff(a + h * _NODE1), coeff(a + h * _NODE2)
+        props.extend((_cell2 if len(a1) == 2 else _cell)(a1, a2, h))
+        a = b
     return props
 
 
@@ -140,9 +149,7 @@ def _pair_products(m: array, n: int) -> array:
         return out
     size = n * n
     for ab in zip(*(it,) * (2 * size)):
-        a, b = ab[:size], ab[size:]
-        out.extend(sum(b[i * n + k] * a[k * n + j] for k in range(n))
-                   for i in range(n) for j in range(n))
+        out.extend(_matmul(ab[size:], ab[:size], n))
     return out
 
 
@@ -158,12 +165,7 @@ def _node_above(x: float, step: float) -> int:
 
 def _node_below(x: float, step: float) -> int:
     """The greatest k with k * step <= x."""
-    k = math.floor(x / step)
-    while (k + 1) * step <= x:
-        k += 1
-    while k * step > x:
-        k -= 1
-    return k
+    return -_node_above(-x, step)
 
 
 class CellStore:
@@ -231,13 +233,11 @@ class CellStore:
         """Carry u from s to t over the lattice.
 
         ``kinks`` are the breakpoints strictly between s and t in the order
-        of travel.  ``build(a, b, nodes)`` is ``rk4_linear_flow`` over the
-        stretch a, *nodes, b.  Between two breakpoints, each run of cells
-        not stored yet goes through one call with the partial steps next
-        to it, so a matrix is carried across lattice nodes but never across
-        a breakpoint; then the stretch is applied as its head partial step,
-        the blocks over its whole cells and its tail partial step.
-        """
+        of travel; ``build(a, b, nodes)`` is ``rk4_linear_flow`` over a,
+        *nodes, b.  Between two breakpoints, each run of cells not stored
+        yet is built in one call with the partial steps next to it; the
+        stretch is applied as its head partial step, the blocks over its
+        whole cells and its tail partial step."""
         d, h = self.d, self.step
         s, t = d * s, d * t
         self._cover(0, math.floor(s / h) - 1, math.ceil(t / h) + 1)

@@ -316,7 +316,7 @@ def reparameterize(p: Path, remap: Reparameterization) -> Path:
     # at rank 2, which equals k * v[i] to the bit: IEEE multiplication
     # commutes.  Other ranks take the generic map.
     if remap.affine is not None:
-        # fwd and deriv inlined: a derived path's jet runs at every RK4 stage
+        # fwd and deriv inlined: the jet runs at every integrator stage
         a, c, k = remap.affine
         scale = k.__mul__
 
@@ -391,7 +391,7 @@ def concatenate(*paths: Path) -> Path:
     pieces = [reparameterize(p, r) for p, r in zip(paths, share_remaps(paths))]
     jets = [q.jet for q in pieces]
     seams = [q.domain.lo for q in pieces[1:]]
-    find = bisect.bisect_right          # bound once: the jet runs per RK4 stage
+    find = bisect.bisect_right          # bound once: the jet runs per stage
 
     def jet(s: float, side: int):
         i = find(seams, s)

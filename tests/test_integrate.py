@@ -1,4 +1,4 @@
-"""The lattice RK4 flow and the cell propagators an ODE transport keeps.
+"""The lattice Magnus flow and the cell propagators an ODE transport keeps.
 
 A cached cell must never change a result: reports, single transports and
 restricted paths give the same bits whichever transports ran before, and
@@ -7,6 +7,7 @@ no cell outlives the transport that built it.
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -70,8 +71,9 @@ def test_no_cell_is_shared_between_transports():
         first = transport(T, path, s, t, u)
         costs.append(len(calls))
         assert transport(T, path, s, t, u) == first
-        # the second call reuses the cells; only its two partial steps remain
-        assert len(calls) - costs[-1] == 6
+        # the second call reuses the cells; only its two partial steps remain,
+        # two Gauss nodes each
+        assert len(calls) - costs[-1] == 4
     assert costs[0] == costs[1] > 1000
 
 
@@ -116,7 +118,7 @@ def test_locality_is_exact_when_a_node_lands_on_a_breakpoint():
 
 
 def test_rank_three_flow_matches_the_exact_rotation():
-    """A constant rotation generator: RK4 cells compose to the rotation."""
+    """A constant rotation generator: Magnus cells compose to the rotation."""
     omega = 2.0
     gen = ((0.0, -omega, 0.0), (omega, 0.0, 0.0), (0.0, 0.0, 0.0))
     bundle = FibreBundle(base_space_id=sphere.SPACE, base_kind="sphere",
@@ -131,14 +133,78 @@ def test_rank_three_flow_matches_the_exact_rotation():
                                   abs=1e-12)
 
 
-def test_unrolled_step_equals_the_general_one():
+# ---------------------------------------------------------------------------
+# The Magnus cell: exp(Omega) in closed form at rank 2 and by scaling and
+# squaring a Taylor series at other ranks.
+# ---------------------------------------------------------------------------
+
+ZERO = ((0.0, 0.0), (0.0, 0.0))
+
+
+def _two_by_two(rng, kind, scale):
+    """A row-major 2 x 2 matrix tau * I + N with N**2 = delta * I and delta
+    of the sign ``kind`` names, entries of size about ``scale``."""
+    while True:
+        tau, n, b, c = (scale * rng.uniform(-1.0, 1.0) for _ in range(4))
+        if kind == "delta = 0":       # N nilpotent: delta is 0 to the bit
+            n, b, c = 0.0, *rng.choice(((b, 0.0), (0.0, c)))
+        delta = n * n + b * c
+        if {"delta > 0": delta > 0, "delta < 0": delta < 0,
+                "delta = 0": delta == 0}[kind]:
+            return (tau + n, b, c, tau - n)
+
+
+@pytest.mark.parametrize("kind", ("delta > 0", "delta < 0", "delta = 0"))
+@pytest.mark.parametrize("scale", (1e-9, 1e-2, 1.0))
+def test_the_closed_form_exponential_agrees_with_the_generic_one(kind, scale):
     rng = random.Random(7)
-    for _ in range(50):
-        a0, am, a1 = (tuple(tuple(rng.uniform(-3, 3) for _ in range(2))
-                            for _ in range(2)) for _ in range(3))
-        h = rng.choice((1e-3, -1e-3, rng.uniform(-0.1, 0.1)))
-        assert integrate._rk4_step2(a0, am, a1, h) == \
-            integrate._rk4_step(a0, am, a1, h)
+    for _ in range(100):
+        o = _two_by_two(rng, kind, scale)
+        closed, generic = integrate._exp2(*o), integrate._expm(o, 2)
+        ulp = sys.float_info.epsilon * max(map(abs, generic))
+        assert max(abs(x - y) for x, y in zip(closed, generic)) <= 8 * ulp, o
+
+
+def test_the_exponential_of_zero_is_exactly_the_identity():
+    assert integrate._exp2(0.0, 0.0, 0.0, 0.0) == (1.0, 0.0, 0.0, 1.0)
+    assert integrate._cell2(ZERO, ZERO, 8e-3) == (1.0, 0.0, 0.0, 1.0)
+    assert integrate._expm((0.0,) * 9, 3) == (1.0, 0.0, 0.0,
+                                               0.0, 1.0, 0.0,
+                                               0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("n", (2, 3))
+def test_a_non_finite_stage_entry_makes_the_propagator_non_finite(bad, n):
+    cell = integrate._cell2 if n == 2 else integrate._cell
+    rng = random.Random(3)
+    for background in ("zeros", "random"):
+        for stage in (0, 1):
+            for entry in range(n * n):
+                a = [[[rng.uniform(-3.0, 3.0) if background == "random"
+                       else 0.0 for _ in range(n)] for _ in range(n)]
+                     for _ in range(2)]
+                a[stage][entry // n][entry % n] = bad
+                for h in (8e-3, -8e-3):
+                    prop = cell(a[0], a[1], h)
+                    assert not all(map(math.isfinite, prop)), (a, h)
+
+
+@pytest.mark.parametrize("a1, a2", (
+    (((1e3, 0.0), (0.0, 1e3)),) * 2,             # e**tau overflows
+    (((0.0, 1e3), (1e3, 0.0)),) * 2,             # cosh r overflows
+    (((0.0, 1e160), (-1e160, 0.0)), ZERO),       # delta overflows to -inf
+    (((1e300, 1e300), (1e300, 1e300)),) * 2))    # Omega overflows
+def test_an_overflow_makes_the_rank_2_propagator_non_finite(a1, a2):
+    assert not all(map(math.isfinite, integrate._cell2(a1, a2, 1.0)))
+
+
+@pytest.mark.parametrize("a", (
+    ((1e3, 0.0, 0.0), (0.0, 1e3, 0.0), (0.0, 0.0, 1e3)),
+    ((0.0, 1e3, 0.0), (1e3, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    ((1e300, 1e300, 0.0), (1e300, 1e300, 0.0), (0.0, 0.0, 0.0))))
+def test_an_overflowing_exponential_is_non_finite_at_rank_3(a):
+    assert not all(map(math.isfinite, integrate._cell(a, a, 1.0)))
 
 
 def test_transport_checks_its_parameters_once_at_the_entry():
@@ -263,8 +329,8 @@ def test_blocks_match_the_cell_by_cell_product(d):
     step = 1e-3
     path = sphere.great_circle_arc((1.9, 0.3), (1.1, 1.8))
 
-    def coefficient(r, side):
-        return sphere.coefficient_matrix(*path.jet(r, side))
+    def coefficient(r):
+        return sphere.coefficient_matrix(*path.jet(r, 0))
 
     def build(a, b, nodes):
         return integrate.rk4_linear_flow(coefficient, a, b, nodes)

@@ -4,10 +4,10 @@ from dataclasses import replace
 
 import pytest
 
-from fibretransport import sphere
+from fibretransport import integrate, sphere
 from fibretransport.bundles import graph_point, vector_element
 from fibretransport.errors import FibreTransportError
-from fibretransport.instances import linear_ode_transport
+from fibretransport.instances import DEFAULT_STEP, linear_ode_transport
 from fibretransport.paths import (UNIT, Interval, Path, Reparameterization,
                                   affine_remap, canonical_reversal,
                                   concatenate, node_sequence, piece_runs,
@@ -262,9 +262,12 @@ def test_non_finite_coefficients_are_refused_on_derived_paths(name):
     s = p.domain.lo + 0.25 * p.domain.width
     with pytest.raises(FibreTransportError) as exc:
         transport(T, p, s, p.domain.hi, vector_element(p.at(s), (1.0, 0.0)))
-    # the first coefficient a flow reads is at its start
+    # the first coefficient a flow reads is at the first Gauss node of its
+    # first cell, from s up to the next lattice node
+    node = (integrate._node_below(s, DEFAULT_STEP) + 1) * DEFAULT_STEP
+    first = s + (node - s) * integrate._NODE1
     assert str(exc.value) == (f"non-finite transport coefficients at "
-                              f"parameter {s} of {p.name!r}")
+                              f"parameter {first} of {p.name!r}")
 
 
 def _jet_by_hand(p, remap):

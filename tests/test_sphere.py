@@ -17,7 +17,8 @@ from fibretransport.bundles import chart_deviation, chart_point, vector_element
 from fibretransport.errors import FibreTransportError
 from fibretransport.cli import run_law
 from fibretransport.instances import (DEFAULT_STEP, holonomy_angle,
-                                      linear_ode_transport, make_instance)
+                                      linear_ode_transport, make_instance,
+                                      step_error)
 from fibretransport.linalg import matmul, transpose
 from fibretransport.paths import UNIT
 from fibretransport.sphere import (OCTANT_AREA, OCTANT_VERTICES, SPACE,
@@ -190,32 +191,65 @@ class TestFrozenAngles:
                              sphere_1e3.metric)
         assert abs(abs(ang) - math.pi) < 1e-10
 
-    def test_meridian_closed_form(self, sphere):
+    def test_meridian_closed_form(self):
         # along a meridian the azimuthal component scales with the inverse
-        # of sin(theta); the polar component never changes
+        # of sin(theta); the polar component never changes.  A 1e-12 slack
+        # needs a finer step than the default.
+        spec = make_instance("sphere-levi-civita", step=4e-3)
         th0, th1 = math.pi / 4, math.pi / 2
         p = great_circle_arc((th0, 1.0), (th1, 1.0), name="meridian")
         u = vector_element(p.at(0.0), (0.3, 0.8))
-        w = transport(sphere.transport, p, 0.0, 1.0, u)
+        w = transport(spec.transport, p, 0.0, 1.0, u)
         assert w.vector[0] == pytest.approx(0.3, abs=1e-12)
         expected = 0.8 * math.sin(th0) / math.sin(th1)
         assert w.vector[1] == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("loop, exact", [("equator", 0.0),
+                                             ("latitude-60", math.pi)])
+    def test_closed_latitudes_are_exact_at_step_8e_3(self, loop, exact):
+        # A is constant along a latitude, so each Magnus cell is its exact
+        # exponential and only roundoff is left
+        spec = make_instance("sphere-levi-civita", step=8e-3)
+        ang = holonomy_angle(spec.transport, spec.path_named(loop),
+                             spec.metric)
+        assert abs(math.remainder(ang - exact, 2 * math.pi)) <= 1e-14
+
+    def test_the_octant_converges_at_fourth_order_from_8e_3_to_2e_3(self):
+        errors = []
+        for h in (8e-3, 4e-3, 2e-3):
+            spec = make_instance("sphere-levi-civita", step=h)
+            errors.append(abs(holonomy_angle(
+                spec.transport, spec.path_named("octant"), spec.metric)
+                - OCTANT_AREA))
+        orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+        assert min(orders) >= 3.5, (errors, orders)
+
 
 # ---------------------------------------------------------------------------
-# The sphere's tolerance, 10 * (0.135 h**4 + 0.5 eps / h) at step h, must let
-# the honest preset pass at every step and still catch a small metric error.
+# The sphere's tolerance, 10 * e(h) at step h (``instances.step_error``),
+# must let the honest preset pass at every step and still catch a small
+# metric error.
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("step, seeds", [
     (1.0, range(4)), (0.25, range(4)), (1.6e-2, range(4)), (4e-3, range(4)),
-    (1e-3, range(4)), (1e-4, range(1))])
+    (1e-3, range(4)), (1e-4, range(1)), (8e-3, range(4))])
 def test_the_honest_preset_passes_every_law_at_every_step(step, seeds):
     spec = make_instance("sphere-levi-civita", step=step)
     for seed in seeds:
         failed = [law for law in spec.applicable
                   if not run_law(spec, law, trials=5, seed=seed).passed]
         assert failed == [], (step, seed)
+
+
+def test_an_ode_transport_takes_its_tolerance_from_the_error_model(sphere):
+    assert sphere.transport.tolerance == 10 * step_error(DEFAULT_STEP)
+    for step in (DEFAULT_STEP, 1e-3, 1.0):
+        T = linear_ode_transport(sphere.bundle, coefficient_matrix, step)
+        assert T.tolerance == 10 * step_error(step)
+    named = linear_ode_transport(sphere.bundle, coefficient_matrix,
+                                 tolerance=1e-6)
+    assert named.tolerance == 1e-6
 
 
 def _metric_saboteur(spec, eps=1e-8):
