@@ -10,14 +10,15 @@ kinds exist:
   family of pairwise non-intersecting global sections (a foliation of the
   total space by graphs of sections).
 
-Everything is an immutable dataclass; operations are pure functions.
+Everything is an immutable record (a named tuple); operations are pure
+functions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from collections import namedtuple
+from typing import Mapping
 
 from . import linalg
 from .errors import FibreTransportError
@@ -34,17 +35,16 @@ SAME_POINT_TOL = 1e-6
 POLE_MARGIN = 1e-6
 
 
-@dataclass(frozen=True)
-class BasePoint:
+class BasePoint(namedtuple("BasePoint", "space node coords")):
     """A point of a base space: either a named node or chart coordinates."""
 
-    space: str
-    node: str | None = None
-    coords: tuple[float, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (self.node is None) == (self.coords is None):
+    def __new__(cls, space: str, node: str | None = None,
+                coords: tuple[float, ...] | None = None) -> BasePoint:
+        if (node is None) == (coords is None):
             raise FibreTransportError("exactly one of node / coords must be set")
+        return tuple.__new__(cls, (space, node, coords))
 
     @property
     def is_node(self) -> bool:
@@ -87,21 +87,20 @@ def chart_deviation(x: BasePoint, y: BasePoint) -> float:
     return linalg.max_abs((dth, dph))  # both >= 0: their NaN-keeping maximum
 
 
-@dataclass(frozen=True)
-class FibreElement:
+class FibreElement(namedtuple("FibreElement", "over label vector")):
     """A point of the total space, recorded as (base point, fibre value).
 
     Exactly one of ``label`` (finite and section fibres) or ``vector``
     (vector fibres, components in the frame at ``over``) is set.
     """
 
-    over: BasePoint
-    label: str | None = None
-    vector: tuple[float, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (self.label is None) == (self.vector is None):
+    def __new__(cls, over: BasePoint, label: str | None = None,
+                vector: tuple[float, ...] | None = None) -> FibreElement:
+        if (label is None) == (vector is None):
             raise FibreTransportError("exactly one of label / vector must be set")
+        return tuple.__new__(cls, (over, label, vector))
 
 
 def label_element(over: BasePoint, label: str) -> FibreElement:
@@ -131,12 +130,11 @@ def element_deviation(a: FibreElement, b: FibreElement) -> float:
     return gap if gap > base_gap or gap != gap else base_gap
 
 
-@dataclass(frozen=True)
-class Section:
-    """An assignment of a fibre element over each base point it covers."""
+class Section(namedtuple("Section", "name assignment")):
+    """An assignment of a fibre element over each base point it covers:
+    ``assignment(x)`` is the element over x, and ``name`` labels reports."""
 
-    name: str
-    assignment: Callable[[BasePoint], FibreElement]
+    __slots__ = ()
 
     def at(self, x: BasePoint) -> FibreElement:
         return self.assignment(x)
@@ -154,19 +152,21 @@ def table_section(name: str, space: str, values: Mapping[str, str]) -> Section:
     return Section(name=name, assignment=assign)
 
 
-@dataclass(frozen=True)
-class FibreBundle:
+class FibreBundle(namedtuple("FibreBundle", "base_space_id base_kind "
+                             "fibre_kind nodes labels dim sections")):
     """A total space over a base, described by base kind and fibre kind."""
 
-    base_space_id: str
-    base_kind: str                              # graph | sphere
-    fibre_kind: str                             # finite | vector | sections
-    nodes: tuple[str, ...] | None = None
-    labels: tuple[str, ...] | None = None
-    dim: int | None = None
-    sections: tuple[Section, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, base_space_id: str,
+                base_kind: str,                 # graph | sphere
+                fibre_kind: str,                # finite | vector | sections
+                nodes: tuple[str, ...] | None = None,
+                labels: tuple[str, ...] | None = None,
+                dim: int | None = None,
+                sections: tuple[Section, ...] | None = None) -> FibreBundle:
+        self = tuple.__new__(cls, (base_space_id, base_kind, fibre_kind,
+                                   nodes, labels, dim, sections))
         if self.base_kind not in ("graph", "sphere"):
             raise FibreTransportError(f"unknown base kind {self.base_kind!r}")
         if self.fibre_kind not in ("finite", "vector", "sections"):
@@ -182,6 +182,7 @@ class FibreBundle:
                 raise FibreTransportError(
                     "section fibre needs at least one section")
             self._check_sections_disjoint()
+        return self
 
     def _check_sections_disjoint(self) -> None:
         # Pairwise non-intersecting: two sections never share a value over a
@@ -258,12 +259,11 @@ def section_through(bundle: FibreBundle, u: FibreElement) -> Section:
     raise FibreTransportError(f"no section of the family passes through {u}")
 
 
-@dataclass(frozen=True)
-class BundleMetric:
-    """A fibre metric: a symmetric positive matrix in the frame at each point."""
+class BundleMetric(namedtuple("BundleMetric", "name matrix_at")):
+    """A fibre metric: ``matrix_at(x)`` is a symmetric positive matrix in the
+    frame at x."""
 
-    name: str
-    matrix_at: Callable[[BasePoint], linalg.Mat]
+    __slots__ = ()
 
 
 def euclidean_metric(dim: int) -> BundleMetric:

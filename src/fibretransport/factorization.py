@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from . import linalg
 from .bundles import FibreBundle, element_deviation, fibre_elements, \
@@ -97,25 +97,22 @@ def identity_map(bundle: FibreBundle, x) -> "FibreMap":
 # Factorizations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(namedtuple("Factorization", "bundle space path_name "
+                               "domain anchor grid maps tolerance")):
     """A grid-tabulated family F_s factoring one transport along one path."""
 
-    bundle: FibreBundle
-    space: str
-    path_name: str
-    domain: Interval
-    anchor: float
-    grid: tuple
-    maps: tuple
-    tolerance: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.grid) != len(self.maps):
+    def __new__(cls, bundle: FibreBundle, space: str, path_name: str,
+                domain: Interval, anchor: float, grid: tuple, maps: tuple,
+                tolerance: float = 0.0) -> Factorization:
+        if len(grid) != len(maps):
             raise FibreTransportError(
                 "factorization grid and maps disagree in length")
-        if self.anchor not in self.grid:
+        if anchor not in grid:
             raise FibreTransportError("factorization anchor must lie on its grid")
+        return tuple.__new__(cls, (bundle, space, path_name, domain, anchor,
+                                   grid, maps, tolerance))
 
     def map_at(self, s: float):
         try:
@@ -206,15 +203,15 @@ def apply_gauge(f: Factorization, gauge) -> Factorization:
     if is_dict != (f.bundle.fibre_kind != "vector"):
         raise FibreTransportError("gauge map kind does not match the fibre kind")
     map_invert(gauge)  # reject non-bijections early
-    return replace(f, maps=tuple(map_compose(gauge, m) for m in f.maps))
+    return Factorization(**{**f._asdict(), "maps": tuple(
+        map_compose(gauge, m) for m in f.maps)})
 
 
-@dataclass(frozen=True)
-class GaugeMap:
-    """Invertible self-map of the reference fibre relating two families."""
+class GaugeMap(namedtuple("GaugeMap", "map deviation", defaults=(0.0,))):
+    """Invertible self-map ``map`` of the reference fibre relating two
+    families, recovered with the given ``deviation``."""
 
-    map: object
-    deviation: float = 0.0
+    __slots__ = ()
 
 
 def gauge_between(f1: Factorization, f2: Factorization,

@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 import sys
 import weakref
-from dataclasses import dataclass, field
+from collections import namedtuple
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from . import linalg, sphere
@@ -395,18 +396,20 @@ def holonomy_angle(T: Transport, loop: Path,
 # Presets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InstanceSpec:
-    """Everything a CLI run needs to exercise one instance."""
+class InstanceSpec(namedtuple(
+        "InstanceSpec", "name transport metric law_paths product_pair "
+        "uniqueness_path loops step",
+        defaults=(None, (), None, None, MappingProxyType({}), None))):
+    """Everything a CLI run needs to exercise one instance.
 
-    name: str
-    transport: Transport
-    metric: BundleMetric | None = None
-    law_paths: tuple[Path, ...] = ()
-    product_pair: tuple[Path, Path] | None = None
-    uniqueness_path: Path | None = None
-    loops: Mapping[str, Path] = field(default_factory=dict)
-    step: float | None = None
+    ``transport`` and its ``metric`` (or None), the ``law_paths`` the laws
+    draw from, the ``product_pair`` the product laws glue (or None), the
+    ``uniqueness_path`` of law 4.4 (or None), the named closed ``loops``
+    (default: a shared empty read-only mapping) and the integrator ``step``
+    (None for exact instances).
+    """
+
+    __slots__ = ()
 
     @property
     def bundle(self) -> FibreBundle:

@@ -34,6 +34,10 @@ from typing import Callable, Iterable, Sequence
 _NODE1, _NODE2 = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
 _BRACKET = math.sqrt(3.0) / 12.0
 
+# Each squaring of the scaled exponential doubles its rounding error, so past
+# this many squarings fewer than half of a double's 53 bits are left.
+_MAX_SQUARINGS = 26
+
 
 def _exp2(o00: float, o01: float, o10: float, o11: float) -> tuple:
     """exp of ((o00, o01), (o10, o11)), row-major, in closed form: with tau
@@ -86,9 +90,13 @@ def _matmul(x: Sequence[float], y: Sequence[float], n: int) -> list[float]:
 def _expm(o: Sequence[float], n: int) -> tuple[float, ...]:
     """exp of the n * n matrix o, row-major: o scaled by 2**-q to a row-sum
     norm below 1, its Taylor polynomial of degree 18 in Horner form (the
-    remainder is below 1 / 19!, under 2**-55), squared q times."""
+    remainder is below 1 / 19!, under 2**-55), squared q times.  An o that
+    needs more than _MAX_SQUARINGS squarings gives non-finite entries, as
+    an overflow in ``_exp2`` does."""
     norm = max(sum(map(abs, o[i:i + n])) for i in range(0, n * n, n))
     q = max(0, math.frexp(norm)[1])
+    if q > _MAX_SQUARINGS:
+        return (math.nan,) * (n * n)
     x = [math.ldexp(c, -q) for c in o]
     eye = total = [float(i == j) for i in range(n) for j in range(n)]
     for k in range(18, 0, -1):

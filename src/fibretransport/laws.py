@@ -6,8 +6,7 @@ all read this table, so a new law is added here and nowhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from collections import namedtuple
 
 from . import factorization as fz
 from . import lifting as lf
@@ -15,24 +14,18 @@ from . import transport as tr
 from .errors import FibreTransportError
 from .paths import UNIT, Interval, affine_remap, square_remap
 
-if TYPE_CHECKING:
-    from .instances import InstanceSpec
 
-
-@dataclass(frozen=True)
-class Law:
-    """One registry law.
+class Law(namedtuple("Law", "id factor applies run")):
+    """One registry law, named by its ``id``.
 
     ``factor`` scales the instance tolerance into the law's threshold (None:
     the relative linearity bound).  ``applies(spec)`` says whether a default
     run includes the law (None: only when asked for by id).
-    ``run(spec, trials=, seed=, tolerance=)`` executes its checker.
+    ``run(spec, trials=, seed=, tolerance=)`` executes its checker and
+    returns a ``LawReport``.
     """
 
-    id: str
-    factor: float | None
-    applies: Callable[[InstanceSpec], bool] | None
-    run: Callable[..., tr.LawReport]
+    __slots__ = ()
 
 
 def _on_paths(check):

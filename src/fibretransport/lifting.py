@@ -12,7 +12,7 @@ Liftings evaluate lazily; each ``at`` call is one transport application.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Callable, Sequence
 
 from . import linalg
@@ -26,15 +26,12 @@ from .transport import (LawReport, Transport, _as_paths, _desc,
                         law_tolerance, run_trials, transport)
 
 
-@dataclass(frozen=True)
-class Lifting:
-    """A total-space curve over ``path`` pinned to ``through`` at ``anchor``."""
+class Lifting(namedtuple("Lifting", "path anchor through value_fn name",
+                         defaults=("lifting",))):
+    """A total-space curve over ``path`` pinned to ``through`` at ``anchor``:
+    ``value_fn(t)`` is its fibre element at parameter t."""
 
-    path: Path
-    anchor: float
-    through: FibreElement
-    value_fn: Callable[[float], FibreElement] = field(repr=False)
-    name: str = "lifting"
+    __slots__ = ()
 
     def at(self, t: float) -> FibreElement:
         return self.value_fn(self.path.domain.clamp(t))

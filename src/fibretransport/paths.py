@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import KW_ONLY, dataclass, field, replace
+from collections import namedtuple
 from typing import Callable, Sequence
 
 from .bundles import (COORD_TOL, SAME_POINT_TOL, BasePoint, chart_deviation,
@@ -52,16 +52,15 @@ EDGE_SLACK = 1e-9
 EXACT = 1e-12
 
 
-@dataclass(frozen=True)
-class Interval:
-    lo: float
-    hi: float
+class Interval(namedtuple("Interval", "lo hi")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+    def __new__(cls, lo: float, hi: float) -> Interval:
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise FibreTransportError("interval ends must be finite")
-        if self.lo > self.hi:
-            raise FibreTransportError(f"empty interval [{self.lo}, {self.hi}]")
+        if lo > hi:
+            raise FibreTransportError(f"empty interval [{lo}, {hi}]")
+        return tuple.__new__(cls, (lo, hi))
 
     @property
     def width(self) -> float:
@@ -96,8 +95,8 @@ UNIT = Interval(0.0, 1.0)
 # Reparameterizations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Reparameterization:
+class Reparameterization(namedtuple(
+        "Reparameterization", "source target reversing squared name")):
     """A strictly monotone bijection between two parameter intervals.
 
     The map is closed-form: affine, or with ``squared`` affine in u*u, where
@@ -107,48 +106,48 @@ class Reparameterization:
     refused, and so are flags that are not bools.  ``fwd`` maps source ->
     target, ``inv`` is its inverse and ``deriv`` the derivative of ``fwd``,
     which derived paths use to push analytic velocities through; all three
-    are built at construction.  ``affine`` is (a, c, k) with
-    fwd(s) = c + (s - a) * k when the map is affine, and None otherwise.
+    read ``coefficients``, which the fields determine, so equal remaps are
+    the same map.
     """
 
-    source: Interval
-    target: Interval
-    _: KW_ONLY
-    reversing: bool = False
-    squared: bool = False
-    name: str = "remap"
-    fwd: Callable[[float], float] = field(init=False, repr=False, compare=False)
-    inv: Callable[[float], float] = field(init=False, repr=False, compare=False)
-    deriv: Callable[[float], float] = field(init=False, repr=False, compare=False)
-    affine: tuple[float, float, float] | None = field(
-        init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.reversing, bool)
-                and isinstance(self.squared, bool)):
+    def __new__(cls, source: Interval, target: Interval, *,
+                reversing: bool = False, squared: bool = False,
+                name: str = "remap") -> Reparameterization:
+        if not (isinstance(reversing, bool) and isinstance(squared, bool)):
             raise FibreTransportError(
-                f"{self.name}: reversing and squared must be bools")
-        if self.source.width <= 0.0 or self.target.width <= 0.0:
+                f"{name}: reversing and squared must be bools")
+        if source.width <= 0.0 or target.width <= 0.0:
             raise FibreTransportError(
-                f"{self.name}: remaps need non-degenerate intervals")
+                f"{name}: remaps need non-degenerate intervals")
+        return tuple.__new__(cls, (source, target, reversing, squared, name))
+
+    @property
+    def coefficients(self) -> tuple[float, float, float]:
+        """(a, c, k) with fwd(s) = c + (s - a) * k, or c + (s - a)**2 * k
+        when ``squared``."""
         a, w = self.source.lo, self.source.width
         c, k = self.target.lo, self.target.width
         if self.reversing:
             c, k = self.target.hi, -k
-        affine = None
-        if not self.squared:
-            k /= w
-            maps = (lambda s: c + (s - a) * k, lambda t: a + (t - c) / k,
-                    lambda s: k)
-            affine = (a, c, k)
-        else:
-            k /= w * w
-            maps = (lambda s: c + (s - a) * (s - a) * k,
-                    lambda t: a + math.sqrt((t - c) / k),
-                    lambda s: 2.0 * k * (s - a))
-        for attr, f in zip(("fwd", "inv", "deriv", "affine"),
-                           (*maps, affine)):
-            object.__setattr__(self, attr, f)
+        return a, c, k / (w * w if self.squared else w)
+
+    def fwd(self, s: float) -> float:
+        a, c, k = self.coefficients
+        if self.squared:
+            return c + (s - a) * (s - a) * k
+        return c + (s - a) * k
+
+    def inv(self, t: float) -> float:
+        a, c, k = self.coefficients
+        if self.squared:
+            return a + math.sqrt((t - c) / k)
+        return a + (t - c) / k
+
+    def deriv(self, s: float) -> float:
+        a, c, k = self.coefficients
+        return 2.0 * k * (s - a) if self.squared else k
 
     def apply(self, s: float) -> float:
         return self.target.clamp(self.fwd(self.source.clamp(s)))
@@ -176,8 +175,8 @@ def canonical_reversal() -> Reparameterization:
 # Paths
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Path:
+class Path(namedtuple("Path",
+                      "space domain jet kind breakpoints crossings name")):
     """A parameterized path in one base space.
 
     ``jet(s, side)`` is the raw map: it must accept any parameter of
@@ -191,26 +190,28 @@ class Path:
     never depends on it.
     """
 
-    space: str
-    domain: Interval
-    jet: Callable[[float, int], tuple[BasePoint | tuple[float, ...],
-                                      tuple[float, ...] | None]]
-    kind: str                                  # discrete | chart
-    breakpoints: tuple[float, ...] = ()
-    crossings: tuple[tuple[float, float], ...] = ()
-    name: str = "path"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("discrete", "chart"):
+    def __new__(cls, space: str, domain: Interval,
+                jet: Callable[[float, int],
+                              tuple[BasePoint | tuple[float, ...],
+                                    tuple[float, ...] | None]],
+                kind: str,                     # discrete | chart
+                breakpoints: tuple[float, ...] = (),
+                crossings: tuple[tuple[float, float], ...] = (),
+                name: str = "path") -> Path:
+        if kind not in ("discrete", "chart"):
             raise FibreTransportError("path kind must be 'discrete' or 'chart'")
-        if self.kind == "chart" and self.jet(self.domain.lo, 1)[1] is None:
-            raise FibreTransportError(f"chart path {self.name!r} needs a velocity")
-        for b in self.breakpoints:
-            if not (self.domain.lo < b < self.domain.hi):
+        if kind == "chart" and jet(domain.lo, 1)[1] is None:
+            raise FibreTransportError(f"chart path {name!r} needs a velocity")
+        for b in breakpoints:
+            if not (domain.lo < b < domain.hi):
                 raise FibreTransportError(
                     f"breakpoint {b} not interior to the domain")
-        if list(self.breakpoints) != sorted(self.breakpoints):
+        if list(breakpoints) != sorted(breakpoints):
             raise FibreTransportError("breakpoints must be sorted")
+        return tuple.__new__(cls, (space, domain, jet, kind, breakpoints,
+                                   crossings, name))
 
     def at(self, s: float) -> BasePoint:
         x = self.jet(self.domain.clamp(s), 0)[0]
@@ -244,7 +245,7 @@ def with_crossings(p: Path, pairs: Sequence[tuple[float, float]]) -> Path:
         if chart_deviation(p.at(r), p.at(s)) > SAME_POINT_TOL:
             raise FibreTransportError(
                 f"declared crossing ({r}, {s}) does not close up")
-    return replace(p, crossings=norm)
+    return Path(**{**p._asdict(), "crossings": norm})
 
 
 def piecewise_path(space: str, domain: Interval,
@@ -294,9 +295,9 @@ def restrict(p: Path, sub: Interval) -> Path:
     crossings = tuple(
         (r, s) for r, s in p.crossings if sub.contains(r, EXACT) and sub.contains(s, EXACT)
     )
-    return replace(
-        p, domain=sub, breakpoints=bps, crossings=crossings,
-        name=f"{p.name}|[{sub.lo:g},{sub.hi:g}]",
+    return Path(
+        space=p.space, domain=sub, jet=p.jet, kind=p.kind, breakpoints=bps,
+        crossings=crossings, name=f"{p.name}|[{sub.lo:g},{sub.hi:g}]",
     )
 
 
@@ -308,16 +309,15 @@ def reparameterize(p: Path, remap: Reparameterization) -> Path:
             f"path domain is [{p.domain.lo}, {p.domain.hi}]"
         )
 
-    lo, hi, snap = p.domain.lo, p.domain.hi, p.domain.clamp
-    fwd, deriv, inner = remap.fwd, remap.deriv, p.jet
+    lo, hi, snap, inner = p.domain.lo, p.domain.hi, p.domain.clamp, p.jet
     sgn = -1 if remap.reversing else 1
+    # fwd and deriv inlined: the jet runs at every integrator stage
+    a, c, k = remap.coefficients
 
-    # A velocity scales by the remap's derivative k, as (v[0] * k, v[1] * k)
+    # A velocity scales by the remap's derivative, as (v[0] * k, v[1] * k)
     # at rank 2, which equals k * v[i] to the bit: IEEE multiplication
     # commutes.  Other ranks take the generic map.
-    if remap.affine is not None:
-        # fwd and deriv inlined: the jet runs at every integrator stage
-        a, c, k = remap.affine
+    if not remap.squared:
         scale = k.__mul__
 
         def jet(s: float, side: int):
@@ -330,14 +330,15 @@ def reparameterize(p: Path, remap: Reparameterization) -> Path:
             return x, tuple(map(scale, v))
     else:
         def jet(s: float, side: int):
-            r = fwd(s)
+            d = s - a
+            r = c + d * d * k
             x, v = inner(snap(r) if r < lo or r > hi else r, side * sgn)
             if v is None:
                 return x, None
-            k = deriv(s)
+            dk = 2.0 * k * d
             if len(v) == 2:
-                return x, (v[0] * k, v[1] * k)
-            return x, tuple(map(k.__mul__, v))
+                return x, (v[0] * dk, v[1] * dk)
+            return x, tuple(map(dk.__mul__, v))
 
     bps = sorted(remap.invert_param(b) for b in p.breakpoints)
     bps = tuple(b for b in bps if remap.source.lo < b < remap.source.hi)

@@ -19,7 +19,6 @@ are chosen so that no arc approaches the phi seam or the poles.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from . import linalg
 from .bundles import POLE_MARGIN, BasePoint, BundleMetric, FibreBundle
@@ -160,7 +159,8 @@ def octant_loop(name: str = "octant") -> Path:
     loop = concatenate(great_circle_arc(b, c, name=f"{name}-leg1"),
                        great_circle_arc(c, a, name=f"{name}-leg2"),
                        great_circle_arc(a, b, name=f"{name}-leg3"))
-    return with_crossings(replace(loop, name=name), [(0.0, 1.0)])
+    return with_crossings(Path(**{**loop._asdict(), "name": name}),
+                          [(0.0, 1.0)])
 
 
 def closed_latitude(theta: float, name: str | None = None) -> Path:

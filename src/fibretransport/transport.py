@@ -21,7 +21,7 @@ import functools
 import json
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Iterator, Sequence
 
 from .bundles import (SAME_POINT_TOL, BundleMetric, FibreBundle,
@@ -40,8 +40,8 @@ KNOWN_PROPERTIES = frozenset(
 # Relative tolerance used for linearity checks on inexact transports.
 LINEARITY_RTOL = 1e-9
 
-@dataclass(frozen=True)
-class Transport:
+class Transport(namedtuple("Transport", "name bundle apply_fn declared "
+                           "tolerance violates preserves")):
     """A rule mapping fibre elements along paths of one bundle.
 
     ``apply_fn(path, s, t, u)`` must return the image of ``u`` (attached over
@@ -52,19 +52,20 @@ class Transport:
     controls.
     """
 
-    name: str
-    bundle: FibreBundle
-    apply_fn: Callable[[Path, float, float, FibreElement], FibreElement]
-    declared: frozenset = frozenset()
-    tolerance: float = 0.0
-    violates: str | None = None
-    preserves: frozenset = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        unknown = set(self.declared) - KNOWN_PROPERTIES
+    def __new__(cls, name: str, bundle: FibreBundle,
+                apply_fn: Callable[[Path, float, float, FibreElement],
+                                   FibreElement],
+                declared: frozenset = frozenset(), tolerance: float = 0.0,
+                violates: str | None = None,
+                preserves: frozenset = frozenset()) -> Transport:
+        unknown = set(declared) - KNOWN_PROPERTIES
         if unknown:
             raise FibreTransportError(
                 f"unknown declared properties: {sorted(unknown)}")
+        return tuple.__new__(cls, (name, bundle, apply_fn, declared,
+                                   tolerance, violates, preserves))
 
 
 def law_tolerance(law: str, transport: Transport) -> float:
@@ -151,30 +152,25 @@ def is_transported_section(T: Transport, sigma, p: Path, s0: float | None = None
 # Reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Failure:
-    path: str
-    params: dict
-    elements: tuple
-    deviation: float
+class Failure(namedtuple("Failure", "path params elements deviation")):
+    """One failed trial record: the path's name, the parameter dict, the
+    element descriptions and the deviation."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"path": self.path, "params": self.params,
                 "elements": list(self.elements), "deviation": self.deviation}
 
 
-@dataclass(frozen=True)
-class LawReport:
-    """Outcome of running one law checker against one instance."""
+class LawReport(namedtuple("LawReport", "law instance trials tolerance "
+                           "max_deviation failures seed notes",
+                           defaults=((), 0, ""))):
+    """Outcome of running one law checker against one instance: ``trials``
+    records were compared to ``tolerance``, and ``failures`` holds the first
+    few ``Failure`` records."""
 
-    law: str
-    instance: str
-    trials: int
-    tolerance: float
-    max_deviation: float
-    failures: tuple = ()
-    seed: int = 0
-    notes: str = ""
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

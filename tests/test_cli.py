@@ -1,9 +1,13 @@
 import csv
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fibretransport
 from fibretransport.cli import law_filename, main, run_law
 from fibretransport.instances import make_instance
 
@@ -17,6 +21,19 @@ def one_error_line(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     return err
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Every command pays the import first; records are tuples, so the
+    import needs neither module (-I -S: no site hooks, no environment)."""
+    src = str(Path(fibretransport.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import fibretransport.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert proc.stdout == "[]\n"
 
 
 class TestCheck:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -46,7 +45,7 @@ class TestApplicableLaws:
     def test_perm(self, perm):
         assert set(perm.applicable) == set(LAW_ORDER) - {"2.8", "2.9", "4.4"}
         # without a product pair, the product laws drop out as well
-        bare = dataclasses.replace(perm, product_pair=None)
+        bare = perm._replace(product_pair=None)
         assert set(bare.applicable) == (set(LAW_ORDER)
                                         - {"2.8", "2.9", "3.4", "3.5", "4.4"})
 

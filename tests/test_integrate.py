@@ -207,6 +207,26 @@ def test_an_overflowing_exponential_is_non_finite_at_rank_3(a):
     assert not all(map(math.isfinite, integrate._cell(a, a, 1.0)))
 
 
+def test_a_rotation_too_large_to_square_accurately_is_non_finite_at_rank_3():
+    """Scaling and squaring would take 531 squarings here, and returned the
+    finite, wrong (0, ..., 0, 1); the rank-2 closed form refuses the same
+    rotation (see above)."""
+    zeros = ((0.0, 0.0, 0.0),) * 3
+    prop = integrate._cell(((0, 1e160, 0), (-1e160, 0, 0), (0, 0, 0)),
+                           zeros, 1.0)
+    assert not any(map(math.isfinite, prop))
+
+
+@pytest.mark.parametrize("angle", (1.0, 1e3, 3e7))
+def test_a_large_rotation_within_the_squaring_cap_stays_accurate(angle):
+    zeros = ((0.0, 0.0, 0.0),) * 3
+    a = ((0.0, 2.0 * angle, 0.0), (-2.0 * angle, 0.0, 0.0), (0.0, 0.0, 0.0))
+    c, s = math.cos(angle), math.sin(angle)
+    exact = (c, s, 0.0, -s, c, 0.0, 0.0, 0.0, 1.0)
+    prop = integrate._cell(a, zeros, 1.0)
+    assert max(abs(x - y) for x, y in zip(prop, exact)) <= 1e-8
+
+
 def test_transport_checks_its_parameters_once_at_the_entry():
     spec = make_instance("sphere-levi-civita")
     octant = spec.path_named("octant")
@@ -248,13 +268,13 @@ def test_no_base_point_is_built_per_integrator_stage(monkeypatch):
     octant = sphere.octant_loop()
     u = vector_element(octant.at(0.0), (0.6, 0.8))
     built = []
-    original = BasePoint.__post_init__
+    original = BasePoint.__new__
 
-    def counted(self):
+    def counted(cls, *args, **kwargs):
         built.append(1)
-        original(self)
+        return original(cls, *args, **kwargs)
 
-    monkeypatch.setattr(BasePoint, "__post_init__", counted)
+    monkeypatch.setattr(BasePoint, "__new__", counted)
     per_step = {}
     for step in (1e-3, 1e-4):
         T = linear_ode_transport(sphere.tangent_bundle(),

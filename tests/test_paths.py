@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -203,7 +202,7 @@ class TestConcatenation:
         with pytest.raises(FibreTransportError,
                            match="cannot glue a discrete path to a chart path"):
             concatenate(lat, lat, node)
-        elsewhere = replace(lat, space="plane")
+        elsewhere = Path(**{**lat._asdict(), "space": "plane"})
         with pytest.raises(FibreTransportError, match="same base space"):
             concatenate(lat, elsewhere)
 

@@ -7,7 +7,6 @@ to reproduce them within the stated slack at the step each test names, or
 at its default step.
 """
 
-import dataclasses
 import math
 import random
 
@@ -264,7 +263,7 @@ def _metric_saboteur(spec, eps=1e-8):
     T = linear_ode_transport(spec.bundle, coefficients, DEFAULT_STEP,
                              name="metric-saboteur",
                              tolerance=spec.transport.tolerance)
-    return dataclasses.replace(spec, transport=T)
+    return spec._replace(transport=T)
 
 
 @pytest.mark.parametrize("seed", range(4))
