@@ -17,9 +17,9 @@ Gauss-Legendre nodes a + h (1/2 -+ sqrt(3)/6) in the order of travel
   cells as one split into about 2 * log2(cells) blocks whatever ran before,
   so a restriction of a path replays the same bits: locality checks demand
   deviation zero even for numeric transports.
-* The flow checks nothing about A.  A non-finite coefficient, or an Omega
-  whose exponential overflows, makes its cell's propagator non-finite, so a
-  caller checks the propagators once per flow (``instances`` does, and
+* The flow checks nothing about A.  A non-finite coefficient, an Omega
+  whose exponential overflows, or one too large to scale and square
+  accurately, makes its cell's propagator non-finite, so a caller checks the propagators once per flow (``instances`` does, and
   replays a flow that fails with every stage checked).
 """
 
