@@ -1,0 +1,46 @@
+"""Golden digests of the graph presets' law reports.
+
+Each preset is checked at seed 0 with 40 trials, and its report directory
+is pinned by one sha256 over the sorted (file name, file sha256) pairs.  A
+change that alters report bytes on purpose updates these pins and says so.
+"""
+
+import hashlib
+
+import pytest
+
+from fibretransport.cli import main
+
+GOLDEN = {
+    "perm-c3":
+        "95d078df0ad063f1b53350dfa49cf0c39459c5ef7f35ebea8dc073ccb10287c0",
+    "foliation-2sec":
+        "6da8d8366f53e3fff54e8e81c4f8003b7e485acad2862555735b21bd1c85b2bd",
+    "parallelization-flat":
+        "0586f0b1a4096b160bd234b0e3ea4a8375b1e848a3d6050be131b4bec84aabc4",
+    "counterexample:group_breaking":
+        "739425690573bcf96e983ae2aa7844bd5dcc4b732ae3feb6f52f157a257431eb",
+    "counterexample:nonlocal":
+        "80ef1ca9fc6a5834442ca42e8774b6d768e82dd81da2e2825626121d4d013d55",
+    "counterexample:non_reparam_invariant":
+        "d3ac5cecabe757ceab0b16f9b341e3374658f575a74b517377165101c971d2ea",
+    "counterexample:nonlinear":
+        "820a20e683ed265e9553b352a6a06a04d793049cbd2ec4697ccef177b39028f7",
+    "counterexample:metric_breaking":
+        "29d11bbeae68399d747d4614a38a76dfac31340534b21126ead43cc99a39abae",
+}
+
+
+def report_digest(out) -> str:
+    pairs = sorted((f.name, hashlib.sha256(f.read_bytes()).hexdigest())
+                   for f in out.iterdir())
+    return hashlib.sha256(repr(pairs).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_graph_reports_match_their_golden_digest(name, tmp_path, capsys):
+    rc = main(["check", "--instance", name, "--seed", "0", "--trials", "40",
+               "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == (1 if name.startswith("counterexample:") else 0)
+    assert report_digest(tmp_path) == GOLDEN[name]
