@@ -104,11 +104,11 @@ class FibreElement(namedtuple("FibreElement", "over label vector")):
 
 
 def label_element(over: BasePoint, label: str) -> FibreElement:
-    return FibreElement(over=over, label=label)
+    return FibreElement(over, label)
 
 
 def vector_element(over: BasePoint, components) -> FibreElement:
-    return FibreElement(over=over, vector=tuple(map(float, components)))
+    return FibreElement(over, None, tuple(map(float, components)))
 
 
 def rebase(u: FibreElement, over: BasePoint) -> FibreElement:

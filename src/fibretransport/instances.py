@@ -130,11 +130,10 @@ def parallelization_transport(bundle: FibreBundle,
                         f"gap {gap}")
 
     def apply(p: Path, s: float, t: float, u: FibreElement) -> FibreElement:
-        x = p.at(s).node
-        y = p.at(t).node
-        if x == y:
-            return vector_element(p.at(t), u.vector)
-        return vector_element(p.at(t), linalg.matvec(pair[(x, y)], u.vector))
+        x, y = p.at(s).node, p.at(t)
+        if x == y.node:
+            return vector_element(y, u.vector)
+        return vector_element(y, linalg.matvec(pair[(x, y.node)], u.vector))
 
     return Transport(name=name, bundle=bundle, apply_fn=apply,
                      declared=frozenset({"local", "reparam_invariant",
@@ -299,21 +298,23 @@ def counterexample_transport(kind: str) -> Transport:
     bundle = _cx_bundle()
     omega = {n: float(i) for i, n in enumerate(bundle.nodes)}
 
-    def node_gap(p: Path, s: float, t: float) -> float:
-        return omega[p.at(t).node] - omega[p.at(s).node]
+    def node_gap(x: BasePoint, y: BasePoint) -> float:
+        return omega[y.node] - omega[x.node]
 
     if kind == "group_breaking":
         def apply(p, s, t, u):
-            if p.at(s).node == p.at(t).node:
-                return vector_element(p.at(t), u.vector)
-            return vector_element(p.at(t), _rotate(1.0, u.vector))
+            y = p.at(t)
+            if p.at(s).node == y.node:
+                return vector_element(y, u.vector)
+            return vector_element(y, _rotate(1.0, u.vector))
         violates = "2.2"
         preserves = frozenset({"2.3", "2.5/2.7", "2.6", "2.8", "2.9"})
         declared = {"local", "reparam_invariant", "linear", "metric_consistent"}
     elif kind == "nonlocal":
         def apply(p, s, t, u):
-            angle = node_gap(p, s, t) * float(len(trace_nodes(p)))
-            return vector_element(p.at(t), _rotate(angle, u.vector))
+            y = p.at(t)
+            angle = node_gap(p.at(s), y) * float(len(trace_nodes(p)))
+            return vector_element(y, _rotate(angle, u.vector))
         violates = "2.5/2.7"
         preserves = frozenset({"2.2", "2.3", "2.6", "2.8", "2.9"})
         declared = {"reparam_invariant", "linear", "metric_consistent"}
@@ -325,9 +326,10 @@ def counterexample_transport(kind: str) -> Transport:
         declared = {"local", "linear", "metric_consistent"}
     elif kind == "nonlinear":
         def apply(p, s, t, u):
+            y = p.at(t)
             norm = math.sqrt(u.vector[0] ** 2 + u.vector[1] ** 2)
-            return vector_element(p.at(t),
-                                  _rotate(norm * node_gap(p, s, t), u.vector))
+            return vector_element(y, _rotate(norm * node_gap(p.at(s), y),
+                                             u.vector))
         violates = "2.8"
         preserves = frozenset({"2.2", "2.3", "2.5/2.7", "2.6"})
         declared = {"local", "reparam_invariant"}

@@ -27,10 +27,12 @@ Breakpoint convention for piecewise-constant paths: the value at an interior
 breakpoint belongs to the piece on the right, so [n0 on [0, .5), n1 on [.5, 1]]
 evaluates to n1 at 0.5.  Compositions preserve evaluation semantics exactly
 because a derived path evaluates through the original jet.  A parameter is
-checked once, at the public entry (``Path.at``, ``Path.velocity``, or the
-transport itself): derived layers call their parent's raw ``jet`` with the
-remapped parameter snapped into its domain: a closed-form image of an exact
-end can still land an ulp outside it.
+checked once, at the public entry (``Path.at``, ``Path.velocity``,
+``node_sequence``, ``piece_runs`` or the transport itself): the two walkers
+check their ends and read the points between through the raw jet, and
+derived layers call their parent's raw ``jet`` with the remapped parameter
+snapped into its domain: a closed-form image of an exact end can still land
+an ulp outside it.
 """
 
 from __future__ import annotations
@@ -214,7 +216,10 @@ class Path(namedtuple("Path",
                                    crossings, name))
 
     def at(self, s: float) -> BasePoint:
-        x = self.jet(self.domain.clamp(s), 0)[0]
+        domain = self.domain
+        if not domain.lo <= s <= domain.hi:
+            s = domain.clamp(s)
+        x = self.jet(s, 0)[0]
         return BasePoint(self.space, coords=x) if self.kind == "chart" else x
 
     def velocity(self, s: float, side: int = 0) -> tuple[float, ...] | None:
@@ -229,7 +234,9 @@ class Path(namedtuple("Path",
         return self.at(self.domain.hi)
 
     def interior_breakpoints(self, lo: float, hi: float) -> list[float]:
-        return [b for b in self.breakpoints if lo < b < hi]
+        bps = self.breakpoints  # sorted: lo < b < hi is one slice
+        return list(bps[bisect.bisect_right(bps, lo):
+                        bisect.bisect_left(bps, hi)])
 
 
 def with_crossings(p: Path, pairs: Sequence[tuple[float, float]]) -> Path:
@@ -417,13 +424,13 @@ def piece_runs(p: Path) -> list[tuple[float, float, BasePoint]]:
     """Maximal constancy runs (run_lo, run_hi, point) of a discrete path."""
     if p.kind != "discrete":
         raise FibreTransportError("piece runs are defined for discrete paths")
-    lo, hi = p.domain.lo, p.domain.hi
+    (lo, hi), jet = p.domain, p.jet
     if hi - lo <= 0.0:
-        return [(lo, hi, p.at(lo))]
-    cuts = [lo, *p.interior_breakpoints(lo, hi), hi]
+        return [(lo, hi, jet(lo, 0)[0])]
+    cuts = [lo, *p.breakpoints, hi]  # breakpoints are interior
     runs: list[tuple[float, float, BasePoint]] = []
     for a, b in zip(cuts, cuts[1:]):
-        x = p.at(0.5 * (a + b))
+        x = jet(0.5 * (a + b), 0)[0]
         if runs and runs[-1][2].node == x.node:
             runs[-1] = (runs[-1][0], b, runs[-1][2])
         else:
@@ -433,6 +440,11 @@ def piece_runs(p: Path) -> list[tuple[float, float, BasePoint]]:
 
 def node_sequence(p: Path, s: float, t: float) -> list[str]:
     """Nodes visited in order when moving from parameter s to parameter t."""
+    if p.kind != "discrete":
+        raise FibreTransportError("node sequences are defined for discrete paths")
+    domain, jet = p.domain, p.jet  # the ends are checked once, as by ``at``
+    if not (domain.lo <= s <= domain.hi and domain.lo <= t <= domain.hi):
+        s, t = domain.clamp(s), domain.clamp(t)
     lo, hi = (s, t) if s <= t else (t, s)
     cuts = [lo, *p.interior_breakpoints(lo, hi), hi]
     samples = [lo]
@@ -442,7 +454,7 @@ def node_sequence(p: Path, s: float, t: float) -> list[str]:
         samples.reverse()
     seq: list[str] = []
     for x in samples:
-        n = p.at(x).node
+        n = jet(x, 0)[0].node
         if not seq or seq[-1] != n:
             seq.append(n)
     return seq

@@ -81,26 +81,31 @@ def law_tolerance(law: str, transport: Transport) -> float:
 def transport(T: Transport, p: Path, s: float, t: float,
               u: FibreElement) -> FibreElement:
     """Apply T along p from parameter s to t, validating the inputs."""
-    if p.space != T.bundle.base_space_id:
+    bundle, space, domain = T.bundle, p.space, p.domain
+    if space != bundle.base_space_id:
         raise FibreTransportError(
-            f"path over space {p.space!r} fed to a transport over "
-            f"{T.bundle.base_space_id!r}")
-    s = p.domain.clamp(s)
-    t = p.domain.clamp(t)
-    if T.bundle.fibre_kind == "vector":
-        if u.vector is None:
+            f"path over space {space!r} fed to a transport over "
+            f"{bundle.base_space_id!r}")
+    lo, hi = domain
+    if not lo <= s <= hi:
+        s = domain.clamp(s)
+    if not lo <= t <= hi:
+        t = domain.clamp(t)
+    over, label, vector = u
+    if bundle.fibre_kind == "vector":
+        if vector is None:
             raise FibreTransportError("this transport moves vectors")
-        if len(u.vector) != T.bundle.dim:
+        if len(vector) != bundle.dim:
             raise FibreTransportError(
-                f"vector of length {len(u.vector)} in a rank-{T.bundle.dim} fibre")
-    elif u.label is None:
+                f"vector of length {len(vector)} in a rank-{bundle.dim} fibre")
+    elif label is None:
         raise FibreTransportError("this transport moves labelled elements")
-    elif T.bundle.fibre_kind == "finite" and u.label not in T.bundle.labels:
+    elif bundle.fibre_kind == "finite" and label not in bundle.labels:
         raise FibreTransportError(
-            f"label {u.label!r} is not in the fibre {list(T.bundle.labels)}")
-    if T.bundle.point_deviation(u.over, p.at(s)) > SAME_POINT_TOL:
+            f"label {label!r} is not in the fibre {list(bundle.labels)}")
+    if bundle.point_deviation(over, p.at(s)) > SAME_POINT_TOL:
         raise FibreTransportError(
-            f"element over {u.over} is not attached over path({s})")
+            f"element over {over} is not attached over path({s})")
     return T.apply_fn(p, s, t, u)
 
 
@@ -268,6 +273,14 @@ def _as_paths(paths) -> tuple[Path, ...]:
 
 def unit_ball(rng: random.Random, n: int) -> tuple[float, ...]:
     """A point of the unit n-ball, uniformly distributed."""
+    if n == 2:  # the loop below unrolled: the same floats, the same draws
+        while True:
+            a, b = rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)
+            r = math.sqrt(a * a + b * b)
+            if r > 1e-12:
+                break
+        scale = rng.random() ** 0.5 / r
+        return a * scale, b * scale
     while True:
         g = [rng.gauss(0.0, 1.0) for _ in range(n)]
         r = math.sqrt(sum(c * c for c in g))
@@ -296,7 +309,8 @@ def _pick(rng: random.Random, items: Sequence):
 def _draw_params(rng: random.Random, paths, n: int) -> tuple:
     """One of the paths, then n parameters drawn uniformly on its domain."""
     p = _pick(rng, paths)
-    return (p, *(rng.uniform(p.domain.lo, p.domain.hi) for _ in range(n)))
+    lo, hi = p.domain  # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random()
+    return (p, *[lo + (hi - lo) * rng.random() for _ in range(n)])
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,11 @@ class TestElements:
         assert v.vector == (1.0, 2.0)
         assert v.over == chart_point("c", 0.0)
 
+    def test_a_none_label_is_refused(self):
+        with pytest.raises(FibreTransportError,
+                           match="exactly one of label / vector must be set"):
+            label_element(graph_point("g", "n0"), None)
+
     def test_rebase_moves_footpoint_only(self):
         u = vector_element(chart_point("c", 0.0), (1.0, 2.0))
         w = rebase(u, chart_point("c", 3.0))

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -7,7 +8,8 @@ from fibretransport import integrate, sphere
 from fibretransport.bundles import graph_point, vector_element
 from fibretransport.errors import FibreTransportError
 from fibretransport.instances import DEFAULT_STEP, linear_ode_transport
-from fibretransport.paths import (UNIT, Interval, Path, Reparameterization,
+from fibretransport.paths import (EDGE_SLACK, UNIT, Interval, Path,
+                                  Reparameterization,
                                   affine_remap, canonical_reversal,
                                   concatenate, node_sequence, piece_runs,
                                   piecewise_path, reparameterize, restrict,
@@ -251,6 +253,42 @@ def test_a_parameter_just_past_an_edge_reads_the_edge(name):
     for side in (-1, 0, 1):
         assert p.velocity(hi + 1e-12, side) == p.velocity(hi, side)
         assert p.velocity(lo - 1e-12, side) == p.velocity(lo, side)
+
+
+@pytest.mark.parametrize("bad", [1.0 + 2 * EDGE_SLACK, -2 * EDGE_SLACK,
+                                 math.nan])
+def test_graph_entries_refuse_a_parameter_beyond_the_slack(bad):
+    p = zigzag()
+    message = re.escape(f"{bad} outside [0.0, 1.0]")
+    with pytest.raises(FibreTransportError, match=message):
+        p.at(bad)
+    with pytest.raises(FibreTransportError, match=message):
+        node_sequence(p, bad, 0.5)
+    with pytest.raises(FibreTransportError, match=message):
+        node_sequence(p, 0.5, bad)
+
+
+def test_graph_entries_snap_a_parameter_within_the_slack():
+    p = zigzag()
+    below, above = -0.5 * EDGE_SLACK, 1.0 + 0.5 * EDGE_SLACK
+    assert p.at(below) == p.at(0.0) and p.at(above) == p.at(1.0)
+    assert node_sequence(p, below, above) == ["n0", "n1", "n0", "n1"]
+    assert node_sequence(p, above, below) == ["n1", "n0", "n1", "n0"]
+    assert node_sequence(p, below, below) == ["n0"]
+
+
+def test_node_sequence_refuses_a_chart_path():
+    with pytest.raises(FibreTransportError, match="discrete paths"):
+        node_sequence(sphere.latitude_arc(1.0, 0.0, 1.0), 0.0, 1.0)
+
+
+def test_interior_breakpoints_are_the_strictly_interior_ones():
+    p = concatenate(zigzag(), reverse(zigzag()))  # seven breakpoints
+    ends = [-1.0, 0.0, 0.125, 0.2, 0.5, 0.6, 0.875, 1.0, 2.0, math.nan]
+    for lo in ends:
+        for hi in ends:
+            assert p.interior_breakpoints(lo, hi) == [
+                b for b in p.breakpoints if lo < b < hi]
 
 
 @pytest.mark.parametrize("name", DERIVED)

@@ -1,5 +1,7 @@
 import json
 import math
+import random
+import re
 import sys
 
 import pytest
@@ -11,14 +13,16 @@ from fibretransport.factorization import check_gauge_freedom
 from fibretransport.instances import make_instance
 from fibretransport.laws import LAWS, REMAPS
 from fibretransport.lifting import liftings_disjoint_or_equal
-from fibretransport.paths import UNIT, Interval, affine_remap, piecewise_path
+from fibretransport.paths import (EDGE_SLACK, UNIT, Interval, affine_remap,
+                                  piecewise_path)
 from fibretransport.transport import (Transport, check_group_law,
                                       check_inverse_path_law,
                                       check_metric_consistency,
                                       check_reparam_invariance,
                                       inverse_transport, is_transported_section,
                                       law_tolerance, propagate_section,
-                                      run_trials, transport)
+                                      run_trials, transport, unit_ball)
+from fibretransport.transport import _draw_params
 
 
 class TestValidation:
@@ -56,6 +60,79 @@ class TestValidation:
         u = label_element(p.at(1.0), "a")  # walk starts at n0, ends elsewhere
         with pytest.raises(FibreTransportError, match="is not attached over"):
             transport(perm.transport, p, 0.0, 1.0, u)
+
+
+class TestCheckedParameters:
+    @pytest.mark.parametrize("bad", [1.0 + 2 * EDGE_SLACK, -2 * EDGE_SLACK,
+                                     math.nan])
+    def test_beyond_the_slack_or_nan_is_refused(self, perm, bad):
+        p = perm.path_named("walk")
+        u = label_element(p.at(0.0), "a")
+        message = re.escape(f"{bad} outside [0.0, 1.0]")
+        with pytest.raises(FibreTransportError, match=message):
+            transport(perm.transport, p, bad, 1.0, u)
+        with pytest.raises(FibreTransportError, match=message):
+            transport(perm.transport, p, 0.0, bad, u)
+        # the parameters are checked before the element
+        wrong = vector_element(p.at(0.0), (1.0, 0.0))
+        with pytest.raises(FibreTransportError, match=message):
+            transport(perm.transport, p, 0.0, bad, wrong)
+
+    def test_within_the_slack_snaps_onto_the_edge(self, perm):
+        p = perm.path_named("walk")
+        u = label_element(p.at(0.0), "a")
+        seen = []
+        spy = Transport("spy", perm.bundle,
+                        lambda p, s, t, u: seen.append((s, t)) or u)
+        below, above = -0.5 * EDGE_SLACK, 1.0 + 0.5 * EDGE_SLACK
+        transport(spy, p, below, above, u)
+        assert seen == [(0.0, 1.0)]
+        assert (transport(perm.transport, p, below, above, u)
+                == transport(perm.transport, p, 0.0, 1.0, u))
+
+
+# The loop forms that unit_ball at rank 2 and _draw_params replace; the
+# replacements must draw the same floats and leave the same generator state.
+def generic_unit_ball(rng, n):
+    while True:
+        g = [rng.gauss(0.0, 1.0) for _ in range(n)]
+        r = math.sqrt(sum(c * c for c in g))
+        if r > 1e-12:
+            break
+    scale = rng.random() ** (1.0 / n) / r
+    return tuple(c * scale for c in g)
+
+
+def generic_draw_params(rng, paths, n):
+    p = paths[rng.randrange(len(paths))]
+    return (p, *(rng.uniform(p.domain.lo, p.domain.hi) for _ in range(n)))
+
+
+def hexes(values):
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+class TestDrawsMatchTheirLoopForms:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_unit_ball(self, n):
+        for seed in range(1000):
+            a, b = random.Random(seed), random.Random(seed)
+            got = [unit_ball(a, n) for _ in range(3)]
+            want = [generic_unit_ball(b, n) for _ in range(3)]
+            assert all(type(v) is tuple and len(v) == n for v in got)
+            assert [hexes(v) for v in got] == [hexes(v) for v in want]
+            assert a.getstate() == b.getstate()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_draw_params(self, n):
+        paths = [piecewise_path("g", dom, [(dom.hi, "a")])
+                 for dom in (UNIT, Interval(0.5, 2.0), Interval(-1.3, 0.7))]
+        for seed in range(1000):
+            a, b = random.Random(seed), random.Random(seed)
+            got = _draw_params(a, paths, n)
+            want = generic_draw_params(b, paths, n)
+            assert got[0] is want[0] and hexes(got) == hexes(want)
+            assert a.getstate() == b.getstate()
 
 
 class TestCoreSemantics:
