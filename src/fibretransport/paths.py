@@ -28,8 +28,8 @@ breakpoint belongs to the piece on the right, so [n0 on [0, .5), n1 on [.5, 1]]
 evaluates to n1 at 0.5.  Compositions preserve evaluation semantics exactly
 because a derived path evaluates through the original jet.  A parameter is
 checked once, at the public entry (``Path.at``, ``Path.velocity``,
-``node_sequence``, ``piece_runs`` or the transport itself): the two walkers
-check their ends and read the points between through the raw jet, and
+``node_sequence``, ``piece_runs``, or the transport itself): the walkers
+read every point between their checked ends through the raw jet, and
 derived layers call their parent's raw ``jet`` with the remapped parameter
 snapped into its domain: a closed-form image of an exact end can still land
 an ulp outside it.
@@ -441,7 +441,8 @@ def piece_runs(p: Path) -> list[tuple[float, float, BasePoint]]:
 def node_sequence(p: Path, s: float, t: float) -> list[str]:
     """Nodes visited in order when moving from parameter s to parameter t."""
     if p.kind != "discrete":
-        raise FibreTransportError("node sequences are defined for discrete paths")
+        raise FibreTransportError(
+            "node sequences are defined for discrete paths")
     domain, jet = p.domain, p.jet  # the ends are checked once, as by ``at``
     if not (domain.lo <= s <= domain.hi and domain.lo <= t <= domain.hi):
         s, t = domain.clamp(s), domain.clamp(t)
