@@ -443,9 +443,7 @@ def node_sequence(p: Path, s: float, t: float) -> list[str]:
     if p.kind != "discrete":
         raise FibreTransportError(
             "node sequences are defined for discrete paths")
-    domain, jet = p.domain, p.jet  # the ends are checked once, as by ``at``
-    if not (domain.lo <= s <= domain.hi and domain.lo <= t <= domain.hi):
-        s, t = domain.clamp(s), domain.clamp(t)
+    s, t, jet = p.domain.clamp(s), p.domain.clamp(t), p.jet  # checked once
     lo, hi = (s, t) if s <= t else (t, s)
     cuts = [lo, *p.interior_breakpoints(lo, hi), hi]
     samples = [lo]

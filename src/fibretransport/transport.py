@@ -273,14 +273,6 @@ def _as_paths(paths) -> tuple[Path, ...]:
 
 def unit_ball(rng: random.Random, n: int) -> tuple[float, ...]:
     """A point of the unit n-ball, uniformly distributed."""
-    if n == 2:  # the loop below unrolled: the same floats, the same draws
-        while True:
-            a, b = rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)
-            r = math.sqrt(a * a + b * b)
-            if r > 1e-12:
-                break
-        scale = rng.random() ** 0.5 / r
-        return a * scale, b * scale
     while True:
         g = [rng.gauss(0.0, 1.0) for _ in range(n)]
         r = math.sqrt(sum(c * c for c in g))
@@ -309,8 +301,7 @@ def _pick(rng: random.Random, items: Sequence):
 def _draw_params(rng: random.Random, paths, n: int) -> tuple:
     """One of the paths, then n parameters drawn uniformly on its domain."""
     p = _pick(rng, paths)
-    lo, hi = p.domain  # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random()
-    return (p, *[lo + (hi - lo) * rng.random() for _ in range(n)])
+    return (p, *(rng.uniform(p.domain.lo, p.domain.hi) for _ in range(n)))
 
 
 # ---------------------------------------------------------------------------

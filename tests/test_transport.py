@@ -21,8 +21,7 @@ from fibretransport.transport import (Transport, check_group_law,
                                       check_reparam_invariance,
                                       inverse_transport, is_transported_section,
                                       law_tolerance, propagate_section,
-                                      run_trials, transport, unit_ball)
-from fibretransport.transport import _draw_params
+                                      run_trials, transport)
 
 
 class TestValidation:
@@ -89,50 +88,6 @@ class TestCheckedParameters:
         assert seen == [(0.0, 1.0)]
         assert (transport(perm.transport, p, below, above, u)
                 == transport(perm.transport, p, 0.0, 1.0, u))
-
-
-# The loop forms that unit_ball at rank 2 and _draw_params replace; the
-# replacements must draw the same floats and leave the same generator state.
-def generic_unit_ball(rng, n):
-    while True:
-        g = [rng.gauss(0.0, 1.0) for _ in range(n)]
-        r = math.sqrt(sum(c * c for c in g))
-        if r > 1e-12:
-            break
-    scale = rng.random() ** (1.0 / n) / r
-    return tuple(c * scale for c in g)
-
-
-def generic_draw_params(rng, paths, n):
-    p = paths[rng.randrange(len(paths))]
-    return (p, *(rng.uniform(p.domain.lo, p.domain.hi) for _ in range(n)))
-
-
-def hexes(values):
-    return [v.hex() if isinstance(v, float) else v for v in values]
-
-
-class TestDrawsMatchTheirLoopForms:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_unit_ball(self, n):
-        for seed in range(1000):
-            a, b = random.Random(seed), random.Random(seed)
-            got = [unit_ball(a, n) for _ in range(3)]
-            want = [generic_unit_ball(b, n) for _ in range(3)]
-            assert all(type(v) is tuple and len(v) == n for v in got)
-            assert [hexes(v) for v in got] == [hexes(v) for v in want]
-            assert a.getstate() == b.getstate()
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_draw_params(self, n):
-        paths = [piecewise_path("g", dom, [(dom.hi, "a")])
-                 for dom in (UNIT, Interval(0.5, 2.0), Interval(-1.3, 0.7))]
-        for seed in range(1000):
-            a, b = random.Random(seed), random.Random(seed)
-            got = _draw_params(a, paths, n)
-            want = generic_draw_params(b, paths, n)
-            assert got[0] is want[0] and hexes(got) == hexes(want)
-            assert a.getstate() == b.getstate()
 
 
 class TestCoreSemantics:
