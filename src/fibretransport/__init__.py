@@ -16,29 +16,20 @@ from .bundles import (BasePoint, BundleMetric, FibreBundle, FibreElement,
                       section_through, table_section, vector_element)
 from .errors import FibreTransportError
 from .factorization import (Factorization, GaugeMap, apply_gauge,
-                            canonical_factorization,
-                            check_factorization_roundtrip,
-                            check_gauge_freedom, factorization_to_dict,
+                            canonical_factorization, factorization_to_dict,
                             gauge_between, transport_from_factorization)
 from .instances import (InstanceSpec, holonomy_angle, instance_names,
                         linear_ode_transport, loop_matrix, make_instance,
                         permutation_transport, counterexample_transport,
                         foliation_transport, parallelization_transport)
-from .lifting import (Lifting, check_fibre_cover, check_global_uniqueness,
-                      check_lift_projection, check_self_consistency, lift,
-                      liftings_disjoint_or_equal, occurrence_set,
-                      transport_from_lifting)
+from .laws import (LAW_ORDER, LAWS, Law, is_transported_section, law_named,
+                   liftings_disjoint_or_equal)
+from .lifting import Lifting, lift, occurrence_set, transport_from_lifting
 from .paths import (Interval, Path, Reparameterization, affine_remap,
                     canonical_reversal, concatenate, piecewise_path,
                     reparameterize, restrict, reverse, square_remap)
-from .transport import (LawReport, Transport, check_axioms, check_group_law,
-                        check_identity_law, check_inverse_path_law,
-                        check_inverse_transport, check_linearity,
-                        check_locality, check_metric_consistency,
-                        check_product_cross, check_product_same,
-                        check_reparam_invariance, check_transported_sections,
-                        inverse_transport, is_transported_section,
-                        law_tolerance, propagate_section, transport)
+from .transport import (LawReport, Transport, inverse_transport,
+                        propagate_section, transport)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ from .bundles import fibre_labels, label_element, vector_element
 from .errors import FibreTransportError
 from .instances import (InstanceSpec, holonomy_angle, instance_names,
                         make_instance)
-from .laws import law_named
+from .laws import LAWS, law_named
 from .transport import LawReport, _desc, strict_json
 
 _FLOAT_FMT = "%.17e"
@@ -186,7 +186,9 @@ def cmd_lift(args: argparse.Namespace) -> int:
 
 
 def cmd_factorize(args: argparse.Namespace) -> int:
-    tols = _parse_tols(args.tol, ["3.6-roundtrip"])
+    # the registry law whose trial is the canonical family's roundtrip
+    law = next(law for law in LAWS if law.build is fz.roundtrip_trial)
+    tols = _parse_tols(args.tol, [law.id])
     spec = make_instance(args.instance, step=args.step)
     p = (spec.path_named(args.path_name) if args.path_name
          else spec.law_paths[0])
@@ -194,15 +196,14 @@ def cmd_factorize(args: argparse.Namespace) -> int:
                                    grid=args.grid)
     _emit(args.out, "factorization.json",
           strict_json(fz.factorization_to_dict(f)))
-    report = fz.check_factorization_roundtrip(
-        spec.transport, p, s0=args.s0, grid=args.grid, seed=args.seed,
-        tolerance=tols.get("3.6-roundtrip"))
+    report = law.check(spec.transport, p, s0=args.s0, grid=args.grid,
+                       seed=args.seed, tolerance=tols.get(law.id))
     if args.out is not None:
-        (args.out / law_filename("3.6-roundtrip")).write_text(report.to_json())
+        (args.out / law_filename(law.id)).write_text(report.to_json())
     status = "PASS" if report.passed else "FAIL"
     print(f"factorization along {p.name!r}: anchor {f.anchor:g}, "
           f"{len(f.grid)} grid points")
-    print(f"law 3.6-roundtrip {status}  max_deviation={report.max_deviation:.6g}"
+    print(f"law {law.id} {status}  max_deviation={report.max_deviation:.6g}"
           f"  tolerance={report.tolerance:.6g}")
     return 0 if report.passed else 1
 

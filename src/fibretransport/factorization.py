@@ -26,8 +26,7 @@ from .bundles import FibreBundle, element_deviation, fibre_elements, \
     fibre_labels, label_element, vector_element
 from .errors import FibreTransportError
 from .paths import Interval, Path
-from .transport import (LawReport, Transport, _desc, run_trials, transport,
-                        unit_ball)
+from .transport import Transport, _desc, transport, unit_ball
 
 FibreMap = "dict[str, str] | linalg.Mat"
 
@@ -271,15 +270,15 @@ def _inverses(f: Factorization) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Law checkers
+# Law trials (see the transport module's)
 # ---------------------------------------------------------------------------
 
-def check_factorization_roundtrip(T: Transport, p: Path, *, s0: float | None = None,
-                                  grid=11, tolerance: float | None = None,
-                                  seed: int = 0) -> LawReport:
+def roundtrip_trial(T: Transport, p: Path, trials: int, *,
+                    s0: float | None = None, grid=11):
     """Law 3.6-roundtrip: the canonical family reassembles the transport on
-    every ordered grid pair, and its anchor map is the identity.  Vector
-    fibres draw three unit-ball vectors per grid point."""
+    every ordered grid pair, and its anchor map is the identity.  One trial
+    per grid point, whatever ``trials`` says; vector fibres draw three
+    unit-ball vectors per grid point."""
     f = canonical_factorization(T, p, s0=s0, grid=grid)
     rebuilt = transport_from_factorization(f, p)
 
@@ -301,8 +300,8 @@ def check_factorization_roundtrip(T: Transport, p: Path, *, s0: float | None = N
                                         transport(T, p, s, t, u))
                 yield dev, p.name, {"s": s, "t": t}, [_desc(u)]
 
-    return run_trials("3.6-roundtrip", T, len(f.grid), tolerance, seed, trial,
-                      notes=f"grid of {len(f.grid)} points, anchor {f.anchor}")
+    return (trial, len(f.grid),
+            f"grid of {len(f.grid)} points, anchor {f.anchor}")
 
 
 def random_gauge(rng: random.Random, bundle: FibreBundle, x) -> "FibreMap":
@@ -323,11 +322,11 @@ def random_gauge(rng: random.Random, bundle: FibreBundle, x) -> "FibreMap":
     return dict(zip(labels, images))
 
 
-def check_gauge_freedom(T: Transport, p: Path, *, s0: float | None = None,
-                        grid=11, draws: int = 5,
-                        tolerance: float | None = None, seed: int = 0) -> LawReport:
+def gauge_trial(T: Transport, p: Path, trials: int, *,
+                s0: float | None = None, grid=11, draws: int = 5):
     """Law 3.11/3.12: gauged families induce the same transport, and the
-    relating gauge is recovered from the family pair."""
+    relating gauge is recovered from the family pair.  One trial per random
+    gauge, ``draws`` of them, whatever ``trials`` says."""
     f1 = canonical_factorization(T, p, s0=s0, grid=grid)
 
     def trial(k, rng):
@@ -338,9 +337,7 @@ def check_gauge_freedom(T: Transport, p: Path, *, s0: float | None = None,
         yield (dev, p.name, {"draw": float(k)},
                ["recovered gauge vs applied gauge"])
 
-    return run_trials("3.11/3.12", T, draws, tolerance, seed, trial,
-                      notes=f"{draws} random gauges on a "
-                            f"{len(f1.grid)}-point grid")
+    return trial, draws, f"{draws} random gauges on a {len(f1.grid)}-point grid"
 
 
 def factorization_to_dict(f: Factorization) -> dict:

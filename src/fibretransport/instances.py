@@ -427,8 +427,7 @@ class InstanceSpec(namedtuple(
         if T.violates is not None:
             claimed = T.preserves | {T.violates}
             return tuple(law for law in LAW_ORDER if law in claimed)
-        return tuple(law.id for law in LAWS
-                     if law.applies is not None and law.applies(self))
+        return tuple(law.id for law in LAWS if law.applies(self))
 
     def path_named(self, name: str) -> Path:
         pair = self.product_pair or ()

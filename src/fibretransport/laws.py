@@ -1,7 +1,12 @@
 """The law registry: one ``Law`` record per law id, in registry order.
 
-Registry order, default law sets, tolerances, the CLI and the sweep script
-all read this table, so a new law is added here and nowhere else.
+A law is named here and nowhere else.  Its record holds the id, the
+threshold rule, which presets run it by default, the preset's inputs and the
+builder of its trial; ``Law.check`` hands that trial to
+``transport.run_trials`` under the id.  Registry order, default law sets,
+thresholds, the CLI and the sweep script all read this table, so a new law
+is added here.  The paper's predicates that read a law's threshold live here
+too.
 """
 
 from __future__ import annotations
@@ -11,40 +16,62 @@ from collections import namedtuple
 from . import factorization as fz
 from . import lifting as lf
 from . import transport as tr
+from .bundles import element_deviation
 from .errors import FibreTransportError
 from .paths import UNIT, Interval, affine_remap, square_remap
 
+# Relative tolerance used for linearity checks on inexact transports.
+LINEARITY_RTOL = 1e-9
 
-class Law(namedtuple("Law", "id factor applies run")):
+
+class Law(namedtuple("Law", "id factor applies inputs build")):
     """One registry law, named by its ``id``.
 
     ``factor`` scales the instance tolerance into the law's threshold (None:
     the relative linearity bound).  ``applies(spec)`` says whether a default
-    run includes the law (None: only when asked for by id).
-    ``run(spec, trials=, seed=, tolerance=)`` executes its checker and
-    returns a ``LawReport``.
+    run includes the law, and ``inputs(spec)`` gives the preset's arguments
+    for ``build(T, *inputs, trials, **options)``, which returns the law's
+    ``(trial, trial count, notes)``.
     """
 
     __slots__ = ()
 
+    def threshold(self, T: tr.Transport) -> float:
+        """Pass/fail threshold of this law for the transport T."""
+        if self.factor is None:
+            return 0.0 if T.tolerance == 0.0 else LINEARITY_RTOL
+        return self.factor * T.tolerance
 
-def _on_paths(check):
-    return lambda spec, **kw: check(spec.transport, spec.law_paths, **kw)
+    def check(self, T: tr.Transport, *inputs, trials: int = 200,
+              tolerance: float | None = None, seed: int = 0,
+              **options) -> tr.LawReport:
+        """Run the law's trials on T; a ``tolerance`` of None means the
+        law's threshold for T."""
+        trial, count, notes = self.build(T, *inputs, trials=trials, **options)
+        if tolerance is None:
+            tolerance = self.threshold(T)
+        return tr.run_trials(self.id, T, count, tolerance, seed, trial, notes)
+
+    def run(self, spec, *, trials: int = 200, seed: int = 0,
+            tolerance: float | None = None) -> tr.LawReport:
+        """Run the law on a preset instance."""
+        return self.check(spec.transport, *self.inputs(spec), trials=trials,
+                          tolerance=tolerance, seed=seed)
 
 
-def _on_first_path(check):
-    # these checkers size their own samples, so the trial count is unused
-    return lambda spec, trials, **kw: check(spec.transport, spec.law_paths[0],
-                                            **kw)
+def _paths(spec):
+    return (spec.law_paths,)
 
 
-def _on_product(check):
-    def run(spec, **kw):
-        if spec.product_pair is None:
-            raise FibreTransportError(
-                "product laws need an instance with a product pair")
-        return check(spec.transport, *spec.product_pair, **kw)
-    return run
+def _first_path(spec):
+    return (spec.law_paths[0],)
+
+
+def _product_pair(spec):
+    if spec.product_pair is None:
+        raise FibreTransportError(
+            "product laws need an instance with a product pair")
+    return spec.product_pair
 
 
 # The reparameterizations law 2.6 draws from, on every instance.
@@ -58,48 +85,44 @@ def _always(spec) -> bool:
 # Two-map compositions get a factor two; single-evaluation comparisons get
 # the tolerance itself; the fibre cover is compared exactly.
 LAWS = (
-    Law("2.2", 2.0, _always, _on_paths(tr.check_group_law)),
-    Law("2.3", 1.0, _always, _on_paths(tr.check_identity_law)),
-    Law("2.2+2.3", 2.0, None, _on_paths(tr.check_axioms)),
-    Law("2.4", 2.0, _always, _on_paths(tr.check_transported_sections)),
-    Law("2.5/2.7", 2.0, _always, _on_paths(tr.check_locality)),
-    Law("2.6", 2.0, _always,
-        lambda spec, **kw: tr.check_reparam_invariance(
-            spec.transport, spec.law_paths, REMAPS, **kw)),
+    Law("2.2", 2.0, _always, _paths, tr.composition_trial),
+    Law("2.3", 1.0, _always, _paths, tr.identity_trial),
+    Law("2.4", 2.0, _always, _paths, tr.section_trial),
+    Law("2.5/2.7", 2.0, _always, _paths, tr.locality_trial),
+    Law("2.6", 2.0, _always, lambda spec: (spec.law_paths, REMAPS),
+        tr.reparam_trial),
     Law("2.8", None,
         lambda spec: (spec.bundle.fibre_kind == "vector"
                       and "linear" in spec.transport.declared),
-        _on_paths(tr.check_linearity)),
+        _paths, tr.linearity_trial),
     Law("2.9", 1.0,
         lambda spec: (spec.metric is not None
                       and "metric_consistent" in spec.transport.declared),
-        lambda spec, **kw: tr.check_metric_consistency(
-            spec.transport, spec.metric, spec.law_paths, **kw)),
-    Law("3.1", 2.0, _always, _on_paths(tr.check_inverse_transport)),
-    Law("3.2", 2.0, _always, _on_paths(tr.check_inverse_path_law)),
+        lambda spec: (spec.metric, spec.law_paths), tr.metric_trial),
+    Law("3.1", 2.0, _always, _paths, tr.inverse_trial),
+    Law("3.2", 2.0, _always, _paths, tr.inverse_path_trial),
     Law("3.4", 2.0, lambda spec: spec.product_pair is not None,
-        _on_product(tr.check_product_cross)),
+        _product_pair, tr.product_cross_trial),
     Law("3.5", 2.0, lambda spec: spec.product_pair is not None,
-        _on_product(tr.check_product_same)),
-    Law("3.6-roundtrip", 2.0, _always,
-        _on_first_path(fz.check_factorization_roundtrip)),
-    Law("3.11/3.12", 2.0, _always, _on_first_path(fz.check_gauge_freedom)),
-    Law("4.2", 1.0, _always, _on_paths(lf.check_lift_projection)),
+        _product_pair, tr.product_same_trial),
+    Law("3.6-roundtrip", 2.0, _always, _first_path, fz.roundtrip_trial),
+    Law("3.11/3.12", 2.0, _always, _first_path, fz.gauge_trial),
+    Law("4.2", 1.0, _always, _paths, lf.projection_trial),
     Law("4.4", 2.0,
         lambda spec: ("global" in spec.transport.declared
                       and spec.uniqueness_path is not None),
-        lambda spec, **kw: lf.check_global_uniqueness(
-            spec.transport, spec.uniqueness_path or spec.law_paths[0], **kw)),
-    Law("4.6", 2.0, _always, _on_paths(lf.check_self_consistency)),
+        lambda spec: (spec.uniqueness_path or spec.law_paths[0],),
+        lf.uniqueness_trial),
+    Law("4.6", 2.0, _always, _paths, lf.self_consistency_trial),
     Law("4.7", 0.0,
         lambda spec: (spec.bundle.fibre_kind in ("finite", "sections")
                       and bool(spec.law_paths)
                       and spec.law_paths[0].kind == "discrete"),
-        _on_first_path(lf.check_fibre_cover)),
+        _first_path, lf.fibre_cover_trial),
 )
 
-# The laws a default run can include, in the order reports are written.
-LAW_ORDER = tuple(law.id for law in LAWS if law.applies is not None)
+# The laws in the order reports are written.
+LAW_ORDER = tuple(law.id for law in LAWS)
 
 _BY_ID = {law.id: law for law in LAWS}
 
@@ -111,3 +134,64 @@ def law_named(law_id: str) -> Law:
         raise FibreTransportError(
             f"unknown law id {law_id!r}; registry: "
             f"{', '.join(_BY_ID)}") from None
+
+
+# ---------------------------------------------------------------------------
+# Predicates of the paper that read a law's threshold
+# ---------------------------------------------------------------------------
+
+def is_transported_section(T: tr.Transport, sigma, p, s0: float | None = None,
+                           params=None, tolerance: float | None = None) -> bool:
+    """Whether a section restricted to p agrees with its own propagation,
+    within law 2.4's threshold unless a tolerance is named."""
+    if s0 is None:
+        s0 = p.domain.lo
+    if params is None:
+        params = p.domain.samples(11)
+    if tolerance is None:
+        tolerance = law_named("2.4").threshold(T)
+
+    def value_at(t: float):
+        try:
+            return sigma.at(p.at(t))
+        except KeyError as exc:
+            raise FibreTransportError(
+                f"section {sigma.name!r} undefined at path({t})") from exc
+
+    u0 = value_at(s0)
+    for t in params:
+        if element_deviation(value_at(t),
+                             tr.transport(T, p, s0, t, u0)) > tolerance:
+            return False
+    return True
+
+
+def liftings_disjoint_or_equal(T: tr.Transport, p, *, trials: int = 50,
+                               tolerance: float | None = None,
+                               seed: int = 0) -> tr.LawReport:
+    """Two liftings of one path either coincide everywhere or nowhere,
+    compared on a 9-point grid within law 4.6's threshold.
+
+    Requires global uniqueness (law 4.4) over the path; without it the
+    dichotomy has no content, so a failed precheck raises
+    FibreTransportError.
+    """
+    pre = law_named("4.4").check(T, p, trials=20, seed=seed)
+    if not pre.passed:
+        raise FibreTransportError(
+            f"global uniqueness fails over {p.name!r} "
+            f"(deviation {pre.max_deviation})")
+    tol = law_named("4.6").threshold(T) if tolerance is None else tolerance
+
+    def trial(k, rng):
+        r = rng.uniform(p.domain.lo, p.domain.hi)
+        s = rng.uniform(p.domain.lo, p.domain.hi)
+        l1 = lf.lift(T, p, tr.draw_for_bundle(rng, T.bundle, p.at(r)), r)
+        l2 = lf.lift(T, p, tr.draw_for_bundle(rng, T.bundle, p.at(s)), s)
+        devs = [element_deviation(l1.at(g), l2.at(g))
+                for g in p.domain.samples(9)]
+        mixed = min(devs) <= tol < max(devs)
+        yield (max(devs) if mixed else 0.0, p.name,
+               {"r": r, "s": s}, ["mixed agreement" if mixed else "clean"])
+
+    return tr.run_trials("disjoint-or-equal", T, trials, tol, seed, trial)

@@ -2,8 +2,8 @@
 
 Anchoring a fibre element u at a parameter s0 and transporting it to every
 other parameter traces out a lifting: a curve t -> (path(t), value(t)) whose
-projection is the base path and whose value at s0 is u.  The checks here
-cover the projection identity, consistency under re-anchoring, global
+projection is the base path and whose value at s0 is u.  The law trials
+here cover the projection identity, consistency under re-anchoring, global
 uniqueness over self-intersecting paths (loops included), and the fact that
 the liftings through one fibre sweep every fibre the path touches.
 
@@ -21,9 +21,8 @@ from .bundles import (SAME_POINT_TOL, FibreBundle, FibreElement,
                       fibre_labels, rebase, vector_element)
 from .errors import FibreTransportError
 from .paths import Path, piece_runs
-from .transport import (LawReport, Transport, _as_paths, _desc,
-                        _draw_params, _pick, _rng, draw_for_bundle,
-                        law_tolerance, run_trials, transport)
+from .transport import (Transport, _as_paths, _desc, _draw_params, _pick,
+                        _rng, draw_for_bundle, transport)
 
 
 class Lifting(namedtuple("Lifting", "path anchor through value_fn name",
@@ -118,11 +117,10 @@ def transport_from_lifting(bundle: FibreBundle,
 
 
 # ---------------------------------------------------------------------------
-# Law checkers
+# Law trials (see the transport module's)
 # ---------------------------------------------------------------------------
 
-def check_lift_projection(T: Transport, paths, *, trials: int = 200,
-                          tolerance: float | None = None, seed: int = 0) -> LawReport:
+def projection_trial(T: Transport, paths, trials: int):
     """Law 4.2: liftings project onto the base path and hit their anchor."""
     paths = _as_paths(paths)
 
@@ -135,14 +133,12 @@ def check_lift_projection(T: Transport, paths, *, trials: int = 200,
         yield (element_deviation(lifted.at(s0), u),
                p.name, {"s0": s0}, ["anchor"])
 
-    return run_trials("4.2", T, trials, tolerance, seed, trial,
-                      notes="two records per trial: projection, anchor")
+    return trial, trials, "two records per trial: projection, anchor"
 
 
-def check_self_consistency(T: Transport, paths, *, trials: int = 200,
-                           grid: int = 7, tolerance: float | None = None,
-                           seed: int = 0) -> LawReport:
-    """Law 4.6: a lifting re-anchored at any of its own points is unchanged."""
+def self_consistency_trial(T: Transport, paths, trials: int):
+    """Law 4.6: a lifting re-anchored at any of its own points is unchanged,
+    compared on a 7-point grid."""
     paths = _as_paths(paths)
 
     def trial(k, rng):
@@ -152,11 +148,10 @@ def check_self_consistency(T: Transport, paths, *, trials: int = 200,
         second = lift(T, p, first.at(r), r)
         # deviations are non-negative: max_abs is their NaN-keeping maximum
         dev = linalg.max_abs([element_deviation(first.at(g), second.at(g))
-                              for g in p.domain.samples(grid)])
+                              for g in p.domain.samples(7)])
         yield dev, p.name, {"r": r, "s0": s0}, [_desc(u)]
 
-    return run_trials("4.6", T, trials, tolerance, seed, trial,
-                      notes=f"liftings compared on {grid}-point grids")
+    return trial, trials, "liftings compared on 7-point grids"
 
 
 def _revisit_pairs(p: Path) -> list[tuple[float, float]]:
@@ -174,13 +169,16 @@ def _revisit_pairs(p: Path) -> list[tuple[float, float]]:
     return sorted(p.crossings)
 
 
-def check_global_uniqueness(T: Transport, p: Path, *,
-                            trials: int = 200, grid: int = 7,
-                            tolerance: float | None = None,
-                            seed: int = 0) -> LawReport:
+def uniqueness_trial(T: Transport, p: Path, trials: int):
     """Law 4.4: wherever the path revisits a base point, transporting between
-    the two visits is the identity, so liftings are single-valued over it."""
+    the two visits is the identity, so liftings are single-valued over it.
+
+    One trial per revisit pair; ``trials`` only sets how many random vectors
+    join the basis at each pair of a vector fibre.  A path without revisits
+    runs one empty trial, a vacuous pass."""
     pairs = _revisit_pairs(p)
+    if not pairs:
+        return lambda k, rng: iter(()), 1, "no revisited base points; vacuous"
 
     def trial(k, rng):
         r, s = pairs[k]
@@ -201,58 +199,21 @@ def check_global_uniqueness(T: Transport, p: Path, *,
         l1 = lift(T, p, probe, r)
         l2 = lift(T, p, rebase(l1.at(s), p.at(s)), s)
         dev = linalg.max_abs([element_deviation(l1.at(g), l2.at(g))
-                              for g in p.domain.samples(grid)])
+                              for g in p.domain.samples(7)])
         yield dev, p.name, {"from": r, "to": s}, ["lift comparison"]
 
-    if not pairs:
-        tol = law_tolerance("4.4", T) if tolerance is None else tolerance
-        return LawReport(law="4.4", instance=T.name, trials=0, tolerance=tol,
-                         max_deviation=0.0, seed=seed,
-                         notes="no revisited base points; vacuous")
-    return run_trials("4.4", T, len(pairs), tolerance, seed, trial,
-                      notes=f"{len(pairs)} revisit pair(s)")
+    return trial, len(pairs), f"{len(pairs)} revisit pair(s)"
 
 
-def liftings_disjoint_or_equal(T: Transport, p: Path, *, trials: int = 50,
-                               grid: int = 9, tolerance: float | None = None,
-                               seed: int = 0) -> LawReport:
-    """Two liftings of one path either coincide everywhere or nowhere.
-
-    Requires global uniqueness over the path; without it the dichotomy has
-    no content, so a failed precheck raises FibreTransportError.
-    """
-    pre = check_global_uniqueness(T, p, trials=20, seed=seed)
-    if not pre.passed:
-        raise FibreTransportError(
-            f"global uniqueness fails over {p.name!r} "
-            f"(deviation {pre.max_deviation})")
-    tol = law_tolerance("4.6", T) if tolerance is None else tolerance
-
-    def trial(k, rng):
-        r = rng.uniform(p.domain.lo, p.domain.hi)
-        s = rng.uniform(p.domain.lo, p.domain.hi)
-        l1 = lift(T, p, draw_for_bundle(rng, T.bundle, p.at(r)), r)
-        l2 = lift(T, p, draw_for_bundle(rng, T.bundle, p.at(s)), s)
-        devs = [element_deviation(l1.at(g), l2.at(g))
-                for g in p.domain.samples(grid)]
-        mixed = min(devs) <= tol < max(devs)
-        yield (max(devs) if mixed else 0.0, p.name,
-               {"r": r, "s": s}, ["mixed agreement" if mixed else "clean"])
-
-    return run_trials("disjoint-or-equal", T, trials, tol, seed, trial)
-
-
-def check_fibre_cover(T: Transport, p: Path, *, s0: float | None = None,
-                      tolerance: float | None = None, seed: int = 0) -> LawReport:
-    """Law 4.7: liftings through one full fibre sweep every fibre over the
-    path.  Finite fibres over discrete paths only; the comparison is exact."""
+def fibre_cover_trial(T: Transport, p: Path, trials: int):
+    """Law 4.7: liftings through the full fibre over path(lo) sweep every
+    fibre over the path, in one enumeration.  Finite fibres over discrete
+    paths only; the comparison is exact."""
     if p.kind != "discrete":
         raise FibreTransportError("fibre-cover enumeration needs a discrete path")
     if T.bundle.fibre_kind == "vector":
         raise FibreTransportError("fibre-cover enumeration needs finite fibres")
-    if s0 is None:
-        s0 = p.domain.lo
-    s0 = p.domain.clamp(s0)
+    s0 = p.domain.lo
     reps = [(lo + hi) / 2.0 for lo, hi, _ in piece_runs(p)]
     total = {(p.at(r).node, lab)
              for r in reps for lab in fibre_labels(T.bundle, p.at(r))}
@@ -271,5 +232,4 @@ def check_fibre_cover(T: Transport, p: Path, *, s0: float | None = None,
                [f"missing:{n}/{l}" for n, l in missing]
                + [f"stray:{n}/{l}" for n, l in stray])
 
-    return run_trials("4.7", T, 1, tolerance, seed, trial,
-                      notes=f"{len(total)} total-space points over the trace")
+    return trial, 1, f"{len(total)} total-space points over the trace"

@@ -1,4 +1,4 @@
-"""Transports along paths, and the law checkers that exercise them.
+"""Transports along paths, and the trials that exercise their laws.
 
 A transport assigns to every path and parameter pair (s, t) a map between the
 fibres over the path's points at s and t.  The defining algebra: composing the
@@ -8,11 +8,10 @@ invariance, linearity, metric consistency, inverse laws, concatenation
 product laws) is an additional property a given transport may or may not
 declare and satisfy.
 
-Checkers draw randomized trials from a seeded generator and produce
-``LawReport`` records.  Reports serialize to JSON deterministically: same
-instance, same seed, same trial count gives byte-identical output.  Law ids
-are short opaque tokens from the project-wide registry ("2.2", "2.5/2.7",
-...); they are stable interface strings shared with the CLI, not prose.
+Each law's trial builder returns a generator of randomized comparisons; the
+registry in ``laws`` names the law and hands the trial to ``run_trials``,
+which tallies a ``LawReport``.  Reports serialize to JSON deterministically:
+same instance, same seed, same trial count gives byte-identical output.
 """
 
 from __future__ import annotations
@@ -29,16 +28,13 @@ from .bundles import (SAME_POINT_TOL, BundleMetric, FibreBundle,
                       fibre_labels, label_element, rebase, vector_element)
 from .errors import FibreTransportError
 from .linalg import lin_comb, max_abs, vec_sub
-from .paths import Interval, Path, Reparameterization, concatenate, \
-    reparameterize, restrict, reverse, share_remaps
+from .paths import Interval, Path, concatenate, reparameterize, restrict, \
+    reverse, share_remaps
 
-# Properties a transport can declare.  Checkers whose law only makes sense
-# under a property refuse to run unless it is declared.
+# Properties a transport can declare.  A law whose trial only makes sense
+# under a property refuses to run unless it is declared.
 KNOWN_PROPERTIES = frozenset(
     {"local", "reparam_invariant", "linear", "metric_consistent", "global"})
-
-# Relative tolerance used for linearity checks on inexact transports.
-LINEARITY_RTOL = 1e-9
 
 class Transport(namedtuple("Transport", "name bundle apply_fn declared "
                            "tolerance violates preserves")):
@@ -66,16 +62,6 @@ class Transport(namedtuple("Transport", "name bundle apply_fn declared "
                 f"unknown declared properties: {sorted(unknown)}")
         return tuple.__new__(cls, (name, bundle, apply_fn, declared,
                                    tolerance, violates, preserves))
-
-
-def law_tolerance(law: str, transport: Transport) -> float:
-    """Pass/fail threshold for a law id run against a given transport."""
-    from .laws import law_named  # the registry imports this module
-
-    factor = law_named(law).factor
-    if factor is None:
-        return 0.0 if transport.tolerance == 0.0 else LINEARITY_RTOL
-    return factor * transport.tolerance
 
 
 def transport(T: Transport, p: Path, s: float, t: float,
@@ -128,31 +114,6 @@ def propagate_section(T: Transport, p: Path, s0: float, u0: FibreElement,
     return [(t, transport(T, p, s0, t, u0)) for t in params]
 
 
-def is_transported_section(T: Transport, sigma, p: Path, s0: float | None = None,
-                           params: Sequence[float] | None = None,
-                           tolerance: float | None = None) -> bool:
-    """Whether a section restricted to p agrees with its own propagation."""
-    if s0 is None:
-        s0 = p.domain.lo
-    if params is None:
-        params = p.domain.samples(11)
-    if tolerance is None:
-        tolerance = law_tolerance("2.4", T)
-
-    def value_at(t: float) -> FibreElement:
-        try:
-            return sigma.at(p.at(t))
-        except KeyError as exc:
-            raise FibreTransportError(
-                f"section {sigma.name!r} undefined at path({t})") from exc
-
-    u0 = value_at(s0)
-    for t in params:
-        if element_deviation(value_at(t), transport(T, p, s0, t, u0)) > tolerance:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -171,7 +132,7 @@ class Failure(namedtuple("Failure", "path params elements deviation")):
 class LawReport(namedtuple("LawReport", "law instance trials tolerance "
                            "max_deviation failures seed notes",
                            defaults=((), 0, ""))):
-    """Outcome of running one law checker against one instance: ``trials``
+    """Outcome of checking one law against one instance: ``trials``
     records were compared to ``tolerance``, and ``failures`` holds the first
     few ``Failure`` records."""
 
@@ -227,7 +188,7 @@ def _rng(seed: int, law: str) -> random.Random:
     return random.Random(f"{seed}/{law}")
 
 
-def run_trials(law: str, T: Transport, trials: int, tolerance: float | None,
+def run_trials(law: str, T: Transport, trials: int, tolerance: float,
                seed: int,
                trial: Callable[[int, random.Random], Iterator[tuple]],
                notes: str = "") -> LawReport:
@@ -235,17 +196,16 @@ def run_trials(law: str, T: Transport, trials: int, tolerance: float | None,
 
     Each trial is a generator yielding records ``(deviation, path_name,
     params, elements)``, and is run to its end before the next one starts;
-    the report's ``trials`` counts the records.  ``rng`` is seeded from
-    (seed, law); a ``tolerance`` of None means the law's registry threshold
-    for T.  A record fails when its deviation is above the tolerance or is
-    NaN, and the first _FAILURE_CAP failures are kept.  A NaN deviation
-    becomes the maximum and stays it.  Fewer than one trial is refused: a
-    check that draws nothing would pass whatever T does.
+    the report's ``trials`` counts the records, so a trial that yields none
+    leaves a vacuous report.  ``rng`` is seeded from (seed, law).  A record
+    fails when its deviation is above the tolerance or is NaN, and the first
+    _FAILURE_CAP failures are kept.  A NaN deviation becomes the maximum and
+    stays it.  Fewer than one trial is refused: a check that draws nothing
+    would pass whatever T does.
     """
     if trials < 1:
         raise FibreTransportError(
             f"law {law} needs at least one trial, got {trials}")
-    tol = law_tolerance(law, T) if tolerance is None else tolerance
     rng = _rng(seed, law)
     count, worst, failures = 0, 0.0, []
     for k in range(trials):
@@ -253,13 +213,13 @@ def run_trials(law: str, T: Transport, trials: int, tolerance: float | None,
             count += 1
             if dev > worst or math.isnan(dev):
                 worst = dev
-            if ((dev > tol or math.isnan(dev))
+            if ((dev > tolerance or math.isnan(dev))
                     and len(failures) < _FAILURE_CAP):
                 failures.append(Failure(path_name, dict(params),
                                         tuple(elements), dev))
-    return LawReport(law=law, instance=T.name, trials=count, tolerance=tol,
-                     max_deviation=worst, failures=tuple(failures),
-                     seed=seed, notes=notes)
+    return LawReport(law=law, instance=T.name, trials=count,
+                     tolerance=tolerance, max_deviation=worst,
+                     failures=tuple(failures), seed=seed, notes=notes)
 
 
 def _as_paths(paths) -> tuple[Path, ...]:
@@ -305,12 +265,14 @@ def _draw_params(rng: random.Random, paths, n: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Law checkers
+# Law trials: each builder returns (trial, trial count, notes) for
+# ``run_trials``; the registry in ``laws`` names the law and its threshold.
 # ---------------------------------------------------------------------------
 
-def _composition_trial(T: Transport, paths):
-    """Trial of law 2.2: yields its record, then returns its path, start
-    parameter and element to a trial that delegates to it."""
+def composition_trial(T: Transport, paths, trials: int):
+    """Law 2.2: the (t, r) map after the (s, t) map equals the (s, r) map."""
+    paths = _as_paths(paths)
+
     def trial(k, rng):
         p, s, t, r = _draw_params(rng, paths, 3)
         u = draw_for_bundle(rng, T.bundle, p.at(s))
@@ -318,19 +280,11 @@ def _composition_trial(T: Transport, paths):
         direct = transport(T, p, s, r, u)
         yield (element_deviation(via, direct), p.name,
                {"r": r, "s": s, "t": t}, [_desc(u)])
-        return p, s, u
-    return trial
+
+    return trial, trials, ""
 
 
-def check_group_law(T: Transport, paths, *, trials: int = 200,
-                    tolerance: float | None = None, seed: int = 0) -> LawReport:
-    """Law 2.2: the (t, r) map after the (s, t) map equals the (s, r) map."""
-    return run_trials("2.2", T, trials, tolerance, seed,
-                      _composition_trial(T, _as_paths(paths)))
-
-
-def check_identity_law(T: Transport, paths, *, trials: int = 200,
-                       tolerance: float | None = None, seed: int = 0) -> LawReport:
+def identity_trial(T: Transport, paths, trials: int):
     """Law 2.3: the (s, s) map fixes every element."""
     paths = _as_paths(paths)
 
@@ -340,25 +294,10 @@ def check_identity_law(T: Transport, paths, *, trials: int = 200,
         yield (element_deviation(transport(T, p, s, s, u), u), p.name,
                {"s": s}, [_desc(u)])
 
-    return run_trials("2.3", T, trials, tolerance, seed, trial)
+    return trial, trials, ""
 
 
-def check_axioms(T: Transport, paths, *, trials: int = 200,
-                 tolerance: float | None = None, seed: int = 0) -> LawReport:
-    """Laws 2.2 and 2.3 exercised together from shared draws."""
-    composition = _composition_trial(T, _as_paths(paths))
-
-    def trial(k, rng):
-        p, s, u = yield from composition(k, rng)
-        yield (element_deviation(transport(T, p, s, s, u), u), p.name,
-               {"s": s}, [_desc(u)])
-
-    return run_trials("2.2+2.3", T, trials, tolerance, seed, trial,
-                      notes="two records per trial: composition, identity")
-
-
-def check_inverse_transport(T: Transport, paths, *, trials: int = 200,
-                            tolerance: float | None = None, seed: int = 0) -> LawReport:
+def inverse_trial(T: Transport, paths, trials: int):
     """Law 3.1: the (t, s) map undoes the (s, t) map."""
     paths = _as_paths(paths)
 
@@ -368,11 +307,10 @@ def check_inverse_transport(T: Transport, paths, *, trials: int = 200,
         back = inverse_transport(T, p, s, t)(transport(T, p, s, t, u))
         yield element_deviation(back, u), p.name, {"s": s, "t": t}, [_desc(u)]
 
-    return run_trials("3.1", T, trials, tolerance, seed, trial)
+    return trial, trials, ""
 
 
-def check_locality(T: Transport, paths, *, trials: int = 200,
-                   tolerance: float | None = None, seed: int = 0) -> LawReport:
+def locality_trial(T: Transport, paths, trials: int):
     """Law 2.5/2.7: restricting the path beyond [s, t] changes nothing."""
     paths = _as_paths(paths)
 
@@ -384,15 +322,15 @@ def check_locality(T: Transport, paths, *, trials: int = 200,
                                 transport(T, p, s, t, u))
         yield dev, p.name, {"s": s, "t": t}, [_desc(u)]
 
-    return run_trials("2.5/2.7", T, trials, tolerance, seed, trial)
+    return trial, trials, ""
 
 
-def check_reparam_invariance(T: Transport, paths, remaps, *, trials: int = 200,
-                             tolerance: float | None = None, seed: int = 0) -> LawReport:
+def reparam_trial(T: Transport, paths, remaps, trials: int):
     """Law 2.6: transports along p after a parameter change match transports
-    along p at the corresponding parameters."""
+    along p at the corresponding parameters; ``remaps`` is a sequence of
+    ``Reparameterization``s onto the paths' domains."""
     paths = _as_paths(paths)
-    remaps = tuple(remaps) if not isinstance(remaps, Reparameterization) else (remaps,)
+    remaps = tuple(remaps)
     if not remaps:
         raise FibreTransportError("at least one reparameterization is required")
     # one derived path per (path, remap), so its transports share cells
@@ -415,11 +353,10 @@ def check_reparam_invariance(T: Transport, paths, remaps, *, trials: int = 200,
         yield (element_deviation(lhs, rhs), p.name,
                {"s": s, "t": t}, [_desc(u), remap.name])
 
-    return run_trials("2.6", T, trials, tolerance, seed, trial)
+    return trial, trials, ""
 
 
-def check_inverse_path_law(T: Transport, paths, *, trials: int = 200,
-                           tolerance: float | None = None, seed: int = 0) -> LawReport:
+def inverse_path_trial(T: Transport, paths, trials: int):
     """Law 3.2: along the reversed path, the (s, t) map equals the
     (1-s, 1-t) map along the original.  Needs declared reparameterization
     invariance and canonically parameterized paths."""
@@ -442,7 +379,7 @@ def check_inverse_path_law(T: Transport, paths, *, trials: int = 200,
         rhs = transport(T, p, 1.0 - s, 1.0 - t, rebase(u, p.at(1.0 - s)))
         yield element_deviation(lhs, rhs), p.name, {"s": s, "t": t}, [_desc(u)]
 
-    return run_trials("3.2", T, trials, tolerance, seed, trial)
+    return trial, trials, ""
 
 
 def _product_of(T: Transport, p1: Path, p2: Path):
@@ -453,9 +390,7 @@ def _product_of(T: Transport, p1: Path, p2: Path):
     return concatenate(p1, p2), share_remaps((p1, p2))
 
 
-def check_product_cross(T: Transport, p1: Path, p2: Path, *,
-                        trials: int = 200, tolerance: float | None = None,
-                        seed: int = 0) -> LawReport:
+def product_cross_trial(T: Transport, p1: Path, p2: Path, trials: int):
     """Law 3.4: across the seam of the concatenation, the transport
     factors through the two halves."""
     prod, (left, right) = _product_of(T, p1, p2)
@@ -473,12 +408,10 @@ def check_product_cross(T: Transport, p1: Path, p2: Path, *,
         yield (element_deviation(lhs, rhs), prod.name,
                {"t1": t1, "t2": t2}, [_desc(u)])
 
-    return run_trials("3.4", T, trials, tolerance, seed, trial)
+    return trial, trials, ""
 
 
-def check_product_same(T: Transport, p1: Path, p2: Path, *,
-                       trials: int = 200, tolerance: float | None = None,
-                       seed: int = 0) -> LawReport:
+def product_same_trial(T: Transport, p1: Path, p2: Path, trials: int):
     """Law 3.5: within one half of the concatenation, the transport
     equals the transport along that half alone."""
     prod, remaps = _product_of(T, p1, p2)
@@ -494,11 +427,10 @@ def check_product_same(T: Transport, p1: Path, p2: Path, *,
         yield (element_deviation(lhs, rhs), prod.name,
                {"t1": t1, "t2": t2}, [_desc(u), half.name])
 
-    return run_trials("3.5", T, trials, tolerance, seed, trial)
+    return trial, trials, ""
 
 
-def check_linearity(T: Transport, paths, *, trials: int = 200,
-                    tolerance: float | None = None, seed: int = 0) -> LawReport:
+def linearity_trial(T: Transport, paths, trials: int):
     """Law 2.8: the maps respect linear combinations (relative deviation)."""
     if T.bundle.fibre_kind != "vector":
         raise FibreTransportError("linearity applies to vector fibres")
@@ -522,12 +454,11 @@ def check_linearity(T: Transport, paths, *, trials: int = 200,
         yield (dev, p.name, {"lam": lam, "mu": mu, "s": s, "t": t},
                [list(u), list(v)])
 
-    return run_trials("2.8", T, trials, tolerance, seed, trial)
+    return trial, trials, ""
 
 
-def check_metric_consistency(T: Transport, metric: BundleMetric | None, paths,
-                             *, trials: int = 200,
-                             tolerance: float | None = None, seed: int = 0) -> LawReport:
+def metric_trial(T: Transport, metric: BundleMetric | None, paths,
+                 trials: int):
     """Law 2.9: the maps preserve the metric pairing of vector pairs."""
     if metric is None:
         raise FibreTransportError("metric consistency needs a bundle metric")
@@ -548,21 +479,19 @@ def check_metric_consistency(T: Transport, metric: BundleMetric | None, paths,
         yield (abs(after - before), p.name, {"s": s, "t": t},
                [_desc(u), _desc(v)])
 
-    return run_trials("2.9", T, trials, tolerance, seed, trial)
+    return trial, trials, ""
 
 
-def check_transported_sections(T: Transport, paths, *, grid: int = 11,
-                               trials: int = 200,
-                               tolerance: float | None = None, seed: int = 0) -> LawReport:
+def section_trial(T: Transport, paths, trials: int):
     """Law 2.4: a section propagated from one anchor reproduces itself when
-    re-propagated from any other parameter on the grid."""
+    re-propagated from any other parameter of an 11-point grid."""
     paths = _as_paths(paths)
     propagated = []
 
     def trial(k, rng):
         if k == 0:  # one section per path, drawn ahead of the first trial
             for p in paths:
-                pts = p.domain.samples(grid)
+                pts = p.domain.samples(11)
                 u0 = draw_for_bundle(rng, T.bundle, p.at(pts[0]))
                 values = [transport(T, p, pts[0], t, u0) for t in pts]
                 propagated.append((p, pts, values))
@@ -573,5 +502,4 @@ def check_transported_sections(T: Transport, paths, *, grid: int = 11,
         yield (element_deviation(regrown, values[j]), p.name,
                {"from": pts[i], "to": pts[j]}, [_desc(values[i])])
 
-    return run_trials("2.4", T, trials, tolerance, seed, trial,
-                      notes=f"grid of {grid} points per path")
+    return trial, trials, "grid of 11 points per path"

@@ -21,15 +21,12 @@ import pytest
 from fibretransport.bundles import label_element, section_through
 from fibretransport.cli import main, run_law
 from fibretransport.errors import FibreTransportError
-from fibretransport.factorization import (check_factorization_roundtrip,
-                                          check_gauge_freedom)
 from fibretransport.instances import (COUNTEREXAMPLE_KINDS, holonomy_angle,
                                       make_instance)
-from fibretransport.lifting import (Lifting, check_global_uniqueness, lift,
-                                    transport_from_lifting)
+from fibretransport.laws import law_named
+from fibretransport.lifting import Lifting, lift, transport_from_lifting
 from fibretransport.paths import concatenate
-from fibretransport.transport import (check_product_cross,
-                                      check_product_same, transport)
+from fibretransport.transport import transport
 
 HALF_PI = math.pi / 2
 
@@ -64,20 +61,20 @@ def test_2_integrator_meets_law_tolerances():
 
 def test_3_factorizations_roundtrip_and_recover_gauges():
     sphere = make_instance("sphere-levi-civita")
-    roundtrip = check_factorization_roundtrip(
+    roundtrip = law_named("3.6-roundtrip").check(
         sphere.transport, sphere.path_named("tilted"), grid=11, seed=0)
     assert roundtrip.passed
     assert roundtrip.max_deviation <= 2e-6
 
     for name in EXACT_INSTANCES:
         spec = make_instance(name)
-        r = check_factorization_roundtrip(spec.transport, spec.law_paths[0],
-                                          grid=11, seed=0)
+        r = law_named("3.6-roundtrip").check(
+            spec.transport, spec.law_paths[0], grid=11, seed=0)
         assert r.passed and r.max_deviation == 0.0, name
 
     perm = make_instance("perm-c3")
-    gauges = check_gauge_freedom(perm.transport, perm.path_named("walk"),
-                                 draws=20, seed=0)
+    gauges = law_named("3.11/3.12").check(
+        perm.transport, perm.path_named("walk"), draws=20, seed=0)
     assert gauges.trials == 20
     assert gauges.passed and gauges.max_deviation == 0.0
 
@@ -131,15 +128,15 @@ def test_4_liftings_and_transports_rebuild_each_other():
 
 def test_5_uniqueness_separates_flat_from_curved():
     par = make_instance("parallelization-flat")
-    flat = check_global_uniqueness(par.transport,
-                                   par.path_named("figure-eight"),
-                                   trials=60, seed=0)
+    flat = law_named("4.4").check(par.transport,
+                                  par.path_named("figure-eight"),
+                                  trials=60, seed=0)
     assert flat.passed and flat.max_deviation == 0.0
 
     sphere = make_instance("sphere-levi-civita")
     octant = sphere.path_named("octant")
-    curved = check_global_uniqueness(sphere.transport, octant,
-                                     trials=40, seed=0)
+    curved = law_named("4.4").check(sphere.transport, octant,
+                                    trials=40, seed=0)
     assert not curved.passed  # the loop turns vectors, so revisits disagree
     angle = holonomy_angle(sphere.transport, octant, sphere.metric)
     assert abs(abs(angle) - HALF_PI) < 1e-4
@@ -147,10 +144,10 @@ def test_5_uniqueness_separates_flat_from_curved():
 
 def test_6_product_laws_on_both_kinds():
     perm = make_instance("perm-c3")
-    cross = check_product_cross(perm.transport, *perm.product_pair,
-                                trials=120, seed=0)
-    same = check_product_same(perm.transport, *perm.product_pair,
-                              trials=120, seed=0)
+    cross = law_named("3.4").check(perm.transport, *perm.product_pair,
+                                   trials=120, seed=0)
+    same = law_named("3.5").check(perm.transport, *perm.product_pair,
+                                  trials=120, seed=0)
     assert cross.passed and cross.max_deviation == 0.0
     assert same.passed and same.max_deviation == 0.0
 
@@ -165,10 +162,10 @@ def test_6_product_laws_on_both_kinds():
         assert through_pair.label == direct.label
 
     sphere = make_instance("sphere-levi-civita")
-    cross = check_product_cross(sphere.transport, *sphere.product_pair,
-                                trials=40, seed=0)
-    same = check_product_same(sphere.transport, *sphere.product_pair,
-                              trials=40, seed=0)
+    cross = law_named("3.4").check(sphere.transport, *sphere.product_pair,
+                                   trials=40, seed=0)
+    same = law_named("3.5").check(sphere.transport, *sphere.product_pair,
+                                  trials=40, seed=0)
     assert cross.passed and cross.max_deviation <= 2e-6
     assert same.passed and same.max_deviation <= 2e-6
 

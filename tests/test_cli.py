@@ -97,6 +97,14 @@ class TestCheck:
         assert main(["check", "--instance", "perm-c3", "--laws", "1.1"]) == 2
         assert "unknown law" in capsys.readouterr().err
 
+    def test_the_retired_axiom_pair_id_is_unknown(self, tmp_path, capsys):
+        # laws 2.2 and 2.3 run under their own ids only
+        rc = main(["check", "--instance", "perm-c3", "--laws", "2.2+2.3",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "unknown law id '2.2+2.3'" in one_error_line(capsys)
+        assert not any(tmp_path.iterdir())
+
     def test_tolerance_override(self, tmp_path):
         rc = main(["check", "--instance", "sphere-levi-civita",
                    "--laws", "2.3", "--trials", "5",
@@ -134,12 +142,6 @@ class TestCheck:
         assert rc == 2
         assert "more than once" in one_error_line(capsys)
         assert not any(tmp_path.iterdir())
-
-    def test_aggregate_axiom_id(self, tmp_path):
-        rc = main(["check", "--instance", "perm-c3", "--laws", "2.2+2.3",
-                   "--out", str(tmp_path)])
-        assert rc == 0
-        assert (tmp_path / "law_2.2+2.3.json").exists()
 
 
 class TestHolonomy:

@@ -8,13 +8,12 @@ from fibretransport.errors import FibreTransportError
 from fibretransport.factorization import (Factorization, GaugeMap,
                                           apply_gauge,
                                           canonical_factorization,
-                                          check_factorization_roundtrip,
-                                          check_gauge_freedom,
                                           factorization_to_dict, gauge_between,
                                           map_compose,
                                           map_deviation, map_invert,
                                           random_gauge,
                                           transport_from_factorization)
+from fibretransport.laws import law_named
 from fibretransport.transport import transport
 
 
@@ -230,13 +229,13 @@ class TestGauge:
 
 class TestReports:
     def test_roundtrip_law_exact(self, perm):
-        r = check_factorization_roundtrip(perm.transport,
-                                          perm.path_named("walk"))
+        r = law_named("3.6-roundtrip").check(perm.transport,
+                                             perm.path_named("walk"))
         assert r.law == "3.6-roundtrip"
         assert r.passed and r.max_deviation == 0.0
 
     def test_gauge_law_exact(self, par):
-        r = check_gauge_freedom(par.transport, par.path_named("walk"))
+        r = law_named("3.11/3.12").check(par.transport, par.path_named("walk"))
         assert r.law == "3.11/3.12"
         assert r.passed and r.max_deviation == 0.0
 

@@ -17,8 +17,9 @@ from fibretransport.cli import law_filename, main
 from fibretransport.errors import FibreTransportError
 from fibretransport.instances import (holonomy_angle, linear_ode_transport,
                                       loop_matrix, make_instance)
+from fibretransport.laws import law_named
 from fibretransport.paths import Interval, Path, restrict
-from fibretransport.transport import check_locality, transport
+from fibretransport.transport import transport
 
 
 def test_report_bytes_do_not_depend_on_earlier_laws(tmp_path):
@@ -105,7 +106,7 @@ def test_locality_is_exact_when_a_node_lands_on_a_breakpoint():
     # lattice nodes 2 and 4 are the octant's kinks, to the bit
     assert octant.breakpoints == (2 * step, 4 * step)
     T = spec.transport
-    report = check_locality(T, octant, trials=60, seed=0)
+    report = law_named("2.5/2.7").check(T, octant, trials=60, seed=0)
     assert report.passed and report.max_deviation == 0.0
     third, two_thirds = octant.breakpoints
     for s, t in ((third, 0.9), (0.1, third), (third, two_thirds),
@@ -372,7 +373,8 @@ def test_blocks_match_the_cell_by_cell_product(d):
 def test_locality_is_exact_at_the_default_step(seed):
     spec = make_instance("sphere-levi-civita")
     for p in spec.law_paths:
-        report = check_locality(spec.transport, p, trials=40, seed=seed)
+        report = law_named("2.5/2.7").check(spec.transport, p, trials=40,
+                                            seed=seed)
         assert report.passed and report.max_deviation == 0.0, p.name
 
 

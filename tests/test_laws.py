@@ -1,0 +1,83 @@
+"""A law is named once, by its record in the registry (``laws.py``).
+
+The scans read the package's sources with ``ast``: a law id spelled as a
+string constant anywhere else, a report built outside the one trial loop,
+or a law module that reaches back into the registry would spread one law's
+identity over several places again.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import fibretransport
+from fibretransport.laws import LAW_ORDER
+
+SOURCES = sorted(Path(fibretransport.__file__).parent.glob("*.py"))
+
+
+def _scoped_nodes(path):
+    """Every node of a module, with the names of the functions and classes
+    that enclose it (its own name included, for a definition)."""
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = (*scope, child.name)
+            found.append((child, inner))
+            walk(child, inner)
+
+    walk(ast.parse(path.read_text(), filename=str(path)), ())
+    return found
+
+
+def _spelled_ids(path):
+    return [(scope, node.value) for node, scope in _scoped_nodes(path)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value in LAW_ORDER]
+
+
+def test_each_law_id_is_spelled_only_in_the_registry():
+    elsewhere = []
+    for path in SOURCES:
+        if path.name == "laws.py":
+            assert {law for _, law in _spelled_ids(path)} == set(LAW_ORDER)
+            continue
+        for scope, law in _spelled_ids(path):
+            # the saboteurs' claims are preset data, which
+            # tests/test_instances.py checks against LAW_ORDER
+            if (path.name == "instances.py"
+                    and scope[:1] == ("counterexample_transport",)):
+                continue
+            elsewhere.append((path.name, ".".join(scope), law))
+    assert elsewhere == []
+
+
+def test_only_run_trials_builds_a_law_report():
+    def called(func):
+        return getattr(func, "id", None) or getattr(func, "attr", None)
+
+    builders = [(path.name, scope) for path in SOURCES
+                for node, scope in _scoped_nodes(path)
+                if isinstance(node, ast.Call)
+                and called(node.func) == "LawReport"]
+    assert builders == [("transport.py", ("run_trials",))]
+
+
+@pytest.mark.parametrize("module",
+                         ["transport.py", "lifting.py", "factorization.py"])
+def test_the_trial_modules_do_not_import_the_registry(module):
+    path = next(p for p in SOURCES if p.name == module)
+    imported = []
+    for node, _ in _scoped_nodes(path):
+        if isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert not [name for name in imported
+                if name == "laws" or name.endswith(".laws")]

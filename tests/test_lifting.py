@@ -3,12 +3,9 @@ import pytest
 from fibretransport.bundles import (label_element, section_through,
                                     vector_element)
 from fibretransport.errors import FibreTransportError
-from fibretransport.lifting import (check_fibre_cover,
-                                    check_global_uniqueness,
-                                    check_lift_projection,
-                                    check_self_consistency, lift,
-                                    liftings_disjoint_or_equal,
-                                    occurrence_set, transport_from_lifting)
+from fibretransport.laws import law_named, liftings_disjoint_or_equal
+from fibretransport.lifting import (lift, occurrence_set,
+                                    transport_from_lifting)
 from fibretransport.transport import Transport, transport
 
 
@@ -99,29 +96,31 @@ class TestRebuild:
             transport_from_lifting(fol.bundle, crooked, [p])
 
 
+UNIQUENESS, COVER = law_named("4.4"), law_named("4.7")
+
+
 class TestLawCheckers:
     def test_projection_law(self, fol):
-        r = check_lift_projection(fol.transport, fol.law_paths, trials=60)
+        r = law_named("4.2").check(fol.transport, fol.law_paths, trials=60)
         assert r.law == "4.2" and r.passed and r.max_deviation == 0.0
 
     def test_self_consistency_law(self, par):
-        r = check_self_consistency(par.transport, par.law_paths, trials=60)
+        r = law_named("4.6").check(par.transport, par.law_paths, trials=60)
         assert r.law == "4.6" and r.passed and r.max_deviation == 0.0
 
     def test_uniqueness_law_on_flat_instance(self, par):
-        r = check_global_uniqueness(par.transport,
-                                    par.path_named("figure-eight"), trials=40)
+        r = UNIQUENESS.check(par.transport, par.path_named("figure-eight"),
+                             trials=40)
         assert r.law == "4.4" and r.passed and r.max_deviation == 0.0
 
     def test_uniqueness_vacuous_without_revisits(self, perm):
-        r = check_global_uniqueness(perm.transport, perm.path_named("hop1"),
-                                    trials=10)
+        r = UNIQUENESS.check(perm.transport, perm.path_named("hop1"),
+                             trials=10)
         assert r.passed
         assert "vacuous" in (r.notes or "")
 
     def test_vacuous_uniqueness_report_is_unchanged(self, perm):
-        r = check_global_uniqueness(perm.transport, perm.path_named("hop1"),
-                                    seed=4)
+        r = UNIQUENESS.check(perm.transport, perm.path_named("hop1"), seed=4)
         assert r.to_json() == """{
   "failures": [],
   "instance": "perm-c3",
@@ -134,8 +133,8 @@ class TestLawCheckers:
   "trials": 0
 }
 """
-        r = check_global_uniqueness(perm.transport, perm.path_named("hop1"),
-                                    tolerance=0.25)
+        r = UNIQUENESS.check(perm.transport, perm.path_named("hop1"),
+                             tolerance=0.25)
         assert (r.tolerance, r.trials, r.passed) == (0.25, 0, True)
 
     def test_dichotomy_holds_for_permutations(self, perm):
@@ -149,7 +148,7 @@ class TestLawCheckers:
                                        sphere.path_named("octant"), trials=10)
 
     def test_fibre_cover_full_for_permutations(self, perm):
-        r = check_fibre_cover(perm.transport, perm.path_named("walk"))
+        r = COVER.check(perm.transport, perm.path_named("walk"))
         assert r.law == "4.7" and r.passed and r.max_deviation == 0.0
 
     def test_fibre_cover_flags_collapse(self, perm):
@@ -158,7 +157,7 @@ class TestLawCheckers:
             name="squash", bundle=perm.bundle,
             apply_fn=lambda p, s, t, u: label_element(p.at(t), "a"),
             declared=frozenset({"local"}))
-        r = check_fibre_cover(squash, perm.path_named("walk"))
+        r = COVER.check(squash, perm.path_named("walk"))
         assert not r.passed
         assert r.max_deviation == 1.0
         joined = " ".join(str(f.elements) for f in r.failures)
@@ -166,8 +165,8 @@ class TestLawCheckers:
 
     def test_fibre_cover_rejects_vector_fibres(self, par):
         with pytest.raises(FibreTransportError, match="needs finite fibres"):
-            check_fibre_cover(par.transport, par.path_named("walk"))
+            COVER.check(par.transport, par.path_named("walk"))
 
     def test_fibre_cover_rejects_chart_paths(self, sphere):
         with pytest.raises(FibreTransportError, match="needs a discrete path"):
-            check_fibre_cover(sphere.transport, sphere.path_named("tilted"))
+            COVER.check(sphere.transport, sphere.path_named("tilted"))

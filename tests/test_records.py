@@ -121,8 +121,8 @@ RECORDS = {
     "GaugeMap": (GaugeMap, dict(map=((1.0,),)), True, []),
     "Lifting": (Lifting, dict(path=PATH, anchor=0.0, through=U,
                               value_fn=_identity), True, []),
-    "Law": (Law, dict(id="2.2", factor=2.0, applies=None, run=_identity),
-            True, []),
+    "Law": (Law, dict(id="2.2", factor=2.0, applies=_identity,
+                      inputs=_identity, build=_identity), True, []),
     # the default loops are a read-only mapping, which does not hash
     "InstanceSpec": (InstanceSpec, dict(name="t", transport=T), False, []),
 }

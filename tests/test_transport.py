@@ -1,6 +1,5 @@
 import json
 import math
-import random
 import re
 import sys
 
@@ -9,19 +8,14 @@ import pytest
 from fibretransport.bundles import graph_point, label_element, vector_element
 from fibretransport.cli import run_law
 from fibretransport.errors import FibreTransportError
-from fibretransport.factorization import check_gauge_freedom
 from fibretransport.instances import make_instance
-from fibretransport.laws import LAWS, REMAPS
-from fibretransport.lifting import liftings_disjoint_or_equal
+from fibretransport.laws import (LAWS, REMAPS, is_transported_section,
+                                 law_named, liftings_disjoint_or_equal)
 from fibretransport.paths import (EDGE_SLACK, UNIT, Interval, affine_remap,
                                   piecewise_path)
-from fibretransport.transport import (Transport, check_group_law,
-                                      check_inverse_path_law,
-                                      check_metric_consistency,
-                                      check_reparam_invariance,
-                                      inverse_transport, is_transported_section,
-                                      law_tolerance, propagate_section,
-                                      run_trials, transport)
+from fibretransport.transport import (Transport, inverse_transport,
+                                      propagate_section, run_trials,
+                                      transport)
 
 
 class TestValidation:
@@ -151,38 +145,39 @@ class TestSections:
 class TestTolerancePolicy:
     def test_factors(self, sphere):
         T = sphere.transport
-        assert law_tolerance("2.2", T) == 2.0 * T.tolerance
-        assert law_tolerance("2.3", T) == T.tolerance
-        assert law_tolerance("4.7", T) == 0.0
+        assert law_named("2.2").threshold(T) == 2.0 * T.tolerance
+        assert law_named("2.3").threshold(T) == T.tolerance
+        assert law_named("4.7").threshold(T) == 0.0
 
     def test_linearity_relative(self, perm, sphere):
         # exact transports must be exactly linear; inexact ones get a
         # relative allowance decoupled from their absolute tolerance
-        assert law_tolerance("2.8", make_instance("parallelization-flat").transport) == 0.0
-        assert law_tolerance("2.8", sphere.transport) == 1e-9
+        flat = make_instance("parallelization-flat").transport
+        assert law_named("2.8").threshold(flat) == 0.0
+        assert law_named("2.8").threshold(sphere.transport) == 1e-9
 
     def test_unknown_law_has_no_tolerance(self, sphere):
         with pytest.raises(FibreTransportError, match="unknown law id"):
-            law_tolerance("9.9", sphere.transport)
+            law_named("9.9")
 
 
 class TestCheckerPreconditions:
     def test_reparam_needs_matching_target(self, perm):
         bad = affine_remap(UNIT, Interval(0.0, 2.0))
         with pytest.raises(FibreTransportError, match="'affine' targets"):
-            check_reparam_invariance(perm.transport, perm.law_paths, [bad],
-                                     trials=5)
+            law_named("2.6").check(perm.transport, perm.law_paths, [bad],
+                                   trials=5)
 
     def test_inverse_path_needs_declaration(self, perm):
         T = Transport(name="plain", bundle=perm.bundle,
                       apply_fn=perm.transport.apply_fn, declared=frozenset())
         with pytest.raises(FibreTransportError, match="declared reparam_invariant"):
-            check_inverse_path_law(T, perm.law_paths, trials=5)
+            law_named("3.2").check(T, perm.law_paths, trials=5)
 
     def test_metric_consistency_needs_metric(self, sphere):
         with pytest.raises(FibreTransportError, match="needs a bundle metric"):
-            check_metric_consistency(sphere.transport, None,
-                                     sphere.law_paths, trials=5)
+            law_named("2.9").check(sphere.transport, None,
+                                   sphere.law_paths, trials=5)
 
 
 class TestDerivedPaths:
@@ -197,19 +192,21 @@ class TestDerivedPaths:
                 return build(*args)
             monkeypatch.setattr(module, name, counted)
         T, paths = sphere.transport, sphere.law_paths
-        assert check_reparam_invariance(T, paths, REMAPS,
-                                        trials=20).passed
-        assert check_inverse_path_law(T, paths, trials=20).passed
+        assert law_named("2.6").check(T, paths, REMAPS, trials=20).passed
+        assert law_named("3.2").check(T, paths, trials=20).passed
         # reused paths keep their cached cells: one build per draw would
         # make 20 of each
         assert built["reparameterize"] <= len(paths) * len(REMAPS)
         assert built["reverse"] <= len(paths)
 
 
+GROUP = law_named("2.2")
+
+
 class TestReports:
     def test_json_shape_and_determinism(self, perm):
-        r1 = check_group_law(perm.transport, perm.law_paths, trials=50, seed=7)
-        r2 = check_group_law(perm.transport, perm.law_paths, trials=50, seed=7)
+        r1 = GROUP.check(perm.transport, perm.law_paths, trials=50, seed=7)
+        r2 = GROUP.check(perm.transport, perm.law_paths, trials=50, seed=7)
         assert r1.to_json() == r2.to_json()
         data = json.loads(r1.to_json())
         assert data["law"] == "2.2"
@@ -218,13 +215,13 @@ class TestReports:
         assert data["max_deviation"] == 0.0
 
     def test_seed_changes_draws(self, perm):
-        r1 = check_group_law(perm.transport, perm.law_paths, trials=50, seed=1)
-        r2 = check_group_law(perm.transport, perm.law_paths, trials=50, seed=2)
+        r1 = GROUP.check(perm.transport, perm.law_paths, trials=50, seed=1)
+        r2 = GROUP.check(perm.transport, perm.law_paths, trials=50, seed=2)
         assert r1.passed and r2.passed  # both pass, draws differ internally
 
     def test_failures_are_capped(self):
         cx = make_instance("counterexample:group_breaking")
-        report = check_group_law(cx.transport, cx.law_paths, trials=200)
+        report = GROUP.check(cx.transport, cx.law_paths, trials=200)
         assert not report.passed
         assert len(report.failures) <= 20
         assert report.max_deviation > 1.0
@@ -246,7 +243,7 @@ class TestReports:
         assert data["passed"] is False
 
     def test_finite_reports_dump_as_plain_json(self, perm):
-        report = check_group_law(perm.transport, perm.law_paths, trials=20)
+        report = GROUP.check(perm.transport, perm.law_paths, trials=20)
         assert report.to_json() == json.dumps(
             report.to_dict(), sort_keys=True, indent=2) + "\n"
 
@@ -324,7 +321,7 @@ class TestTrialCounts:
     def test_gauge_draws_and_dichotomy_trials_refuse_too(self, par, count):
         p = par.path_named("figure-eight")
         with pytest.raises(FibreTransportError, match="at least one trial"):
-            check_gauge_freedom(par.transport, p, draws=count)
+            law_named("3.11/3.12").check(par.transport, p, draws=count)
         with pytest.raises(FibreTransportError, match="at least one trial"):
             liftings_disjoint_or_equal(par.transport, p, trials=count)
 
