@@ -149,12 +149,12 @@ def parallelization_transport(bundle: FibreBundle,
 DEFAULT_STEP = 8e-3
 
 # Finest integrator step.  Cells are kept for the whole span a transport
-# covers, 8 * n * n bytes each, and their aligned block products at most as
-# much again, so a step bounds memory as well as work: MAX_SPAN / MIN_STEP
-# cells and their blocks are about 52 MB per direction at rank 2.  A finer
-# step buys nothing: below about 1e-3 the roundoff summed over 1/step cells
-# outgrows the Magnus truncation, and the honest error rises again, to
-# 4.3e-12 at MIN_STEP against 7.8e-14 at 1e-3.
+# covers, 32 bytes each, and their aligned block products at most as much
+# again, so a step bounds memory as well as work: MAX_SPAN / MIN_STEP cells
+# and their blocks are about 52 MB per direction.  A finer step buys
+# nothing: below about 1e-3 the roundoff summed over 1/step cells outgrows
+# the Magnus truncation, and the honest error rises again, to 4.3e-12 at
+# MIN_STEP against 7.8e-14 at 1e-3.
 MIN_STEP = 1e-5
 
 # Longest path domain an ODE transport integrates over.
@@ -206,26 +206,28 @@ def linear_ode_transport(bundle: FibreBundle,
                          step: float = DEFAULT_STEP,
                          name: str = "linear-ode",
                          tolerance: float | None = None) -> Transport:
-    """Transport vectors by integrating u' = A u along chart paths.
+    """Transport the vectors of rank-2 fibres by integrating u' = A u along
+    chart paths; a bundle of any other fibre is refused.
 
-    ``coefficients(x, xdot)`` gives A at chart coordinates x for chart
-    velocity xdot, read together from the path's jet; the flow is the
-    fixed-step fourth-order Magnus method on the lattice of parameters
-    k * step (see ``integrate``).  Cell propagators are built on first use
-    and kept by this transport, one store per jet and direction; a store
-    lives as long as its jet.  The tolerance is ``10 * step_error(step)``
-    unless one is named.
+    ``coefficients(x, xdot)`` gives the 2 x 2 matrix A at chart coordinates
+    x for chart velocity xdot, read together from the path's jet; the flow
+    is the fixed-step fourth-order Magnus method on the lattice of
+    parameters k * step (see ``integrate``).  Cell propagators are built on
+    first use and kept by this transport, one store per jet and direction;
+    a store lives as long as its jet.  The tolerance is
+    ``10 * step_error(step)`` unless one is named.
 
     Finiteness is checked once per flow, on its propagators: a non-finite
     stage coefficient always makes its propagator non-finite.  A flow that
     raises or returns a non-finite entry is replayed with every stage's
     coefficients checked as they are read, so the error names the first
-    non-finite stage, or is the one the first failing stage raised; if the
-    replay returns, its propagators are taken as they are.
+    stage whose matrix is not 2 x 2 or not finite, or is the one the first
+    failing stage raised; if the replay returns, its propagators are taken
+    as they are.
     """
     require_step(step)
-    if bundle.fibre_kind != "vector":
-        raise FibreTransportError("ODE transports need vector fibres")
+    if bundle.fibre_kind != "vector" or bundle.dim != 2:
+        raise FibreTransportError("ODE transports need rank-2 vector fibres")
     # jet -> {direction: cells}
     stores: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -246,6 +248,10 @@ def linear_ode_transport(bundle: FibreBundle,
 
         def checked(r: float) -> linalg.Mat:
             a = coefficients(*jet(r, 0))
+            if [len(row) for row in a] != [2, 2]:
+                raise FibreTransportError(
+                    f"transport coefficients not 2 x 2"
+                    f" at parameter {r} of {p.name!r}")
             for row in a:
                 for c in row:
                     if not isfinite(c):
@@ -268,7 +274,7 @@ def linear_ode_transport(bundle: FibreBundle,
         by_direction = stores.setdefault(jet, {})
         cells = by_direction.get(d)
         if cells is None:
-            cells = by_direction[d] = CellStore(bundle.dim, step, d)
+            cells = by_direction[d] = CellStore(step, d)
         kinks = p.interior_breakpoints(min(s, t), max(s, t))[::d]
         moved = cells.transport(flow, s, t, kinks, u.vector)
         return vector_element(p.at(t), moved)
@@ -354,12 +360,10 @@ def counterexample_transport(kind: str) -> Transport:
 # Holonomy
 # ---------------------------------------------------------------------------
 
-def _orthonormalizer(metric: BundleMetric | None, x: BasePoint, dim: int) -> linalg.Mat:
+def _orthonormalizer(metric: BundleMetric | None, x: BasePoint) -> linalg.Mat:
     if metric is None:
-        return linalg.identity(dim)
+        return linalg.identity(2)
     g = metric.matrix_at(x)
-    if dim != 2:
-        raise FibreTransportError("orthonormalization implemented for rank 2")
     a = math.sqrt(g[0][0])
     b = g[0][1] / a
     c = math.sqrt(g[1][1] - b * b)
@@ -389,7 +393,7 @@ def holonomy_angle(T: Transport, loop: Path,
     if T.bundle.dim != 2:
         raise FibreTransportError("holonomy angles are defined for rank-2 fibres")
     m = loop_matrix(T, loop)
-    s = _orthonormalizer(metric, loop.at(loop.domain.lo), 2)
+    s = _orthonormalizer(metric, loop.at(loop.domain.lo))
     return linalg.rotation_angle(
         linalg.matmul(linalg.matmul(s, m), linalg.inverse(s)))
 

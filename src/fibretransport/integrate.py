@@ -1,10 +1,11 @@
-"""Fourth-order Magnus propagators for linear, parameter-dependent ODE systems.
+"""Fourth-order Magnus propagators for linear ODE systems on rank-2 fibres.
 
-The right-hand side is u' = A(r) u with A supplied as a callable.  A cell of
-signed length h from a is propagated by exp(Omega), Omega = (h / 2)(A1 + A2)
-+ (sqrt(3) / 12) h**2 [A2, A1], with A1 and A2 the values of A at the
-Gauss-Legendre nodes a + h (1/2 -+ sqrt(3)/6) in the order of travel
-(Iserles and Norsett 1999; Blanes, Casas, Oteo and Ros, Phys. Rep. 2009).
+The right-hand side is u' = A(r) u with the 2 x 2 matrix A supplied as a
+callable.  A cell of signed length h from a is propagated by exp(Omega),
+Omega = (h / 2)(A1 + A2) + (sqrt(3) / 12) h**2 [A2, A1], with A1 and A2 the
+values of A at the Gauss-Legendre nodes a + h (1/2 -+ sqrt(3)/6) in the
+order of travel (Iserles and Norsett 1999; Blanes, Casas, Oteo and Ros,
+Phys. Rep. 2009), and the exponential is taken in closed form.
 
 * The lattice is fixed: its nodes are k * step, and a cell between two
   neighbouring nodes is cut only at the path's breakpoints.  A transport
@@ -17,9 +18,9 @@ Gauss-Legendre nodes a + h (1/2 -+ sqrt(3)/6) in the order of travel
   cells as one split into about 2 * log2(cells) blocks whatever ran before,
   so a restriction of a path replays the same bits: locality checks demand
   deviation zero even for numeric transports.
-* The flow checks nothing about A.  A non-finite coefficient, an Omega
-  whose exponential overflows, or one too large to scale and square
-  accurately, makes its cell's propagator non-finite, so a caller checks the propagators once per flow (``instances`` does, and
+* The flow checks nothing about A.  A non-finite coefficient, or an Omega
+  whose exponential overflows, makes its cell's propagator non-finite, so a
+  caller checks the propagators once per flow (``instances`` does, and
   replays a flow that fails with every stage checked).
 """
 
@@ -33,10 +34,6 @@ from typing import Callable, Iterable, Sequence
 # Gauss-Legendre nodes on [0, 1] and the weight of Omega's commutator term.
 _NODE1, _NODE2 = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
 _BRACKET = math.sqrt(3.0) / 12.0
-
-# Each squaring of the scaled exponential doubles its rounding error, so past
-# this many squarings fewer than half of a double's 53 bits are left.
-_MAX_SQUARINGS = 26
 
 
 def _exp2(o00: float, o01: float, o10: float, o11: float) -> tuple:
@@ -62,7 +59,7 @@ def _exp2(o00: float, o01: float, o10: float, o11: float) -> tuple:
 
 
 def _cell2(a1, a2, h: float) -> tuple[float, ...]:
-    """The Magnus propagator of one cell at n = 2."""
+    """The Magnus propagator of one cell, from the 2 x 2 stage values."""
     ((p00, p01), (p10, p11)), ((q00, q01), (q10, q11)) = a1, a2
     g, k = 0.5 * h, _BRACKET * h * h
     d = k * (q01 * p10 - p01 * q10)   # [A2, A1] is traceless
@@ -70,40 +67,6 @@ def _cell2(a1, a2, h: float) -> tuple[float, ...]:
                  g * (p01 + q01) + k * (p01 * (q00 - q11) - q01 * (p00 - p11)),
                  g * (p10 + q10) + k * (q10 * (p00 - p11) - p10 * (q00 - q11)),
                  g * (p11 + q11) - d)
-
-
-def _cell(a1, a2, h: float) -> tuple[float, ...]:
-    """The Magnus propagator of one cell, for any n."""
-    n = len(a1)
-    g, k = 0.5 * h, _BRACKET * h * h
-    return _expm([g * (a1[i][j] + a2[i][j])
-                  + k * sum(a2[i][m] * a1[m][j] - a1[i][m] * a2[m][j]
-                            for m in range(n))
-                  for i in range(n) for j in range(n)], n)
-
-
-def _matmul(x: Sequence[float], y: Sequence[float], n: int) -> list[float]:
-    return [sum(x[i * n + m] * y[m * n + j] for m in range(n))
-            for i in range(n) for j in range(n)]
-
-
-def _expm(o: Sequence[float], n: int) -> tuple[float, ...]:
-    """exp of the n * n matrix o, row-major: o scaled by 2**-q to a row-sum
-    norm below 1, its Taylor polynomial of degree 18 in Horner form (the
-    remainder is below 1 / 19!, under 2**-55), squared q times.  An o that
-    needs more than _MAX_SQUARINGS squarings gives non-finite entries, as
-    an overflow in ``_exp2`` does."""
-    norm = max(sum(map(abs, o[i:i + n])) for i in range(0, n * n, n))
-    q = max(0, math.frexp(norm)[1])
-    if q > _MAX_SQUARINGS:
-        return (math.nan,) * (n * n)
-    x = [math.ldexp(c, -q) for c in o]
-    eye = total = [float(i == j) for i in range(n) for j in range(n)]
-    for k in range(18, 0, -1):
-        total = [e + c / k for e, c in zip(eye, _matmul(x, total, n))]
-    for _ in range(q):
-        total = _matmul(total, total, n)
-    return tuple(total)
 
 
 # Named for the RK4 flow it replaced: the benchmark traces it by this name.
@@ -114,50 +77,39 @@ def rk4_linear_flow(coeff: Callable[[float], Sequence[Sequence[float]]],
     ``coeff(r)`` is A at r, read at each cell's two Gauss nodes in the order
     of travel, never at s, t or a node, so A may jump at any of them.
     ``nodes`` lie strictly between s and t in the order of travel.  Returns
-    the propagators in that order, n * n entries each, row-major, in one
-    flat array."""
+    the propagators in that order, 2 x 2 and row-major, four entries each,
+    in one flat array."""
     props = array("d")
     a = s
     for b in chain(nodes, (t,)):
         h = b - a
         a1, a2 = coeff(a + h * _NODE1), coeff(a + h * _NODE2)
-        props.extend((_cell2 if len(a1) == 2 else _cell)(a1, a2, h))
+        props.extend(_cell2(a1, a2, h))
         a = b
     return props
 
 
 def _apply_propagators(steps: Iterable[tuple[array, int]],
                        v: tuple[float, ...]) -> tuple[float, ...]:
-    """v after the propagators ``m[o:o + n * n]`` of each (m, o) in steps,
-    in that order."""
-    n = len(v)
-    if n == 2:
-        x, y = v
-        for m, o in steps:
-            x, y = m[o] * x + m[o + 1] * y, m[o + 2] * x + m[o + 3] * y
-        return (x, y)
+    """v after the propagators ``m[o:o + 4]`` of each (m, o) in steps, in
+    that order."""
+    x, y = v
     for m, o in steps:
-        v = tuple(sum(m[o + i * n + j] * v[j] for j in range(n))
-                  for i in range(n))
-    return v
+        x, y = m[o] * x + m[o + 1] * y, m[o + 2] * x + m[o + 3] * y
+    return (x, y)
 
 
-def _pair_products(m: array, n: int) -> array:
-    """The products B A of the consecutive pairs (A, B) of n * n propagators
-    in m: A applied first, then B."""
+def _pair_products(m: array) -> array:
+    """The products B A of the consecutive pairs (A, B) of propagators in m:
+    A applied first, then B."""
     it = iter(m)
     out = array("d")
-    if n == 2:
-        put = out.append
-        for a00, a01, a10, a11, b00, b01, b10, b11 in zip(*(it,) * 8):
-            put(b00 * a00 + b01 * a10)
-            put(b00 * a01 + b01 * a11)
-            put(b10 * a00 + b11 * a10)
-            put(b10 * a01 + b11 * a11)
-        return out
-    size = n * n
-    for ab in zip(*(it,) * (2 * size)):
-        out.extend(_matmul(ab[size:], ab[:size], n))
+    put = out.append
+    for a00, a01, a10, a11, b00, b01, b10, b11 in zip(*(it,) * 8):
+        put(b00 * a00 + b01 * a10)
+        put(b00 * a01 + b01 * a11)
+        put(b10 * a00 + b11 * a10)
+        put(b10 * a01 + b11 * a11)
     return out
 
 
@@ -185,7 +137,7 @@ class CellStore:
     both directions.  Level 0 holds the cells; level L holds block m, the
     product of cells m * 2**L .. (m + 1) * 2**L - 1 in the order of travel,
     which is the product of blocks 2m and 2m + 1 of level L - 1.  Each
-    level keeps its n * n entries per slot in one flat array of doubles,
+    level keeps its four entries per slot in one flat array of doubles,
     ``built`` marks the slots computed so far, and ``base`` is the index in
     its first slot.
 
@@ -200,9 +152,7 @@ class CellStore:
     transport are integrated afresh each time.
     """
 
-    def __init__(self, n: int, step: float, d: int) -> None:
-        self.n = n
-        self.size = n * n
+    def __init__(self, step: float, d: int) -> None:
         self.step = step
         self.d = d
         self.mats = [array("d")]
@@ -222,12 +172,12 @@ class CellStore:
         base = self.base[level]
         if k0 < base:
             pad = base - k0
-            mats[:0] = array("d", (0.0,)) * (self.size * pad)
+            mats[:0] = array("d", (0.0,)) * (4 * pad)
             built[:0] = bytes(pad)
             self.base[level] = base = k0
         pad = k1 - base - len(built)
         if pad > 0:
-            mats.extend(array("d", (0.0,)) * (self.size * pad))
+            mats.extend(array("d", (0.0,)) * (4 * pad))
             built.extend(bytes(pad))
 
     def _has(self, level: int, k: int) -> bool:
@@ -263,7 +213,7 @@ class CellStore:
         """Store the cells from node i to node j that are not built yet and
         return the propagators from a to b: a partial step up to node i,
         the blocks over cells i .. j - 1 and a partial step from node j."""
-        d, h, size = self.d, self.step, self.size
+        d, h = self.d, self.step
         built, base = self.built[0], self.base[0]
         head = tail = ()
         x, k = a, i
@@ -276,15 +226,15 @@ class CellStore:
                 last = m if y != m * h else m - 1
                 props = build(d * x, d * y,
                               (d * (q * h) for q in range(first, last + 1)))
-                at = size if x != k * h else 0
+                at = 4 if x != k * h else 0
                 if at:
                     head = ((props, 0),)
                 if y != m * h:
-                    tail = ((props, len(props) - size),)
+                    tail = ((props, len(props) - 4),)
                 if m > k:
-                    slot = (k - base) * size
-                    self.mats[0][slot:slot + (m - k) * size] = \
-                        props[at:at + (m - k) * size]
+                    slot = 4 * (k - base)
+                    self.mats[0][slot:slot + 4 * (m - k)] = \
+                        props[at:at + 4 * (m - k)]
                     built[k - base:m - base] = b"\x01" * (m - k)
                     self._blocks(k, m)
             if m == j:
@@ -296,7 +246,7 @@ class CellStore:
 
     def _blocks(self, k0: int, k1: int) -> None:
         """Build the blocks that cells k0 .. k1 - 1, just stored, complete."""
-        level, n, size = 0, self.n, self.size
+        level = 0
         while True:
             lo, hi = k0 >> 1, (k1 + 1) >> 1
             if k0 & 1 and not self._has(level, k0 - 1):
@@ -307,20 +257,20 @@ class CellStore:
                 return
             base = self.base[level]
             products = _pair_products(
-                self.mats[level][(2 * lo - base) * size:(2 * hi - base) * size], n)
+                self.mats[level][4 * (2 * lo - base):4 * (2 * hi - base)])
             # each level spans the cells' slots, so it is padded when they are
             lo0, hi0 = self.base[0], self.base[0] + len(self.built[0])
             level += 1
             self._cover(level, lo0 >> level, ((hi0 - 1) >> level) + 1)
             base = self.base[level]
-            self.mats[level][(lo - base) * size:(hi - base) * size] = products
+            self.mats[level][4 * (lo - base):4 * (hi - base)] = products
             self.built[level][lo - base:hi - base] = b"\x01" * (hi - lo)
             k0, k1 = lo, hi
 
     def _split(self, i: int, j: int) -> list[tuple[array, int]]:
         """The blocks over cells i .. j - 1 in the order of travel: at each
         cell k the largest aligned block that starts there and fits."""
-        mats, base, size = self.mats, self.base, self.size
+        mats, base = self.mats, self.base
         out = []
         k = i
         while k < j:
@@ -328,6 +278,6 @@ class CellStore:
             low = (k & -k).bit_length() - 1
             if 0 <= low < level:
                 level = low
-            out.append((mats[level], ((k >> level) - base[level]) * size))
+            out.append((mats[level], 4 * ((k >> level) - base[level])))
             k += 1 << level
         return out

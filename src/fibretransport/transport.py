@@ -200,8 +200,10 @@ def run_trials(law: str, T: Transport, trials: int, tolerance: float,
     leaves a vacuous report.  ``rng`` is seeded from (seed, law).  A record
     fails when its deviation is above the tolerance or is NaN, and the first
     _FAILURE_CAP failures are kept.  A NaN deviation becomes the maximum and
-    stays it.  Fewer than one trial is refused: a check that draws nothing
-    would pass whatever T does.
+    stays it.  A ``FibreTransportError`` inside trial k ends the trial with
+    one more record, failed: path "", params {"trial": k}, the message and
+    deviation inf.  Fewer than one trial is refused: a check that draws
+    nothing would pass whatever T does.
     """
     if trials < 1:
         raise FibreTransportError(
@@ -209,14 +211,20 @@ def run_trials(law: str, T: Transport, trials: int, tolerance: float,
     rng = _rng(seed, law)
     count, worst, failures = 0, 0.0, []
     for k in range(trials):
-        for dev, path_name, params, elements in trial(k, rng):
-            count += 1
-            if dev > worst or math.isnan(dev):
-                worst = dev
-            if ((dev > tolerance or math.isnan(dev))
-                    and len(failures) < _FAILURE_CAP):
-                failures.append(Failure(path_name, dict(params),
-                                        tuple(elements), dev))
+        records = trial(k, rng)
+        while True:
+            try:
+                for dev, path_name, params, elements in records:
+                    count += 1
+                    if dev > worst or math.isnan(dev):
+                        worst = dev
+                    if ((dev > tolerance or math.isnan(dev))
+                            and len(failures) < _FAILURE_CAP):
+                        failures.append(Failure(path_name, dict(params),
+                                                tuple(elements), dev))
+                break
+            except FibreTransportError as exc:  # tallied as one failed record
+                records = ((math.inf, "", {"trial": k}, (str(exc),)),)
     return LawReport(law=law, instance=T.name, trials=count,
                      tolerance=tolerance, max_deviation=worst,
                      failures=tuple(failures), seed=seed, notes=notes)
@@ -333,16 +341,18 @@ def reparam_trial(T: Transport, paths, remaps, trials: int):
     remaps = tuple(remaps)
     if not remaps:
         raise FibreTransportError("at least one reparameterization is required")
+    for p in paths:
+        for remap in remaps:
+            if not remap.target.same_as(p.domain):
+                raise FibreTransportError(
+                    f"reparameterization {remap.name!r} targets "
+                    f"{remap.target}, path domain is {p.domain}")
     # one derived path per (path, remap), so its transports share cells
     reparameterized = functools.cache(reparameterize)
 
     def trial(k, rng):
         p = _pick(rng, paths)
         remap = _pick(rng, remaps)
-        if not remap.target.same_as(p.domain):
-            raise FibreTransportError(
-                f"reparameterization {remap.name!r} targets {remap.target}, "
-                f"path domain is {p.domain}")
         q = reparameterized(p, remap)
         s = rng.uniform(remap.source.lo, remap.source.hi)
         t = rng.uniform(remap.source.lo, remap.source.hi)

@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 
 import fibretransport
+from fibretransport import instances
+from fibretransport.bundles import rebase
 from fibretransport.cli import law_filename, main, run_law
 from fibretransport.instances import make_instance
+from fibretransport.transport import Transport
 
 
 def read_json(path):
@@ -88,6 +91,29 @@ class TestCheck:
         rc = main(["check", "--instance", "counterexample:group_breaking",
                    "--laws", "2.3,2.6,2.8", "--out", str(tmp_path)])
         assert rc == 0
+
+    def test_a_broken_transport_fails_its_laws_and_the_run_goes_on(
+            self, tmp_path, monkeypatch, capsys):
+        """A transport that leaves its image over path(s) makes some trials
+        raise; each such trial is a failed record, not a config error."""
+        flat = make_instance("parallelization-flat")
+        T = flat.transport
+
+        def apply(p, s, t, u):
+            return rebase(T.apply_fn(p, s, t, u), p.at(s))
+
+        stuck = flat._replace(
+            transport=Transport(**{**T._asdict(), "apply_fn": apply}))
+        monkeypatch.setitem(instances.PRESETS, "stuck", lambda step: stuck)
+        rc = main(["check", "--instance", "stuck", "--trials", "20",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == ""
+        assert ({f.name for f in tmp_path.iterdir()}
+                == {law_filename(law) for law in stuck.applicable})
+        # law 2.2 meets the image over path(s) as a refused input
+        failure = read_json(tmp_path / "law_2.2.json")["failures"][0]
+        assert failure["path"] == "" and failure["deviation"] == "inf"
 
     def test_unknown_instance_is_config_error(self, capsys):
         assert main(["check", "--instance", "bogus"]) == 2

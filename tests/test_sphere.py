@@ -24,7 +24,7 @@ from fibretransport.sphere import (OCTANT_AREA, OCTANT_VERTICES, SPACE,
                                    closed_latitude, coefficient_matrix,
                                    great_circle_arc, latitude_arc,
                                    metric_matrix, octant_loop, require_chart)
-from fibretransport.transport import transport
+from fibretransport.transport import Transport, transport
 
 HALF_PI = math.pi / 2
 
@@ -273,3 +273,47 @@ def test_a_1e_8_metric_error_fails_law_2_9_only(sphere, seed):
     failed = [law for law in sphere.applicable
               if not run_law(saboteur, law, trials=20, seed=seed).passed]
     assert failed == ["2.9"]
+
+
+# The epsilon-mutant table.  Each mutant wraps the sphere transport's image w
+# of u with an error of size eps that vanishes at s = t.
+MUTANTS = {
+    # scale by 1 + eps (t - s)**2, which does not compose
+    "sq": lambda eps, p, s, t, u, w: [c * (1.0 + eps * (t - s) ** 2)
+                                      for c in w],
+    # scale by exp(eps (t - s)), which reads the parametrization
+    "param": lambda eps, p, s, t, u, w: [c * math.exp(eps * (t - s))
+                                         for c in w],
+    # scale by exp(eps (t - s) width), which reads the whole domain
+    "width": lambda eps, p, s, t, u, w: [
+        c * math.exp(eps * (t - s) * p.domain.width) for c in w],
+    # add eps (t - s) |u|**2 e1, which is not linear
+    "nonlin": lambda eps, p, s, t, u, w: [
+        w[0] + eps * (t - s) * (u[0] ** 2 + u[1] ** 2), w[1]],
+}
+
+
+def _mutant(spec, name, eps):
+    T, rule = spec.transport, MUTANTS[name]
+
+    def apply(p, s, t, u):
+        w = T.apply_fn(p, s, t, u)
+        return vector_element(w.over, rule(eps, p, s, t, u.vector, w.vector))
+
+    return spec._replace(
+        transport=Transport(**{**T._asdict(), "apply_fn": apply}))
+
+
+@pytest.mark.parametrize("law, mutant", [
+    *((law, "sq") for law in ("2.2", "2.4", "2.6", "2.9", "3.1", "3.4",
+                              "3.5", "4.6")),
+    ("2.5/2.7", "width"), ("2.8", "nonlin"), ("3.6-roundtrip", "nonlin"),
+    ("3.2", "param")])
+def test_an_error_at_ten_times_the_tolerance_fails_the_law(sphere, law,
+                                                            mutant):
+    """Each law fails at the scale of error it claims to bound: the mutant
+    at eps = 10 * T.tolerance fails it, and at eps = 0 passes it."""
+    eps = 10 * sphere.transport.tolerance
+    assert run_law(_mutant(sphere, mutant, 0.0), law, trials=40, seed=1).passed
+    report = run_law(_mutant(sphere, mutant, eps), law, trials=40, seed=1)
+    assert not report.passed, report.max_deviation

@@ -13,7 +13,7 @@ from fibretransport.laws import (LAWS, REMAPS, is_transported_section,
                                  law_named, liftings_disjoint_or_equal)
 from fibretransport.paths import (EDGE_SLACK, UNIT, Interval, affine_remap,
                                   piecewise_path)
-from fibretransport.transport import (Transport, inverse_transport,
+from fibretransport.transport import (Failure, Transport, inverse_transport,
                                       propagate_section, run_trials,
                                       transport)
 
@@ -288,10 +288,17 @@ class TestNaNTransports:
     @pytest.mark.parametrize("law", ["3.6-roundtrip", "3.11/3.12"])
     def test_factorization_laws_refuse_a_nan_family(self, par, law,
                                                     component):
-        # the canonical family holds the NaN maps, which have no inverse
-        with pytest.raises(FibreTransportError,
-                           match=r"factored\[walk\]: the family's map at 0.1"):
-            run_law(self.nan_at(par, component), law, trials=30)
+        # the canonical family holds the NaN maps, which have no inverse: a
+        # trial that meets one ends in a failed record carrying the refusal
+        report = run_law(self.nan_at(par, component), law, trials=30)
+        assert not report.passed
+        first = report.failures[0]
+        assert (first.path, first.params, first.deviation) == (
+            "", {"trial": 0}, math.inf)
+        assert first.elements[0].startswith(
+            "factored[walk]: the family's map at 0.1")
+        data = json.loads(report.to_json(), parse_constant=reject_constant)
+        assert data["passed"] is False
 
     def test_a_nan_at_the_end_of_the_lifting_grid_is_kept(self, par):
         # law 4.6 compares two liftings on a grid, and only its last point,
@@ -333,3 +340,14 @@ class TestTrialCounts:
         with pytest.raises(FibreTransportError,
                            match="law 2.2 needs at least one trial, got 0"):
             run_trials("2.2", perm.transport, 0, None, 0, trial)
+
+    def test_a_refusal_inside_a_trial_is_one_more_failed_record(self, perm):
+        def trial(k, rng):
+            yield 0.0, "walk", {"s": 0.5}, ["kept"]
+            if k == 1:
+                raise FibreTransportError("refused")
+
+        report = run_trials("2.2", perm.transport, 3, 0.0, 0, trial)
+        assert report.trials == 4 and report.max_deviation == math.inf
+        assert report.failures == (Failure("", {"trial": 1}, ("refused",),
+                                           math.inf),)
