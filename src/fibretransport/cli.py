@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 from pathlib import Path as FsPath
 
@@ -43,8 +42,9 @@ _FLOAT_FMT = "%.17e"
 def run_law(spec: InstanceSpec, law: str, *, trials: int = 200, seed: int = 0,
             tolerance: float | None = None) -> LawReport:
     """Run one registry law against an instance."""
-    return law_named(law).run(spec, trials=trials, seed=seed,
-                              tolerance=tolerance)
+    record = law_named(law)
+    return record.check(spec.transport, *record.inputs(spec), trials=trials,
+                        tolerance=tolerance, seed=seed)
 
 
 def law_filename(law: str) -> str:
@@ -232,8 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     options = {
         "--instance": dict(required=True,
                            help=f"one of: {', '.join(instance_names())}"),
-        "--seed": dict(type=int, default=None,
-                       help="default: $FT_DEFAULT_SEED, or 0"),
+        "--seed": dict(type=int, default=0),
         "--out": dict(type=FsPath, default=None,
                       help="directory for report files (default: stdout)"),
         "--trials": dict(type=int, default=200),
@@ -298,20 +297,9 @@ def _parse_tols(pairs: list[str], laws: list[str]) -> dict:
     return out
 
 
-def _default_seed() -> int:
-    text = os.environ.get("FT_DEFAULT_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise FibreTransportError(
-            f"FT_DEFAULT_SEED must be an integer, got {text!r}") from None
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.seed is None:
-            args.seed = _default_seed()
         if args.out is not None:
             try:
                 args.out.mkdir(parents=True, exist_ok=True)

@@ -141,15 +141,16 @@ class CellStore:
     ``built`` marks the slots computed so far, and ``base`` is the index in
     its first slot.
 
-    Invariant: every block whose cells are all built is built.  Each run of
-    cells a transport stores is followed by the blocks it completes, level
-    by level.  A transport builds the cells it lacks first and then applies
-    the cells from node i to node j as the greedy split of [i, j) into
-    aligned blocks, about 2 * log2(j - i) of them.  That split depends only
-    on (i, j), so a transport replays the same arithmetic whichever
-    transports came before, and so does any restriction of the path.
-    Cells cut by a breakpoint and the partial steps at either end of a
-    transport are integrated afresh each time.
+    Invariant: every block whose cells are all built is built.  The store
+    keeps whole cells only: a transport builds each run of whole cells it
+    lacks in one flow, stores it and then the blocks it completes, level
+    by level, and applies the cells from node i to node j as the greedy
+    split of [i, j) into aligned blocks, about 2 * log2(j - i) of them.
+    That split depends only on (i, j), so a transport replays the same
+    arithmetic whichever transports came before, and so does any
+    restriction of the path.  A partial step, the part of a cell cut by a
+    breakpoint or by either end of a transport, is built on its own each
+    time and never stored.
     """
 
     def __init__(self, step: float, d: int) -> None:
@@ -192,10 +193,10 @@ class CellStore:
 
         ``kinks`` are the breakpoints strictly between s and t in the order
         of travel; ``build(a, b, nodes)`` is ``rk4_linear_flow`` over a,
-        *nodes, b.  Between two breakpoints, each run of cells not stored
-        yet is built in one call with the partial steps next to it; the
-        stretch is applied as its head partial step, the blocks over its
-        whole cells and its tail partial step."""
+        *nodes, b.  Each stretch between two breakpoints is applied in the
+        order of travel: its head partial step, built on its own, the
+        blocks over its whole cells, stored first if missing, and its tail
+        partial step, built on its own."""
         d, h = self.d, self.step
         s, t = d * s, d * t
         self._cover(0, math.floor(s / h) - 1, math.ceil(t / h) + 1)
@@ -204,45 +205,35 @@ class CellStore:
         for a, b in zip(stops, stops[1:]):
             i, j = _node_above(a, h), _node_below(b, h)
             if i > j:                 # no node between two stops
-                v = _apply_propagators(((build(d * a, d * b, ()), 0),), v)
+                steps = [(build(d * a, d * b, ()), 0)]
             else:
-                v = _apply_propagators(self._steps(build, a, i, j, b), v)
+                steps = []
+                if a != i * h:
+                    steps.append((build(d * a, d * (i * h), ()), 0))
+                self._store(build, i, j)
+                steps += self._split(i, j)
+                if b != j * h:
+                    steps.append((build(d * (j * h), d * b, ()), 0))
+            v = _apply_propagators(steps, v)
         return v
 
-    def _steps(self, build, a: float, i: int, j: int, b: float) -> list:
-        """Store the cells from node i to node j that are not built yet and
-        return the propagators from a to b: a partial step up to node i,
-        the blocks over cells i .. j - 1 and a partial step from node j."""
+    def _store(self, build, i: int, j: int) -> None:
+        """Build and store the cells from node i to node j that are not
+        built yet, one flow per run of missing cells, and the blocks each
+        run completes."""
         d, h = self.d, self.step
         built, base = self.built[0], self.base[0]
-        head = tail = ()
-        x, k = a, i
-        while True:
-            gap = built.find(1, k - base, j - base)
-            m = j if gap < 0 else gap + base
-            y = b if m == j else m * h
-            if x != y:
-                first = k if x != k * h else k + 1   # nodes inside (x, y)
-                last = m if y != m * h else m - 1
-                props = build(d * x, d * y,
-                              (d * (q * h) for q in range(first, last + 1)))
-                at = 4 if x != k * h else 0
-                if at:
-                    head = ((props, 0),)
-                if y != m * h:
-                    tail = ((props, len(props) - 4),)
-                if m > k:
-                    slot = 4 * (k - base)
-                    self.mats[0][slot:slot + 4 * (m - k)] = \
-                        props[at:at + 4 * (m - k)]
-                    built[k - base:m - base] = b"\x01" * (m - k)
-                    self._blocks(k, m)
-            if m == j:
-                break
-            stop = built.find(0, m - base, j - base)
-            k = j if stop < 0 else stop + base
-            x = k * h
-        return [*head, *self._split(i, j), *tail]
+        gap = built.find(0, i - base, j - base)
+        while gap >= 0:
+            k = gap + base
+            stop = built.find(1, k - base, j - base)
+            m = j if stop < 0 else stop + base
+            self.mats[0][4 * (k - base):4 * (m - base)] = build(
+                d * (k * h), d * (m * h),
+                (d * (q * h) for q in range(k + 1, m)))
+            built[k - base:m - base] = b"\x01" * (m - k)
+            self._blocks(k, m)
+            gap = built.find(0, m - base, j - base)
 
     def _blocks(self, k0: int, k1: int) -> None:
         """Build the blocks that cells k0 .. k1 - 1, just stored, complete."""

@@ -15,6 +15,7 @@ from collections import namedtuple
 
 from . import factorization as fz
 from . import lifting as lf
+from . import linalg
 from . import transport as tr
 from .bundles import element_deviation
 from .errors import FibreTransportError
@@ -51,12 +52,6 @@ class Law(namedtuple("Law", "id factor applies inputs build")):
         if tolerance is None:
             tolerance = self.threshold(T)
         return tr.run_trials(self.id, T, count, tolerance, seed, trial, notes)
-
-    def run(self, spec, *, trials: int = 200, seed: int = 0,
-            tolerance: float | None = None) -> tr.LawReport:
-        """Run the law on a preset instance."""
-        return self.check(spec.transport, *self.inputs(spec), trials=trials,
-                          tolerance=tolerance, seed=seed)
 
 
 def _paths(spec):
@@ -190,8 +185,11 @@ def liftings_disjoint_or_equal(T: tr.Transport, p, *, trials: int = 50,
         l2 = lf.lift(T, p, tr.draw_for_bundle(rng, T.bundle, p.at(s)), s)
         devs = [element_deviation(l1.at(g), l2.at(g))
                 for g in p.domain.samples(9)]
-        mixed = min(devs) <= tol < max(devs)
-        yield (max(devs) if mixed else 0.0, p.name,
-               {"r": r, "s": s}, ["mixed agreement" if mixed else "clean"])
+        # deviations are non-negative: max_abs is their NaN-keeping maximum,
+        # and a NaN is neither agreement nor disagreement, so never clean
+        worst = linalg.max_abs(devs)
+        clean = worst <= tol or all(dev > tol for dev in devs)
+        yield (0.0 if clean else worst, p.name,
+               {"r": r, "s": s}, ["clean" if clean else "mixed agreement"])
 
     return tr.run_trials("disjoint-or-equal", T, trials, tol, seed, trial)

@@ -333,8 +333,7 @@ def test_an_exact_instance_refuses_an_out_of_range_step(argv, capsys):
     assert "step out of range" in one_error_line(capsys)
 
 
-def test_a_reused_parser_carries_nothing_between_calls(tmp_path,
-                                                      monkeypatch):
+def test_a_reused_parser_carries_nothing_between_calls(tmp_path):
     argv = ["check", "--instance", "perm-c3", "--laws", "2.2", "--trials", "5"]
     assert main([*argv, "--tol", "2.2=1", "--out", str(tmp_path / "a")]) == 0
     assert read_json(tmp_path / "a" / "law_2.2.json")["tolerance"] == 1.0
@@ -342,17 +341,6 @@ def test_a_reused_parser_carries_nothing_between_calls(tmp_path,
     default = run_law(make_instance("perm-c3"), "2.2", trials=5).tolerance
     assert default != 1.0
     assert read_json(tmp_path / "b" / "law_2.2.json")["tolerance"] == default
-    for seed in ("7", "8"):  # the default seed is read on every call
-        monkeypatch.setenv("FT_DEFAULT_SEED", seed)
-        assert main([*argv, "--out", str(tmp_path / seed)]) == 0
-        report = read_json(tmp_path / seed / "law_2.2.json")
-        assert report["seed"] == int(seed)
-
-
-def test_non_integer_default_seed_is_config_error(monkeypatch, capsys):
-    monkeypatch.setenv("FT_DEFAULT_SEED", "abc")
-    assert main(["check", "--instance", "perm-c3", "--laws", "2.2"]) == 2
-    assert "FT_DEFAULT_SEED" in one_error_line(capsys)
 
 
 def test_out_naming_a_file_is_config_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from fibretransport.bundles import (label_element, section_through,
@@ -141,6 +143,22 @@ class TestLawCheckers:
         r = liftings_disjoint_or_equal(perm.transport,
                                        perm.path_named("zigzag"), trials=30)
         assert r.passed
+
+    def test_dichotomy_fails_a_nan_lifting(self, par):
+        # NaN answers at t = 0.125, one point of the 9-point comparison grid
+        T = par.transport
+
+        def apply(p, s, t, u):
+            w = T.apply_fn(p, s, t, u)
+            if abs(t - 0.125) < 1e-3:
+                return vector_element(w.over, (math.nan, math.nan))
+            return w
+
+        nan_at = Transport(**{**T._asdict(), "apply_fn": apply})
+        r = liftings_disjoint_or_equal(nan_at, par.path_named("figure-eight"),
+                                       trials=50, seed=0)
+        assert not r.passed
+        assert math.isnan(r.max_deviation)
 
     def test_dichotomy_needs_uniqueness(self, sphere):
         with pytest.raises(FibreTransportError, match="global uniqueness fails"):

@@ -276,8 +276,10 @@ def test_a_1e_8_metric_error_fails_law_2_9_only(sphere, seed):
 
 
 # The epsilon-mutant table.  Each mutant wraps the sphere transport's image w
-# of u with an error of size eps that vanishes at s = t.
+# of u with an error of size eps, which vanishes at s = t except for const's.
 MUTANTS = {
+    # scale by 1 + eps, which is not the identity at s = t
+    "const": lambda eps, p, s, t, u, w: [c * (1.0 + eps) for c in w],
     # scale by 1 + eps (t - s)**2, which does not compose
     "sq": lambda eps, p, s, t, u, w: [c * (1.0 + eps * (t - s) ** 2)
                                       for c in w],
@@ -308,7 +310,7 @@ def _mutant(spec, name, eps):
     *((law, "sq") for law in ("2.2", "2.4", "2.6", "2.9", "3.1", "3.4",
                               "3.5", "4.6")),
     ("2.5/2.7", "width"), ("2.8", "nonlin"), ("3.6-roundtrip", "nonlin"),
-    ("3.2", "param")])
+    ("3.2", "param"), ("2.3", "const")])
 def test_an_error_at_ten_times_the_tolerance_fails_the_law(sphere, law,
                                                             mutant):
     """Each law fails at the scale of error it claims to bound: the mutant
