@@ -39,12 +39,12 @@ _FLOAT_FMT = "%.17e"
 # Law runners
 # ---------------------------------------------------------------------------
 
-def run_law(spec: InstanceSpec, law: str, *, trials: int = 200, seed: int = 0,
-            tolerance: float | None = None) -> LawReport:
+def run_law(spec: InstanceSpec, law: str, *, trials: int = 200,
+            seed: int = 0) -> LawReport:
     """Run one registry law against an instance."""
     record = law_named(law)
     return record.check(spec.transport, *record.inputs(spec), trials=trials,
-                        tolerance=tolerance, seed=seed)
+                        seed=seed)
 
 
 def law_filename(law: str) -> str:
@@ -68,14 +68,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         if len(set(chosen)) < len(chosen):
             raise FibreTransportError(
                 f"--laws names a law more than once: {args.laws!r}")
-    for law in chosen:  # refuse unknown ids before any report is written
-        law_named(law)
-    tols = _parse_tols(args.tol, chosen)
-    reports = []
-    for law in chosen:
-        report = run_law(spec, law, trials=args.trials, seed=args.seed,
-                         tolerance=tols.get(law))
-        reports.append(report)
+    # every law runs before any line or file is written, so an unknown id or
+    # a configuration error met by a later law leaves nothing behind
+    reports = [run_law(spec, law, trials=args.trials, seed=args.seed)
+               for law in chosen]
+    for law, report in zip(chosen, reports):
         if args.out is not None:
             (args.out / law_filename(law)).write_text(report.to_json())
         status = "PASS" if report.passed else "FAIL"
@@ -188,7 +185,6 @@ def cmd_lift(args: argparse.Namespace) -> int:
 def cmd_factorize(args: argparse.Namespace) -> int:
     # the registry law whose trial is the canonical family's roundtrip
     law = next(law for law in LAWS if law.build is fz.roundtrip_trial)
-    tols = _parse_tols(args.tol, [law.id])
     spec = make_instance(args.instance, step=args.step)
     p = (spec.path_named(args.path_name) if args.path_name
          else spec.law_paths[0])
@@ -197,7 +193,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
     _emit(args.out, "factorization.json",
           strict_json(fz.factorization_to_dict(f)))
     report = law.check(spec.transport, p, s0=args.s0, grid=args.grid,
-                       seed=args.seed, tolerance=tols.get(law.id))
+                       seed=args.seed)
     if args.out is not None:
         (args.out / law_filename(law.id)).write_text(report.to_json())
     status = "PASS" if report.passed else "FAIL"
@@ -239,8 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--step": dict(type=float, default=None,
                        help="integrator step for numeric instances"),
         "--format": dict(choices=("json", "csv"), default="json", dest="fmt"),
-        "--tol": dict(action="append", default=[], metavar="LAW=VALUE",
-                      help="override the tolerance of one law; repeatable"),
         "--laws": dict(default="all",
                        help="comma-separated law ids, or 'all' for every law "
                             "applicable to the instance"),
@@ -256,45 +250,20 @@ def _build_parser() -> argparse.ArgumentParser:
     }
     for name, run, help_, own in (
             ("check", cmd_check, "run law checkers",
-             ("--trials", "--step", "--tol", "--laws")),
+             ("--trials", "--step", "--laws")),
             ("holonomy", cmd_holonomy, "closed-loop rotation angles",
              ("--format", "--loop", "--steps")),
             ("lift", cmd_lift, "tabulate one lifting",
              ("--step", "--format", "--path", "--element", "--s0",
               "--samples")),
             ("factorize", cmd_factorize, "tabulate a canonical factorization",
-             ("--step", "--tol", "--path", "--s0", "--grid"))):
+             ("--step", "--path", "--s0", "--grid"))):
         # without allow_abbrev=False, holonomy would read --step as --steps
         sp = sub.add_parser(name, help=help_, allow_abbrev=False)
         sp.set_defaults(run=run)
         for opt in ("--instance", "--seed", "--out", *own):
             sp.add_argument(opt, **options[opt])
     return ap
-
-
-def _parse_tols(pairs: list[str], laws: list[str]) -> dict:
-    """The --tol overrides by law id; each must name one of ``laws``, the
-    laws this run executes, so that none goes silently unused."""
-    out = {}
-    for pair in pairs:
-        law, sep, value = pair.partition("=")
-        try:
-            tol = float(value)
-        except ValueError:
-            tol = math.nan
-        if not sep or not 0.0 <= tol < math.inf:
-            raise FibreTransportError(
-                f"--tol expects LAW=VALUE with a finite, "
-                f"nonnegative value, got {pair!r}")
-        if law.strip() in out:
-            raise FibreTransportError(
-                f"--tol names law {law.strip()!r} more than once")
-        out[law.strip()] = tol
-    unused = sorted(set(out) - set(laws))
-    if unused:
-        raise FibreTransportError(
-            f"--tol names laws this run does not execute: {', '.join(unused)}")
-    return out
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -244,10 +244,10 @@ def linear_ode_transport(bundle: FibreBundle,
         # Stage parameters lie inside cells of [s, t], which ``transport``
         # has clamped, so the raw jet is read without checking them again.
         def coefficient(r: float) -> linalg.Mat:
-            return coefficients(*jet(r, 0))
+            return coefficients(*jet(r))
 
         def checked(r: float) -> linalg.Mat:
-            a = coefficients(*jet(r, 0))
+            a = coefficients(*jet(r))
             if [len(row) for row in a] != [2, 2]:
                 raise FibreTransportError(
                     f"transport coefficients not 2 x 2"

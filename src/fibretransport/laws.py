@@ -44,14 +44,11 @@ class Law(namedtuple("Law", "id factor applies inputs build")):
         return self.factor * T.tolerance
 
     def check(self, T: tr.Transport, *inputs, trials: int = 200,
-              tolerance: float | None = None, seed: int = 0,
-              **options) -> tr.LawReport:
-        """Run the law's trials on T; a ``tolerance`` of None means the
-        law's threshold for T."""
+              seed: int = 0, **options) -> tr.LawReport:
+        """Run the law's trials on T against the law's threshold for T."""
         trial, count, notes = self.build(T, *inputs, trials=trials, **options)
-        if tolerance is None:
-            tolerance = self.threshold(T)
-        return tr.run_trials(self.id, T, count, tolerance, seed, trial, notes)
+        return tr.run_trials(self.id, T, count, self.threshold(T), seed,
+                             trial, notes)
 
 
 def _paths(spec):
@@ -136,15 +133,14 @@ def law_named(law_id: str) -> Law:
 # ---------------------------------------------------------------------------
 
 def is_transported_section(T: tr.Transport, sigma, p, s0: float | None = None,
-                           params=None, tolerance: float | None = None) -> bool:
+                           params=None) -> bool:
     """Whether a section restricted to p agrees with its own propagation,
-    within law 2.4's threshold unless a tolerance is named."""
+    within law 2.4's threshold."""
     if s0 is None:
         s0 = p.domain.lo
     if params is None:
         params = p.domain.samples(11)
-    if tolerance is None:
-        tolerance = law_named("2.4").threshold(T)
+    tolerance = law_named("2.4").threshold(T)
 
     def value_at(t: float):
         try:
@@ -162,7 +158,6 @@ def is_transported_section(T: tr.Transport, sigma, p, s0: float | None = None,
 
 
 def liftings_disjoint_or_equal(T: tr.Transport, p, *, trials: int = 50,
-                               tolerance: float | None = None,
                                seed: int = 0) -> tr.LawReport:
     """Two liftings of one path either coincide everywhere or nowhere,
     compared on a 9-point grid within law 4.6's threshold.
@@ -176,7 +171,7 @@ def liftings_disjoint_or_equal(T: tr.Transport, p, *, trials: int = 50,
         raise FibreTransportError(
             f"global uniqueness fails over {p.name!r} "
             f"(deviation {pre.max_deviation})")
-    tol = law_named("4.6").threshold(T) if tolerance is None else tolerance
+    tol = law_named("4.6").threshold(T)
 
     def trial(k, rng):
         r = rng.uniform(p.domain.lo, p.domain.hi)

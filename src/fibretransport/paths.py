@@ -11,7 +11,7 @@ bookkeeping that the transport laws quantify over:
 * concatenation of two or more paths over [0, 1], path i of n running over
   the equal share [i/n, (i+1)/n].
 
-A path is one raw map, its jet: ``jet(s, side)`` gives the point at s and the
+A path is one raw map, its jet: ``jet(s)`` gives the point at s and the
 velocity d(coords)/ds there, the pair a transport's coefficients read.  A
 chart path's point is its coordinate tuple, which ``Path.at`` wraps in a
 ``BasePoint``; its jet must give an analytic velocity (checked at
@@ -181,21 +181,19 @@ class Path(namedtuple("Path",
                       "space domain jet kind breakpoints crossings name")):
     """A parameterized path in one base space.
 
-    ``jet(s, side)`` is the raw map: it must accept any parameter of
-    ``domain``, checks nothing, and returns the point and d(coords)/ds
-    there.  A chart path's jet gives its coordinate tuple and a velocity,
-    and ``at`` wraps the tuple in a ``BasePoint``; a discrete one's gives a
-    node point and None.  ``at`` and ``velocity`` are the checked entries:
-    they refuse a parameter outside the domain and snap one within
-    EDGE_SLACK onto its edge.  ``side`` (+1, -1, 0) picks the one-sided
-    velocity at a breakpoint and is ignored at smooth parameters; the point
-    never depends on it.
+    ``jet(s)`` is the raw map: it must accept any parameter of ``domain``,
+    checks nothing, and returns the point and d(coords)/ds there.  A chart
+    path's jet gives its coordinate tuple and a velocity, and ``at`` wraps
+    the tuple in a ``BasePoint``; a discrete one's gives a node point and
+    None.  ``at`` and ``velocity`` are the checked entries: they refuse a
+    parameter outside the domain and snap one within EDGE_SLACK onto its
+    edge.
     """
 
     __slots__ = ()
 
     def __new__(cls, space: str, domain: Interval,
-                jet: Callable[[float, int],
+                jet: Callable[[float],
                               tuple[BasePoint | tuple[float, ...],
                                     tuple[float, ...] | None]],
                 kind: str,                     # discrete | chart
@@ -204,7 +202,7 @@ class Path(namedtuple("Path",
                 name: str = "path") -> Path:
         if kind not in ("discrete", "chart"):
             raise FibreTransportError("path kind must be 'discrete' or 'chart'")
-        if kind == "chart" and jet(domain.lo, 1)[1] is None:
+        if kind == "chart" and jet(domain.lo)[1] is None:
             raise FibreTransportError(f"chart path {name!r} needs a velocity")
         for b in breakpoints:
             if not (domain.lo < b < domain.hi):
@@ -219,11 +217,11 @@ class Path(namedtuple("Path",
         domain = self.domain
         if not domain.lo <= s <= domain.hi:
             s = domain.clamp(s)
-        x = self.jet(s, 0)[0]
+        x = self.jet(s)[0]
         return BasePoint(self.space, coords=x) if self.kind == "chart" else x
 
-    def velocity(self, s: float, side: int = 0) -> tuple[float, ...] | None:
-        return self.jet(self.domain.clamp(s), side)[1]
+    def velocity(self, s: float) -> tuple[float, ...] | None:
+        return self.jet(self.domain.clamp(s))[1]
 
     @property
     def start(self) -> BasePoint:
@@ -279,7 +277,7 @@ def piecewise_path(space: str, domain: Interval,
     points = [graph_point(space, n) for n in nodes]
     cut = untils[:-1]
 
-    def jet(s: float, side: int) -> tuple[BasePoint, None]:
+    def jet(s: float) -> tuple[BasePoint, None]:
         return points[bisect.bisect_right(cut, s)], None
 
     return Path(
@@ -317,7 +315,6 @@ def reparameterize(p: Path, remap: Reparameterization) -> Path:
         )
 
     lo, hi, snap, inner = p.domain.lo, p.domain.hi, p.domain.clamp, p.jet
-    sgn = -1 if remap.reversing else 1
     # fwd and deriv inlined: the jet runs at every integrator stage
     a, c, k = remap.coefficients
 
@@ -327,19 +324,19 @@ def reparameterize(p: Path, remap: Reparameterization) -> Path:
     if not remap.squared:
         scale = k.__mul__
 
-        def jet(s: float, side: int):
+        def jet(s: float):
             r = c + (s - a) * k
-            x, v = inner(snap(r) if r < lo or r > hi else r, side * sgn)
+            x, v = inner(snap(r) if r < lo or r > hi else r)
             if v is None:
                 return x, None
             if len(v) == 2:
                 return x, (v[0] * k, v[1] * k)
             return x, tuple(map(scale, v))
     else:
-        def jet(s: float, side: int):
+        def jet(s: float):
             d = s - a
             r = c + d * d * k
-            x, v = inner(snap(r) if r < lo or r > hi else r, side * sgn)
+            x, v = inner(snap(r) if r < lo or r > hi else r)
             if v is None:
                 return x, None
             dk = 2.0 * k * d
@@ -379,8 +376,7 @@ def concatenate(*paths: Path) -> Path:
 
     Path i of n runs over the equal share [i/n, (i+1)/n], mapped affinely
     onto its domain, so the seams sit at exactly i/n.  A seam's point is the
-    left piece's; its velocity is the left piece's for side < 0 and the
-    right piece's otherwise.
+    left piece's and its velocity the right piece's.
     """
     if len(paths) < 2:
         raise FibreTransportError("concatenate needs at least two paths")
@@ -401,12 +397,11 @@ def concatenate(*paths: Path) -> Path:
     seams = [q.domain.lo for q in pieces[1:]]
     find = bisect.bisect_right          # bound once: the jet runs per stage
 
-    def jet(s: float, side: int):
+    def jet(s: float):
         i = find(seams, s)
         if i and s == seams[i - 1]:
-            x, v = jets[i - 1](s, side)
-            return x, (v if side < 0 else jets[i](s, side)[1])
-        return jets[i](s, side)
+            return jets[i - 1](s)[0], jets[i](s)[1]
+        return jets[i](s)
 
     bps = sorted({*seams, *(b for q in pieces for b in q.breakpoints)})
     return Path(
@@ -426,11 +421,11 @@ def piece_runs(p: Path) -> list[tuple[float, float, BasePoint]]:
         raise FibreTransportError("piece runs are defined for discrete paths")
     (lo, hi), jet = p.domain, p.jet
     if hi - lo <= 0.0:
-        return [(lo, hi, jet(lo, 0)[0])]
+        return [(lo, hi, jet(lo)[0])]
     cuts = [lo, *p.breakpoints, hi]  # breakpoints are interior
     runs: list[tuple[float, float, BasePoint]] = []
     for a, b in zip(cuts, cuts[1:]):
-        x = jet(0.5 * (a + b), 0)[0]
+        x = jet(0.5 * (a + b))[0]
         if runs and runs[-1][2].node == x.node:
             runs[-1] = (runs[-1][0], b, runs[-1][2])
         else:
@@ -453,7 +448,7 @@ def node_sequence(p: Path, s: float, t: float) -> list[str]:
         samples.reverse()
     seq: list[str] = []
     for x in samples:
-        n = jet(x, 0)[0].node
+        n = jet(x)[0].node
         if not seq or seq[-1] != n:
             seq.append(n)
     return seq

@@ -96,7 +96,7 @@ def great_circle_arc(p0: tuple[float, float], p1: tuple[float, float],
     sin, cos, acos, atan2, sqrt = (math.sin, math.cos, math.acos, math.atan2,
                                    math.sqrt)
 
-    def jet(t: float, side: int) -> tuple[tuple[float, float], ...]:
+    def jet(t: float) -> tuple[tuple[float, float], ...]:
         """Spherical linear interpolation from a to b, and its derivative,
         in chart coordinates."""
         u, w = (1.0 - t) * omega, t * omega
@@ -125,7 +125,7 @@ def latitude_arc(theta: float, phi0: float, phi1: float,
     require_chart(theta)
     theta, phi0, span = float(theta), float(phi0), float(phi1 - phi0)
 
-    def jet(t: float, side: int) -> tuple[tuple[float, float], ...]:
+    def jet(t: float) -> tuple[tuple[float, float], ...]:
         return (theta, phi0 + span * t), (0.0, span)
 
     return Path(space=SPACE, domain=UNIT, jet=jet, kind="chart", name=name)

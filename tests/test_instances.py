@@ -91,7 +91,7 @@ class TestConstructors:
         from fibretransport.paths import Interval, Path
         x = sphere.path_named("tilted").at(0.5).coords
         too_long = Path(space="sphere", domain=Interval(0.0, 100.0),
-                        jet=lambda s, side: (x, (0.0, 0.0)),
+                        jet=lambda s: (x, (0.0, 0.0)),
                         kind="chart", name="marathon")
         u = vector_element(too_long.at(0.0), (1.0, 0.0))
         with pytest.raises(FibreTransportError, match="integrator allows"):

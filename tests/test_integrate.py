@@ -344,7 +344,7 @@ def test_blocks_match_the_cell_by_cell_product(d):
     path = sphere.great_circle_arc((1.9, 0.3), (1.1, 1.8))
 
     def coefficient(r):
-        return sphere.coefficient_matrix(*path.jet(r, 0))
+        return sphere.coefficient_matrix(*path.jet(r))
 
     def build(a, b, nodes):
         return integrate.rk4_linear_flow(coefficient, a, b, nodes)

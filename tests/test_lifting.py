@@ -135,9 +135,6 @@ class TestLawCheckers:
   "trials": 0
 }
 """
-        r = UNIQUENESS.check(perm.transport, perm.path_named("hop1"),
-                             tolerance=0.25)
-        assert (r.tolerance, r.trials, r.passed) == (0.25, 0, True)
 
     def test_dichotomy_holds_for_permutations(self, perm):
         r = liftings_disjoint_or_equal(perm.transport,

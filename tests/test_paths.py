@@ -250,9 +250,8 @@ def test_a_parameter_just_past_an_edge_reads_the_edge(name):
     lo, hi = p.domain.lo, p.domain.hi
     assert p.at(hi + 1e-12) == p.at(hi)
     assert p.at(lo - 1e-12) == p.at(lo)
-    for side in (-1, 0, 1):
-        assert p.velocity(hi + 1e-12, side) == p.velocity(hi, side)
-        assert p.velocity(lo - 1e-12, side) == p.velocity(lo, side)
+    assert p.velocity(hi + 1e-12) == p.velocity(hi)
+    assert p.velocity(lo - 1e-12) == p.velocity(lo)
 
 
 @pytest.mark.parametrize("bad", [1.0 + 2 * EDGE_SLACK, -2 * EDGE_SLACK,
@@ -310,10 +309,8 @@ def test_non_finite_coefficients_are_refused_on_derived_paths(name):
 def _jet_by_hand(p, remap):
     """The jet of ``reparameterize(p, remap)`` composed from ``remap.fwd``
     and ``remap.deriv``."""
-    sgn = -1 if remap.reversing else 1
-
-    def jet(s, side):
-        x, v = p.jet(p.domain.clamp(remap.fwd(s)), side * sgn)
+    def jet(s):
+        x, v = p.jet(p.domain.clamp(remap.fwd(s)))
         return x, (None if v is None else
                    tuple([c * remap.deriv(s) for c in v]))
 
@@ -339,15 +336,14 @@ def test_a_reparameterized_jet_is_the_composition_to_the_bit(remap):
                                    for _ in range(256))]
     # a rank-3 chart path takes the generic velocity scaling
     twisted = Path(space="r3", domain=Interval(-1.0, 5.0), kind="chart",
-                   jet=lambda s, side: ((s, s * s, 1.0), (1.0, 2.0 * s, 0.0)),
+                   jet=lambda s: ((s, s * s, 1.0), (1.0, 2.0 * s, 0.0)),
                    name="twisted")
     for base in (sphere.great_circle_arc((1.9, 0.3), (1.1, 1.8)),
                  sphere.latitude_arc(1.0, 0.2, 1.3), zigzag(), twisted):
         p = restrict(base, remap.target)
         jet, by_hand = reparameterize(p, remap).jet, _jet_by_hand(p, remap)
         for s in params:
-            for side in (-1, 0, 1):
-                assert jet(s, side) == by_hand(s, side), (s, side)
+            assert jet(s) == by_hand(s), s
 
 
 def test_derived_edges_read_the_parent_edges_to_the_bit():
@@ -404,17 +400,17 @@ def test_the_octant_breakpoints_sit_at_the_thirds():
 def test_a_chart_path_without_a_velocity_is_refused():
     with pytest.raises(FibreTransportError, match="needs a velocity"):
         Path(space=sphere.SPACE, domain=UNIT,
-             jet=lambda s, side: ((1.0, s), None),
+             jet=lambda s: ((1.0, s), None),
              kind="chart")
 
 
 def test_a_discrete_path_needs_no_velocity():
     p = Path(space="g", domain=UNIT,
-             jet=lambda s, side: (graph_point("g", "a"), None),
+             jet=lambda s: (graph_point("g", "a"), None),
              kind="discrete")
     assert p.velocity(0.5) is None
     for q in (reverse(zigzag()), concatenate(zigzag(), reverse(zigzag()))):
-        assert q.jet(0.5, 1)[1] is None and q.velocity(0.5) is None
+        assert q.jet(0.5)[1] is None and q.velocity(0.5) is None
 
 
 def seam_cases():
@@ -431,23 +427,23 @@ def seam_cases():
 
 @pytest.mark.parametrize("case", range(3))
 def test_a_seam_reads_the_left_point_and_the_velocity_of_its_side(case):
+    """A seam's point is the left piece's, its velocity the right piece's,
+    and the two pieces' velocities differ there."""
     paths, i = seam_cases()[case]
     q = concatenate(*paths)
     remaps = share_remaps(paths)
     left = reparameterize(paths[i - 1], remaps[i - 1])
     right = reparameterize(paths[i], remaps[i])
     mid = i / len(paths)
-    for side in (-1, 0, 1):
-        assert q.jet(mid, side)[0] == q.at(mid).coords == left.at(mid).coords
-    assert q.velocity(mid, -1) == left.velocity(mid, -1)
-    assert q.velocity(mid, 1) == q.velocity(mid, 0) == right.velocity(mid, 1)
-    assert q.velocity(mid, -1) != q.velocity(mid, 1)
+    assert q.jet(mid)[0] == q.at(mid).coords == left.at(mid).coords
+    assert q.velocity(mid) == right.velocity(mid)
+    assert left.velocity(mid) != right.velocity(mid)
 
 
 def _nested_thirds_jet(legs):
     """The octant glued in two steps, legs 1 and 2 over [0, 2/3] and then
     leg 3 over [2/3, 1], with each seam's point taken from the left and its
-    velocity from the side, written out from the remaps."""
+    velocity from the right, written out from the remaps."""
     third = 1.0 / 3.0
     j1, j2, j3 = (_jet_by_hand(leg, Reparameterization(Interval(lo, hi), UNIT))
                   for leg, (lo, hi) in zip(legs, ((0.0, third),
@@ -455,11 +451,11 @@ def _nested_thirds_jet(legs):
                                                   (2 * third, 1.0))))
 
     def glue(jl, jr, mid):
-        def jet(s, side):
-            if s < mid or (s == mid and side < 0):
-                return jl(s, side)
-            x, v = jr(s, side)
-            return (jl(s, side)[0] if s == mid else x), v
+        def jet(s):
+            if s < mid:
+                return jl(s)
+            x, v = jr(s)
+            return (jl(s)[0] if s == mid else x), v
         return jet
 
     first = Path(space=sphere.SPACE, domain=Interval(0.0, 2 * third),
@@ -486,7 +482,6 @@ def test_the_shipped_octant_is_the_glued_legs_at_its_seams():
                 s = math.nextafter(s, bp + step)
                 params.append(s)
     for s in params:
-        for side in (-1, 0, 1):
-            assert octant.jet(s, side) == nested(s, side), (s, side)
+        assert octant.jet(s) == nested(s), s
     for bp in octant.breakpoints:
-        assert octant.jet(bp, 1)[0] == octant.at(bp).coords
+        assert octant.jet(bp)[0] == octant.at(bp).coords

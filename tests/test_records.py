@@ -31,11 +31,11 @@ def _label_p(x):
     return FibreElement(x, label="p")
 
 
-def _node_jet(s, side):
+def _node_jet(s):
     return X, None
 
 
-def _no_velocity(s, side):
+def _no_velocity(s):
     return (1.0, s), None
 
 
