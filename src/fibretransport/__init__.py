@@ -23,8 +23,8 @@ from .instances import (InstanceSpec, holonomy_angle, instance_names,
                         permutation_transport, counterexample_transport,
                         foliation_transport, parallelization_transport)
 from .laws import (LAW_ORDER, LAWS, Law, is_transported_section, law_named,
-                   liftings_disjoint_or_equal)
-from .lifting import Lifting, lift, occurrence_set, transport_from_lifting
+                   liftings_disjoint_or_equal, transport_from_lifting)
+from .lifting import Lifting, lift, occurrence_set
 from .paths import (Interval, Path, Reparameterization, affine_remap,
                     canonical_reversal, concatenate, piecewise_path,
                     reparameterize, restrict, reverse, square_remap)

@@ -121,27 +121,18 @@ class Factorization(namedtuple("Factorization", "bundle space path_name "
                 f"parameter {s!r} is not on the factorization grid") from None
 
 
-def _as_grid(p: Path, grid) -> tuple:
-    if grid is None:
-        grid = 11
-    if isinstance(grid, int):
-        if grid < 2:
-            raise FibreTransportError(
-                "factorization grids need at least two points")
-        return tuple(p.domain.samples(grid))
-    pts = tuple(float(g) for g in grid)
-    for g in pts:
-        p.domain.clamp(g)
-    return pts
-
-
 def canonical_factorization(T: Transport, p: Path, s0: float | None = None,
-                            grid=None) -> Factorization:
-    """The family F_s = transport from s to s0, tabulated on a grid.
+                            grid: int = 11) -> Factorization:
+    """The family F_s = transport from s to s0, tabulated on ``grid``
+    evenly spaced parameters of p's domain, with s0 added when it is not
+    one of them.  s0 defaults to the domain's start.
 
     F_{s0} comes out as the identity map exactly.
     """
-    pts = _as_grid(p, grid)
+    if grid < 2:
+        raise FibreTransportError(
+            "factorization grids need at least two points")
+    pts = tuple(p.domain.samples(grid))
     if s0 is None:
         s0 = pts[0]
     if s0 not in pts:
@@ -165,7 +156,9 @@ def canonical_factorization(T: Transport, p: Path, s0: float | None = None,
 
 
 def transport_from_factorization(f: Factorization, p: Path) -> Transport:
-    """The transport induced by a family: F_t^{-1} after F_s, on grid params."""
+    """The transport induced by a family: F_t^{-1} after F_s, on grid params
+    of p, the path the family was tabulated along; any other path is
+    refused."""
     if p.space != f.space or not p.domain.same_as(f.domain):
         raise FibreTransportError(
             f"factorization was built along {f.path_name!r} over {f.space!r} "
@@ -174,6 +167,9 @@ def transport_from_factorization(f: Factorization, p: Path) -> Transport:
     name = f"factored[{f.path_name}]"
 
     def apply(path: Path, s: float, t: float, u):
+        if path != p:
+            raise FibreTransportError(
+                f"{name} moves along {f.path_name!r} only, got {path.name!r}")
         fs = f.map_at(s)
         ft = f.map_at(t)
         if isinstance(fs, dict):
@@ -196,8 +192,6 @@ def transport_from_factorization(f: Factorization, p: Path) -> Transport:
 
 def apply_gauge(f: Factorization, gauge) -> Factorization:
     """Compose every member of the family with a reference-fibre self-map."""
-    if isinstance(gauge, GaugeMap):
-        gauge = gauge.map
     is_dict = isinstance(gauge, dict)
     if is_dict != (f.bundle.fibre_kind != "vector"):
         raise FibreTransportError("gauge map kind does not match the fibre kind")
@@ -213,8 +207,7 @@ class GaugeMap(namedtuple("GaugeMap", "map deviation", defaults=(0.0,))):
     __slots__ = ()
 
 
-def gauge_between(f1: Factorization, f2: Factorization,
-                  tolerance: float | None = None) -> GaugeMap:
+def gauge_between(f1: Factorization, f2: Factorization) -> GaugeMap:
     """The gauge D with f1 = D after f2, for families inducing one transport.
 
     Raises FibreTransportError for incomparable tabulations, when the
@@ -224,9 +217,8 @@ def gauge_between(f1: Factorization, f2: Factorization,
     if f1.grid != f2.grid or f1.space != f2.space:
         raise FibreTransportError(
             "factorizations tabulate different grids or spaces")
-    if tolerance is None:
-        # Matrix inverses carry rounding noise even for exact families.
-        tolerance = max(1e-9, 4.0 * max(f1.tolerance, f2.tolerance))
+    # Matrix inverses carry rounding noise even for exact families.
+    tolerance = max(1e-9, 4.0 * max(f1.tolerance, f2.tolerance))
 
     inv1, inv2 = _inverses(f1), _inverses(f2)
     # folded as linalg.max_abs does, so a NaN deviation is kept and refused
@@ -273,13 +265,11 @@ def _inverses(f: Factorization) -> list:
 # Law trials (see the transport module's)
 # ---------------------------------------------------------------------------
 
-def roundtrip_trial(T: Transport, p: Path, trials: int, *,
-                    s0: float | None = None, grid=11):
-    """Law 3.6-roundtrip: the canonical family reassembles the transport on
-    every ordered grid pair, and its anchor map is the identity.  One trial
-    per grid point, whatever ``trials`` says; vector fibres draw three
-    unit-ball vectors per grid point."""
-    f = canonical_factorization(T, p, s0=s0, grid=grid)
+def roundtrip_trial(T: Transport, p: Path, f: Factorization, trials: int):
+    """Law 3.6-roundtrip: f, T's canonical family along p, reassembles the
+    transport on every ordered pair of its grid, and its anchor map is the
+    identity.  One trial per grid point, whatever ``trials`` says; vector
+    fibres draw three unit-ball vectors per grid point."""
     rebuilt = transport_from_factorization(f, p)
 
     def trial(k, rng):
@@ -322,22 +312,25 @@ def random_gauge(rng: random.Random, bundle: FibreBundle, x) -> "FibreMap":
     return dict(zip(labels, images))
 
 
-def gauge_trial(T: Transport, p: Path, trials: int, *,
-                s0: float | None = None, grid=11, draws: int = 5):
-    """Law 3.11/3.12: gauged families induce the same transport, and the
-    relating gauge is recovered from the family pair.  One trial per random
-    gauge, ``draws`` of them, whatever ``trials`` says."""
-    f1 = canonical_factorization(T, p, s0=s0, grid=grid)
+# How many random gauges law 3.11/3.12 draws.
+GAUGE_DRAWS = 5
+
+
+def gauge_trial(T: Transport, p: Path, f: Factorization, trials: int):
+    """Law 3.11/3.12: f, T's canonical family along p, and f gauged by a
+    random self-map induce the same transport, and the gauge is recovered
+    from the pair.  One trial per gauge, GAUGE_DRAWS of them, whatever
+    ``trials`` says."""
 
     def trial(k, rng):
-        gauge = random_gauge(rng, T.bundle, p.at(f1.anchor))
-        f2 = apply_gauge(f1, gauge)
-        recovered = gauge_between(f2, f1)
+        gauge = random_gauge(rng, T.bundle, p.at(f.anchor))
+        recovered = gauge_between(apply_gauge(f, gauge), f)
         dev = map_deviation(recovered.map, gauge)
         yield (dev, p.name, {"draw": float(k)},
                ["recovered gauge vs applied gauge"])
 
-    return trial, draws, f"{draws} random gauges on a {len(f1.grid)}-point grid"
+    return (trial, GAUGE_DRAWS,
+            f"{GAUGE_DRAWS} random gauges on a {len(f.grid)}-point grid")
 
 
 def factorization_to_dict(f: Factorization) -> dict:

@@ -184,11 +184,11 @@ MAX_SPAN = 8.0
 #   0.5     2.6e-3  (2.6)    1.1e-3   1.25
 #   1       1.6e-2  (2.6)    1.7e-2   0.48
 #
-# An ODE transport's tolerance is ten times e(h) unless its builder names
-# one, so each law's threshold, 10 K e(h), stays at least 4.5 times above
-# the worst honest deviation.  Fitting the h**4 constant to the worst ratio
-# instead (about 0.037) would leave law 2.9's threshold within a factor of
-# 2 of the metric error it must flag at DEFAULT_STEP.
+# An ODE transport's tolerance is ten times e(h), so each law's threshold,
+# 10 K e(h), stays at least 4.5 times above the worst honest deviation.
+# Fitting the h**4 constant to the worst ratio instead (about 0.037) would
+# leave law 2.9's threshold within a factor of 2 of the metric error it must
+# flag at DEFAULT_STEP.
 def step_error(step: float) -> float:
     """e(step), the model of the worst honest integrator error above."""
     return 0.017 * step ** 4 + 0.5 * sys.float_info.epsilon / step
@@ -204,8 +204,7 @@ def require_step(step: float) -> float:
 def linear_ode_transport(bundle: FibreBundle,
                          coefficients: Callable[[tuple, tuple], linalg.Mat],
                          step: float = DEFAULT_STEP,
-                         name: str = "linear-ode",
-                         tolerance: float | None = None) -> Transport:
+                         name: str = "linear-ode") -> Transport:
     """Transport the vectors of rank-2 fibres by integrating u' = A u along
     chart paths; a bundle of any other fibre is refused.
 
@@ -214,8 +213,8 @@ def linear_ode_transport(bundle: FibreBundle,
     is the fixed-step fourth-order Magnus method on the lattice of
     parameters k * step (see ``integrate``).  Cell propagators are built on
     first use and kept by this transport, one store per jet and direction;
-    a store lives as long as its jet.  The tolerance is
-    ``10 * step_error(step)`` unless one is named.
+    a store lives as long as its jet.  The tolerance is always
+    ``10 * step_error(step)``.
 
     Finiteness is checked once per flow, on its propagators: a non-finite
     stage coefficient always makes its propagator non-finite.  A flow that
@@ -282,8 +281,7 @@ def linear_ode_transport(bundle: FibreBundle,
     return Transport(name=name, bundle=bundle, apply_fn=apply,
                      declared=frozenset({"local", "reparam_invariant",
                                          "linear", "metric_consistent"}),
-                     tolerance=(10 * step_error(step) if tolerance is None
-                                else tolerance))
+                     tolerance=10 * step_error(step))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ threshold rule, which presets run it by default, the preset's inputs and the
 builder of its trial; ``Law.check`` hands that trial to
 ``transport.run_trials`` under the id.  Registry order, default law sets,
 thresholds, the CLI and the sweep script all read this table, so a new law
-is added here.  The paper's predicates that read a law's threshold live here
-too.
+is added here.  The paper's predicates that read a law's threshold, and its
+rebuild of a transport from liftings, which runs laws, live here too.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ class Law(namedtuple("Law", "id factor applies inputs build")):
     ``factor`` scales the instance tolerance into the law's threshold (None:
     the relative linearity bound).  ``applies(spec)`` says whether a default
     run includes the law, and ``inputs(spec)`` gives the preset's arguments
-    for ``build(T, *inputs, trials, **options)``, which returns the law's
-    ``(trial, trial count, notes)``.
+    for ``build(T, *inputs, trials)``, which returns the law's ``(trial,
+    trial count, notes)``.
     """
 
     __slots__ = ()
@@ -44,9 +44,9 @@ class Law(namedtuple("Law", "id factor applies inputs build")):
         return self.factor * T.tolerance
 
     def check(self, T: tr.Transport, *inputs, trials: int = 200,
-              seed: int = 0, **options) -> tr.LawReport:
+              seed: int = 0) -> tr.LawReport:
         """Run the law's trials on T against the law's threshold for T."""
-        trial, count, notes = self.build(T, *inputs, trials=trials, **options)
+        trial, count, notes = self.build(T, *inputs, trials=trials)
         return tr.run_trials(self.id, T, count, self.threshold(T), seed,
                              trial, notes)
 
@@ -57,6 +57,11 @@ def _paths(spec):
 
 def _first_path(spec):
     return (spec.law_paths[0],)
+
+
+def _family(spec):
+    p = spec.law_paths[0]
+    return p, fz.canonical_factorization(spec.transport, p)
 
 
 def _product_pair(spec):
@@ -97,8 +102,8 @@ LAWS = (
         _product_pair, tr.product_cross_trial),
     Law("3.5", 2.0, lambda spec: spec.product_pair is not None,
         _product_pair, tr.product_same_trial),
-    Law("3.6-roundtrip", 2.0, _always, _first_path, fz.roundtrip_trial),
-    Law("3.11/3.12", 2.0, _always, _first_path, fz.gauge_trial),
+    Law("3.6-roundtrip", 2.0, _always, _family, fz.roundtrip_trial),
+    Law("3.11/3.12", 2.0, _always, _family, fz.gauge_trial),
     Law("4.2", 1.0, _always, _paths, lf.projection_trial),
     Law("4.4", 2.0,
         lambda spec: ("global" in spec.transport.declared
@@ -129,17 +134,14 @@ def law_named(law_id: str) -> Law:
 
 
 # ---------------------------------------------------------------------------
-# Predicates of the paper that read a law's threshold
+# Predicates of the paper that read a law's threshold, and a rebuild that
+# runs laws
 # ---------------------------------------------------------------------------
 
-def is_transported_section(T: tr.Transport, sigma, p, s0: float | None = None,
-                           params=None) -> bool:
-    """Whether a section restricted to p agrees with its own propagation,
-    within law 2.4's threshold."""
-    if s0 is None:
-        s0 = p.domain.lo
-    if params is None:
-        params = p.domain.samples(11)
+def is_transported_section(T: tr.Transport, sigma, p) -> bool:
+    """Whether a section restricted to p agrees with its own propagation
+    from the domain's start, on 11 samples, within law 2.4's threshold."""
+    s0 = p.domain.lo
     tolerance = law_named("2.4").threshold(T)
 
     def value_at(t: float):
@@ -150,7 +152,7 @@ def is_transported_section(T: tr.Transport, sigma, p, s0: float | None = None,
                 f"section {sigma.name!r} undefined at path({t})") from exc
 
     u0 = value_at(s0)
-    for t in params:
+    for t in p.domain.samples(11):
         if element_deviation(value_at(t),
                              tr.transport(T, p, s0, t, u0)) > tolerance:
             return False
@@ -188,3 +190,35 @@ def liftings_disjoint_or_equal(T: tr.Transport, p, *, trials: int = 50,
                {"r": r, "s": s}, ["clean" if clean else "mixed agreement"])
 
     return tr.run_trials("disjoint-or-equal", T, trials, tol, seed, trial)
+
+
+# Tolerance of a transport rebuilt from a lifting rule.
+REBUILD_TOLERANCE = 1e-9
+
+
+def transport_from_lifting(bundle, assignment, paths) -> tr.Transport:
+    """Rebuild a transport from a rule assigning liftings to anchored elements.
+
+    ``assignment(p, u, s0)`` is the rule's ``Lifting`` along p through u at
+    s0, and the returned transport evaluates it at the target parameter.
+    The rule must reproduce its anchor over the base path, law 4.2 on the
+    rebuilt transport, and be stable under re-anchoring, law 4.6: lifting
+    through a point of a produced lifting must reproduce the whole lifting.
+    The first law that fails over ``paths`` raises FibreTransportError
+    naming the law and its first failure.
+    """
+    def apply(p, s, t, u):
+        return assignment(p, u, s).at(t)
+
+    S = tr.Transport(name="from-lifting", bundle=bundle, apply_fn=apply,
+                     declared=frozenset(), tolerance=REBUILD_TOLERANCE)
+    for law_id, fault in (("4.2", "misses its anchor or its base path"),
+                          ("4.6", "changes the lifting when re-anchored")):
+        report = law_named(law_id).check(S, paths)
+        if not report.passed:
+            first = report.failures[0]
+            raise FibreTransportError(
+                f"assigned lifting {fault}: law {law_id} fails on "
+                f"{first.path!r} {first.params} ({', '.join(first.elements)})"
+                f", deviation {first.deviation}")
+    return S

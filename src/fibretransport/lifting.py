@@ -13,16 +13,16 @@ Liftings evaluate lazily; each ``at`` call is one transport application.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import linalg
-from .bundles import (SAME_POINT_TOL, FibreBundle, FibreElement,
-                      chart_deviation, element_deviation, fibre_elements,
-                      fibre_labels, rebase, vector_element)
+from .bundles import (SAME_POINT_TOL, FibreElement, chart_deviation,
+                      element_deviation, fibre_elements, fibre_labels, rebase,
+                      vector_element)
 from .errors import FibreTransportError
 from .paths import Path, piece_runs
 from .transport import (Transport, _as_paths, _desc, _draw_params, _pick,
-                        _rng, draw_for_bundle, transport)
+                        draw_for_bundle, transport)
 
 
 class Lifting(namedtuple("Lifting", "path anchor through value_fn name",
@@ -77,43 +77,6 @@ def occurrence_set(p: Path, u: FibreElement) -> tuple[float, ...]:
         raise FibreTransportError(
             f"no occurrence of base point {u.over} along {p.name!r}")
     return tuple(found)
-
-
-def transport_from_lifting(bundle: FibreBundle,
-                           assignment: Callable[[Path, FibreElement, float], Lifting],
-                           paths, *, trials: int = 100,
-                           tolerance: float = 1e-9, seed: int = 0) -> Transport:
-    """Rebuild a transport from a rule assigning liftings to anchored elements.
-
-    The rule must reproduce its anchor and be stable under re-anchoring:
-    lifting through a point of a produced lifting must reproduce the whole
-    lifting.  Violations raise FibreTransportError.  The returned transport
-    evaluates the assigned lifting at the target parameter.
-    """
-    paths = _as_paths(paths)
-    rng = _rng(seed, "lifting-consistency")
-    for _ in range(trials):
-        p, s = _draw_params(rng, paths, 1)
-        u = draw_for_bundle(rng, bundle, p.at(s))
-        lifted = assignment(p, u, s)
-        dev = element_deviation(lifted.at(s), u)
-        if dev > tolerance:
-            raise FibreTransportError(
-                f"assigned lifting misses its anchor by {dev} at {p.name!r}({s})")
-        r = rng.uniform(p.domain.lo, p.domain.hi)
-        again = assignment(p, lifted.at(r), r)
-        for g in p.domain.samples(5):
-            dev = element_deviation(lifted.at(g), again.at(g))
-            if dev > tolerance:
-                raise FibreTransportError(
-                    f"re-anchoring at {p.name!r}({r}) changes the lifting "
-                    f"by {dev} at parameter {g}")
-
-    def apply(p: Path, s: float, t: float, u: FibreElement) -> FibreElement:
-        return assignment(p, u, s).at(t)
-
-    return Transport(name="from-lifting", bundle=bundle, apply_fn=apply,
-                     declared=frozenset(), tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ from fibretransport.cli import main, run_law
 from fibretransport.errors import FibreTransportError
 from fibretransport.instances import (COUNTEREXAMPLE_KINDS, holonomy_angle,
                                       make_instance)
-from fibretransport.laws import law_named
-from fibretransport.lifting import Lifting, lift, transport_from_lifting
+from fibretransport.factorization import canonical_factorization
+from fibretransport.laws import law_named, transport_from_lifting
+from fibretransport.lifting import Lifting, lift
 from fibretransport.paths import concatenate
 from fibretransport.transport import transport
 
@@ -61,22 +62,30 @@ def test_2_integrator_meets_law_tolerances():
 
 def test_3_factorizations_roundtrip_and_recover_gauges():
     sphere = make_instance("sphere-levi-civita")
+    tilted = sphere.path_named("tilted")
     roundtrip = law_named("3.6-roundtrip").check(
-        sphere.transport, sphere.path_named("tilted"), grid=11, seed=0)
+        sphere.transport, tilted,
+        canonical_factorization(sphere.transport, tilted), seed=0)
     assert roundtrip.passed
     assert roundtrip.max_deviation <= 2e-6
 
     for name in EXACT_INSTANCES:
         spec = make_instance(name)
+        p = spec.law_paths[0]
         r = law_named("3.6-roundtrip").check(
-            spec.transport, spec.law_paths[0], grid=11, seed=0)
+            spec.transport, p,
+            canonical_factorization(spec.transport, p), seed=0)
         assert r.passed and r.max_deviation == 0.0, name
 
+    # 20 random gauges: five per seed
     perm = make_instance("perm-c3")
-    gauges = law_named("3.11/3.12").check(
-        perm.transport, perm.path_named("walk"), draws=20, seed=0)
-    assert gauges.trials == 20
-    assert gauges.passed and gauges.max_deviation == 0.0
+    walk = perm.path_named("walk")
+    family = canonical_factorization(perm.transport, walk)
+    for seed in range(4):
+        gauges = law_named("3.11/3.12").check(perm.transport, walk, family,
+                                              seed=seed)
+        assert gauges.trials == 5
+        assert gauges.passed and gauges.max_deviation == 0.0
 
 
 def test_4_liftings_and_transports_rebuild_each_other():

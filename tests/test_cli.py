@@ -276,6 +276,23 @@ class TestFactorize:
         rep = read_json(tmp_path / "law_3.6-roundtrip.json")
         assert rep["passed"] is True
 
+    def test_tabulates_the_family_once(self, tmp_path, monkeypatch):
+        # the family written to factorization.json is the one law
+        # 3.6-roundtrip checks, so the transports behind it run once
+        from fibretransport import factorization
+        tabulate = factorization.canonical_factorization
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].name)
+            return tabulate(*args, **kwargs)
+
+        monkeypatch.setattr(factorization, "canonical_factorization", counted)
+        rc = main(["factorize", "--instance", "sphere-levi-civita",
+                   "--grid", "7", "--out", str(tmp_path)])
+        assert rc == 0
+        assert len(calls) == 1
+
 
 @pytest.mark.parametrize("extra", [
     ["--trials", "0"],

@@ -102,8 +102,7 @@ class TestCanonicalFamily:
 
     def test_anchor_inserted_when_absent(self, perm):
         p = perm.path_named("walk")
-        f = canonical_factorization(perm.transport, p, s0=0.1,
-                                    grid=[0.0, 0.5, 1.0])
+        f = canonical_factorization(perm.transport, p, s0=0.1, grid=3)
         assert 0.1 in f.grid
         assert f.anchor == 0.1
 
@@ -134,6 +133,21 @@ class TestCanonicalFamily:
         shorter = restrict(perm.path_named("walk"), Interval(0.0, 0.5))
         with pytest.raises(FibreTransportError, match="factorization was built along"):
             transport_from_factorization(f, shorter)
+
+    def test_the_rebuilt_transport_moves_along_its_own_path_only(self, perm):
+        # walk and zigzag share a space and a domain, so the build accepts
+        # walk; the true transport moves a from 0 to 1 along zigzag to b,
+        # while walk's grid maps would give c
+        walk, zigzag = perm.path_named("walk"), perm.path_named("zigzag")
+        S = transport_from_factorization(
+            canonical_factorization(perm.transport, walk, grid=3), walk)
+        u = label_element(zigzag.at(0.0), "a")
+        assert transport(perm.transport, zigzag, 0.0, 1.0, u).label == "b"
+        with pytest.raises(FibreTransportError,
+                           match=r"moves along 'walk' only, got 'zigzag'"):
+            transport(S, zigzag, 0.0, 1.0, u)
+        assert transport(S, walk, 0.0, 1.0, u) == transport(
+            perm.transport, walk, 0.0, 1.0, u)
 
 
 class TestGauge:
@@ -185,7 +199,7 @@ class TestGauge:
         # pair (1.0, 0.5) composes 1e300 * 1e300 = inf on both sides, and
         # inf - inf is a NaN deviation after the zero of the pair (0, 0)
         f = canonical_factorization(par.transport, par.path_named("walk"),
-                                    grid=[0.0, 0.5, 1.0])
+                                    grid=3)
         f = Factorization(bundle=f.bundle, space=f.space,
                           path_name=f.path_name, domain=f.domain,
                           anchor=0.0, grid=f.grid,
@@ -229,13 +243,16 @@ class TestGauge:
 
 class TestReports:
     def test_roundtrip_law_exact(self, perm):
-        r = law_named("3.6-roundtrip").check(perm.transport,
-                                             perm.path_named("walk"))
+        p = perm.path_named("walk")
+        r = law_named("3.6-roundtrip").check(
+            perm.transport, p, canonical_factorization(perm.transport, p))
         assert r.law == "3.6-roundtrip"
         assert r.passed and r.max_deviation == 0.0
 
     def test_gauge_law_exact(self, par):
-        r = law_named("3.11/3.12").check(par.transport, par.path_named("walk"))
+        p = par.path_named("walk")
+        r = law_named("3.11/3.12").check(
+            par.transport, p, canonical_factorization(par.transport, p))
         assert r.law == "3.11/3.12"
         assert r.passed and r.max_deviation == 0.0
 

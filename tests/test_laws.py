@@ -81,3 +81,37 @@ def test_the_trial_modules_do_not_import_the_registry(module):
             imported += [alias.name for alias in node.names]
     assert not [name for name in imported
                 if name == "laws" or name.endswith(".laws")]
+
+
+# The only functions that may take a tolerance or a seed: every check reads
+# its threshold from its law's record and its trial count and seed from
+# ``Law.check``, which passes no option on to a builder.
+_MAY_TAKE = {
+    "tolerance": {"transport.run_trials", "transport.Transport.__new__",
+                  "factorization.Factorization.__new__"},
+    "seed": {"transport.run_trials", "transport._rng", "laws.Law.check",
+             "cli.run_law", "laws.liftings_disjoint_or_equal"},
+    "draws": set(),
+}
+
+
+def test_only_the_runner_and_the_records_take_a_tolerance_or_a_seed():
+    takers = {name: set() for name in _MAY_TAKE}
+    option_bags = []
+    for path in SOURCES:
+        for node, scope in _scoped_nodes(path):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                      *(arg for arg in (a.vararg, a.kwarg) if arg)]
+            where = ".".join((path.stem, *scope))
+            for param in params:
+                if param.arg in takers:
+                    takers[param.arg].add(where)
+            if path.name == "laws.py" and a.kwarg:
+                option_bags.append(where)
+    for name, allowed in _MAY_TAKE.items():
+        assert takers[name] <= allowed, name
+    assert option_bags == []

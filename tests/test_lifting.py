@@ -5,9 +5,9 @@ import pytest
 from fibretransport.bundles import (label_element, section_through,
                                     vector_element)
 from fibretransport.errors import FibreTransportError
-from fibretransport.laws import law_named, liftings_disjoint_or_equal
-from fibretransport.lifting import (lift, occurrence_set,
-                                    transport_from_lifting)
+from fibretransport.laws import (law_named, liftings_disjoint_or_equal,
+                                  transport_from_lifting)
+from fibretransport.lifting import lift, occurrence_set
 from fibretransport.transport import Transport, transport
 
 
@@ -96,6 +96,19 @@ class TestRebuild:
 
         with pytest.raises(FibreTransportError, match="changes the lifting"):
             transport_from_lifting(fol.bundle, crooked, [p])
+
+    def test_a_rule_that_lifts_the_next_label_misses_its_anchor(self, perm):
+        p = perm.path_named("walk")
+        labels = perm.bundle.labels
+
+        def shifted(path, u, s0):
+            following = labels[(labels.index(u.label) + 1) % len(labels)]
+            return lift(perm.transport, path,
+                        label_element(u.over, following), s0)
+
+        with pytest.raises(FibreTransportError,
+                           match=r"misses its anchor.*law 4\.2 fails"):
+            transport_from_lifting(perm.bundle, shifted, [p])
 
 
 UNIQUENESS, COVER = law_named("4.4"), law_named("4.7")

@@ -246,9 +246,6 @@ def test_an_ode_transport_takes_its_tolerance_from_the_error_model(sphere):
     for step in (DEFAULT_STEP, 1e-3, 1.0):
         T = linear_ode_transport(sphere.bundle, coefficient_matrix, step)
         assert T.tolerance == 10 * step_error(step)
-    named = linear_ode_transport(sphere.bundle, coefficient_matrix,
-                                 tolerance=1e-6)
-    assert named.tolerance == 1e-6
 
 
 def _metric_saboteur(spec, eps=1e-8):
@@ -261,8 +258,7 @@ def _metric_saboteur(spec, eps=1e-8):
         return ((a + e, b), (c, d + e))
 
     T = linear_ode_transport(spec.bundle, coefficients, DEFAULT_STEP,
-                             name="metric-saboteur",
-                             tolerance=spec.transport.tolerance)
+                             name="metric-saboteur")
     return spec._replace(transport=T)
 
 

@@ -325,10 +325,8 @@ class TestTrialCounts:
             run_law(spec, law, trials=trials)
 
     @pytest.mark.parametrize("count", [0, -5])
-    def test_gauge_draws_and_dichotomy_trials_refuse_too(self, par, count):
+    def test_dichotomy_trials_refuse_too(self, par, count):
         p = par.path_named("figure-eight")
-        with pytest.raises(FibreTransportError, match="at least one trial"):
-            law_named("3.11/3.12").check(par.transport, p, draws=count)
         with pytest.raises(FibreTransportError, match="at least one trial"):
             liftings_disjoint_or_equal(par.transport, p, trials=count)
 
