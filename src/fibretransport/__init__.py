@@ -15,7 +15,7 @@ from .bundles import (BasePoint, BundleMetric, FibreBundle, FibreElement,
                       fibre_labels, graph_point, label_element, rebase,
                       section_through, table_section, vector_element)
 from .errors import FibreTransportError
-from .factorization import (Factorization, GaugeMap, apply_gauge,
+from .factorization import (Factorization, apply_gauge,
                             canonical_factorization, factorization_to_dict,
                             gauge_between, transport_from_factorization)
 from .instances import (InstanceSpec, holonomy_angle, instance_names,

@@ -192,7 +192,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
                                    grid=args.grid)
     _emit(args.out, "factorization.json",
           strict_json(fz.factorization_to_dict(f)))
-    report = law.check(spec.transport, p, f, seed=args.seed)
+    report = law.check(spec.transport, f, seed=args.seed)
     if args.out is not None:
         (args.out / law_filename(law.id)).write_text(report.to_json())
     status = "PASS" if report.passed else "FAIL"

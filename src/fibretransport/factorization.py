@@ -11,8 +11,10 @@ fibre applied on the left of every F_s.  ``apply_gauge`` realizes that
 freedom and ``gauge_between`` recovers D from two families inducing the same
 transport.
 
-Families are tabulated on a finite parameter grid.  Fibre maps are plain
-dictionaries (finite fibres) or row-major matrices (vector fibres).
+A family carries the path it was tabulated along, so its induced transport
+and its law trials take the family alone.  Families are tabulated on a
+finite parameter grid.  Fibre maps are plain dictionaries (finite fibres)
+or row-major matrices (vector fibres).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from . import linalg
 from .bundles import FibreBundle, element_deviation, fibre_elements, \
     fibre_labels, label_element, vector_element
 from .errors import FibreTransportError
-from .paths import Interval, Path
+from .paths import Path
 from .transport import Transport, _desc, transport, unit_ball
 
 FibreMap = "dict[str, str] | linalg.Mat"
@@ -96,22 +98,23 @@ def identity_map(bundle: FibreBundle, x) -> "FibreMap":
 # Factorizations
 # ---------------------------------------------------------------------------
 
-class Factorization(namedtuple("Factorization", "bundle space path_name "
-                               "domain anchor grid maps tolerance")):
-    """A grid-tabulated family F_s factoring one transport along one path."""
+class Factorization(namedtuple("Factorization",
+                               "bundle path anchor grid maps tolerance")):
+    """A family F_s factoring one transport along ``path``, tabulated on
+    ``grid`` parameters of it: ``maps`` holds F_s per grid parameter."""
 
     __slots__ = ()
 
-    def __new__(cls, bundle: FibreBundle, space: str, path_name: str,
-                domain: Interval, anchor: float, grid: tuple, maps: tuple,
-                tolerance: float = 0.0) -> Factorization:
+    def __new__(cls, bundle: FibreBundle, path: Path, anchor: float,
+                grid: tuple, maps: tuple, tolerance: float = 0.0
+                ) -> Factorization:
         if len(grid) != len(maps):
             raise FibreTransportError(
                 "factorization grid and maps disagree in length")
         if anchor not in grid:
             raise FibreTransportError("factorization anchor must lie on its grid")
-        return tuple.__new__(cls, (bundle, space, path_name, domain, anchor,
-                                   grid, maps, tolerance))
+        return tuple.__new__(cls, (bundle, path, anchor, grid, maps,
+                                   tolerance))
 
     def map_at(self, s: float):
         try:
@@ -137,7 +140,6 @@ def canonical_factorization(T: Transport, p: Path, s0: float | None = None,
         s0 = pts[0]
     if s0 not in pts:
         pts = tuple(sorted({*pts, s0}))
-    x0 = p.at(s0)
     maps = []
     for s in pts:
         x = p.at(s)
@@ -150,26 +152,21 @@ def canonical_factorization(T: Transport, p: Path, s0: float | None = None,
             maps.append({lab: transport(T, p, s, s0,
                                         label_element(x, lab)).label
                          for lab in fibre_labels(T.bundle, x)})
-    return Factorization(bundle=T.bundle, space=p.space, path_name=p.name,
-                         domain=p.domain, anchor=s0, grid=pts,
+    return Factorization(bundle=T.bundle, path=p, anchor=s0, grid=pts,
                          maps=tuple(maps), tolerance=T.tolerance)
 
 
-def transport_from_factorization(f: Factorization, p: Path) -> Transport:
+def transport_from_factorization(f: Factorization) -> Transport:
     """The transport induced by a family: F_t^{-1} after F_s, on grid params
-    of p, the path the family was tabulated along; any other path is
+    of the path the family was tabulated along; any other path is
     refused."""
-    if p.space != f.space or not p.domain.same_as(f.domain):
-        raise FibreTransportError(
-            f"factorization was built along {f.path_name!r} over {f.space!r} "
-            f"{f.domain}, got {p.name!r} over {p.space!r} {p.domain}")
-
-    name = f"factored[{f.path_name}]"
+    p = f.path
+    name = f"factored[{p.name}]"
 
     def apply(path: Path, s: float, t: float, u):
         if path != p:
             raise FibreTransportError(
-                f"{name} moves along {f.path_name!r} only, got {path.name!r}")
+                f"{name} moves along {p.name!r} only, got {path.name!r}")
         fs = f.map_at(s)
         ft = f.map_at(t)
         if isinstance(fs, dict):
@@ -200,23 +197,17 @@ def apply_gauge(f: Factorization, gauge) -> Factorization:
         map_compose(gauge, m) for m in f.maps)})
 
 
-class GaugeMap(namedtuple("GaugeMap", "map deviation", defaults=(0.0,))):
-    """Invertible self-map ``map`` of the reference fibre relating two
-    families, recovered with the given ``deviation``."""
+def gauge_between(f1: Factorization, f2: Factorization) -> "FibreMap":
+    """The gauge D, a self-map of the reference fibre, with f1 = D after f2,
+    for families along one path inducing one transport.
 
-    __slots__ = ()
-
-
-def gauge_between(f1: Factorization, f2: Factorization) -> GaugeMap:
-    """The gauge D with f1 = D after f2, for families inducing one transport.
-
-    Raises FibreTransportError for incomparable tabulations, when the
-    induced transports disagree, and when no single D explains every grid
-    parameter.
+    Raises FibreTransportError for families tabulated on different grids or
+    along different paths, when the induced transports disagree, and when no
+    single D explains every grid parameter.
     """
-    if f1.grid != f2.grid or f1.space != f2.space:
+    if f1.grid != f2.grid or f1.path != f2.path:
         raise FibreTransportError(
-            "factorizations tabulate different grids or spaces")
+            "factorizations tabulate different grids or paths")
     # Matrix inverses carry rounding noise even for exact families.
     tolerance = max(1e-9, 4.0 * max(f1.tolerance, f2.tolerance))
 
@@ -244,7 +235,7 @@ def gauge_between(f1: Factorization, f2: Factorization) -> GaugeMap:
     if not drift <= tolerance:
         raise FibreTransportError(
             f"no single gauge explains the two families (drift {drift})")
-    return GaugeMap(map=gauge, deviation=max(worst, drift))
+    return gauge
 
 
 def _inverses(f: Factorization) -> list:
@@ -256,7 +247,7 @@ def _inverses(f: Factorization) -> list:
             out.append(map_invert(m))
         except FibreTransportError as exc:
             raise FibreTransportError(
-                f"factored[{f.path_name}]: the family's map at {s}: {exc}"
+                f"factored[{f.path.name}]: the family's map at {s}: {exc}"
             ) from None
     return out
 
@@ -265,12 +256,13 @@ def _inverses(f: Factorization) -> list:
 # Law trials (see the transport module's)
 # ---------------------------------------------------------------------------
 
-def roundtrip_trial(T: Transport, p: Path, f: Factorization, trials: int):
-    """Law 3.6-roundtrip: f, T's canonical family along p, reassembles the
-    transport on every ordered pair of its grid, and its anchor map is the
-    identity.  One trial per grid point, whatever ``trials`` says; vector
+def roundtrip_trial(T: Transport, f: Factorization, trials: int):
+    """Law 3.6-roundtrip: f, T's canonical family along its path, reassembles
+    the transport on every ordered pair of its grid, and its anchor map is
+    the identity.  One trial per grid point, whatever ``trials`` says; vector
     fibres draw three unit-ball vectors per grid point."""
-    rebuilt = transport_from_factorization(f, p)
+    p = f.path
+    rebuilt = transport_from_factorization(f)
 
     def trial(k, rng):
         if k == 0:
@@ -316,16 +308,17 @@ def random_gauge(rng: random.Random, bundle: FibreBundle, x) -> "FibreMap":
 GAUGE_DRAWS = 5
 
 
-def gauge_trial(T: Transport, p: Path, f: Factorization, trials: int):
-    """Law 3.11/3.12: f, T's canonical family along p, and f gauged by a
-    random self-map induce the same transport, and the gauge is recovered
-    from the pair.  One trial per gauge, GAUGE_DRAWS of them, whatever
-    ``trials`` says."""
+def gauge_trial(T: Transport, f: Factorization, trials: int):
+    """Law 3.11/3.12: f, T's canonical family along its path, and f gauged
+    by a random self-map induce the same transport, and the gauge is
+    recovered from the pair.  One trial per gauge, GAUGE_DRAWS of them,
+    whatever ``trials`` says."""
+    p = f.path
 
     def trial(k, rng):
         gauge = random_gauge(rng, T.bundle, p.at(f.anchor))
         recovered = gauge_between(apply_gauge(f, gauge), f)
-        dev = map_deviation(recovered.map, gauge)
+        dev = map_deviation(recovered, gauge)
         yield (dev, p.name, {"draw": float(k)},
                ["recovered gauge vs applied gauge"])
 
@@ -341,5 +334,5 @@ def factorization_to_dict(f: Factorization) -> dict:
         else:
             maps.append([list(row) for row in m])
     return {"s0": f.anchor, "grid": list(f.grid), "maps": maps,
-            "path": f.path_name, "space": f.space,
+            "path": f.path.name, "space": f.path.space,
             "fibre_kind": f.bundle.fibre_kind}

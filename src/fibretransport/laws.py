@@ -60,8 +60,7 @@ def _first_path(spec):
 
 
 def _family(spec):
-    p = spec.law_paths[0]
-    return p, fz.canonical_factorization(spec.transport, p)
+    return (fz.canonical_factorization(spec.transport, spec.law_paths[0]),)
 
 
 def _product_pair(spec):

@@ -13,7 +13,6 @@ Liftings evaluate lazily; each ``at`` call is one transport application.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Sequence
 
 from . import linalg
 from .bundles import (SAME_POINT_TOL, FibreElement, chart_deviation,
@@ -34,12 +33,6 @@ class Lifting(namedtuple("Lifting", "path anchor through value_fn name",
 
     def at(self, t: float) -> FibreElement:
         return self.value_fn(self.path.domain.clamp(t))
-
-    def trace(self, params: Sequence[float] | None = None
-              ) -> list[tuple[float, FibreElement]]:
-        if params is None:
-            params = self.path.domain.samples(11)
-        return [(t, self.at(t)) for t in params]
 
 
 def lift(T: Transport, p: Path, u: FibreElement, s0: float) -> Lifting:

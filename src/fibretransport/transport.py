@@ -105,13 +105,11 @@ def inverse_transport(T: Transport, p: Path, s: float, t: float
 # Sections carried along a path
 # ---------------------------------------------------------------------------
 
-def propagate_section(T: Transport, p: Path, s0: float, u0: FibreElement,
-                      params: Sequence[float] | None = None,
+def propagate_section(T: Transport, p: Path, s0: float, u0: FibreElement
                       ) -> list[tuple[float, FibreElement]]:
-    """Values at the given parameters of the section generated by u0 at s0."""
-    if params is None:
-        params = p.domain.samples(11)
-    return [(t, transport(T, p, s0, t, u0)) for t in params]
+    """Values on 11 evenly spaced parameters of p's domain of the section
+    generated by u0 at s0."""
+    return [(t, transport(T, p, s0, t, u0)) for t in p.domain.samples(11)]
 
 
 # ---------------------------------------------------------------------------

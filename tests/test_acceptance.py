@@ -64,8 +64,8 @@ def test_3_factorizations_roundtrip_and_recover_gauges():
     sphere = make_instance("sphere-levi-civita")
     tilted = sphere.path_named("tilted")
     roundtrip = law_named("3.6-roundtrip").check(
-        sphere.transport, tilted,
-        canonical_factorization(sphere.transport, tilted), seed=0)
+        sphere.transport, canonical_factorization(sphere.transport, tilted),
+        seed=0)
     assert roundtrip.passed
     assert roundtrip.max_deviation <= 2e-6
 
@@ -73,8 +73,8 @@ def test_3_factorizations_roundtrip_and_recover_gauges():
         spec = make_instance(name)
         p = spec.law_paths[0]
         r = law_named("3.6-roundtrip").check(
-            spec.transport, p,
-            canonical_factorization(spec.transport, p), seed=0)
+            spec.transport, canonical_factorization(spec.transport, p),
+            seed=0)
         assert r.passed and r.max_deviation == 0.0, name
 
     # 20 random gauges: five per seed
@@ -82,7 +82,7 @@ def test_3_factorizations_roundtrip_and_recover_gauges():
     walk = perm.path_named("walk")
     family = canonical_factorization(perm.transport, walk)
     for seed in range(4):
-        gauges = law_named("3.11/3.12").check(perm.transport, walk, family,
+        gauges = law_named("3.11/3.12").check(perm.transport, family,
                                               seed=seed)
         assert gauges.trials == 5
         assert gauges.passed and gauges.max_deviation == 0.0

@@ -5,8 +5,7 @@ import pytest
 
 from fibretransport.bundles import label_element, vector_element
 from fibretransport.errors import FibreTransportError
-from fibretransport.factorization import (Factorization, GaugeMap,
-                                          apply_gauge,
+from fibretransport.factorization import (Factorization, apply_gauge,
                                           canonical_factorization,
                                           factorization_to_dict, gauge_between,
                                           map_compose,
@@ -109,7 +108,7 @@ class TestCanonicalFamily:
     def test_roundtrip_reproduces_finite_transport(self, perm):
         p = perm.path_named("zigzag")
         f = canonical_factorization(perm.transport, p)
-        S = transport_from_factorization(f, p)
+        S = transport_from_factorization(f)
         for s, t in [(0.0, 1.0), (0.3, 0.8), (0.9, 0.2)]:
             s_g = min(f.grid, key=lambda g: abs(g - s))
             t_g = min(f.grid, key=lambda g: abs(g - t))
@@ -120,7 +119,7 @@ class TestCanonicalFamily:
     def test_roundtrip_reproduces_matrix_transport(self, par):
         p = par.path_named("figure-eight")
         f = canonical_factorization(par.transport, p)
-        S = transport_from_factorization(f, p)
+        S = transport_from_factorization(f)
         for s_g, t_g in [(f.grid[0], f.grid[-1]), (f.grid[3], f.grid[1])]:
             u = vector_element(p.at(s_g), (0.6, -0.4))
             got = transport(S, p, s_g, t_g, u)
@@ -131,16 +130,18 @@ class TestCanonicalFamily:
         from fibretransport.paths import Interval, restrict
         f = canonical_factorization(perm.transport, perm.path_named("walk"))
         shorter = restrict(perm.path_named("walk"), Interval(0.0, 0.5))
-        with pytest.raises(FibreTransportError, match="factorization was built along"):
-            transport_from_factorization(f, shorter)
+        u = label_element(shorter.at(0.0), "a")
+        with pytest.raises(FibreTransportError,
+                           match=r"moves along 'walk' only, got"):
+            transport(transport_from_factorization(f), shorter, 0.0, 0.5, u)
 
     def test_the_rebuilt_transport_moves_along_its_own_path_only(self, perm):
-        # walk and zigzag share a space and a domain, so the build accepts
-        # walk; the true transport moves a from 0 to 1 along zigzag to b,
-        # while walk's grid maps would give c
+        # walk and zigzag share a space and a domain; the true transport
+        # moves a from 0 to 1 along zigzag to b, while walk's grid maps
+        # would give c
         walk, zigzag = perm.path_named("walk"), perm.path_named("zigzag")
         S = transport_from_factorization(
-            canonical_factorization(perm.transport, walk, grid=3), walk)
+            canonical_factorization(perm.transport, walk, grid=3))
         u = label_element(zigzag.at(0.0), "a")
         assert transport(perm.transport, zigzag, 0.0, 1.0, u).label == "b"
         with pytest.raises(FibreTransportError,
@@ -148,6 +149,25 @@ class TestCanonicalFamily:
             transport(S, zigzag, 0.0, 1.0, u)
         assert transport(S, walk, 0.0, 1.0, u) == transport(
             perm.transport, walk, 0.0, 1.0, u)
+
+    def test_a_family_cannot_be_paired_with_another_path(self, perm):
+        # the walk family paired with zigzag would read zigzag's transport
+        # off walk's maps (a to c instead of b) and fail law 3.6 falsely;
+        # the family carries its path, so no call takes the pair
+        walk, zigzag = perm.path_named("walk"), perm.path_named("zigzag")
+        f = canonical_factorization(perm.transport, walk)
+        assert f.path == walk
+        with pytest.raises(TypeError):
+            transport_from_factorization(f, zigzag)
+        law = law_named("3.6-roundtrip")
+        with pytest.raises(TypeError):
+            law.check(perm.transport, zigzag, f)
+        report = law.check(perm.transport, f)
+        assert report.passed and report.max_deviation == 0.0
+        zig = canonical_factorization(perm.transport, zigzag)
+        u = label_element(zigzag.at(0.0), "a")
+        assert transport(transport_from_factorization(zig), zigzag, 0.0, 1.0,
+                         u).label == "b"
 
 
 class TestGauge:
@@ -158,8 +178,7 @@ class TestGauge:
         D = random_gauge(rng, perm.bundle, p.at(f1.anchor))
         f2 = apply_gauge(f1, D)
         rec = gauge_between(f2, f1)
-        assert isinstance(rec, GaugeMap)
-        assert map_deviation(rec.map, D) == 0.0
+        assert map_deviation(rec, D) == 0.0
 
     def test_random_gauge_retries_only_singular_draws(self, par,
                                                       monkeypatch):
@@ -185,7 +204,7 @@ class TestGauge:
         D = ((2.0, 1.0), (1.0, 1.0))
         f2 = apply_gauge(f1, D)
         rec = gauge_between(f2, f1)
-        assert map_deviation(rec.map, D) < 1e-12
+        assert map_deviation(rec, D) < 1e-12
 
     def test_grid_mismatch(self, perm):
         p = perm.path_named("walk")
@@ -194,14 +213,23 @@ class TestGauge:
         with pytest.raises(FibreTransportError, match="different grids"):
             gauge_between(f1, f2)
 
+    def test_families_along_different_paths_are_refused(self, perm):
+        # one grid, one space, one domain: only the paths differ
+        f1 = canonical_factorization(perm.transport, perm.path_named("walk"))
+        f2 = canonical_factorization(perm.transport,
+                                     perm.path_named("zigzag"))
+        assert f1.grid == f2.grid
+        with pytest.raises(FibreTransportError,
+                           match="different grids or paths"):
+            gauge_between(f1, f2)
+
     def test_a_nan_deviation_is_refused_wherever_it_falls(self, par):
         # finite, invertible maps whose induced transports overflow: the
         # pair (1.0, 0.5) composes 1e300 * 1e300 = inf on both sides, and
         # inf - inf is a NaN deviation after the zero of the pair (0, 0)
         f = canonical_factorization(par.transport, par.path_named("walk"),
                                     grid=3)
-        f = Factorization(bundle=f.bundle, space=f.space,
-                          path_name=f.path_name, domain=f.domain,
+        f = Factorization(bundle=f.bundle, path=f.path,
                           anchor=0.0, grid=f.grid,
                           maps=(((1.0, 0.0), (0.0, 1.0)),
                                 ((1e-300, 0.0), (0.0, 1.0)),
@@ -214,13 +242,12 @@ class TestGauge:
         f = canonical_factorization(par.transport, par.path_named("walk"),
                                     grid=3)
         maps = (f.maps[0], ((1.0, 2.0), (2.0, 4.0)), f.maps[2])
-        g = Factorization(bundle=f.bundle, space=f.space,
-                          path_name=f.path_name, domain=f.domain,
+        g = Factorization(bundle=f.bundle, path=f.path,
                           anchor=f.anchor, grid=f.grid, maps=maps)
         with pytest.raises(FibreTransportError,
                            match=r"factored\[walk\]: the family's map at 0.5"):
             gauge_between(g, f)
-        S = transport_from_factorization(g, par.path_named("walk"))
+        S = transport_from_factorization(g)
         u = vector_element(par.path_named("walk").at(0.0), (1.0, 0.0))
         with pytest.raises(FibreTransportError,
                            match=r"factored\[walk\]: the family's map at 0.5"):
@@ -232,8 +259,7 @@ class TestGauge:
         # corrupt one non-anchor entry: no single gauge can relate the pair
         broken = dict(zip(f1.grid, f1.maps))
         broken[f1.grid[2]] = {"a": "b", "b": "a", "c": "c"}
-        f2 = Factorization(bundle=f1.bundle, space=f1.space,
-                           path_name=f1.path_name, domain=f1.domain,
+        f2 = Factorization(bundle=f1.bundle, path=f1.path,
                            anchor=f1.anchor, grid=f1.grid,
                            maps=tuple(broken[g] for g in f1.grid),
                            tolerance=f1.tolerance)
@@ -245,14 +271,14 @@ class TestReports:
     def test_roundtrip_law_exact(self, perm):
         p = perm.path_named("walk")
         r = law_named("3.6-roundtrip").check(
-            perm.transport, p, canonical_factorization(perm.transport, p))
+            perm.transport, canonical_factorization(perm.transport, p))
         assert r.law == "3.6-roundtrip"
         assert r.passed and r.max_deviation == 0.0
 
     def test_gauge_law_exact(self, par):
         p = par.path_named("walk")
         r = law_named("3.11/3.12").check(
-            par.transport, p, canonical_factorization(par.transport, p))
+            par.transport, canonical_factorization(par.transport, p))
         assert r.law == "3.11/3.12"
         assert r.passed and r.max_deviation == 0.0
 

@@ -1,8 +1,11 @@
-"""Golden digests of the graph presets' law reports.
+"""Golden digests of the graph presets' law reports and of two exact
+``factorize`` runs.
 
 Each preset is checked at seed 0 with 40 trials, and its report directory
-is pinned by one sha256 over the sorted (file name, file sha256) pairs.  A
-change that alters report bytes on purpose updates these pins and says so.
+is pinned by one sha256 over the sorted (file name, file sha256) pairs; a
+``factorize`` directory (the family and its law 3.6-roundtrip report) is
+pinned the same way.  A change that alters report bytes on purpose updates
+these pins and says so.
 """
 
 import hashlib
@@ -44,3 +47,22 @@ def test_graph_reports_match_their_golden_digest(name, tmp_path, capsys):
     capsys.readouterr()
     assert rc == (1 if name.startswith("counterexample:") else 0)
     assert report_digest(tmp_path) == GOLDEN[name]
+
+
+FACTORIZE_GOLDEN = {
+    ("perm-c3", "--path", "zigzag", "--s0", "0.3", "--grid", "7"):
+        "2b2fa9b697185183e99bf7e733b64b9647cbc905dfa7cde69725e397c89a50dc",
+    ("parallelization-flat", "--path", "figure-eight", "--grid", "5"):
+        "0402d13d7974d074d649aeb66197d823842aaec68a81e69aceedb14c6cb95c12",
+}
+
+
+@pytest.mark.parametrize("args", sorted(FACTORIZE_GOLDEN),
+                         ids=lambda args: args[0])
+def test_factorize_files_match_their_golden_digest(args, tmp_path, capsys):
+    rc = main(["factorize", "--instance", *args, "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 0
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "factorization.json", "law_3.6-roundtrip.json"]
+    assert report_digest(tmp_path) == FACTORIZE_GOLDEN[args]

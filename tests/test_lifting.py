@@ -19,7 +19,9 @@ class TestLift:
         assert l.at(0.0).label == "a"
         assert l.at(1.0).label == transport(perm.transport, p, 0.0, 1.0, u).label
         assert l.anchor == 0.0
-        assert [v.label for _, v in l.trace([0.0, 0.5, 1.0])]
+        assert [l.at(t).label for t in (0.0, 0.5, 1.0)] == [
+            transport(perm.transport, p, 0.0, t, u).label
+            for t in (0.0, 0.5, 1.0)]
 
     def test_anchor_must_match_footpoint(self, perm):
         p = perm.path_named("walk")

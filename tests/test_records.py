@@ -16,7 +16,7 @@ import fibretransport
 from fibretransport.bundles import (BasePoint, BundleMetric, FibreBundle,
                                     FibreElement, Section)
 from fibretransport.errors import FibreTransportError
-from fibretransport.factorization import Factorization, GaugeMap
+from fibretransport.factorization import Factorization
 from fibretransport.instances import InstanceSpec
 from fibretransport.laws import Law
 from fibretransport.lifting import Lifting
@@ -113,12 +113,11 @@ RECORDS = {
                                   tolerance=0.0, max_deviation=0.0),
                   True, []),
     "Factorization": (Factorization, dict(
-        bundle=GRAPH, space="g", path_name="p", domain=UNIT, anchor=0.0,
+        bundle=GRAPH, path=PATH, anchor=0.0,
         grid=(0.0, 1.0), maps=(((1.0,),), ((2.0,),))), True, [
         (dict(grid=(0.0,)), "factorization grid and maps disagree in length"),
         (dict(anchor=0.5), "factorization anchor must lie on its grid"),
     ]),
-    "GaugeMap": (GaugeMap, dict(map=((1.0,),)), True, []),
     "Lifting": (Lifting, dict(path=PATH, anchor=0.0, through=U,
                               value_fn=_identity), True, []),
     "Law": (Law, dict(id="2.2", factor=2.0, applies=_identity,
@@ -142,7 +141,7 @@ def test_the_table_covers_every_record():
                   if isinstance(obj, type) and issubclass(obj, tuple)
                   and obj.__module__ == module.__name__}
     assert found == set(RECORDS)
-    assert len(found) == 16
+    assert len(found) == 15
 
 
 @pytest.mark.parametrize("name, changes, message", CHECKS,
