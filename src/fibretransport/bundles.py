@@ -5,7 +5,8 @@ sphere in a single (theta, phi) chart with the poles excluded.  Three fibre
 kinds exist:
 
 * ``finite``   -- a fixed label set, the same over every base point;
-* ``vector``   -- R^n expressed in a per-point coordinate frame;
+* ``vector``   -- R^2 expressed in a per-point coordinate frame: every
+  vector fibre is rank 2;
 * ``sections`` -- the fibre over x is the set of values sigma_alpha(x) of a
   family of pairwise non-intersecting global sections (a foliation of the
   total space by graphs of sections).
@@ -154,7 +155,11 @@ def table_section(name: str, space: str, values: Mapping[str, str]) -> Section:
 
 class FibreBundle(namedtuple("FibreBundle", "base_space_id base_kind "
                              "fibre_kind nodes labels dim sections")):
-    """A total space over a base, described by base kind and fibre kind."""
+    """A total space over a base, described by base kind and fibre kind.
+
+    ``dim`` is the rank of a vector fibre, always 2, and None for the other
+    fibre kinds.
+    """
 
     __slots__ = ()
 
@@ -163,8 +168,8 @@ class FibreBundle(namedtuple("FibreBundle", "base_space_id base_kind "
                 fibre_kind: str,                # finite | vector | sections
                 nodes: tuple[str, ...] | None = None,
                 labels: tuple[str, ...] | None = None,
-                dim: int | None = None,
                 sections: tuple[Section, ...] | None = None) -> FibreBundle:
+        dim = 2 if fibre_kind == "vector" else None
         self = tuple.__new__(cls, (base_space_id, base_kind, fibre_kind,
                                    nodes, labels, dim, sections))
         if self.base_kind not in ("graph", "sphere"):
@@ -175,8 +180,6 @@ class FibreBundle(namedtuple("FibreBundle", "base_space_id base_kind "
             raise FibreTransportError("graph base needs nodes")
         if self.fibre_kind == "finite" and not self.labels:
             raise FibreTransportError("finite fibre needs labels")
-        if self.fibre_kind == "vector" and not self.dim:
-            raise FibreTransportError("vector fibre needs a dimension")
         if self.fibre_kind == "sections":
             if not self.sections or len(self.sections) < 1:
                 raise FibreTransportError(
@@ -276,6 +279,6 @@ def evaluate_metric(metric: BundleMetric, x: BasePoint, u: FibreElement, v: Fibr
     if u.vector is None or v.vector is None:
         raise FibreTransportError("metric applies to vector fibres")
     g = metric.matrix_at(x)
-    if len(g) != len(u.vector) or len(u.vector) != len(v.vector):
-        raise FibreTransportError("metric and vectors disagree on dimension")
+    if [*map(len, g), len(u.vector), len(v.vector)] != [2, 2, 2, 2]:
+        raise FibreTransportError("metric and vectors must be rank 2")
     return linalg.dot(u.vector, linalg.matvec(g, v.vector))

@@ -46,19 +46,24 @@ def map_compose(outer, inner):
     return linalg.matmul(outer, inner)
 
 
+def _is_2x2(m) -> bool:
+    return [len(row) for row in m] == [2, 2]
+
+
 def _finite(m) -> bool:
     return all(math.isfinite(c) for row in m for c in row)
 
 
 def map_invert(m):
     """The inverse map; a label map that is not a bijection, and a matrix
-    that is singular or holds a non-finite entry, are refused."""
+    that is not 2 x 2, is singular or holds a non-finite entry, are
+    refused."""
     if isinstance(m, dict):
         inv = {v: k for k, v in m.items()}
         if len(inv) != len(m):
             raise FibreTransportError(f"label map is not a bijection: {m}")
         return inv
-    if _finite(m):
+    if _is_2x2(m) and _finite(m):
         try:
             inv = linalg.inverse(m)
         except ZeroDivisionError:
@@ -66,7 +71,8 @@ def map_invert(m):
         else:
             if _finite(inv):
                 return inv
-    raise FibreTransportError(f"matrix map is singular or not finite: {m}")
+    raise FibreTransportError(
+        f"matrix map is not 2 x 2, or is singular or not finite: {m}")
 
 
 def map_deviation(a, b) -> float:
@@ -113,6 +119,8 @@ class Factorization(namedtuple("Factorization",
                 "factorization grid and maps disagree in length")
         if anchor not in grid:
             raise FibreTransportError("factorization anchor must lie on its grid")
+        if bundle.fibre_kind == "vector" and not all(map(_is_2x2, maps)):
+            raise FibreTransportError("a vector family's maps must be 2 x 2")
         return tuple.__new__(cls, (bundle, path, anchor, grid, maps,
                                    tolerance))
 

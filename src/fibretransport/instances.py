@@ -30,6 +30,7 @@ from .bundles import (SAME_POINT_TOL, BasePoint, BundleMetric, FibreBundle,
                       FibreElement, euclidean_metric, label_element,
                       section_through, table_section, vector_element)
 from .errors import FibreTransportError
+from .factorization import map_deviation, map_invert
 from .integrate import CellStore, rk4_linear_flow
 from .paths import Path, UNIT, node_sequence, piecewise_path, trace_nodes
 from .laws import LAW_ORDER, LAWS
@@ -102,32 +103,42 @@ def foliation_transport(bundle: FibreBundle, name: str = "foliation") -> Transpo
                      tolerance=0.0)
 
 
+# The largest gap a parallelization's frame maps may leave in their cocycle
+# identities: the rounding of honest frames, such as rotations by arbitrary
+# angles, stays far below it.
+FRAME_GAP_TOL = 1e-12
+
+
 def parallelization_transport(bundle: FibreBundle,
                               frames: Mapping[str, linalg.Mat],
                               name: str = "parallelization") -> Transport:
     """Identify all fibres through one invertible frame matrix per node.
 
     The point maps are frame(y) o frame(x)^{-1}; their two-point cocycle
-    identities are validated exhaustively at construction.
+    identities are validated exhaustively at construction.  A frame that is
+    not 2 x 2, is singular or is not finite is refused.  The tolerance is
+    0.0 when every cocycle identity holds to the bit, and FRAME_GAP_TOL,
+    the gap it allows, otherwise.
     """
     if bundle.fibre_kind != "vector":
         raise FibreTransportError("parallelizations need vector fibres")
     missing = set(bundle.nodes) - set(frames)
     if missing:
         raise FibreTransportError(f"no frame for nodes {sorted(missing)}")
-    inv = {n: linalg.inverse(frames[n]) for n in bundle.nodes}
+    inv = {n: map_invert(frames[n]) for n in bundle.nodes}
     pair = {(x, y): linalg.matmul(frames[y], inv[x])
             for x in bundle.nodes for y in bundle.nodes}
+    worst = 0.0
     for x in bundle.nodes:
         for y in bundle.nodes:
             for z in bundle.nodes:
-                via = linalg.matmul(pair[(y, z)], pair[(x, y)])
-                gap = max(abs(via[i][j] - pair[(x, z)][i][j])
-                          for i in range(bundle.dim) for j in range(bundle.dim))
-                if gap > 1e-12:
+                gap = map_deviation(linalg.matmul(pair[(y, z)], pair[(x, y)]),
+                                    pair[(x, z)])
+                if not gap <= FRAME_GAP_TOL:
                     raise FibreTransportError(
                         f"frame maps fail to compose across ({x}, {y}, {z}); "
                         f"gap {gap}")
+                worst = max(worst, gap)
 
     def apply(p: Path, s: float, t: float, u: FibreElement) -> FibreElement:
         x, y = p.at(s).node, p.at(t)
@@ -138,7 +149,7 @@ def parallelization_transport(bundle: FibreBundle,
     return Transport(name=name, bundle=bundle, apply_fn=apply,
                      declared=frozenset({"local", "reparam_invariant",
                                          "linear", "global"}),
-                     tolerance=0.0)
+                     tolerance=0.0 if worst == 0.0 else FRAME_GAP_TOL)
 
 
 # Integrator step of numeric presets unless the caller picks one.  It is
@@ -205,7 +216,7 @@ def linear_ode_transport(bundle: FibreBundle,
                          coefficients: Callable[[tuple, tuple], linalg.Mat],
                          step: float = DEFAULT_STEP,
                          name: str = "linear-ode") -> Transport:
-    """Transport the vectors of rank-2 fibres by integrating u' = A u along
+    """Transport the vectors of a vector fibre by integrating u' = A u along
     chart paths; a bundle of any other fibre is refused.
 
     ``coefficients(x, xdot)`` gives the 2 x 2 matrix A at chart coordinates
@@ -225,8 +236,8 @@ def linear_ode_transport(bundle: FibreBundle,
     as they are.
     """
     require_step(step)
-    if bundle.fibre_kind != "vector" or bundle.dim != 2:
-        raise FibreTransportError("ODE transports need rank-2 vector fibres")
+    if bundle.fibre_kind != "vector":
+        raise FibreTransportError("ODE transports need vector fibres")
     # jet -> {direction: cells}
     stores: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -362,6 +373,8 @@ def _orthonormalizer(metric: BundleMetric | None, x: BasePoint) -> linalg.Mat:
     if metric is None:
         return linalg.identity(2)
     g = metric.matrix_at(x)
+    if [len(row) for row in g] != [2, 2]:
+        raise FibreTransportError(f"metric {metric.name!r} is not 2 x 2")
     a = math.sqrt(g[0][0])
     b = g[0][1] / a
     c = math.sqrt(g[1][1] - b * b)
@@ -383,13 +396,11 @@ def loop_matrix(T: Transport, loop: Path) -> linalg.Mat:
 
 def holonomy_angle(T: Transport, loop: Path,
                    metric: BundleMetric | None = None) -> float:
-    """Signed rotation angle of a closed-loop traversal, rank-2 fibres.
+    """Signed rotation angle of a closed-loop traversal.
 
     The loop matrix is conjugated into an orthonormal frame at the base
     point first, so the angle is metric-honest even in skewed charts.
     """
-    if T.bundle.dim != 2:
-        raise FibreTransportError("holonomy angles are defined for rank-2 fibres")
     m = loop_matrix(T, loop)
     s = _orthonormalizer(metric, loop.at(loop.domain.lo))
     return linalg.rotation_angle(
@@ -511,8 +522,7 @@ _QUARTER_TURNS = (
 def _parallelization_flat() -> InstanceSpec:
     nodes = ("w0", "w1", "w2", "w3")
     bundle = FibreBundle(base_space_id="quad", base_kind="graph",
-                         fibre_kind="vector", nodes=nodes,
-                         dim=2)
+                         fibre_kind="vector", nodes=nodes)
     frames = {n: _QUARTER_TURNS[i] for i, n in enumerate(nodes)}
     T = parallelization_transport(bundle, frames, name="parallelization-flat")
     return _graph_spec(T, "w0 w1 w2 w3", "w0 w1 w0 w2 w0", "figure-eight",
@@ -556,8 +566,7 @@ def _counterexample(kind: str) -> InstanceSpec:
 def _cx_bundle() -> FibreBundle:
     return FibreBundle(base_space_id="cx", base_kind="graph",
                        fibre_kind="vector",
-                       nodes=("x0", "x1", "x2", "x3"),
-                       dim=2)
+                       nodes=("x0", "x1", "x2", "x3"))
 
 
 # Preset builders by name, called with the checked integrator step; exact

@@ -38,7 +38,7 @@ def require_chart(theta: float) -> None:
 
 def tangent_bundle() -> FibreBundle:
     return FibreBundle(base_space_id=SPACE, base_kind="sphere",
-                       fibre_kind="vector", dim=2)
+                       fibre_kind="vector")
 
 
 def metric_matrix(x: BasePoint) -> linalg.Mat:

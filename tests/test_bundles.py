@@ -194,6 +194,13 @@ class TestMetric:
         u = vector_element(x, (0.0, 1.0))
         assert evaluate_metric(m, x, u, u) == pytest.approx(math.sin(math.pi / 3) ** 2)
 
+    def test_a_metric_of_another_rank_is_refused(self):
+        x = chart_point("c", 0.0)
+        u = vector_element(x, (1.0, 0.0))
+        with pytest.raises(FibreTransportError,
+                           match="metric and vectors must be rank 2"):
+            evaluate_metric(euclidean_metric(3), x, u, u)
+
 
 class TestSphereBase:
     def test_phi_periodicity(self):
@@ -212,6 +219,10 @@ class TestSphereBase:
 
 class TestSerialization:
     def test_vector_bundle_dim(self):
+        """A vector fibre is rank 2; a label fibre has no rank."""
         B = FibreBundle(base_space_id="v", base_kind="graph",
-                        fibre_kind="vector", nodes=("w0",), dim=2)
+                        fibre_kind="vector", nodes=("w0",))
         assert B.dim == 2
+        assert FibreBundle(base_space_id="v", base_kind="graph",
+                           fibre_kind="finite", nodes=("w0",),
+                           labels=("a",)).dim is None

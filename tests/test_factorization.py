@@ -16,6 +16,9 @@ from fibretransport.laws import law_named
 from fibretransport.transport import transport
 
 
+EYE3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
 class TestFibreMaps:
     def test_dict_maps(self):
         f = {"a": "b", "b": "a"}
@@ -74,6 +77,10 @@ class TestFibreMaps:
         with pytest.raises(FibreTransportError,
                            match="singular or not finite"):
             map_invert(m)
+
+    def test_a_three_by_three_matrix_is_refused(self):
+        with pytest.raises(FibreTransportError, match="not 2 x 2"):
+            map_invert(EYE3)
 
     def test_non_bijection_rejected(self):
         with pytest.raises(FibreTransportError, match="not a bijection"):
@@ -205,6 +212,12 @@ class TestGauge:
         f2 = apply_gauge(f1, D)
         rec = gauge_between(f2, f1)
         assert map_deviation(rec, D) < 1e-12
+
+    def test_a_three_by_three_gauge_is_refused(self, par):
+        f = canonical_factorization(par.transport, par.path_named("walk"),
+                                    grid=3)
+        with pytest.raises(FibreTransportError, match="not 2 x 2"):
+            apply_gauge(f, EYE3)
 
     def test_grid_mismatch(self, perm):
         p = perm.path_named("walk")

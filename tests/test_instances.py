@@ -1,15 +1,20 @@
 import math
+import random
 
 import pytest
 
-from fibretransport.bundles import label_element, vector_element
+from fibretransport.bundles import (euclidean_metric, label_element,
+                                    vector_element)
+from fibretransport.cli import run_law
 from fibretransport.errors import FibreTransportError
-from fibretransport.instances import (COUNTEREXAMPLE_KINDS, LAW_ORDER,
-                                      counterexample_transport, holonomy_angle,
-                                      instance_names, loop_matrix,
-                                      make_instance, parallelization_transport,
+from fibretransport.instances import (COUNTEREXAMPLE_KINDS, FRAME_GAP_TOL,
+                                      LAW_ORDER, counterexample_transport,
+                                      holonomy_angle, instance_names,
+                                      loop_matrix, make_instance,
+                                      parallelization_transport,
                                       permutation_transport)
-from fibretransport.transport import transport
+from fibretransport.linalg import matvec, rotation
+from fibretransport.transport import Transport, transport
 
 
 class TestRegistry:
@@ -98,6 +103,58 @@ class TestConstructors:
             transport(sphere.transport, too_long, 0.0, 100.0, u)
 
 
+BAD_FRAMES = {
+    "three-by-three": ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+    "singular": ((1.0, 2.0), (2.0, 4.0)),
+    "nan": ((1.0, 0.0), (0.0, math.nan)),
+    "inf": ((math.inf, 0.0), (0.0, 1.0)),
+}
+
+
+def rotation_frames(bundle, seed):
+    """A rotation by a random angle per node: honest frames whose cocycle
+    identities hold only up to rounding."""
+    rng = random.Random(seed)
+    return {n: rotation(rng.uniform(-math.pi, math.pi)) for n in bundle.nodes}
+
+
+class TestParallelizationFrames:
+    @pytest.mark.parametrize("frame", BAD_FRAMES.values(), ids=BAD_FRAMES)
+    def test_a_bad_frame_is_refused(self, par, frame):
+        frames = dict(rotation_frames(par.bundle, 0), w2=frame)
+        with pytest.raises(FibreTransportError,
+                           match="not 2 x 2, or is singular or not finite"):
+            parallelization_transport(par.bundle, frames)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rotation_frames_pass_every_applicable_law(self, par, seed):
+        T = parallelization_transport(par.bundle,
+                                      rotation_frames(par.bundle, seed))
+        assert T.tolerance == FRAME_GAP_TOL
+        assert par.transport.tolerance == 0.0  # quarter turns: to the bit
+        spec = par._replace(transport=T)
+        for law in spec.applicable:
+            assert run_law(spec, law, trials=50, seed=seed).passed, law
+
+    def test_a_rotation_of_ten_tolerances_fails_law_2_2(self, par):
+        """Each image between distinct nodes turned by 10 * T.tolerance
+        breaks the composition law, so the declared tolerance has teeth."""
+        T = parallelization_transport(par.bundle,
+                                      rotation_frames(par.bundle, 0))
+        tilt = rotation(10 * T.tolerance)
+
+        def apply(p, s, t, u):
+            v = T.apply_fn(p, s, t, u)
+            if p.at(s).node == p.at(t).node:
+                return v
+            return vector_element(v.over, matvec(tilt, v.vector))
+
+        tilted = Transport("tilted", T.bundle, apply, T.declared,
+                           T.tolerance)
+        assert run_law(par._replace(transport=T), "2.2").passed
+        assert not run_law(par._replace(transport=tilted), "2.2").passed
+
+
 class TestCounterexamples:
     def test_kinds_enumerated(self):
         assert set(COUNTEREXAMPLE_KINDS) == {
@@ -131,6 +188,12 @@ class TestLoops:
     def test_flat_loop_angle_is_zero(self, par):
         ang = holonomy_angle(par.transport, par.path_named("figure-eight"))
         assert ang == 0.0
+
+    def test_a_metric_of_another_rank_is_refused(self, par):
+        with pytest.raises(FibreTransportError,
+                           match="metric 'euclidean-3' is not 2 x 2"):
+            holonomy_angle(par.transport, par.path_named("figure-eight"),
+                           euclidean_metric(3))
 
 
 class TestStepOverride:

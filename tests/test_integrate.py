@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from fibretransport import integrate, sphere
-from fibretransport.bundles import BasePoint, FibreBundle, vector_element
+from fibretransport.bundles import BasePoint, vector_element
 from fibretransport.cli import law_filename, main
 from fibretransport.errors import FibreTransportError
 from fibretransport.instances import (holonomy_angle, linear_ode_transport,
@@ -116,16 +116,6 @@ def test_locality_is_exact_when_a_node_lands_on_a_breakpoint():
         assert transport(T, q, s, t, u) == transport(T, octant, s, t, u)
     angle = holonomy_angle(T, octant, spec.metric)
     assert abs(angle - math.pi / 2) < 1e-2
-
-
-def test_a_bundle_of_another_rank_is_refused():
-    """The Magnus cell is 2 x 2, so the transport takes rank-2 fibres only."""
-    for dim in (1, 3):
-        bundle = FibreBundle(base_space_id=sphere.SPACE, base_kind="sphere",
-                             fibre_kind="vector", dim=dim)
-        with pytest.raises(FibreTransportError,
-                           match="ODE transports need rank-2 vector fibres"):
-            linear_ode_transport(bundle, lambda x, xdot: ((0.0,) * dim,) * dim)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""The rank-2 kernels of ``linalg`` against the generic loops, to the bit.
+"""The 2 x 2 kernels of ``linalg`` against generic loops, to the bit.
 
-Each reference below is the generic loop written out as it stands in
-``linalg``: for rank 2 the module takes its unrolled branch instead, which
-must give the same result (value, sign of zero and type), NaN where the loop
-gives NaN, and the same exception where the loop raises.
+Vector fibres are rank 2, so ``linalg`` spells out each operation for 2 x 2
+matrices and pairs only.  Each reference below is the generic loop over any
+size, written out here; at rank 2 the kernel must give its result (value,
+sign of zero and type), NaN where the loop gives NaN, and the same exception
+where the loop raises.  ``vec_sub`` and ``max_abs`` take any length.
 """
 
 import math
@@ -202,21 +203,12 @@ def test_singular_matrices_raise_as_in_the_loop(m):
 
 
 @pytest.mark.parametrize("n", [1, 3, 4])
-def test_other_ranks_take_the_generic_loop(n):
+def test_vec_sub_and_max_abs_keep_the_generic_loop_at_other_lengths(n):
     rng = random.Random(n)
     for _ in range(100):
-        m = tuple(random_entries(rng, n) for _ in range(n))
-        b = tuple(random_entries(rng, n) for _ in range(n))
         u, v = random_entries(rng, n), random_entries(rng, n)
-        assert same(linalg.matvec(m, u), ref_matvec(m, u))
-        assert same(linalg.matmul(m, b), ref_matmul(m, b))
-        assert same(linalg.lin_comb(0.3, u, -1.7, v),
-                    ref_lin_comb(0.3, u, -1.7, v))
         assert same(linalg.vec_sub(u, v), ref_vec_sub(u, v))
         assert same(linalg.max_abs(u), ref_max_abs(u))
-        assert same(linalg.dot(u, v), ref_dot(u, v))
-        assert agree(linalg.solve, ref_solve, m, u)
-        assert agree(linalg.inverse, ref_inverse, m)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -14,7 +14,7 @@ import pytest
 
 import fibretransport
 from fibretransport.bundles import (BasePoint, BundleMetric, FibreBundle,
-                                    FibreElement, Section)
+                                    FibreElement, Section, table_section)
 from fibretransport.errors import FibreTransportError
 from fibretransport.factorization import Factorization
 from fibretransport.instances import InstanceSpec
@@ -67,7 +67,9 @@ RECORDS = {
         (dict(fibre_kind="jet"), "unknown fibre kind 'jet'"),
         (dict(nodes=()), "graph base needs nodes"),
         (dict(labels=None), "finite fibre needs labels"),
-        (dict(fibre_kind="vector"), "vector fibre needs a dimension"),
+        (dict(fibre_kind="sections",
+              sections=(table_section("alpha", "g", {}),)),
+         "section 'alpha' undefined at 'a'"),
         (dict(fibre_kind="sections"),
          "section fibre needs at least one section"),
         (dict(base_kind="sphere", fibre_kind="sections", sections=(SEC,)),
@@ -117,6 +119,10 @@ RECORDS = {
         grid=(0.0, 1.0), maps=(((1.0,),), ((2.0,),))), True, [
         (dict(grid=(0.0,)), "factorization grid and maps disagree in length"),
         (dict(anchor=0.5), "factorization anchor must lie on its grid"),
+        (dict(bundle=FibreBundle("g", "graph", "vector", nodes=("a",)),
+              maps=(((1.0, 0.0), (0.0, 1.0)),
+                    ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))),
+         "a vector family's maps must be 2 x 2"),
     ]),
     "Lifting": (Lifting, dict(path=PATH, anchor=0.0, through=U,
                               value_fn=_identity), True, []),

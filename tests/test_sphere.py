@@ -18,7 +18,7 @@ from fibretransport.cli import run_law
 from fibretransport.instances import (DEFAULT_STEP, holonomy_angle,
                                       linear_ode_transport, make_instance,
                                       step_error)
-from fibretransport.linalg import matmul, transpose
+from fibretransport.linalg import matmul, max_abs, vec_sub
 from fibretransport.paths import UNIT
 from fibretransport.sphere import (OCTANT_AREA, OCTANT_VERTICES, SPACE,
                                    closed_latitude, coefficient_matrix,
@@ -53,7 +53,7 @@ class TestChartGeometry:
             s, c = math.sin(theta), math.cos(theta)
             gdot = ((0.0, 0.0), (0.0, 2.0 * s * c * vth))
             total = [[sum(m[i][j] for m in
-                          (matmul(transpose(a), g), matmul(g, a), gdot))
+                          (matmul(tuple(zip(*a)), g), matmul(g, a), gdot))
                       for j in range(2)] for i in range(2)]
             flat = [abs(v) for row in total for v in row]
             assert max(flat) < 1e-14
@@ -271,6 +271,81 @@ def test_a_1e_8_metric_error_fails_law_2_9_only(sphere, seed):
     assert failed == ["2.9"]
 
 
+# ---------------------------------------------------------------------------
+# A closed-form oracle (do Carmo, Differential Geometry of Curves and
+# Surfaces, section 4-4).  Along a great circle, parallel transport is the
+# rotation of space about the circle's axis; along the latitude theta0 it
+# turns a vector by -cos(theta0) * dphi in the orthonormal frame
+# (e_theta, e_phi / sin(theta)).  Errors are checked on the law paths only:
+# on a long loop such as the octant the integrator's error grows past the
+# tolerance, which bounds one law comparison and not a whole traversal.
+# ---------------------------------------------------------------------------
+
+def _embedded_frame(theta, phi):
+    """The point of the unit sphere at (theta, phi) and its chart frame
+    d_theta, d_phi, in space."""
+    st, ct, sp, cp = (math.sin(theta), math.cos(theta), math.sin(phi),
+                      math.cos(phi))
+    return (st * cp, st * sp, ct), (ct * cp, ct * sp, -st), (-st * sp,
+                                                             st * cp, 0.0)
+
+
+def _dot3(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _turn(angle, theta, v):
+    """Chart components v at latitude theta, turned by angle in the
+    orthonormal frame (e_theta, e_phi / sin(theta))."""
+    a, b = v[0], math.sin(theta) * v[1]
+    c, s = math.cos(angle), math.sin(angle)
+    return (a * c - b * s, (a * s + b * c) / math.sin(theta))
+
+
+def oracle(p, s, t, v):
+    """Levi-Civita transport of chart components v from p(s) to p(t), for
+    p a latitude arc or a great-circle arc."""
+    (th0, ph0), (th1, ph1) = p.at(s).coords, p.at(t).coords
+    if p.velocity(s)[0] == 0.0:  # a latitude
+        return _turn(-math.cos(th0) * (ph1 - ph0), th0, v)
+    x0, e0, f0 = _embedded_frame(th0, ph0)
+    x1, e1, f1 = _embedded_frame(th1, ph1)
+    ends = (_embedded_frame(*p.at(r).coords)[0] for r in p.domain)
+    n = _cross(*ends)
+    n = tuple(c / math.sqrt(_dot3(n, n)) for c in n)
+    angle = math.atan2(_dot3(n, _cross(x0, x1)), _dot3(x0, x1))
+    c, sn = math.cos(angle), math.sin(angle)
+    w = tuple(v[0] * e + v[1] * f for e, f in zip(e0, f0))
+    nw, along = _cross(n, w), _dot3(n, w) * (1.0 - c)
+    r = tuple(w[i] * c + nw[i] * sn + n[i] * along for i in range(3))
+    return (_dot3(r, e1), _dot3(r, f1) / math.sin(th1) ** 2)
+
+
+def oracle_error(spec):
+    """The largest component error against the oracle over the law paths,
+    from and to each point of a 5-point grid, for both frame vectors."""
+    errors = []
+    for p in spec.law_paths:
+        for s in p.domain.samples(5):
+            for t in p.domain.samples(5):
+                for v in ((1.0, 0.0), (0.0, 1.0)):
+                    got = transport(spec.transport, p, s, t,
+                                    vector_element(p.at(s), v)).vector
+                    errors.append(max_abs(vec_sub(got, oracle(p, s, t, v))))
+    return max_abs(errors)
+
+
+@pytest.mark.parametrize("step", [1.0, 8e-3, 1e-3, 1e-4])
+def test_the_law_paths_match_the_closed_forms(step):
+    spec = make_instance("sphere-levi-civita", step=step)
+    assert oracle_error(spec) <= spec.transport.tolerance
+
+
 # The epsilon-mutant table.  Each mutant wraps the sphere transport's image w
 # of u with an error of size eps, which vanishes at s = t except for const's.
 MUTANTS = {
@@ -288,6 +363,11 @@ MUTANTS = {
     # add eps (t - s) |u|**2 e1, which is not linear
     "nonlin": lambda eps, p, s, t, u, w: [
         w[0] + eps * (t - s) * (u[0] ** 2 + u[1] ** 2), w[1]],
+    # turn by eps (theta(t) - theta(s)) in the orthonormal frame: a change
+    # of frame by a rotation that depends on the point, another transport
+    # that keeps every law
+    "gauge": lambda eps, p, s, t, u, w: _turn(
+        eps * (p.at(t).coords[0] - p.at(s).coords[0]), p.at(t).coords[0], w),
 }
 
 
@@ -315,3 +395,18 @@ def test_an_error_at_ten_times_the_tolerance_fails_the_law(sphere, law,
     assert run_law(_mutant(sphere, mutant, 0.0), law, trials=40, seed=1).passed
     report = run_law(_mutant(sphere, mutant, eps), law, trials=40, seed=1)
     assert not report.passed, report.max_deviation
+
+
+def test_a_change_of_frame_keeps_every_law_and_only_the_oracle_sees_it(
+        sphere):
+    """The laws cannot tell Levi-Civita from a transport gauged by a
+    rotation of eps (theta(t) - theta(s)): at eps = 10 * T.tolerance the
+    gauged transport passes every law and fails the oracle, and at eps = 0
+    it passes both."""
+    eps = 10 * sphere.transport.tolerance
+    honest, gauged = (_mutant(sphere, "gauge", e) for e in (0.0, eps))
+    failed = [law for law in sphere.applicable
+              if not run_law(gauged, law, trials=20, seed=0).passed]
+    assert failed == []
+    assert oracle_error(honest) <= sphere.transport.tolerance
+    assert oracle_error(gauged) > sphere.transport.tolerance
