@@ -104,17 +104,25 @@ class FibreElement(namedtuple("FibreElement", "over label vector")):
         return tuple.__new__(cls, (over, label, vector))
 
 
+# The three constructors below set exactly one of label / vector by their
+# form, so they build the record directly and skip FibreElement's check.
+
 def label_element(over: BasePoint, label: str) -> FibreElement:
-    return FibreElement(over, label)
+    if label is None:
+        raise FibreTransportError("exactly one of label / vector must be set")
+    return tuple.__new__(FibreElement, (over, label, None))
 
 
 def vector_element(over: BasePoint, components) -> FibreElement:
-    return FibreElement(over, None, tuple(map(float, components)))
+    """An element with the given components; their count is checked where
+    the element enters ``transport``."""
+    return tuple.__new__(FibreElement,
+                         (over, None, tuple(map(float, components))))
 
 
 def rebase(u: FibreElement, over: BasePoint) -> FibreElement:
     """The same fibre value attached over an equal base point."""
-    return FibreElement(over=over, label=u.label, vector=u.vector)
+    return tuple.__new__(FibreElement, (over, u.label, u.vector))
 
 
 def element_deviation(a: FibreElement, b: FibreElement) -> float:

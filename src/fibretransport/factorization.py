@@ -280,7 +280,7 @@ def roundtrip_trial(T: Transport, f: Factorization, trials: int):
         s = f.grid[k]
         x = p.at(s)
         if T.bundle.fibre_kind == "vector":
-            elements = [vector_element(x, unit_ball(rng, T.bundle.dim))
+            elements = [vector_element(x, unit_ball(rng))
                         for _ in range(3)]
         else:
             elements = fibre_elements(T.bundle, x)

@@ -141,7 +141,7 @@ def parallelization_transport(bundle: FibreBundle,
                 worst = max(worst, gap)
 
     def apply(p: Path, s: float, t: float, u: FibreElement) -> FibreElement:
-        x, y = p.at(s).node, p.at(t)
+        x, y = u.over.node, p.at(t)
         if x == y.node:
             return vector_element(y, u.vector)
         return vector_element(y, linalg.matvec(pair[(x, y.node)], u.vector))
@@ -319,7 +319,7 @@ def counterexample_transport(kind: str) -> Transport:
     if kind == "group_breaking":
         def apply(p, s, t, u):
             y = p.at(t)
-            if p.at(s).node == y.node:
+            if u.over.node == y.node:
                 return vector_element(y, u.vector)
             return vector_element(y, _rotate(1.0, u.vector))
         violates = "2.2"
@@ -328,7 +328,7 @@ def counterexample_transport(kind: str) -> Transport:
     elif kind == "nonlocal":
         def apply(p, s, t, u):
             y = p.at(t)
-            angle = node_gap(p.at(s), y) * float(len(trace_nodes(p)))
+            angle = node_gap(u.over, y) * float(len(trace_nodes(p)))
             return vector_element(y, _rotate(angle, u.vector))
         violates = "2.5/2.7"
         preserves = frozenset({"2.2", "2.3", "2.6", "2.8", "2.9"})
@@ -343,7 +343,7 @@ def counterexample_transport(kind: str) -> Transport:
         def apply(p, s, t, u):
             y = p.at(t)
             norm = math.sqrt(u.vector[0] ** 2 + u.vector[1] ** 2)
-            return vector_element(y, _rotate(norm * node_gap(p.at(s), y),
+            return vector_element(y, _rotate(norm * node_gap(u.over, y),
                                              u.vector))
         violates = "2.8"
         preserves = frozenset({"2.2", "2.3", "2.5/2.7", "2.6"})

@@ -40,12 +40,14 @@ class Transport(namedtuple("Transport", "name bundle apply_fn declared "
                            "tolerance violates preserves")):
     """A rule mapping fibre elements along paths of one bundle.
 
-    ``apply_fn(path, s, t, u)`` must return the image of ``u`` (attached over
-    path(s)) in the fibre over path(t).  ``declared`` names the properties
-    the rule claims; ``tolerance`` is the deviation scale its own arithmetic
-    can guarantee (0.0 for exact composition rules).  ``violates`` and
-    ``preserves`` annotate deliberately broken rules used as negative
-    controls.
+    ``apply_fn(path, s, t, u)`` must return the image of ``u`` in the fibre
+    over path(t).  It is called only by ``transport``, which has already
+    checked that ``u`` lies over path(s), so it may read its source point
+    from ``u.over`` instead of evaluating the path again.  ``declared``
+    names the properties the rule claims; ``tolerance`` is the deviation
+    scale its own arithmetic can guarantee (0.0 for exact composition
+    rules).  ``violates`` and ``preserves`` annotate deliberately broken
+    rules used as negative controls.
     """
 
     __slots__ = ()
@@ -237,21 +239,26 @@ def _as_paths(paths) -> tuple[Path, ...]:
     return out
 
 
-def unit_ball(rng: random.Random, n: int) -> tuple[float, ...]:
-    """A point of the unit n-ball, uniformly distributed."""
+def unit_ball(rng: random.Random) -> tuple[float, float]:
+    """A point of the unit disc, uniformly distributed: vector fibres are
+    rank 2.  It draws two Gaussians for the direction, then one uniform
+    for the radius."""
     while True:
-        g = [rng.gauss(0.0, 1.0) for _ in range(n)]
-        r = math.sqrt(sum(c * c for c in g))
+        g0 = rng.gauss(0.0, 1.0)
+        g1 = rng.gauss(0.0, 1.0)
+        r = math.sqrt(g0 * g0 + g1 * g1)
         if r > 1e-12:
             break
-    scale = rng.random() ** (1.0 / n) / r
-    return tuple(c * scale for c in g)
+    scale = rng.random() ** 0.5 / r
+    return (g0 * scale, g1 * scale)
 
 
 def draw_for_bundle(rng: random.Random, bundle: FibreBundle, x) -> FibreElement:
-    """A random fibre element over x, matched to the bundle's fibre kind."""
+    """A random fibre element over x, matched to the bundle's fibre kind: a
+    point of the unit disc for a vector fibre, otherwise a label drawn
+    uniformly from the fibre over x."""
     if bundle.fibre_kind == "vector":
-        return vector_element(x, unit_ball(rng, bundle.dim))
+        return vector_element(x, unit_ball(rng))
     labels = fibre_labels(bundle, x)
     return label_element(x, labels[rng.randrange(len(labels))])
 
@@ -267,7 +274,10 @@ def _pick(rng: random.Random, items: Sequence):
 def _draw_params(rng: random.Random, paths, n: int) -> tuple:
     """One of the paths, then n parameters drawn uniformly on its domain."""
     p = _pick(rng, paths)
-    return (p, *(rng.uniform(p.domain.lo, p.domain.hi) for _ in range(n)))
+    lo, hi = p.domain
+    width = hi - lo
+    # random.uniform's own formula, so the stream is the same
+    return (p, *(lo + width * rng.random() for _ in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +453,12 @@ def linearity_trial(T: Transport, paths, trials: int):
     if T.bundle.fibre_kind != "vector":
         raise FibreTransportError("linearity applies to vector fibres")
     paths = _as_paths(paths)
-    n = T.bundle.dim
 
     def trial(k, rng):
         p, s, t = _draw_params(rng, paths, 2)
         x = p.at(s)
-        u = unit_ball(rng, n)
-        v = unit_ball(rng, n)
+        u = unit_ball(rng)
+        v = unit_ball(rng)
         lam = rng.uniform(-2.0, 2.0)
         mu = rng.uniform(-2.0, 2.0)
         w = lin_comb(lam, u, mu, v)
@@ -473,13 +482,12 @@ def metric_trial(T: Transport, metric: BundleMetric | None, paths,
     if T.bundle.fibre_kind != "vector":
         raise FibreTransportError("metric consistency applies to vector fibres")
     paths = _as_paths(paths)
-    n = T.bundle.dim
 
     def trial(k, rng):
         p, s, t = _draw_params(rng, paths, 2)
         x = p.at(s)
-        u = vector_element(x, unit_ball(rng, n))
-        v = vector_element(x, unit_ball(rng, n))
+        u = vector_element(x, unit_ball(rng))
+        v = vector_element(x, unit_ball(rng))
         before = evaluate_metric(metric, x, u, v)
         tu = transport(T, p, s, t, u)
         tv = transport(T, p, s, t, v)
