@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from fibretransport.bundles import (COORD_TOL, FibreBundle, chart_deviation,
-                                    chart_point, element_deviation,
-                                    euclidean_metric,
+from fibretransport.bundles import (COORD_TOL, FibreBundle, FibreElement,
+                                    chart_deviation, chart_point,
+                                    element_deviation, euclidean_metric,
                                     evaluate_metric, fibre_elements,
                                     fibre_labels, graph_point, label_element,
                                     point_deviation, rebase, section_through,
@@ -57,9 +57,15 @@ class TestElements:
         assert v.over == chart_point("c", 0.0)
 
     def test_a_none_label_is_refused(self):
+        # label_element builds the record without FibreElement's check, so
+        # it refuses None itself, with the same message
+        x = graph_point("g", "n0")
         with pytest.raises(FibreTransportError,
                            match="exactly one of label / vector must be set"):
-            label_element(graph_point("g", "n0"), None)
+            label_element(x, None)
+        with pytest.raises(FibreTransportError,
+                           match="exactly one of label / vector must be set"):
+            FibreElement(x)
 
     def test_rebase_moves_footpoint_only(self):
         u = vector_element(chart_point("c", 0.0), (1.0, 2.0))

@@ -10,8 +10,8 @@ from fibretransport.instances import make_instance
 from fibretransport.linalg import (identity, inverse, matmul, matvec,
                                    rotation, rotation_angle, solve)
 from fibretransport.paths import (EDGE_SLACK, Interval, Reparameterization,
-                                  UNIT, affine_remap)
-from fibretransport.transport import transport, unit_ball
+                                  UNIT, affine_remap, piecewise_path)
+from fibretransport.transport import _draw_params, transport, unit_ball
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -100,6 +100,40 @@ def test_unit_ball_is_bounded_and_deterministic(seed):
     v2 = unit_ball(rng2)
     assert v1 == v2
     assert math.sqrt(sum(c * c for c in v1)) <= 1.0 + 1e-12
+
+
+def _generic_unit_ball(rng, n):
+    # the n-ball draw that unit_ball's rank-2 form replaced: the reference
+    while True:
+        g = [rng.gauss(0.0, 1.0) for _ in range(n)]
+        r = math.sqrt(sum(c * c for c in g))
+        if r > 1e-12:
+            break
+    scale = rng.random() ** (1.0 / n) / r
+    return tuple(c * scale for c in g)
+
+
+def _bits(xs):
+    return [x.hex() for x in xs]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_draws_are_the_generic_draws_to_the_bit(seed):
+    """unit_ball and _draw_params give the generic loop's values and
+    random.uniform's, and leave the stream where those leave it."""
+    paths = tuple(piecewise_path("g", d, [(d.hi, "n0")])
+                  for d in (UNIT, Interval(-3.0, 0.7), Interval(1e-3, 1e3)))
+    new, old = random.Random(seed), random.Random(seed)
+    for k in range(1000):
+        assert _bits(unit_ball(new)) == _bits(_generic_unit_ball(old, 2))
+        assert new.random().hex() == old.random().hex()
+        n = 1 + k % 3
+        p, *drawn = _draw_params(new, paths, n)
+        q = paths[old.randrange(len(paths))]
+        assert p is q
+        assert _bits(drawn) == _bits(old.uniform(q.domain.lo, q.domain.hi)
+                                     for _ in range(n))
+        assert new.random().hex() == old.random().hex()
 
 
 @given(params, params, params)

@@ -54,6 +54,20 @@ class TestValidation:
         with pytest.raises(FibreTransportError, match="is not attached over"):
             transport(perm.transport, p, 0.0, 1.0, u)
 
+    @pytest.mark.parametrize("name", [
+        "parallelization-flat", "counterexample:group_breaking",
+        "counterexample:nonlocal", "counterexample:nonlinear"])
+    def test_a_vector_over_another_node_is_refused(self, name):
+        """These rules read their source node from the element, so
+        transport must refuse one that is not over path(s)."""
+        spec = make_instance(name)
+        p = spec.path_named("walk")
+        u = vector_element(p.at(1.0), (1.0, 0.0))  # walk ends elsewhere
+        assert u.over != p.at(0.0)
+        with pytest.raises(FibreTransportError,
+                           match=r"is not attached over path\(0\.0\)"):
+            transport(spec.transport, p, 0.0, 1.0, u)
+
 
 class TestCheckedParameters:
     @pytest.mark.parametrize("bad", [1.0 + 2 * EDGE_SLACK, -2 * EDGE_SLACK,
