@@ -27,8 +27,9 @@ from typing import Callable, Iterable, Mapping
 
 from . import linalg, sphere
 from .bundles import (SAME_POINT_TOL, BasePoint, BundleMetric, FibreBundle,
-                      FibreElement, euclidean_metric, label_element,
-                      section_through, table_section, vector_element)
+                      FibreElement, euclidean_metric, graph_point,
+                      label_element, section_through, table_section,
+                      vector_element)
 from .errors import FibreTransportError
 from .factorization import map_deviation, map_invert
 from .integrate import CellStore, rk4_linear_flow
@@ -90,12 +91,26 @@ def permutation_transport(bundle: FibreBundle,
 
 
 def foliation_transport(bundle: FibreBundle, name: str = "foliation") -> Transport:
-    """Slide each element along the unique family section through it."""
+    """Slide each element along the unique family section through it.
+
+    The section through each (node, value) pair is tabulated here: the
+    bundle has checked that its family is defined at every node and
+    pairwise disjoint, so each pair names at most one section.  An element
+    the table misses is looked up by ``section_through``, which refuses one
+    that no section passes through.
+    """
     if bundle.fibre_kind != "sections":
         raise FibreTransportError("foliation transports need a section family")
+    through = {}
+    for n in bundle.nodes:
+        x = graph_point(bundle.base_space_id, n)
+        for sec in bundle.sections:
+            through[(n, sec.at(x).label)] = sec
 
     def apply(p: Path, s: float, t: float, u: FibreElement) -> FibreElement:
-        sec = section_through(bundle, u)
+        sec = through.get((u.over.node, u.label))
+        if sec is None:
+            sec = section_through(bundle, u)
         return sec.at(p.at(t))
 
     return Transport(name=name, bundle=bundle, apply_fn=apply,

@@ -11,6 +11,7 @@ rebuild of a transport from liftings, which runs laws, live here too.
 
 from __future__ import annotations
 
+import weakref
 from collections import namedtuple
 
 from . import factorization as fz
@@ -59,8 +60,22 @@ def _first_path(spec):
     return (spec.law_paths[0],)
 
 
+# Each transport rule's canonical family along its first law path, kept as
+# long as the rule: laws 3.6-roundtrip and 3.11/3.12 both read it, so a run
+# tabulates it once.
+_FAMILIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _family(spec):
-    return (fz.canonical_factorization(spec.transport, spec.law_paths[0]),)
+    T, p = spec.transport, spec.law_paths[0]
+    try:
+        f = _FAMILIES.get(T.apply_fn)
+    except TypeError:  # a rule that takes no weak reference is not kept
+        return (fz.canonical_factorization(T, p),)
+    if (f is None or f.path is not p or f.bundle is not T.bundle
+            or f.tolerance != T.tolerance):
+        f = _FAMILIES[T.apply_fn] = fz.canonical_factorization(T, p)
+    return (f,)
 
 
 def _product_pair(spec):

@@ -7,7 +7,9 @@ here cover the projection identity, consistency under re-anchoring, global
 uniqueness over self-intersecting paths (loops included), and the fact that
 the liftings through one fibre sweep every fibre the path touches.
 
-Liftings evaluate lazily; each ``at`` call is one transport application.
+Liftings evaluate lazily: ``lift`` checks the anchor once, as ``transport``
+checks its input, and each ``at`` call is then one application of the
+transport's rule.
 """
 
 from __future__ import annotations
@@ -21,13 +23,15 @@ from .bundles import (SAME_POINT_TOL, FibreElement, chart_deviation,
 from .errors import FibreTransportError
 from .paths import Path, piece_runs
 from .transport import (Transport, _as_paths, _desc, _draw_params, _pick,
-                        draw_for_bundle, transport)
+                        checked_source, draw_for_bundle, transport)
 
 
 class Lifting(namedtuple("Lifting", "path anchor through value_fn name",
                          defaults=("lifting",))):
     """A total-space curve over ``path`` pinned to ``through`` at ``anchor``:
-    ``value_fn(t)`` is its fibre element at parameter t."""
+    ``value_fn(t)`` is its fibre element at parameter t.  In a lifting made
+    by ``lift`` that is one application of the transport's rule to the
+    anchor ``lift`` checked."""
 
     __slots__ = ()
 
@@ -36,13 +40,18 @@ class Lifting(namedtuple("Lifting", "path anchor through value_fn name",
 
 
 def lift(T: Transport, p: Path, u: FibreElement, s0: float) -> Lifting:
-    """The lifting through u anchored at parameter s0."""
+    """The lifting through u anchored at parameter s0.
+
+    The anchor is refused here as ``transport`` would refuse it, so reading
+    the lifting applies T's rule without checking (p, s0, u) again."""
     s0 = p.domain.clamp(s0)
     if T.bundle.point_deviation(u.over, p.at(s0)) > SAME_POINT_TOL:
         raise FibreTransportError(
             f"element over {u.over} cannot anchor a lifting at path({s0})")
+    checked_source(T, p, s0, s0, u)
+    apply = T.apply_fn
     return Lifting(path=p, anchor=s0, through=u,
-                   value_fn=lambda t: transport(T, p, s0, t, u),
+                   value_fn=lambda t: apply(p, s0, t, u),
                    name=f"lift[{p.name}@{s0:g}]")
 
 

@@ -41,13 +41,13 @@ class Transport(namedtuple("Transport", "name bundle apply_fn declared "
     """A rule mapping fibre elements along paths of one bundle.
 
     ``apply_fn(path, s, t, u)`` must return the image of ``u`` in the fibre
-    over path(t).  It is called only by ``transport``, which has already
-    checked that ``u`` lies over path(s), so it may read its source point
-    from ``u.over`` instead of evaluating the path again.  ``declared``
-    names the properties the rule claims; ``tolerance`` is the deviation
-    scale its own arithmetic can guarantee (0.0 for exact composition
-    rules).  ``violates`` and ``preserves`` annotate deliberately broken
-    rules used as negative controls.
+    over path(t).  It is called only after ``checked_source`` has accepted
+    (path, s, u), either by ``transport`` or by a lifting anchored there, so
+    it may read its source point from ``u.over`` instead of evaluating the
+    path again.  ``declared`` names the properties the rule claims;
+    ``tolerance`` is the deviation scale its own arithmetic can guarantee
+    (0.0 for exact composition rules).  ``violates`` and ``preserves``
+    annotate deliberately broken rules used as negative controls.
     """
 
     __slots__ = ()
@@ -66,9 +66,16 @@ class Transport(namedtuple("Transport", "name bundle apply_fn declared "
                                    tolerance, violates, preserves))
 
 
-def transport(T: Transport, p: Path, s: float, t: float,
-              u: FibreElement) -> FibreElement:
-    """Apply T along p from parameter s to t, validating the inputs."""
+def checked_source(T: Transport, p: Path, s: float, t: float,
+                   u: FibreElement) -> tuple[float, float]:
+    """Refuse (p, s, t, u) unless T may be applied to it, and return s and t
+    clamped onto p's domain.
+
+    The path must lie in T's base space, s and t in its domain, and u must
+    be an element of T's fibre attached over path(s).  Both ``transport``
+    and ``lifting.lift`` check their inputs here, so a lifting checks its
+    anchor once.
+    """
     bundle, space, domain = T.bundle, p.space, p.domain
     if space != bundle.base_space_id:
         raise FibreTransportError(
@@ -91,9 +98,19 @@ def transport(T: Transport, p: Path, s: float, t: float,
     elif bundle.fibre_kind == "finite" and label not in bundle.labels:
         raise FibreTransportError(
             f"label {label!r} is not in the fibre {list(bundle.labels)}")
-    if bundle.point_deviation(over, p.at(s)) > SAME_POINT_TOL:
+    # one point object is the same point: its deviation is 0.0, or NaN,
+    # and neither is refused
+    x = p.at(s)
+    if over is not x and bundle.point_deviation(over, x) > SAME_POINT_TOL:
         raise FibreTransportError(
             f"element over {over} is not attached over path({s})")
+    return s, t
+
+
+def transport(T: Transport, p: Path, s: float, t: float,
+              u: FibreElement) -> FibreElement:
+    """Apply T along p from parameter s to t, validating the inputs."""
+    s, t = checked_source(T, p, s, t, u)
     return T.apply_fn(p, s, t, u)
 
 
