@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import fibretransport
+from fibretransport import factorization as fz
 from fibretransport import instances
 from fibretransport.bundles import rebase
 from fibretransport.cli import law_filename, main, run_law
@@ -53,6 +54,21 @@ class TestCheck:
         assert data["law"] == "2.2"
         assert data["passed"] is True
         assert data["seed"] == 0
+
+    @pytest.mark.parametrize("name", ["perm-c3", "foliation-2sec",
+                                      "parallelization-flat",
+                                      "sphere-levi-civita"])
+    def test_each_check_tabulates_the_canonical_family_once(
+            self, name, tmp_path, monkeypatch):
+        """Laws 3.6-roundtrip and 3.11/3.12 read one family per run."""
+        calls = []
+        tabulate = fz.canonical_factorization
+        monkeypatch.setattr(fz, "canonical_factorization",
+                            lambda *a: calls.append(a) or tabulate(*a))
+        for run in (1, 2):
+            assert main(["check", "--instance", name, "--trials", "5",
+                         "--out", str(tmp_path)]) == 0
+            assert len(calls) == run
 
     def test_law_subset(self, tmp_path):
         rc = main(["check", "--instance", "perm-c3", "--laws", "2.2,2.3",

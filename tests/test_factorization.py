@@ -176,6 +176,19 @@ class TestCanonicalFamily:
         assert transport(transport_from_factorization(zig), zigzag, 0.0, 1.0,
                          u).label == "b"
 
+    def test_the_family_laws_share_one_family_per_rule_and_path(self, perm):
+        roundtrip, gauge = law_named("3.6-roundtrip"), law_named("3.11/3.12")
+        (f,) = roundtrip.inputs(perm)
+        assert gauge.inputs(perm)[0] is f
+        assert f.path is perm.law_paths[0]
+        # the same rule along another path, or at another tolerance, is
+        # tabulated again
+        other = perm._replace(law_paths=perm.law_paths[::-1])
+        assert roundtrip.inputs(other)[0].path is other.law_paths[0]
+        loose = perm._replace(
+            transport=perm.transport._replace(tolerance=1e-9))
+        assert roundtrip.inputs(loose)[0].tolerance == 1e-9
+
 
 class TestGauge:
     def test_gauge_roundtrip_exact_labels(self, perm):

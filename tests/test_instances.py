@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from fibretransport.bundles import (euclidean_metric, label_element,
-                                    vector_element)
+from fibretransport.bundles import (euclidean_metric, fibre_labels,
+                                    graph_point, label_element,
+                                    section_through, vector_element)
 from fibretransport.cli import run_law
 from fibretransport.errors import FibreTransportError
 from fibretransport.instances import (COUNTEREXAMPLE_KINDS, FRAME_GAP_TOL,
@@ -83,6 +84,26 @@ class TestConstructors:
         u = label_element(p.at(0.0), "a")
         with pytest.raises(FibreTransportError, match="no fibre map across hop"):
             transport(T, p, 0.0, 1.0, u)
+
+    def test_foliation_table_agrees_with_section_through(self, fol):
+        """Every (node, label) pair slides along the section that
+        section_through finds, to every point of every law path."""
+        T, bundle = fol.transport, fol.bundle
+        for n in bundle.nodes:
+            x = graph_point(bundle.base_space_id, n)
+            for lab in fibre_labels(bundle, x):
+                u = label_element(x, lab)
+                sec = section_through(bundle, u)
+                for p in fol.law_paths:
+                    for t in p.domain.samples(9):
+                        assert T.apply_fn(p, 0.0, t, u) == sec.at(p.at(t))
+
+    def test_foliation_refuses_a_label_on_no_section(self, fol):
+        p = fol.path_named("walk")
+        u = label_element(p.at(0.0), "zz")
+        with pytest.raises(FibreTransportError,
+                           match="no section of the family passes through"):
+            transport(fol.transport, p, 0.0, 1.0, u)
 
     def test_parallelization_needs_all_frames(self, par):
         with pytest.raises(FibreTransportError, match="no frame for nodes"):

@@ -1,14 +1,25 @@
 import math
+import random
 
 import pytest
 
-from fibretransport.bundles import (label_element, section_through,
-                                    vector_element)
+from fibretransport.bundles import (graph_point, label_element,
+                                    section_through, vector_element)
 from fibretransport.errors import FibreTransportError
+from fibretransport.instances import instance_names, make_instance
 from fibretransport.laws import (law_named, liftings_disjoint_or_equal,
                                   transport_from_lifting)
 from fibretransport.lifting import lift, occurrence_set
-from fibretransport.transport import Transport, transport
+from fibretransport.transport import Transport, draw_for_bundle, transport
+
+
+def bits(u):
+    """An element with every float spelled by ``float.hex``, so equal bits
+    compare equal and nothing else does (-0.0 and NaN included)."""
+    coords = u.over.coords
+    return (u.over.space, u.over.node,
+            None if coords is None else [c.hex() for c in coords], u.label,
+            None if u.vector is None else [c.hex() for c in u.vector])
 
 
 class TestLift:
@@ -28,6 +39,55 @@ class TestLift:
         u = label_element(p.at(1.0), "a")  # footpoint is the endpoint node
         with pytest.raises(FibreTransportError, match="cannot anchor a lifting"):
             lift(perm.transport, p, u, 0.0)
+
+    @pytest.mark.parametrize("name", instance_names())
+    def test_each_read_is_the_checked_transport_to_the_bit(self, name):
+        """A lifting applies T's rule without checking its anchor again;
+        what it reads is still exactly what transport() returns."""
+        spec = make_instance(name)
+        T, rng = spec.transport, random.Random(7)
+        for p in spec.law_paths:
+            for _ in range(2):
+                s0 = rng.uniform(p.domain.lo, p.domain.hi)
+                u = draw_for_bundle(rng, T.bundle, p.at(s0))
+                lifted = lift(T, p, u, s0)
+                for t in p.domain.samples(7):
+                    assert bits(lifted.at(t)) == bits(
+                        transport(T, p, s0, t, u)), (p.name, s0, t)
+
+    @pytest.mark.parametrize("name, make, message", [
+        ("perm-c3", lambda x: vector_element(x, (1.0, 0.0)),
+         "moves labelled elements"),
+        ("perm-c3", lambda x: label_element(x, "zz"),
+         "'zz' is not in the fibre"),
+        ("sphere-levi-civita", lambda x: label_element(x, "a"),
+         "moves vectors"),
+        ("sphere-levi-civita", lambda x: vector_element(x, (1.0, 0.0, 0.0)),
+         "length 3 in a rank-2 fibre"),
+    ], ids=["vector-for-labels", "label-outside", "label-for-vectors",
+            "rank-3"])
+    def test_a_wrong_element_is_refused_at_the_anchor(self, name, make,
+                                                      message):
+        """lift refuses at construction what transport() refuses."""
+        spec = make_instance(name)
+        p = spec.law_paths[0]
+        u = make(p.at(0.25))
+        with pytest.raises(FibreTransportError, match=message):
+            transport(spec.transport, p, 0.25, 1.0, u)
+        with pytest.raises(FibreTransportError, match=message):
+            lift(spec.transport, p, u, 0.25)
+
+    def test_an_equal_node_point_anchors_and_another_node_does_not(self, perm):
+        p = perm.path_named("walk")
+        fresh = graph_point(p.space, p.at(0.0).node)
+        assert fresh == p.at(0.0) and fresh is not p.at(0.0)
+        u = label_element(fresh, "b")
+        assert (lift(perm.transport, p, u, 0.0).at(1.0)
+                == lift(perm.transport, p, label_element(p.at(0.0), "b"),
+                        0.0).at(1.0))
+        other = label_element(graph_point(p.space, p.at(1.0).node), "b")
+        with pytest.raises(FibreTransportError, match="cannot anchor"):
+            lift(perm.transport, p, other, 0.0)
 
     def test_projection_recovers_base_path(self, sphere):
         p = sphere.path_named("tilted")

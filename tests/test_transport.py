@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from fibretransport.bundles import graph_point, label_element, vector_element
+from fibretransport.bundles import (fibre_labels, graph_point, label_element,
+                                    vector_element)
 from fibretransport.cli import run_law
 from fibretransport.errors import FibreTransportError
 from fibretransport.instances import make_instance
@@ -53,6 +54,25 @@ class TestValidation:
         u = label_element(p.at(1.0), "a")  # walk starts at n0, ends elsewhere
         with pytest.raises(FibreTransportError, match="is not attached over"):
             transport(perm.transport, p, 0.0, 1.0, u)
+
+    @pytest.mark.parametrize("name", ["perm-c3", "foliation-2sec",
+                                      "parallelization-flat"])
+    def test_an_equal_but_distinct_node_point_is_accepted(self, name):
+        """The source point is matched by identity first; an equal point
+        that is another object is still compared, and accepted."""
+        spec = make_instance(name)
+        p = spec.path_named("walk")
+        x = p.at(0.0)
+        fresh = graph_point(p.space, x.node)
+        assert fresh == x and fresh is not x
+        if spec.bundle.fibre_kind == "vector":
+            u, v = (vector_element(x, (0.5, -2.0)),
+                    vector_element(fresh, (0.5, -2.0)))
+        else:
+            label = fibre_labels(spec.bundle, x)[0]
+            u, v = label_element(x, label), label_element(fresh, label)
+        assert (transport(spec.transport, p, 0.0, 1.0, v)
+                == transport(spec.transport, p, 0.0, 1.0, u))
 
     @pytest.mark.parametrize("name", [
         "parallelization-flat", "counterexample:group_breaking",
