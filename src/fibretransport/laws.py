@@ -11,7 +11,6 @@ rebuild of a transport from liftings, which runs laws, live here too.
 
 from __future__ import annotations
 
-import weakref
 from collections import namedtuple
 
 from . import factorization as fz
@@ -60,22 +59,20 @@ def _first_path(spec):
     return (spec.law_paths[0],)
 
 
-# Each transport rule's canonical family along its first law path, kept as
-# long as the rule: laws 3.6-roundtrip and 3.11/3.12 both read it, so a run
-# tabulates it once.
-_FAMILIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# The canonical family of the last transport and path asked for: laws
+# 3.6-roundtrip and 3.11/3.12 read it one after the other for the same
+# spec, so a run tabulates it once.  A Transport is an immutable record, so
+# its identity fixes the rule, the bundle and the tolerance.
+_LAST_FAMILY = None
 
 
 def _family(spec):
+    global _LAST_FAMILY
     T, p = spec.transport, spec.law_paths[0]
-    try:
-        f = _FAMILIES.get(T.apply_fn)
-    except TypeError:  # a rule that takes no weak reference is not kept
-        return (fz.canonical_factorization(T, p),)
-    if (f is None or f.path is not p or f.bundle is not T.bundle
-            or f.tolerance != T.tolerance):
-        f = _FAMILIES[T.apply_fn] = fz.canonical_factorization(T, p)
-    return (f,)
+    if (_LAST_FAMILY is None or _LAST_FAMILY[0] is not T
+            or _LAST_FAMILY[1] is not p):
+        _LAST_FAMILY = (T, p, fz.canonical_factorization(T, p))
+    return (_LAST_FAMILY[2],)
 
 
 def _product_pair(spec):

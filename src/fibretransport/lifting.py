@@ -44,11 +44,7 @@ def lift(T: Transport, p: Path, u: FibreElement, s0: float) -> Lifting:
 
     The anchor is refused here as ``transport`` would refuse it, so reading
     the lifting applies T's rule without checking (p, s0, u) again."""
-    s0 = p.domain.clamp(s0)
-    if T.bundle.point_deviation(u.over, p.at(s0)) > SAME_POINT_TOL:
-        raise FibreTransportError(
-            f"element over {u.over} cannot anchor a lifting at path({s0})")
-    checked_source(T, p, s0, s0, u)
+    s0, _ = checked_source(T, p, s0, s0, u)
     apply = T.apply_fn
     return Lifting(path=p, anchor=s0, through=u,
                    value_fn=lambda t: apply(p, s0, t, u),
