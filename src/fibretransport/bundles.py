@@ -162,12 +162,8 @@ def table_section(name: str, space: str, values: Mapping[str, str]) -> Section:
 
 
 class FibreBundle(namedtuple("FibreBundle", "base_space_id base_kind "
-                             "fibre_kind nodes labels dim sections")):
-    """A total space over a base, described by base kind and fibre kind.
-
-    ``dim`` is the rank of a vector fibre, always 2, and None for the other
-    fibre kinds.
-    """
+                             "fibre_kind nodes labels sections")):
+    """A total space over a base, described by base kind and fibre kind."""
 
     __slots__ = ()
 
@@ -177,9 +173,8 @@ class FibreBundle(namedtuple("FibreBundle", "base_space_id base_kind "
                 nodes: tuple[str, ...] | None = None,
                 labels: tuple[str, ...] | None = None,
                 sections: tuple[Section, ...] | None = None) -> FibreBundle:
-        dim = 2 if fibre_kind == "vector" else None
         self = tuple.__new__(cls, (base_space_id, base_kind, fibre_kind,
-                                   nodes, labels, dim, sections))
+                                   nodes, labels, sections))
         if self.base_kind not in ("graph", "sphere"):
             raise FibreTransportError(f"unknown base kind {self.base_kind!r}")
         if self.fibre_kind not in ("finite", "vector", "sections"):
@@ -249,10 +244,11 @@ def fibre_labels(bundle: FibreBundle, x: BasePoint) -> tuple[str, ...] | None:
 
 
 def fibre_elements(bundle: FibreBundle, x: BasePoint) -> tuple[FibreElement, ...]:
-    """All elements of a finite fibre over x."""
+    """The frame a fibre map over x is read on: every label of the fibre, or
+    the basis e0, e1 of a vector fibre."""
     labels = fibre_labels(bundle, x)
     if labels is None:
-        raise FibreTransportError("fibre over this bundle is not finite")
+        return (vector_element(x, (1.0, 0.0)), vector_element(x, (0.0, 1.0)))
     return tuple(label_element(x, lab) for lab in labels)
 
 
@@ -277,9 +273,9 @@ class BundleMetric(namedtuple("BundleMetric", "name matrix_at")):
     __slots__ = ()
 
 
-def euclidean_metric(dim: int) -> BundleMetric:
-    eye = linalg.identity(dim)
-    return BundleMetric(name=f"euclidean-{dim}", matrix_at=lambda x: eye)
+def euclidean_metric() -> BundleMetric:
+    eye = linalg.identity()
+    return BundleMetric(name="euclidean", matrix_at=lambda x: eye)
 
 
 def evaluate_metric(metric: BundleMetric, x: BasePoint, u: FibreElement, v: FibreElement) -> float:

@@ -25,7 +25,7 @@ from pathlib import Path as FsPath
 
 from . import factorization as fz
 from . import lifting as lf
-from .bundles import fibre_labels, label_element, vector_element
+from .bundles import fibre_elements, label_element, vector_element
 from .errors import FibreTransportError
 from .instances import (InstanceSpec, holonomy_angle, instance_names,
                         make_instance)
@@ -138,32 +138,28 @@ def cmd_lift(args: argparse.Namespace) -> int:
     s0 = p.domain.lo if args.s0 is None else args.s0
     element = args.element
     anchor_point = p.at(s0)
-    if spec.bundle.fibre_kind == "vector":
-        if element is None:
-            comps = tuple(1.0 if i == 0 else 0.0
-                          for i in range(spec.bundle.dim))
-        else:
-            try:
-                comps = tuple(float(c) for c in element.split(","))
-            except ValueError:
-                comps = (math.nan,)
-            if not all(map(math.isfinite, comps)):
-                raise FibreTransportError(
-                    f"--element expects finite numbers separated by commas, "
-                    f"got {element!r}")
+    if element is None:
+        u = fibre_elements(spec.bundle, anchor_point)[0]
+    elif spec.bundle.fibre_kind == "vector":
+        try:
+            comps = tuple(float(c) for c in element.split(","))
+        except ValueError:
+            comps = (math.nan,)
+        if not all(map(math.isfinite, comps)):
+            raise FibreTransportError(
+                f"--element expects finite numbers separated by commas, "
+                f"got {element!r}")
         u = vector_element(anchor_point, comps)
     else:
-        if element is None:
-            element = fibre_labels(spec.bundle, anchor_point)[0]
         u = label_element(anchor_point, element)
     lifted = lf.lift(spec.transport, p, u, s0)
+    s0 = lifted.anchor
     params = [s0] + [t for t in p.domain.samples(args.samples) if t != s0]
     values = [(t, lifted.at(t)) for t in params]
 
     if args.fmt == "csv":
         if spec.bundle.fibre_kind == "vector":
-            head = "s," + ",".join(f"c{i}" for i in range(spec.bundle.dim))
-            lines = [head] + [
+            lines = ["s,c0,c1"] + [
                 (_FLOAT_FMT % t) + "," + ",".join(_FLOAT_FMT % c
                                                   for c in v.vector)
                 for t, v in values]

@@ -14,7 +14,8 @@ transport.
 A family carries the path it was tabulated along, so its induced transport
 and its law trials take the family alone.  Families are tabulated on a
 finite parameter grid.  Fibre maps are plain dictionaries (finite fibres)
-or row-major matrices (vector fibres).
+or row-major matrices (vector fibres), read on the frame of
+``bundles.fibre_elements``.
 """
 
 from __future__ import annotations
@@ -94,10 +95,24 @@ def map_deviation(a, b) -> float:
     return linalg.max_abs(gaps)
 
 
+def _on_frame(frame, images) -> "FibreMap":
+    """The fibre map sending each element of ``frame`` to its image: a
+    label map, or the matrix whose columns are the images of e0 and e1."""
+    if frame[0].label is not None:
+        return {u.label: w.label for u, w in zip(frame, images)}
+    (a, c), (b, d) = (w.vector for w in images)
+    return ((a, b), (c, d))
+
+
 def identity_map(bundle: FibreBundle, x) -> "FibreMap":
-    if bundle.fibre_kind == "vector":
-        return linalg.identity(bundle.dim)
-    return {lab: lab for lab in fibre_labels(bundle, x)}
+    frame = fibre_elements(bundle, x)
+    return _on_frame(frame, frame)
+
+
+def fibre_map(T: Transport, p: Path, s: float, t: float) -> "FibreMap":
+    """T's (s, t) map along p, read on the frame of the fibre over path(s)."""
+    frame = fibre_elements(T.bundle, p.at(s))
+    return _on_frame(frame, [transport(T, p, s, t, u) for u in frame])
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +151,8 @@ def canonical_factorization(T: Transport, p: Path, s0: float | None = None,
                             grid: int = 11) -> Factorization:
     """The family F_s = transport from s to s0, tabulated on ``grid``
     evenly spaced parameters of p's domain, with s0 added when it is not
-    one of them.  s0 defaults to the domain's start.
+    one of them.  s0 defaults to the domain's start; one within EDGE_SLACK
+    of the domain is snapped onto its edge first.
 
     F_{s0} comes out as the identity map exactly.
     """
@@ -144,24 +160,12 @@ def canonical_factorization(T: Transport, p: Path, s0: float | None = None,
         raise FibreTransportError(
             "factorization grids need at least two points")
     pts = tuple(p.domain.samples(grid))
-    if s0 is None:
-        s0 = pts[0]
+    s0 = pts[0] if s0 is None else p.domain.clamp(s0)
     if s0 not in pts:
         pts = tuple(sorted({*pts, s0}))
-    maps = []
-    for s in pts:
-        x = p.at(s)
-        if T.bundle.fibre_kind == "vector":
-            cols = [transport(T, p, s, s0,
-                              vector_element(x, basis)).vector
-                    for basis in linalg.identity(T.bundle.dim)]
-            maps.append(tuple(zip(*cols)))
-        else:
-            maps.append({lab: transport(T, p, s, s0,
-                                        label_element(x, lab)).label
-                         for lab in fibre_labels(T.bundle, x)})
+    maps = tuple(fibre_map(T, p, s, s0) for s in pts)
     return Factorization(bundle=T.bundle, path=p, anchor=s0, grid=pts,
-                         maps=tuple(maps), tolerance=T.tolerance)
+                         maps=maps, tolerance=T.tolerance)
 
 
 def transport_from_factorization(f: Factorization) -> Transport:
@@ -297,10 +301,9 @@ def roundtrip_trial(T: Transport, f: Factorization, trials: int):
 def random_gauge(rng: random.Random, bundle: FibreBundle, x) -> "FibreMap":
     """A random invertible self-map of the fibre over x."""
     if bundle.fibre_kind == "vector":
-        n = bundle.dim
         while True:
-            m = tuple(tuple(rng.uniform(-1.0, 1.0) for _ in range(n))
-                      for _ in range(n))
+            m = ((rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
+                 (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
             try:
                 linalg.inverse(m)
             except ZeroDivisionError:

@@ -31,11 +31,11 @@ from .bundles import (SAME_POINT_TOL, BasePoint, BundleMetric, FibreBundle,
                       label_element, section_through, table_section,
                       vector_element)
 from .errors import FibreTransportError
-from .factorization import map_deviation, map_invert
+from .factorization import fibre_map, map_deviation, map_invert
 from .integrate import CellStore, rk4_linear_flow
 from .paths import Path, UNIT, node_sequence, piecewise_path, trace_nodes
 from .laws import LAW_ORDER, LAWS
-from .transport import Transport, transport
+from .transport import Transport
 
 COUNTEREXAMPLE_KINDS = (
     "group_breaking", "nonlocal", "non_reparam_invariant",
@@ -386,7 +386,7 @@ def counterexample_transport(kind: str) -> Transport:
 
 def _orthonormalizer(metric: BundleMetric | None, x: BasePoint) -> linalg.Mat:
     if metric is None:
-        return linalg.identity(2)
+        return linalg.identity()
     g = metric.matrix_at(x)
     if [len(row) for row in g] != [2, 2]:
         raise FibreTransportError(f"metric {metric.name!r} is not 2 x 2")
@@ -402,11 +402,7 @@ def loop_matrix(T: Transport, loop: Path) -> linalg.Mat:
         raise FibreTransportError("holonomy applies to vector fibres")
     if T.bundle.point_deviation(loop.start, loop.end) > SAME_POINT_TOL:
         raise FibreTransportError(f"path {loop.name!r} is not closed")
-    x0 = loop.at(loop.domain.lo)
-    cols = [transport(T, loop, loop.domain.lo, loop.domain.hi,
-                      vector_element(x0, e)).vector
-            for e in linalg.identity(T.bundle.dim)]
-    return tuple(zip(*cols))
+    return fibre_map(T, loop, loop.domain.lo, loop.domain.hi)
 
 
 def holonomy_angle(T: Transport, loop: Path,
@@ -573,7 +569,7 @@ def _counterexample(kind: str) -> InstanceSpec:
     T = counterexample_transport(kind)
     space = T.bundle.base_space_id
     return InstanceSpec(
-        name=T.name, transport=T, metric=euclidean_metric(2),
+        name=T.name, transport=T, metric=euclidean_metric(),
         law_paths=(_tour(space, "x0 x1 x2 x0", "loop3"),
                    _tour(space, "x0 x1 x3", "walk")))
 

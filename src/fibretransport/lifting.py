@@ -18,8 +18,7 @@ from collections import namedtuple
 
 from . import linalg
 from .bundles import (SAME_POINT_TOL, FibreElement, chart_deviation,
-                      element_deviation, fibre_elements, fibre_labels, rebase,
-                      vector_element)
+                      element_deviation, fibre_elements, fibre_labels, rebase)
 from .errors import FibreTransportError
 from .paths import Path, piece_runs
 from .transport import (Transport, _as_paths, _desc, _draw_params, _pick,
@@ -144,12 +143,10 @@ def uniqueness_trial(T: Transport, p: Path, trials: int):
     def trial(k, rng):
         r, s = pairs[k]
         x = p.at(r)
+        elements = list(fibre_elements(T.bundle, x))
         if T.bundle.fibre_kind == "vector":
             extra = max(1, trials // (8 * len(pairs)))
-            elements = [vector_element(x, e) for e in linalg.identity(T.bundle.dim)]
             elements += [draw_for_bundle(rng, T.bundle, x) for _ in range(extra)]
-        else:
-            elements = list(fibre_elements(T.bundle, x))
         for u in elements:
             back = transport(T, p, r, s, u)
             yield (element_deviation(back, rebase(u, p.at(s))),

@@ -22,8 +22,8 @@ Vec = tuple[float, ...]
 Mat = tuple[tuple[float, ...], ...]
 
 
-def identity(n: int) -> Mat:
-    return tuple(tuple(1.0 if i == j else 0.0 for j in range(n)) for i in range(n))
+def identity() -> Mat:
+    return ((1.0, 0.0), (0.0, 1.0))
 
 
 def matvec(m: Mat, v: Vec) -> Vec:

@@ -13,15 +13,16 @@ bookkeeping that the transport laws quantify over:
 
 A path is one raw map, its jet: ``jet(s)`` gives the point at s and the
 velocity d(coords)/ds there, the pair a transport's coefficients read.  A
-chart path's point is its coordinate tuple, which ``Path.at`` wraps in a
-``BasePoint``; its jet must give an analytic velocity (checked at
-construction), and a reparameterization carries the derivative ``deriv`` of
-its forward map, so derived paths push velocities through by the chain rule.
-A discrete path's jet gives a node point and the velocity None.  Paths carry
-two optional pieces of structure as well: ``breakpoints`` (parameters where
-the point map may kink or jump, so exact integrators can split there) and
-``crossings`` (declared self-intersection parameter pairs of chart paths;
-discrete paths find their self-intersections by enumeration instead).
+chart path's point is its (theta, phi) pair, which ``Path.at`` wraps in a
+``BasePoint``; its jet must give an analytic velocity, a pair as well (both
+checked at construction), and a reparameterization carries the derivative
+``deriv`` of its forward map, so derived paths push velocities through by
+the chain rule.  A discrete path's jet gives a node point and the velocity
+None.  Paths carry two optional pieces of structure as well: ``breakpoints``
+(parameters where the point map may kink or jump, so exact integrators can
+split there) and ``crossings`` (declared self-intersection parameter pairs
+of chart paths; discrete paths find their self-intersections by enumeration
+instead).
 
 Breakpoint convention for piecewise-constant paths: the value at an interior
 breakpoint belongs to the piece on the right, so [n0 on [0, .5), n1 on [.5, 1]]
@@ -183,9 +184,9 @@ class Path(namedtuple("Path",
 
     ``jet(s)`` is the raw map: it must accept any parameter of ``domain``,
     checks nothing, and returns the point and d(coords)/ds there.  A chart
-    path's jet gives its coordinate tuple and a velocity, and ``at`` wraps
-    the tuple in a ``BasePoint``; a discrete one's gives a node point and
-    None.  ``at`` and ``velocity`` are the checked entries: they refuse a
+    path's jet gives its (theta, phi) pair and a velocity pair, and ``at``
+    wraps the point in a ``BasePoint``; a discrete one's gives a node point
+    and None.  ``at`` and ``velocity`` are the checked entries: they refuse a
     parameter outside the domain and snap one within EDGE_SLACK onto its
     edge.
     """
@@ -202,8 +203,15 @@ class Path(namedtuple("Path",
                 name: str = "path") -> Path:
         if kind not in ("discrete", "chart"):
             raise FibreTransportError("path kind must be 'discrete' or 'chart'")
-        if kind == "chart" and jet(domain.lo)[1] is None:
-            raise FibreTransportError(f"chart path {name!r} needs a velocity")
+        if kind == "chart":
+            x, v = jet(domain.lo)
+            if v is None:
+                raise FibreTransportError(
+                    f"chart path {name!r} needs a velocity")
+            if len(x) != 2 or len(v) != 2:
+                raise FibreTransportError(
+                    f"chart path {name!r} must give a (theta, phi) point "
+                    f"and velocity")
         for b in breakpoints:
             if not (domain.lo < b < domain.hi):
                 raise FibreTransportError(
@@ -317,32 +325,19 @@ def reparameterize(p: Path, remap: Reparameterization) -> Path:
     lo, hi, snap, inner = p.domain.lo, p.domain.hi, p.domain.clamp, p.jet
     # fwd and deriv inlined: the jet runs at every integrator stage
     a, c, k = remap.coefficients
+    squared = remap.squared
 
-    # A velocity scales by the remap's derivative, as (v[0] * k, v[1] * k)
-    # at rank 2, which equals k * v[i] to the bit: IEEE multiplication
-    # commutes.  Other ranks take the generic map.
-    if not remap.squared:
-        scale = k.__mul__
-
-        def jet(s: float):
-            r = c + (s - a) * k
-            x, v = inner(snap(r) if r < lo or r > hi else r)
-            if v is None:
-                return x, None
-            if len(v) == 2:
-                return x, (v[0] * k, v[1] * k)
-            return x, tuple(map(scale, v))
-    else:
-        def jet(s: float):
-            d = s - a
-            r = c + d * d * k
-            x, v = inner(snap(r) if r < lo or r > hi else r)
-            if v is None:
-                return x, None
-            dk = 2.0 * k * d
-            if len(v) == 2:
-                return x, (v[0] * dk, v[1] * dk)
-            return x, tuple(map(dk.__mul__, v))
+    # A chart velocity is a (theta, phi) pair scaled by the remap's
+    # derivative m, as (v[0] * m, v[1] * m), which equals m * v[i] to the
+    # bit: IEEE multiplication commutes.
+    def jet(s: float):
+        d = s - a
+        r = c + d * d * k if squared else c + d * k
+        x, v = inner(snap(r) if r < lo or r > hi else r)
+        if v is None:
+            return x, None
+        m = 2.0 * k * d if squared else k
+        return x, (v[0] * m, v[1] * m)
 
     bps = sorted(remap.invert_param(b) for b in p.breakpoints)
     bps = tuple(b for b in bps if remap.source.lo < b < remap.source.hi)

@@ -90,9 +90,9 @@ def checked_source(T: Transport, p: Path, s: float, t: float,
     if bundle.fibre_kind == "vector":
         if vector is None:
             raise FibreTransportError("this transport moves vectors")
-        if len(vector) != bundle.dim:
+        if len(vector) != 2:
             raise FibreTransportError(
-                f"vector of length {len(vector)} in a rank-{bundle.dim} fibre")
+                f"vector of length {len(vector)} in a rank-2 fibre")
     elif label is None:
         raise FibreTransportError("this transport moves labelled elements")
     elif bundle.fibre_kind == "finite" and label not in bundle.labels:

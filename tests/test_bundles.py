@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from fibretransport.bundles import (COORD_TOL, FibreBundle, FibreElement,
-                                    chart_deviation, chart_point,
+from fibretransport.bundles import (COORD_TOL, BundleMetric, FibreBundle,
+                                    FibreElement, chart_deviation, chart_point,
                                     element_deviation, euclidean_metric,
                                     evaluate_metric, fibre_elements,
                                     fibre_labels, graph_point, label_element,
@@ -170,6 +170,18 @@ class TestBundleQueries:
         els = fibre_elements(B, graph_point("g", "n0"))
         assert [u.label for u in els] == ["a", "b", "c"]
 
+    def test_a_vector_fibre_is_read_on_the_basis(self):
+        """The frame of a vector fibre over x is e0, e1 attached over x."""
+        B = FibreBundle(base_space_id="v", base_kind="graph",
+                        fibre_kind="vector", nodes=("w0",))
+        x = graph_point("v", "w0")
+        assert fibre_elements(B, x) == (vector_element(x, (1.0, 0.0)),
+                                        vector_element(x, (0.0, 1.0)))
+        y = chart_point(SPACE, 1.0, 2.0)
+        e0, e1 = fibre_elements(tangent_bundle(), y)
+        assert (e0.over, e0.vector, e1.over, e1.vector) == (
+            y, (1.0, 0.0), y, (0.0, 1.0))
+
     def test_sections(self):
         B = sectioned_bundle()
         fam = sections_of_family(B)
@@ -186,9 +198,15 @@ class TestBundleQueries:
         assert s.at(graph_point("fol", "g1")).label == "a1"
 
 
+def _euclidean_3():
+    """A 3 x 3 metric, which no rank-2 fibre accepts."""
+    eye = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    return BundleMetric(name="euclidean-3", matrix_at=lambda x: eye)
+
+
 class TestMetric:
     def test_euclidean(self):
-        m = euclidean_metric(2)
+        m = euclidean_metric()
         x = chart_point("c", 0.0)
         u = vector_element(x, (3.0, 4.0))
         assert evaluate_metric(m, x, u, u) == pytest.approx(25.0)
@@ -205,7 +223,7 @@ class TestMetric:
         u = vector_element(x, (1.0, 0.0))
         with pytest.raises(FibreTransportError,
                            match="metric and vectors must be rank 2"):
-            evaluate_metric(euclidean_metric(3), x, u, u)
+            evaluate_metric(_euclidean_3(), x, u, u)
 
 
 class TestSphereBase:
@@ -225,10 +243,9 @@ class TestSphereBase:
 
 class TestSerialization:
     def test_vector_bundle_dim(self):
-        """A vector fibre is rank 2; a label fibre has no rank."""
+        """A vector fibre is rank 2 by its frame alone: no bundle record
+        carries a rank."""
         B = FibreBundle(base_space_id="v", base_kind="graph",
                         fibre_kind="vector", nodes=("w0",))
-        assert B.dim == 2
-        assert FibreBundle(base_space_id="v", base_kind="graph",
-                           fibre_kind="finite", nodes=("w0",),
-                           labels=("a",)).dim is None
+        assert "dim" not in FibreBundle._fields
+        assert len(fibre_elements(B, graph_point("v", "w0"))) == 2

@@ -310,6 +310,24 @@ class TestFactorize:
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["factorize", "lift"])
+def test_an_anchor_within_the_edge_slack_is_snapped_onto_the_edge(command,
+                                                                 tmp_path):
+    """An --s0 just past the domain's end names the end: both commands
+    tabulate 11 distinct points and report s0 == 1.0."""
+    rc = main([command, "--instance", "perm-c3", "--path", "zigzag",
+               "--s0", "1.0000000001", "--out", str(tmp_path)])
+    assert rc == 0
+    if command == "factorize":
+        data = read_json(tmp_path / "factorization.json")
+        params = data["grid"]
+    else:
+        data = read_json(tmp_path / "lifting.json")
+        params = [v["s"] for v in data["values"]]
+    assert data["s0"] == 1.0 and max(params) == 1.0
+    assert len(set(params)) == len(params) == 11
+
+
 @pytest.mark.parametrize("extra", [
     ["--trials", "0"],
     ["--trials", "-5"],

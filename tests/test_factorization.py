@@ -7,8 +7,8 @@ from fibretransport.bundles import label_element, vector_element
 from fibretransport.errors import FibreTransportError
 from fibretransport.factorization import (Factorization, apply_gauge,
                                           canonical_factorization,
-                                          factorization_to_dict, gauge_between,
-                                          map_compose,
+                                          factorization_to_dict, fibre_map,
+                                          gauge_between, map_compose,
                                           map_deviation, map_invert,
                                           random_gauge,
                                           transport_from_factorization)
@@ -20,6 +20,20 @@ EYE3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 class TestFibreMaps:
+    def test_a_fibre_map_is_read_on_the_frame_of_its_source(self, perm, par):
+        """Labels map to their images; a matrix's columns are the images of
+        e0 and e1 over path(s)."""
+        p, T = perm.path_named("zigzag"), perm.transport
+        x = p.at(0.1)
+        assert fibre_map(T, p, 0.1, 0.6) == {
+            lab: transport(T, p, 0.1, 0.6, label_element(x, lab)).label
+            for lab in "abc"}
+        p, T = par.path_named("walk"), par.transport
+        x = p.at(0.1)
+        (a, c), (b, d) = (transport(T, p, 0.1, 0.9, vector_element(x, e)).vector
+                          for e in ((1.0, 0.0), (0.0, 1.0)))
+        assert fibre_map(T, p, 0.1, 0.9) == ((a, b), (c, d))
+
     def test_dict_maps(self):
         f = {"a": "b", "b": "a"}
         g = {"a": "a", "b": "b"}

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from fibretransport.bundles import (euclidean_metric, fibre_labels,
+from fibretransport.bundles import (BundleMetric, fibre_labels,
                                     graph_point, label_element,
                                     section_through, vector_element)
 from fibretransport.cli import run_law
 from fibretransport.errors import FibreTransportError
+from fibretransport.factorization import fibre_map
 from fibretransport.instances import (COUNTEREXAMPLE_KINDS, FRAME_GAP_TOL,
                                       LAW_ORDER, counterexample_transport,
                                       holonomy_angle, instance_names,
@@ -206,15 +207,31 @@ class TestLoops:
         with pytest.raises(FibreTransportError, match="holonomy applies to vector"):
             loop_matrix(perm.transport, perm.path_named("zigzag"))
 
+    def test_the_loop_matrix_is_the_column_by_column_reading_to_the_bit(
+            self, sphere):
+        """fibre_map reads the octant's loop matrix exactly as transporting
+        e0 and e1 one by one and taking them as columns does."""
+        T, loop = sphere.transport, sphere.path_named("octant")
+        lo, hi = loop.domain
+        x0 = loop.at(lo)
+        cols = [transport(T, loop, lo, hi, vector_element(x0, e)).vector
+                for e in ((1.0, 0.0), (0.0, 1.0))]
+        by_hand = tuple(zip(*cols))
+        for m in (fibre_map(T, loop, lo, hi), loop_matrix(T, loop)):
+            assert [[c.hex() for c in row] for row in m] == \
+                [[c.hex() for c in row] for row in by_hand]
+
     def test_flat_loop_angle_is_zero(self, par):
         ang = holonomy_angle(par.transport, par.path_named("figure-eight"))
         assert ang == 0.0
 
     def test_a_metric_of_another_rank_is_refused(self, par):
+        eye = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        metric = BundleMetric(name="euclidean-3", matrix_at=lambda x: eye)
         with pytest.raises(FibreTransportError,
                            match="metric 'euclidean-3' is not 2 x 2"):
             holonomy_angle(par.transport, par.path_named("figure-eight"),
-                           euclidean_metric(3))
+                           metric)
 
 
 class TestStepOverride:

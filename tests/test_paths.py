@@ -334,12 +334,8 @@ def test_a_reparameterized_jet_is_the_composition_to_the_bit(remap):
     src = remap.source
     params = [*src.samples(257), *(rng.uniform(src.lo, src.hi)
                                    for _ in range(256))]
-    # a rank-3 chart path takes the generic velocity scaling
-    twisted = Path(space="r3", domain=Interval(-1.0, 5.0), kind="chart",
-                   jet=lambda s: ((s, s * s, 1.0), (1.0, 2.0 * s, 0.0)),
-                   name="twisted")
     for base in (sphere.great_circle_arc((1.9, 0.3), (1.1, 1.8)),
-                 sphere.latitude_arc(1.0, 0.2, 1.3), zigzag(), twisted):
+                 sphere.latitude_arc(1.0, 0.2, 1.3), zigzag()):
         p = restrict(base, remap.target)
         jet, by_hand = reparameterize(p, remap).jet, _jet_by_hand(p, remap)
         for s in params:
@@ -402,6 +398,19 @@ def test_a_chart_path_without_a_velocity_is_refused():
         Path(space=sphere.SPACE, domain=UNIT,
              jet=lambda s: ((1.0, s), None),
              kind="chart")
+
+
+@pytest.mark.parametrize("jet", [
+    lambda s: ((s, s * s, 1.0), (1.0, 2.0 * s, 0.0)),
+    lambda s: ((1.0, s), (0.0, 1.0, 0.0)),
+    lambda s: ((1.0, s, 0.0), (0.0, 1.0)),
+    lambda s: ((s,), (1.0,))],
+    ids=["twisted", "triple-velocity", "triple-point", "single"])
+def test_a_chart_jet_that_is_not_a_pair_is_refused(jet):
+    """A chart path's point and velocity are (theta, phi) pairs."""
+    with pytest.raises(FibreTransportError,
+                       match="must give a \\(theta, phi\\) point"):
+        Path(space="r3", domain=Interval(-1.0, 5.0), kind="chart", jet=jet)
 
 
 def test_a_discrete_path_needs_no_velocity():

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibretransport.bundles import label_element, vector_element
-from fibretransport.instances import make_instance
+from fibretransport.bundles import (FibreBundle, label_element,
+                                    table_section, vector_element)
+from fibretransport.cli import run_law
+from fibretransport.instances import (InstanceSpec, foliation_transport,
+                                      make_instance, parallelization_transport,
+                                      permutation_transport)
 from fibretransport.linalg import (identity, inverse, matmul, matvec,
                                    rotation, rotation_angle, solve)
 from fibretransport.paths import (EDGE_SLACK, Interval, Reparameterization,
@@ -39,7 +43,7 @@ def test_solve_inverts_matvec(entries, rhs):
 def test_inverse_times_matrix_is_identity(entries):
     m = well_conditioned(entries)
     prod = matmul(inverse(m), m)
-    eye = identity(2)
+    eye = identity()
     flat = [abs(prod[i][j] - eye[i][j]) for i in range(2) for j in range(2)]
     assert max(flat) < 1e-10
 
@@ -167,3 +171,91 @@ def test_integrated_transport_inverts(s, t):
     w = transport(spec.transport, p, s, t, u)
     back = transport(spec.transport, p, t, s, w)
     assert back.vector == pytest.approx(u.vector, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Honest transports of the paper's general form pass every applicable law
+# ---------------------------------------------------------------------------
+
+_NODES = ("v0", "v1", "v2", "v3")
+
+
+@st.composite
+def _tours(draw, nodes, start=None, closed=False):
+    """Two to six stops on the complete graph over ``nodes``, each hop to
+    another node; a closed tour hops back to its start at the end."""
+    stops = [draw(st.sampled_from(nodes)) if start is None else start]
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        stops.append(draw(st.sampled_from(
+            [n for n in nodes if n != stops[-1]])))
+    if closed and stops[-1] != stops[0]:
+        stops.append(stops[0])
+    return stops
+
+
+def _tour_path(stops, name):
+    return piecewise_path("g", UNIT, [((i + 1) / len(stops), n)
+                                      for i, n in enumerate(stops)],
+                          name=name)
+
+
+@st.composite
+def _frames(draw):
+    """rotation(a) diag(s0, +-s1) rotation(b) with s0, s1 in [0.3, 3]: a
+    frame whose condition number is at most 10, reflections included."""
+    turn = st.floats(min_value=-math.pi, max_value=math.pi)
+    scale = st.floats(min_value=0.3, max_value=3.0)
+    a, b, s0, s1 = draw(turn), draw(turn), draw(scale), draw(scale)
+    s1 *= draw(st.sampled_from((1.0, -1.0)))
+    return matmul(matmul(rotation(a), ((s0, 0.0), (0.0, s1))), rotation(b))
+
+
+@st.composite
+def _honest_specs(draw):
+    """A permutation transport, a two-section foliation or a
+    parallelization over the complete graph on three or four nodes, with
+    random node tours as its law and product paths; the second law path,
+    a closed tour, is the uniqueness path, so law 4.4 has a revisit."""
+    nodes = _NODES[:draw(st.integers(min_value=3, max_value=4))]
+    kind = draw(st.sampled_from(("permutation", "foliation",
+                                 "parallelization")))
+    if kind == "permutation":
+        labels = ("a", "b", "c")[:draw(st.integers(min_value=2, max_value=3))]
+        bundle = FibreBundle("g", "graph", "finite", nodes=nodes,
+                             labels=labels)
+        T = permutation_transport(bundle, {
+            (x, y): dict(zip(labels, draw(st.permutations(labels))))
+            for i, x in enumerate(nodes) for y in nodes[i + 1:]})
+    elif kind == "foliation":
+        values = {n: draw(st.permutations(("p", "q", "r"))) for n in nodes}
+        bundle = FibreBundle("g", "graph", "sections", nodes=nodes,
+                             sections=tuple(
+                                 table_section(name, "g", {n: values[n][i]
+                                                           for n in nodes})
+                                 for i, name in enumerate(("alpha", "beta"))))
+        T = foliation_transport(bundle)
+    else:
+        bundle = FibreBundle("g", "graph", "vector", nodes=nodes)
+        T = parallelization_transport(bundle,
+                                      {n: draw(_frames()) for n in nodes})
+    walk, second = draw(_tours(nodes)), draw(_tours(nodes, closed=True))
+    onward = draw(_tours(nodes, start=walk[-1]))
+    first, other = _tour_path(walk, "walk"), _tour_path(second, "second")
+    return InstanceSpec(name=kind, transport=T, law_paths=(first, other),
+                        product_pair=(first, _tour_path(onward, "onward")),
+                        uniqueness_path=other)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_honest_specs(), st.integers(min_value=0, max_value=2 ** 16))
+def test_honest_transports_of_the_general_form_pass_every_applicable_law(
+        spec, seed):
+    """Among them the laws that read fibre maps on a frame: the canonical
+    family's roundtrip and gauges (3.6-roundtrip, 3.11/3.12) and, for the
+    global foliations and parallelizations, uniqueness over revisits
+    (4.4)."""
+    assert {"3.6-roundtrip", "3.11/3.12"} <= set(spec.applicable)
+    assert ("4.4" in spec.applicable) == (spec.name != "permutation")
+    for law in spec.applicable:
+        report = run_law(spec, law, trials=50, seed=seed)
+        assert report.passed, (law, report.max_deviation, report.tolerance)
