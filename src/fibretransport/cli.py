@@ -135,7 +135,9 @@ def cmd_lift(args: argparse.Namespace) -> int:
     spec = make_instance(args.instance, step=args.step)
     p = (spec.path_named(args.path_name) if args.path_name
          else spec.law_paths[0])
-    s0 = p.domain.lo if args.s0 is None else args.s0
+    grid = p.domain.samples(args.samples)
+    s0 = p.domain.lo if args.s0 is None else p.domain.clamp(args.s0)
+    s0 = next((t for t in grid if t == s0), s0)  # -0.0 is the grid's 0.0
     element = args.element
     anchor_point = p.at(s0)
     if element is None:
@@ -153,8 +155,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
     else:
         u = label_element(anchor_point, element)
     lifted = lf.lift(spec.transport, p, u, s0)
-    s0 = lifted.anchor
-    params = [s0] + [t for t in p.domain.samples(args.samples) if t != s0]
+    params = [s0] + [t for t in grid if t != s0]
     values = [(t, lifted.at(t)) for t in params]
 
     if args.fmt == "csv":

@@ -152,7 +152,8 @@ def canonical_factorization(T: Transport, p: Path, s0: float | None = None,
     """The family F_s = transport from s to s0, tabulated on ``grid``
     evenly spaced parameters of p's domain, with s0 added when it is not
     one of them.  s0 defaults to the domain's start; one within EDGE_SLACK
-    of the domain is snapped onto its edge first.
+    of the domain is snapped onto its edge first, and one equal to a grid
+    point is that point (an anchor of -0.0 is 0.0).
 
     F_{s0} comes out as the identity map exactly.
     """
@@ -163,6 +164,7 @@ def canonical_factorization(T: Transport, p: Path, s0: float | None = None,
     s0 = pts[0] if s0 is None else p.domain.clamp(s0)
     if s0 not in pts:
         pts = tuple(sorted({*pts, s0}))
+    s0 = pts[pts.index(s0)]
     maps = tuple(fibre_map(T, p, s, s0) for s in pts)
     return Factorization(bundle=T.bundle, path=p, anchor=s0, grid=pts,
                          maps=maps, tolerance=T.tolerance)

@@ -185,11 +185,11 @@ def liftings_disjoint_or_equal(T: tr.Transport, p, *, trials: int = 50,
             f"global uniqueness fails over {p.name!r} "
             f"(deviation {pre.max_deviation})")
     tol = law_named("4.6").threshold(T)
+    draw = tr._draws(T.bundle, p, (p.domain, p.domain))
 
     def trial(k, rng):
-        r = rng.uniform(p.domain.lo, p.domain.hi)
-        s = rng.uniform(p.domain.lo, p.domain.hi)
-        l1 = lf.lift(T, p, tr.draw_for_bundle(rng, T.bundle, p.at(r)), r)
+        _, _, (r, s), u = draw(k, rng)
+        l1 = lf.lift(T, p, u, r)
         l2 = lf.lift(T, p, tr.draw_for_bundle(rng, T.bundle, p.at(s)), s)
         devs = [element_deviation(l1.at(g), l2.at(g))
                 for g in p.domain.samples(9)]

@@ -21,8 +21,8 @@ from .bundles import (SAME_POINT_TOL, FibreElement, chart_deviation,
                       element_deviation, fibre_elements, fibre_labels, rebase)
 from .errors import FibreTransportError
 from .paths import Path, piece_runs
-from .transport import (Transport, _as_paths, _desc, _draw_params, _pick,
-                        checked_source, draw_for_bundle, transport)
+from .transport import (Transport, _desc, _draws, checked_source,
+                        draw_for_bundle, transport)
 
 
 class Lifting(namedtuple("Lifting", "path anchor through value_fn name",
@@ -82,11 +82,10 @@ def occurrence_set(p: Path, u: FibreElement) -> tuple[float, ...]:
 
 def projection_trial(T: Transport, paths, trials: int):
     """Law 4.2: liftings project onto the base path and hit their anchor."""
-    paths = _as_paths(paths)
+    draw = _draws(T.bundle, paths)
 
     def trial(k, rng):
-        p, s0, t = _draw_params(rng, paths, 2)
-        u = draw_for_bundle(rng, T.bundle, p.at(s0))
+        p, _, (s0, t), u = draw(k, rng)
         lifted = lift(T, p, u, s0)
         yield (T.bundle.point_deviation(lifted.at(t).over, p.at(t)),
                p.name, {"s0": s0, "t": t}, ["projection"])
@@ -99,11 +98,10 @@ def projection_trial(T: Transport, paths, trials: int):
 def self_consistency_trial(T: Transport, paths, trials: int):
     """Law 4.6: a lifting re-anchored at any of its own points is unchanged,
     compared on a 7-point grid."""
-    paths = _as_paths(paths)
+    draw = _draws(T.bundle, paths)
 
     def trial(k, rng):
-        p, s0, r = _draw_params(rng, paths, 2)
-        u = draw_for_bundle(rng, T.bundle, p.at(s0))
+        p, _, (s0, r), u = draw(k, rng)
         first = lift(T, p, u, s0)
         second = lift(T, p, first.at(r), r)
         # deviations are non-negative: max_abs is their NaN-keeping maximum
@@ -153,7 +151,7 @@ def uniqueness_trial(T: Transport, p: Path, trials: int):
                    p.name, {"from": r, "to": s}, [_desc(u)])
         # the same requirement, phrased through liftings: anchoring at either
         # visit must produce the same curve
-        probe = _pick(rng, elements)
+        probe = elements[rng.randrange(len(elements))]
         l1 = lift(T, p, probe, r)
         l2 = lift(T, p, rebase(l1.at(s), p.at(s)), s)
         dev = linalg.max_abs([element_deviation(l1.at(g), l2.at(g))

@@ -21,7 +21,7 @@ import json
 import math
 import random
 from collections import namedtuple
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from .bundles import (SAME_POINT_TOL, BundleMetric, FibreBundle,
                       FibreElement, element_deviation, evaluate_metric,
@@ -248,9 +248,7 @@ def run_trials(law: str, T: Transport, trials: int, tolerance: float,
 
 
 def _as_paths(paths) -> tuple[Path, ...]:
-    if isinstance(paths, Path):
-        return (paths,)
-    out = tuple(paths)
+    out = (paths,) if isinstance(paths, Path) else tuple(paths)
     if not out:
         raise FibreTransportError("at least one path is required")
     return out
@@ -284,17 +282,49 @@ def _desc(u: FibreElement):
     return u.label if u.label is not None else list(u.vector)
 
 
-def _pick(rng: random.Random, items: Sequence):
-    return items[rng.randrange(len(items))]
+def _draws(bundle: FibreBundle, paths, n=2, remaps=None, derive=None,
+           first: tuple | None = None):
+    """A sampled law's draws: ``draw(k, rng)`` returns trial k's pick, path
+    q, parameters and element, making every ``rng`` call in one order.
 
+    With ``n`` a count, a path p is picked from ``paths`` (a lone path is a
+    list of one), then a remap from ``remaps`` if given: the pick is p or
+    (p, remap), q is ``reparameterize(p, remap)``, ``derive(p)`` or p, each
+    built once, and n parameters are drawn on q's domain.  With ``n`` a
+    tuple of intervals, ``paths`` is q and the pick, taken with no call
+    (``randrange(1)`` would draw), and one parameter is drawn on each.  A
+    parameter is ``random.uniform``'s formula, or ``first`` at trial 0 when
+    given.  The element is drawn last, over q at the first parameter.
+    """
+    one = not isinstance(n, int)
+    paths = paths if one else _as_paths(paths)
+    if remaps is not None:
+        remaps = tuple(remaps)
+        if not remaps:
+            raise FibreTransportError(
+                "at least one reparameterization is required")
+        for p in paths:
+            for remap in remaps:
+                if not remap.target.same_as(p.domain):
+                    raise FibreTransportError(
+                        f"reparameterization {remap.name!r} targets "
+                        f"{remap.target}, path domain is {p.domain}")
+        derive = reparameterize
+    derive = derive and functools.cache(derive)  # so q's cells are reused
 
-def _draw_params(rng: random.Random, paths, n: int) -> tuple:
-    """One of the paths, then n parameters drawn uniformly on its domain."""
-    p = _pick(rng, paths)
-    lo, hi = p.domain
-    width = hi - lo
-    # random.uniform's own formula, so the stream is the same
-    return (p, *(lo + width * rng.random() for _ in range(n)))
+    def draw(k, rng):
+        pick = q = paths if one else paths[rng.randrange(len(paths))]
+        if remaps:
+            remap = remaps[rng.randrange(len(remaps))]
+            pick, q = (q, remap), derive(q, remap)
+        elif derive:
+            q = derive(q)
+        params = first if k == 0 and first is not None else tuple(
+            [lo + (hi - lo) * rng.random()
+             for lo, hi in (n if one else (q.domain,) * n)])
+        return pick, q, params, draw_for_bundle(rng, bundle, q.at(params[0]))
+
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +334,10 @@ def _draw_params(rng: random.Random, paths, n: int) -> tuple:
 
 def composition_trial(T: Transport, paths, trials: int):
     """Law 2.2: the (t, r) map after the (s, t) map equals the (s, r) map."""
-    paths = _as_paths(paths)
+    draw = _draws(T.bundle, paths, 3)
 
     def trial(k, rng):
-        p, s, t, r = _draw_params(rng, paths, 3)
-        u = draw_for_bundle(rng, T.bundle, p.at(s))
+        p, _, (s, t, r), u = draw(k, rng)
         via = transport(T, p, t, r, transport(T, p, s, t, u))
         direct = transport(T, p, s, r, u)
         yield (element_deviation(via, direct), p.name,
@@ -319,11 +348,10 @@ def composition_trial(T: Transport, paths, trials: int):
 
 def identity_trial(T: Transport, paths, trials: int):
     """Law 2.3: the (s, s) map fixes every element."""
-    paths = _as_paths(paths)
+    draw = _draws(T.bundle, paths, 1)
 
     def trial(k, rng):
-        p, s = _draw_params(rng, paths, 1)
-        u = draw_for_bundle(rng, T.bundle, p.at(s))
+        p, _, (s,), u = draw(k, rng)
         yield (element_deviation(transport(T, p, s, s, u), u), p.name,
                {"s": s}, [_desc(u)])
 
@@ -332,11 +360,10 @@ def identity_trial(T: Transport, paths, trials: int):
 
 def inverse_trial(T: Transport, paths, trials: int):
     """Law 3.1: the (t, s) map undoes the (s, t) map."""
-    paths = _as_paths(paths)
+    draw = _draws(T.bundle, paths)
 
     def trial(k, rng):
-        p, s, t = _draw_params(rng, paths, 2)
-        u = draw_for_bundle(rng, T.bundle, p.at(s))
+        p, _, (s, t), u = draw(k, rng)
         back = inverse_transport(T, p, s, t)(transport(T, p, s, t, u))
         yield element_deviation(back, u), p.name, {"s": s, "t": t}, [_desc(u)]
 
@@ -345,12 +372,11 @@ def inverse_trial(T: Transport, paths, trials: int):
 
 def locality_trial(T: Transport, paths, trials: int):
     """Law 2.5/2.7: restricting the path beyond [s, t] changes nothing."""
-    paths = _as_paths(paths)
+    draw = _draws(T.bundle, paths)
 
     def trial(k, rng):
-        p, s, t = _draw_params(rng, paths, 2)
+        p, _, (s, t), u = draw(k, rng)
         q = restrict(p, Interval(min(s, t), max(s, t)))
-        u = draw_for_bundle(rng, T.bundle, p.at(s))
         dev = element_deviation(transport(T, q, s, t, u),
                                 transport(T, p, s, t, u))
         yield dev, p.name, {"s": s, "t": t}, [_desc(u)]
@@ -362,26 +388,10 @@ def reparam_trial(T: Transport, paths, remaps, trials: int):
     """Law 2.6: transports along p after a parameter change match transports
     along p at the corresponding parameters; ``remaps`` is a sequence of
     ``Reparameterization``s onto the paths' domains."""
-    paths = _as_paths(paths)
-    remaps = tuple(remaps)
-    if not remaps:
-        raise FibreTransportError("at least one reparameterization is required")
-    for p in paths:
-        for remap in remaps:
-            if not remap.target.same_as(p.domain):
-                raise FibreTransportError(
-                    f"reparameterization {remap.name!r} targets "
-                    f"{remap.target}, path domain is {p.domain}")
-    # one derived path per (path, remap), so its transports share cells
-    reparameterized = functools.cache(reparameterize)
+    draw = _draws(T.bundle, paths, remaps=remaps)
 
     def trial(k, rng):
-        p = _pick(rng, paths)
-        remap = _pick(rng, remaps)
-        q = reparameterized(p, remap)
-        s = rng.uniform(remap.source.lo, remap.source.hi)
-        t = rng.uniform(remap.source.lo, remap.source.hi)
-        u = draw_for_bundle(rng, T.bundle, q.at(s))
+        (p, remap), q, (s, t), u = draw(k, rng)
         lhs = transport(T, q, s, t, u)
         rhs = transport(T, p, remap.apply(s), remap.apply(t),
                         rebase(u, p.at(remap.apply(s))))
@@ -398,18 +408,11 @@ def inverse_path_trial(T: Transport, paths, trials: int):
     if "reparam_invariant" not in T.declared:
         raise FibreTransportError(
             "inverse-path law requires a transport declared reparam_invariant")
-    paths = _as_paths(paths)
-    reversed_path = functools.cache(reverse)  # one per path, as in 2.6
+    draw = _draws(T.bundle, paths, derive=reverse,
+                  first=(0.0, 1.0))  # trial 0 is the full traversal
 
     def trial(k, rng):
-        p = _pick(rng, paths)
-        q = reversed_path(p)
-        if k == 0:
-            s, t = 0.0, 1.0  # always include the full traversal
-        else:
-            s = rng.uniform(0.0, 1.0)
-            t = rng.uniform(0.0, 1.0)
-        u = draw_for_bundle(rng, T.bundle, q.at(s))
+        p, q, (s, t), u = draw(k, rng)
         lhs = transport(T, q, s, t, u)
         rhs = transport(T, p, 1.0 - s, 1.0 - t, rebase(u, p.at(1.0 - s)))
         yield element_deviation(lhs, rhs), p.name, {"s": s, "t": t}, [_desc(u)]
@@ -429,16 +432,14 @@ def product_cross_trial(T: Transport, p1: Path, p2: Path, trials: int):
     """Law 3.4: across the seam of the concatenation, the transport
     factors through the two halves."""
     prod, (left, right) = _product_of(T, p1, p2)
+    draw = _draws(T.bundle, prod, (left.source, right.source))
 
     def trial(k, rng):
-        t1 = rng.uniform(left.source.lo, left.source.hi)
-        t2 = rng.uniform(right.source.lo, right.source.hi)
-        u = draw_for_bundle(rng, T.bundle, prod.at(t1))
+        _, _, (t1, t2), u = draw(k, rng)
         lhs = transport(T, prod, t1, t2, u)
         a = left.apply(t1)
         mid_el = transport(T, p1, a, p1.domain.hi, rebase(u, p1.at(a)))
-        b = right.apply(t2)
-        rhs = transport(T, p2, p2.domain.lo, b,
+        rhs = transport(T, p2, p2.domain.lo, right.apply(t2),
                         rebase(mid_el, p2.at(p2.domain.lo)))
         yield (element_deviation(lhs, rhs), prod.name,
                {"t1": t1, "t2": t2}, [_desc(u)])
@@ -450,12 +451,12 @@ def product_same_trial(T: Transport, p1: Path, p2: Path, trials: int):
     """Law 3.5: within one half of the concatenation, the transport
     equals the transport along that half alone."""
     prod, remaps = _product_of(T, p1, p2)
+    halves = [(half, remap, _draws(T.bundle, prod, (remap.source,) * 2))
+              for half, remap in zip((p1, p2), remaps)]
 
     def trial(k, rng):
-        half, remap = (p1, p2)[k % 2], remaps[k % 2]
-        t1 = rng.uniform(remap.source.lo, remap.source.hi)
-        t2 = rng.uniform(remap.source.lo, remap.source.hi)
-        u = draw_for_bundle(rng, T.bundle, prod.at(t1))
+        half, remap, draw = halves[k % 2]  # trial k stays on half k % 2
+        _, _, (t1, t2), u = draw(k, rng)
         lhs = transport(T, prod, t1, t2, u)
         a = remap.apply(t1)
         rhs = transport(T, half, a, remap.apply(t2), rebase(u, half.at(a)))
@@ -469,18 +470,17 @@ def linearity_trial(T: Transport, paths, trials: int):
     """Law 2.8: the maps respect linear combinations (relative deviation)."""
     if T.bundle.fibre_kind != "vector":
         raise FibreTransportError("linearity applies to vector fibres")
-    paths = _as_paths(paths)
+    draw = _draws(T.bundle, paths)
 
     def trial(k, rng):
-        p, s, t = _draw_params(rng, paths, 2)
-        x = p.at(s)
-        u = unit_ball(rng)
+        p, _, (s, t), e = draw(k, rng)
+        x, u = e.over, e.vector
         v = unit_ball(rng)
         lam = rng.uniform(-2.0, 2.0)
         mu = rng.uniform(-2.0, 2.0)
         w = lin_comb(lam, u, mu, v)
         tw = transport(T, p, s, t, vector_element(x, w)).vector
-        tu = transport(T, p, s, t, vector_element(x, u)).vector
+        tu = transport(T, p, s, t, e).vector
         tv = transport(T, p, s, t, vector_element(x, v)).vector
         combined = lin_comb(lam, tu, mu, tv)
         scale = max(1.0, max_abs(w), max_abs(tw), max_abs(combined))
@@ -498,14 +498,12 @@ def metric_trial(T: Transport, metric: BundleMetric | None, paths,
         raise FibreTransportError("metric consistency needs a bundle metric")
     if T.bundle.fibre_kind != "vector":
         raise FibreTransportError("metric consistency applies to vector fibres")
-    paths = _as_paths(paths)
+    draw = _draws(T.bundle, paths)
 
     def trial(k, rng):
-        p, s, t = _draw_params(rng, paths, 2)
-        x = p.at(s)
-        u = vector_element(x, unit_ball(rng))
-        v = vector_element(x, unit_ball(rng))
-        before = evaluate_metric(metric, x, u, v)
+        p, _, (s, t), u = draw(k, rng)
+        v = vector_element(u.over, unit_ball(rng))
+        before = evaluate_metric(metric, u.over, u, v)
         tu = transport(T, p, s, t, u)
         tv = transport(T, p, s, t, v)
         after = evaluate_metric(metric, p.at(t), tu, tv)
@@ -528,7 +526,7 @@ def section_trial(T: Transport, paths, trials: int):
                 u0 = draw_for_bundle(rng, T.bundle, p.at(pts[0]))
                 values = [transport(T, p, pts[0], t, u0) for t in pts]
                 propagated.append((p, pts, values))
-        p, pts, values = _pick(rng, propagated)
+        p, pts, values = propagated[rng.randrange(len(propagated))]
         i = rng.randrange(len(pts))
         j = rng.randrange(len(pts))
         regrown = transport(T, p, pts[i], pts[j], values[i])

@@ -328,6 +328,23 @@ def test_an_anchor_within_the_edge_slack_is_snapped_onto_the_edge(command,
     assert len(set(params)) == len(params) == 11
 
 
+@pytest.mark.parametrize("command", ["factorize", "lift"])
+def test_an_anchor_of_negative_zero_writes_what_zero_writes(command,
+                                                            tmp_path, capsys):
+    """--s0 -0.0 names the grid point 0.0: both commands write the files
+    and the summary line that --s0 0 writes."""
+    written = []
+    for s0 in ("-0.0", "0"):
+        out = tmp_path / s0
+        out.mkdir()
+        assert main([command, "--instance", "perm-c3", "--s0", s0,
+                     "--out", str(out)]) == 0
+        written.append(({f.name: f.read_bytes() for f in out.iterdir()},
+                        capsys.readouterr().out))
+    assert written[0] == written[1]
+    assert b"-0.0" not in b"".join(written[0][0].values())
+
+
 @pytest.mark.parametrize("extra", [
     ["--trials", "0"],
     ["--trials", "-5"],

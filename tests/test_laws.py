@@ -115,3 +115,48 @@ def test_only_the_runner_and_the_records_take_a_tolerance_or_a_seed():
     for name, allowed in _MAY_TAKE.items():
         assert takers[name] <= allowed, name
     assert option_bags == []
+
+
+def _mentions(node, names):
+    return any(isinstance(n, ast.Name) and n.id in names
+               or isinstance(n, ast.Attribute) and n.attr in names
+               for n in ast.walk(node))
+
+
+def _called(node, name):
+    return (isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None),
+                         getattr(node.func, "attr", None)))
+
+
+def _path_and_parameter_draws(path):
+    """(scope, line) of each place a module picks a law path or remap, or
+    draws a uniform parameter on the bounds of a domain or remap source,
+    whether by ``uniform`` or by its formula around ``random()``."""
+    found = set()
+    for node, scope in _scoped_nodes(path):
+        picks = (any(_called(node, name) for name in ("_pick", "randrange",
+                                                      "choice"))
+                 and any(_mentions(a, {"paths", "remaps"})
+                         for a in node.args))
+        uniform = (_called(node, "uniform")
+                   and any(_mentions(a, {"lo", "hi", "domain", "source"})
+                           for a in node.args))
+        formula = (isinstance(node, ast.BinOp) and _mentions(node, {"lo", "hi"})
+                   and any(_called(n, "random") for n in ast.walk(node)))
+        if picks or uniform or formula:
+            found.add((scope, node.lineno))
+    return found
+
+
+def test_every_path_and_parameter_is_drawn_by_the_draw_routine():
+    """A trial body takes its path, parameters and element from
+    ``transport._draws``, so the draws of every sampled law are made in
+    one place.  Constant ranges, such as law 2.8's coefficients or a
+    random gauge's entries, are not draws of a path or a parameter."""
+    draws = [(path.name, scope, line) for path in SOURCES
+             for scope, line in _path_and_parameter_draws(path)]
+    # the scan sees the routine's own pick, remap pick and parameter draw
+    assert len([d for d in draws if d[:2] == ("transport.py", ("_draws",
+                                                               "draw"))]) == 3
+    assert [d for d in draws if d[1][:1] != ("_draws",)] == []

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import math
 import random
 
@@ -8,14 +10,18 @@ from hypothesis import strategies as st
 from fibretransport.bundles import (FibreBundle, label_element,
                                     table_section, vector_element)
 from fibretransport.cli import run_law
+from fibretransport.laws import LAWS, liftings_disjoint_or_equal
 from fibretransport.instances import (InstanceSpec, foliation_transport,
                                       make_instance, parallelization_transport,
                                       permutation_transport)
 from fibretransport.linalg import (identity, inverse, matmul, matvec,
                                    rotation, rotation_angle, solve)
 from fibretransport.paths import (EDGE_SLACK, Interval, Reparameterization,
-                                  UNIT, affine_remap, piecewise_path)
-from fibretransport.transport import _draw_params, transport, unit_ball
+                                  UNIT, affine_remap, concatenate,
+                                  piecewise_path, reparameterize, reverse,
+                                  share_remaps, square_remap)
+from fibretransport.transport import (_draws, draw_for_bundle, transport,
+                                      unit_ball)
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -121,23 +127,128 @@ def _bits(xs):
     return [x.hex() for x in xs]
 
 
+def _element_bits(u):
+    return u.label if u.label is not None else _bits(u.vector)
+
+
+def _reference_element(rng, bundle):
+    # the draws of draw_for_bundle as the laws made them before the draw
+    # routine: a label by randrange, or a vector by the generic loop
+    if bundle.fibre_kind == "vector":
+        return _bits(_generic_unit_ball(rng, 2))
+    return bundle.labels[rng.randrange(len(bundle.labels))]
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_draws_are_the_generic_draws_to_the_bit(seed):
-    """unit_ball and _draw_params give the generic loop's values and
-    random.uniform's, and leave the stream where those leave it."""
-    paths = tuple(piecewise_path("g", d, [(d.hi, "n0")])
-                  for d in (UNIT, Interval(-3.0, 0.7), Interval(1e-3, 1e3)))
+    """Each shape of the draw routine picks with randrange on each level,
+    draws each parameter as random.uniform on its domain, draws the
+    element over the trial's path at the first parameter, and leaves the
+    stream where the trial bodies it replaced left it.  unit_ball is the
+    generic n-ball loop at n = 2."""
+    def two_nodes(d, name):
+        return piecewise_path("g", d, [((d.lo + d.hi) / 2, "n0"),
+                                       (d.hi, "n1")], name=name)
+
+    bundles = (FibreBundle("g", "graph", "finite", nodes=("n0", "n1"),
+                           labels=("a", "b", "c")),
+               FibreBundle("g", "graph", "vector", nodes=("n0", "n1")))
+    paths = tuple(two_nodes(d, f"p{i}") for i, d in enumerate(
+        (UNIT, Interval(-3.0, 0.7), Interval(1e-3, 1e3))))
+    units = tuple(two_nodes(UNIT, f"u{i}") for i in range(3))
+    remaps = (affine_remap(Interval(0.0, 2.0), UNIT), square_remap())
+    pair = (units[0], reverse(units[0]))  # it ends where it starts back
+    prod = concatenate(*pair)
+    left, right = share_remaps(pair)
+    halves = ((left.source, right.source), (left.source,) * 2,
+              (right.source,) * 2)
+    draws = {bundle: (_draws(bundle, paths, 1), _draws(bundle, paths, 2),
+                      _draws(bundle, paths, 3),
+                      _draws(bundle, units, remaps=remaps),
+                      _draws(bundle, units, derive=reverse, first=(0.0, 1.0)),
+                      [_draws(bundle, prod, on) for on in halves],
+                      [_draws(bundle, p, (p.domain,) * 2) for p in paths])
+             for bundle in bundles}
+    derived = functools.cache(lambda build, *args: build(*args))
     new, old = random.Random(seed), random.Random(seed)
+
+    def check(drawn, pick, q, domains, params=None):
+        got_pick, got_q, got_params, u = drawn
+        # a derived path is built anew here, so it is compared by name
+        assert got_pick == pick and got_q.name == q.name
+        if params is None:
+            params = [old.uniform(d.lo, d.hi) for d in domains]
+        assert _bits(got_params) == _bits(params)
+        assert u.over == got_q.at(params[0]) == q.at(params[0])
+        assert _element_bits(u) == _reference_element(old, bundle)
+        assert new.random().hex() == old.random().hex()
+
     for k in range(1000):
         assert _bits(unit_ball(new)) == _bits(_generic_unit_ball(old, 2))
         assert new.random().hex() == old.random().hex()
+        bundle = bundles[k % 2]
+        by_n, by_remap, by_reversal, by_half, by_path = (
+            draws[bundle][k % 3], *draws[bundle][3:])
+        # a picked law path, with n parameters on its domain
         n = 1 + k % 3
-        p, *drawn = _draw_params(new, paths, n)
-        q = paths[old.randrange(len(paths))]
-        assert p is q
-        assert _bits(drawn) == _bits(old.uniform(q.domain.lo, q.domain.hi)
-                                     for _ in range(n))
+        drawn = by_n(k, new)
+        p = paths[old.randrange(len(paths))]
+        check(drawn, p, p, [p.domain] * n)
+        # a picked path, then a picked remap, on the remap's source
+        drawn = by_remap(k, new)
+        p = units[old.randrange(len(units))]
+        remap = remaps[old.randrange(len(remaps))]
+        check(drawn, (p, remap), derived(reparameterize, p, remap),
+              [remap.source] * 2)
+        # a picked path, reversed, whose trial 0 is the full traversal
+        drawn = by_reversal(k, new)
+        p = units[old.randrange(len(units))]
+        check(drawn, p, derived(reverse, p), [UNIT] * 2,
+              (0.0, 1.0) if k == 0 else None)
+        # no pick: one parameter on each product half, or both on one
+        check(by_half[k % 3](k, new), prod, prod, halves[k % 3])
+        # no pick, on one fixed path, then a second element drawn after it
+        p = paths[k % 3]
+        check(by_path[k % 3](k, new), p, p, [p.domain] * 2)
+        assert (_element_bits(draw_for_bundle(new, bundle, p.at(0.5)))
+                == _reference_element(old, bundle))
         assert new.random().hex() == old.random().hex()
+
+
+# Every law whose trials draw through the draw routine; law 4.6's
+# dichotomy, liftings_disjoint_or_equal, is the thirteenth.
+SAMPLED = ("2.2", "2.3", "2.5/2.7", "2.6", "2.8", "2.9", "3.1", "3.2", "3.4",
+           "3.5", "4.2", "4.6")
+
+# sha256 of the application log below.  Honest graph presets pass 3.1, 3.2,
+# 3.4, 3.5, 4.2 and 4.6 at deviation 0, so their reports carry no drawn
+# parameter; this log does.  It holds only drawn and remapped parameters,
+# so it does not depend on libm.
+APPLICATIONS_SHA256 = ("d93f8cc625c95164df31913ba504be37"
+                       "cd882a52b31229b4fa58694fc94aef50")
+
+
+def test_the_sampled_laws_apply_the_rule_at_the_pinned_parameters():
+    log = []
+
+    def logged(T):
+        def apply(p, s, t, u):
+            log.append(f"{p.name} {s.hex()} {t.hex()}")
+            return T.apply_fn(p, s, t, u)
+        return T._replace(apply_fn=apply)
+
+    for name in ("sphere-levi-civita", "parallelization-flat"):
+        spec = make_instance(name)
+        T = logged(spec.transport)
+        for law in LAWS:
+            if law.id in SAMPLED and law.applies(spec):
+                law.check(T, *law.inputs(spec), trials=10, seed=0)
+    par = make_instance("parallelization-flat")
+    liftings_disjoint_or_equal(logged(par.transport),
+                               par.path_named("figure-eight"), trials=10)
+    assert len(log) == 994
+    assert (hashlib.sha256("\n".join(log).encode()).hexdigest()
+            == APPLICATIONS_SHA256)
 
 
 @given(params, params, params)
