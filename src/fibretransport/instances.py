@@ -118,10 +118,14 @@ def foliation_transport(bundle: FibreBundle, name: str = "foliation") -> Transpo
                      tolerance=0.0)
 
 
-# The largest gap a parallelization's frame maps may leave in their cocycle
-# identities: the rounding of honest frames, such as rotations by arbitrary
-# angles, stays far below it.
-FRAME_GAP_TOL = 1e-12
+# A parallelization's frame maps compose up to rounding, and the rounding
+# grows with the size of the maps: the gap of the cocycle identity across
+# (x, y, z) is bounded by FRAME_GAP_EPS machine epsilons times the product
+# of the max-abs norms of frame(z), frame(y)^-1, frame(y) and frame(x)^-1,
+# the maps it composes (Higham, Accuracy and Stability of Numerical
+# Algorithms, ch. 3, on the matrix product).  Random frames of condition
+# number 10 to 10^4 reach at most 5 of these epsilons.
+FRAME_GAP_EPS = 16.0
 
 
 def parallelization_transport(bundle: FibreBundle,
@@ -130,10 +134,14 @@ def parallelization_transport(bundle: FibreBundle,
     """Identify all fibres through one invertible frame matrix per node.
 
     The point maps are frame(y) o frame(x)^{-1}; their two-point cocycle
-    identities are validated exhaustively at construction.  A frame that is
-    not 2 x 2, is singular or is not finite is refused.  The tolerance is
-    0.0 when every cocycle identity holds to the bit, and FRAME_GAP_TOL,
-    the gap it allows, otherwise.
+    identities are validated exhaustively at construction, each against
+    its FRAME_GAP_EPS bound.  A frame that is not 2 x 2, is singular or is
+    not finite is refused.  The tolerance is 0.0 when every point map is a
+    signed permutation, as between quarter turns: an image is then its
+    element's components moved and signed, with no rounding.  Otherwise it
+    is the largest of those bounds, since even maps whose cocycle gaps are
+    all 0, such as those between the frames 1 and 3, round when applied
+    one after the other.
     """
     if bundle.fibre_kind != "vector":
         raise FibreTransportError("parallelizations need vector fibres")
@@ -143,17 +151,25 @@ def parallelization_transport(bundle: FibreBundle,
     inv = {n: map_invert(frames[n]) for n in bundle.nodes}
     pair = {(x, y): linalg.matmul(frames[y], inv[x])
             for x in bundle.nodes for y in bundle.nodes}
-    worst = 0.0
+    size = {n: linalg.max_abs((*frames[n][0], *frames[n][1]))
+            for n in bundle.nodes}
+    inv_size = {n: linalg.max_abs((*inv[n][0], *inv[n][1]))
+                for n in bundle.nodes}
+    bound = 0.0
     for x in bundle.nodes:
         for y in bundle.nodes:
             for z in bundle.nodes:
                 gap = map_deviation(linalg.matmul(pair[(y, z)], pair[(x, y)]),
                                     pair[(x, z)])
-                if not gap <= FRAME_GAP_TOL:
+                allowed = (FRAME_GAP_EPS * sys.float_info.epsilon * size[z]
+                           * inv_size[y] * size[y] * inv_size[x])
+                if not gap <= allowed:
                     raise FibreTransportError(
                         f"frame maps fail to compose across ({x}, {y}, {z}); "
-                        f"gap {gap}")
-                worst = max(worst, gap)
+                        f"gap {gap}, allowed {allowed}")
+                bound = max(bound, allowed)
+    exact = all(sorted(map(abs, row)) == [0.0, 1.0]
+                for m in pair.values() for row in m)
 
     def apply(p: Path, s: float, t: float, u: FibreElement) -> FibreElement:
         x, y = u.over.node, p.at(t)
@@ -164,7 +180,7 @@ def parallelization_transport(bundle: FibreBundle,
     return Transport(name=name, bundle=bundle, apply_fn=apply,
                      declared=frozenset({"local", "reparam_invariant",
                                          "linear", "global"}),
-                     tolerance=0.0 if worst == 0.0 else FRAME_GAP_TOL)
+                     tolerance=0.0 if exact else bound)
 
 
 # Integrator step of numeric presets unless the caller picks one.  It is

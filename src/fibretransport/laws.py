@@ -186,11 +186,12 @@ def liftings_disjoint_or_equal(T: tr.Transport, p, *, trials: int = 50,
             f"(deviation {pre.max_deviation})")
     tol = law_named("4.6").threshold(T)
     draw = tr._draws(T.bundle, p, (p.domain, p.domain))
+    element = tr.element_drawer(T.bundle)
 
     def trial(k, rng):
         _, _, (r, s), u = draw(k, rng)
         l1 = lf.lift(T, p, u, r)
-        l2 = lf.lift(T, p, tr.draw_for_bundle(rng, T.bundle, p.at(s)), s)
+        l2 = lf.lift(T, p, element(rng, p.at(s)), s)
         devs = [element_deviation(l1.at(g), l2.at(g))
                 for g in p.domain.samples(9)]
         # deviations are non-negative: max_abs is their NaN-keeping maximum,

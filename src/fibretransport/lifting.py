@@ -22,7 +22,7 @@ from .bundles import (SAME_POINT_TOL, FibreElement, chart_deviation,
 from .errors import FibreTransportError
 from .paths import Path, piece_runs
 from .transport import (Transport, _desc, _draws, checked_source,
-                        draw_for_bundle, transport)
+                        element_drawer, transport)
 
 
 class Lifting(namedtuple("Lifting", "path anchor through value_fn name",
@@ -137,6 +137,7 @@ def uniqueness_trial(T: Transport, p: Path, trials: int):
     pairs = _revisit_pairs(p)
     if not pairs:
         return lambda k, rng: iter(()), 1, "no revisited base points; vacuous"
+    element = element_drawer(T.bundle)
 
     def trial(k, rng):
         r, s = pairs[k]
@@ -144,7 +145,7 @@ def uniqueness_trial(T: Transport, p: Path, trials: int):
         elements = list(fibre_elements(T.bundle, x))
         if T.bundle.fibre_kind == "vector":
             extra = max(1, trials // (8 * len(pairs)))
-            elements += [draw_for_bundle(rng, T.bundle, x) for _ in range(extra)]
+            elements += [element(rng, x) for _ in range(extra)]
         for u in elements:
             back = transport(T, p, r, s, u)
             yield (element_deviation(back, rebase(u, p.at(s))),

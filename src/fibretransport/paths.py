@@ -29,11 +29,12 @@ breakpoint belongs to the piece on the right, so [n0 on [0, .5), n1 on [.5, 1]]
 evaluates to n1 at 0.5.  Compositions preserve evaluation semantics exactly
 because a derived path evaluates through the original jet.  A parameter is
 checked once, at the public entry (``Path.at``, ``Path.velocity``,
-``node_sequence``, ``piece_runs``, or the transport itself): the walkers
-read every point between their checked ends through the raw jet, and
-derived layers call their parent's raw ``jet`` with the remapped parameter
-snapped into its domain: a closed-form image of an exact end can still land
-an ulp outside it.
+``node_sequence``, or the transport itself): the walkers read the points
+between their checked ends through the raw jet, or from the midpoint of
+each piece a discrete path tabulates when it is built, and derived layers
+call their parent's raw ``jet`` with the remapped parameter snapped into
+its domain: a closed-form image of an exact end can still land an ulp
+outside it.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from __future__ import annotations
 import bisect
 import math
 from collections import namedtuple
+from itertools import groupby
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from .bundles import (COORD_TOL, SAME_POINT_TOL, BasePoint, chart_deviation,
@@ -99,7 +102,8 @@ UNIT = Interval(0.0, 1.0)
 # ---------------------------------------------------------------------------
 
 class Reparameterization(namedtuple(
-        "Reparameterization", "source target reversing squared name")):
+        "Reparameterization",
+        "source target reversing squared name coefficients")):
     """A strictly monotone bijection between two parameter intervals.
 
     The map is closed-form: affine, or with ``squared`` affine in u*u, where
@@ -109,8 +113,9 @@ class Reparameterization(namedtuple(
     refused, and so are flags that are not bools.  ``fwd`` maps source ->
     target, ``inv`` is its inverse and ``deriv`` the derivative of ``fwd``,
     which derived paths use to push analytic velocities through; all three
-    read ``coefficients``, which the fields determine, so equal remaps are
-    the same map.
+    read ``coefficients``, (a, c, k) with fwd(s) = c + (s - a) * k, or
+    c + (s - a)**2 * k when ``squared``.  That field is derived here from
+    the others and is never passed, so equal remaps are the same map.
     """
 
     __slots__ = ()
@@ -121,20 +126,16 @@ class Reparameterization(namedtuple(
         if not (isinstance(reversing, bool) and isinstance(squared, bool)):
             raise FibreTransportError(
                 f"{name}: reversing and squared must be bools")
-        if source.width <= 0.0 or target.width <= 0.0:
+        w, k = source.width, target.width
+        if w <= 0.0 or k <= 0.0:
             raise FibreTransportError(
                 f"{name}: remaps need non-degenerate intervals")
-        return tuple.__new__(cls, (source, target, reversing, squared, name))
-
-    @property
-    def coefficients(self) -> tuple[float, float, float]:
-        """(a, c, k) with fwd(s) = c + (s - a) * k, or c + (s - a)**2 * k
-        when ``squared``."""
-        a, w = self.source.lo, self.source.width
-        c, k = self.target.lo, self.target.width
-        if self.reversing:
-            c, k = self.target.hi, -k
-        return a, c, k / (w * w if self.squared else w)
+        c = target.lo
+        if reversing:
+            c, k = target.hi, -k
+        coefficients = (source.lo, c, k / (w * w if squared else w))
+        return tuple.__new__(cls, (source, target, reversing, squared, name,
+                                   coefficients))
 
     def fwd(self, s: float) -> float:
         a, c, k = self.coefficients
@@ -153,7 +154,14 @@ class Reparameterization(namedtuple(
         return 2.0 * k * (s - a) if self.squared else k
 
     def apply(self, s: float) -> float:
-        return self.target.clamp(self.fwd(self.source.clamp(s)))
+        # target.clamp(fwd(source.clamp(s))): clamp returns a parameter in
+        # range as it is, so only one out of range is handed to it
+        lo, hi = self.source
+        if not lo <= s <= hi:
+            s = self.source.clamp(s)
+        r = self.fwd(s)
+        lo, hi = self.target
+        return r if lo <= r <= hi else self.target.clamp(r)
 
     def invert_param(self, t: float) -> float:
         return self.source.clamp(self.inv(self.target.clamp(t)))
@@ -178,8 +186,8 @@ def canonical_reversal() -> Reparameterization:
 # Paths
 # ---------------------------------------------------------------------------
 
-class Path(namedtuple("Path",
-                      "space domain jet kind breakpoints crossings name")):
+class Path(namedtuple("Path", "space domain jet kind breakpoints crossings "
+                      "name piece_points")):
     """A parameterized path in one base space.
 
     ``jet(s)`` is the raw map: it must accept any parameter of ``domain``,
@@ -189,6 +197,14 @@ class Path(namedtuple("Path",
     and None.  ``at`` and ``velocity`` are the checked entries: they refuse a
     parameter outside the domain and snap one within EDGE_SLACK onto its
     edge.
+
+    ``piece_points`` is tabulated here from the other fields and is never
+    passed: for a discrete path, the jet's point at the midpoint
+    0.5 * (a + b) of each piece [a, b] between consecutive cuts (the domain
+    ends and the breakpoints), or at lo on a one-point domain; () for a
+    chart path.  The walkers read it instead of sampling the jet again, so
+    a copy that changes the jet, domain or breakpoints is built through
+    ``Path``, not ``_replace``.
     """
 
     __slots__ = ()
@@ -218,8 +234,14 @@ class Path(namedtuple("Path",
                     f"breakpoint {b} not interior to the domain")
         if list(breakpoints) != sorted(breakpoints):
             raise FibreTransportError("breakpoints must be sorted")
+        piece_points = ()
+        if kind == "discrete":
+            lo, hi = domain
+            cuts = (lo, *breakpoints, hi)
+            piece_points = ((jet(lo)[0],) if hi - lo <= 0.0 else tuple(
+                [jet(0.5 * (a + b))[0] for a, b in zip(cuts, cuts[1:])]))
         return tuple.__new__(cls, (space, domain, jet, kind, breakpoints,
-                                   crossings, name))
+                                   crossings, name, piece_points))
 
     def at(self, s: float) -> BasePoint:
         domain = self.domain
@@ -258,7 +280,7 @@ def with_crossings(p: Path, pairs: Sequence[tuple[float, float]]) -> Path:
         if chart_deviation(p.at(r), p.at(s)) > SAME_POINT_TOL:
             raise FibreTransportError(
                 f"declared crossing ({r}, {s}) does not close up")
-    return Path(**{**p._asdict(), "crossings": norm})
+    return p._replace(crossings=norm)
 
 
 def piecewise_path(space: str, domain: Interval,
@@ -410,17 +432,20 @@ def concatenate(*paths: Path) -> Path:
 # Discrete-path walkers
 # ---------------------------------------------------------------------------
 
+_node = attrgetter("node")
+
+
 def piece_runs(p: Path) -> list[tuple[float, float, BasePoint]]:
-    """Maximal constancy runs (run_lo, run_hi, point) of a discrete path."""
+    """Maximal constancy runs (run_lo, run_hi, point) of a discrete path.
+
+    Each piece between consecutive cuts is read at its midpoint, from the
+    path's ``piece_points``, and neighbouring pieces at one node merge."""
     if p.kind != "discrete":
         raise FibreTransportError("piece runs are defined for discrete paths")
-    (lo, hi), jet = p.domain, p.jet
-    if hi - lo <= 0.0:
-        return [(lo, hi, jet(lo)[0])]
-    cuts = [lo, *p.breakpoints, hi]  # breakpoints are interior
+    lo, hi = p.domain
+    cuts = [lo, *p.breakpoints, hi]
     runs: list[tuple[float, float, BasePoint]] = []
-    for a, b in zip(cuts, cuts[1:]):
-        x = jet(0.5 * (a + b))[0]
+    for a, b, x in zip(cuts, cuts[1:], p.piece_points):
         if runs and runs[-1][2].node == x.node:
             runs[-1] = (runs[-1][0], b, runs[-1][2])
         else:
@@ -429,30 +454,38 @@ def piece_runs(p: Path) -> list[tuple[float, float, BasePoint]]:
 
 
 def node_sequence(p: Path, s: float, t: float) -> list[str]:
-    """Nodes visited in order when moving from parameter s to parameter t."""
+    """Nodes visited in order when moving from parameter s to parameter t.
+
+    The path is sampled at lo = min(s, t), at the midpoint of each piece
+    between lo, the breakpoints inside (lo, hi) and hi = max(s, t), and at
+    hi.  The pieces between two breakpoints are whole pieces of the path, so
+    their samples are read from ``piece_points``; the two ends and the two
+    partial end pieces are read through the jet."""
     if p.kind != "discrete":
         raise FibreTransportError(
             "node sequences are defined for discrete paths")
-    s, t, jet = p.domain.clamp(s), p.domain.clamp(t), p.jet  # checked once
+    domain, jet = p.domain, p.jet
+    lo, hi = domain
+    if not lo <= s <= hi:  # checked once
+        s = domain.clamp(s)
+    if not lo <= t <= hi:
+        t = domain.clamp(t)
     lo, hi = (s, t) if s <= t else (t, s)
-    cuts = [lo, *p.interior_breakpoints(lo, hi), hi]
-    samples = [lo]
-    samples.extend(0.5 * (a + b) for a, b in zip(cuts, cuts[1:]))
-    samples.append(hi)
+    bps = p.breakpoints  # sorted: lo < b < hi is bps[i:j]
+    i, j = bisect.bisect_right(bps, lo), bisect.bisect_left(bps, hi)
+    if i < j:
+        points = [jet(lo)[0], jet(0.5 * (lo + bps[i]))[0],
+                  *p.piece_points[i + 1:j],
+                  jet(0.5 * (bps[j - 1] + hi))[0], jet(hi)[0]]
+    else:
+        points = [jet(lo)[0], jet(0.5 * (lo + hi))[0], jet(hi)[0]]
     if t < s:
-        samples.reverse()
-    seq: list[str] = []
-    for x in samples:
-        n = jet(x)[0].node
-        if not seq or seq[-1] != n:
-            seq.append(n)
-    return seq
+        points.reverse()
+    return [n for n, _ in groupby(map(_node, points))]  # one per visit
 
 
 def trace_nodes(p: Path) -> tuple[str, ...]:
     """The distinct nodes a discrete path visits, in first-visit order."""
-    seen: list[str] = []
-    for _, _, x in piece_runs(p):
-        if x.node not in seen:
-            seen.append(x.node)
-    return tuple(seen)
+    if p.kind != "discrete":
+        raise FibreTransportError("piece runs are defined for discrete paths")
+    return tuple(dict.fromkeys(map(_node, p.piece_points)))

@@ -159,8 +159,7 @@ def octant_loop(name: str = "octant") -> Path:
     loop = concatenate(great_circle_arc(b, c, name=f"{name}-leg1"),
                        great_circle_arc(c, a, name=f"{name}-leg2"),
                        great_circle_arc(a, b, name=f"{name}-leg3"))
-    return with_crossings(Path(**{**loop._asdict(), "name": name}),
-                          [(0.0, 1.0)])
+    return with_crossings(loop._replace(name=name), [(0.0, 1.0)])
 
 
 def closed_latitude(theta: float, name: str | None = None) -> Path:

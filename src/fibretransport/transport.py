@@ -25,7 +25,8 @@ from typing import Callable, Iterator
 
 from .bundles import (SAME_POINT_TOL, BundleMetric, FibreBundle,
                       FibreElement, element_deviation, evaluate_metric,
-                      fibre_labels, label_element, rebase, vector_element)
+                      fibre_labels, graph_point, label_element, rebase,
+                      vector_element)
 from .errors import FibreTransportError
 from .linalg import lin_comb, max_abs, vec_sub
 from .paths import Interval, Path, concatenate, reparameterize, restrict, \
@@ -254,28 +255,61 @@ def _as_paths(paths) -> tuple[Path, ...]:
     return out
 
 
+# random.gauss's TWOPI
+_TWO_PI = 2.0 * math.pi
+
+
 def unit_ball(rng: random.Random) -> tuple[float, float]:
     """A point of the unit disc, uniformly distributed: vector fibres are
-    rank 2.  It draws two Gaussians for the direction, then one uniform
-    for the radius."""
+    rank 2.  It draws a Gaussian pair for the direction, then one uniform
+    for the radius.
+
+    The pair is one Box-Muller step written as ``random.gauss`` computes
+    it, so it is, to the bit, the pair two ``rng.gauss(0.0, 1.0)`` calls
+    return on a stream with no Gaussian pending; the library calls
+    ``gauss`` nowhere.  gauss adds its zero mean, which changes only a
+    -0.0, and a pair holding one has radius 0 and is drawn again."""
+    random = rng.random
     while True:
-        g0 = rng.gauss(0.0, 1.0)
-        g1 = rng.gauss(0.0, 1.0)
+        x2pi = random() * _TWO_PI
+        g2rad = math.sqrt(-2.0 * math.log(1.0 - random()))
+        g0, g1 = math.cos(x2pi) * g2rad, math.sin(x2pi) * g2rad
         r = math.sqrt(g0 * g0 + g1 * g1)
         if r > 1e-12:
             break
-    scale = rng.random() ** 0.5 / r
+    scale = random() ** 0.5 / r
     return (g0 * scale, g1 * scale)
 
 
-def draw_for_bundle(rng: random.Random, bundle: FibreBundle, x) -> FibreElement:
-    """A random fibre element over x, matched to the bundle's fibre kind: a
-    point of the unit disc for a vector fibre, otherwise a label drawn
-    uniformly from the fibre over x."""
+def element_drawer(bundle: FibreBundle):
+    """``draw(rng, x)``: a random fibre element over x, matched to the
+    bundle's fibre kind.  A vector fibre gives a point of the unit disc,
+    any other a label drawn uniformly from the fibre over x.
+
+    Built once per trial builder.  The labels over each node point of a
+    graph bundle are tabulated here by ``fibre_labels``; a point the table
+    misses is read by ``fibre_labels``, which refuses a point off the base.
+    The table lives in the drawer, since a dict field would make the
+    bundle unhashable."""
     if bundle.fibre_kind == "vector":
-        return vector_element(x, unit_ball(rng))
-    labels = fibre_labels(bundle, x)
-    return label_element(x, labels[rng.randrange(len(labels))])
+        def draw(rng, x):
+            # unit_ball gives a pair of floats, as vector_element makes it
+            return tuple.__new__(FibreElement, (x, None, unit_ball(rng)))
+        return draw
+    table = {}
+    if bundle.base_kind == "graph":
+        for n in bundle.nodes:
+            x = graph_point(bundle.base_space_id, n)
+            table[x] = fibre_labels(bundle, x)
+
+    def draw(rng, x):
+        # a chart point, whose coordinates need not hash, is never a key
+        labels = table.get(x) if x.coords is None else None
+        if labels is None:
+            labels = fibre_labels(bundle, x)
+        return label_element(x, labels[rng.randrange(len(labels))])
+
+    return draw
 
 
 def _desc(u: FibreElement):
@@ -311,6 +345,7 @@ def _draws(bundle: FibreBundle, paths, n=2, remaps=None, derive=None,
                         f"{remap.target}, path domain is {p.domain}")
         derive = reparameterize
     derive = derive and functools.cache(derive)  # so q's cells are reused
+    element = element_drawer(bundle)
 
     def draw(k, rng):
         pick = q = paths if one else paths[rng.randrange(len(paths))]
@@ -322,7 +357,7 @@ def _draws(bundle: FibreBundle, paths, n=2, remaps=None, derive=None,
         params = first if k == 0 and first is not None else tuple(
             [lo + (hi - lo) * rng.random()
              for lo, hi in (n if one else (q.domain,) * n)])
-        return pick, q, params, draw_for_bundle(rng, bundle, q.at(params[0]))
+        return pick, q, params, element(rng, q.at(params[0]))
 
     return draw
 
@@ -517,13 +552,14 @@ def section_trial(T: Transport, paths, trials: int):
     """Law 2.4: a section propagated from one anchor reproduces itself when
     re-propagated from any other parameter of an 11-point grid."""
     paths = _as_paths(paths)
+    element = element_drawer(T.bundle)
     propagated = []
 
     def trial(k, rng):
         if k == 0:  # one section per path, drawn ahead of the first trial
             for p in paths:
                 pts = p.domain.samples(11)
-                u0 = draw_for_bundle(rng, T.bundle, p.at(pts[0]))
+                u0 = element(rng, p.at(pts[0]))
                 values = [transport(T, p, pts[0], t, u0) for t in pts]
                 propagated.append((p, pts, values))
         p, pts, values = propagated[rng.randrange(len(propagated))]

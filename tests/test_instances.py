@@ -1,21 +1,24 @@
 import math
 import random
+import sys
 
 import pytest
 
-from fibretransport.bundles import (BundleMetric, fibre_labels,
+from fibretransport.bundles import (BundleMetric, FibreBundle, fibre_labels,
                                     graph_point, label_element,
                                     section_through, vector_element)
 from fibretransport.cli import run_law
 from fibretransport.errors import FibreTransportError
 from fibretransport.factorization import fibre_map
-from fibretransport.instances import (COUNTEREXAMPLE_KINDS, FRAME_GAP_TOL,
-                                      LAW_ORDER, counterexample_transport,
+from fibretransport.instances import (COUNTEREXAMPLE_KINDS, FRAME_GAP_EPS,
+                                      LAW_ORDER, InstanceSpec,
+                                      counterexample_transport,
                                       holonomy_angle, instance_names,
                                       loop_matrix, make_instance,
                                       parallelization_transport,
                                       permutation_transport)
 from fibretransport.linalg import matvec, rotation
+from fibretransport.paths import UNIT, piecewise_path
 from fibretransport.transport import Transport, transport
 
 
@@ -152,7 +155,10 @@ class TestParallelizationFrames:
     def test_rotation_frames_pass_every_applicable_law(self, par, seed):
         T = parallelization_transport(par.bundle,
                                       rotation_frames(par.bundle, seed))
-        assert T.tolerance == FRAME_GAP_TOL
+        # the bound is relative to the frames' max-abs norms, at most 1 for
+        # a rotation, so the tolerance is a few machine epsilons
+        assert 0.0 < T.tolerance <= (1.0 + 1e-12) * FRAME_GAP_EPS \
+            * sys.float_info.epsilon
         assert par.transport.tolerance == 0.0  # quarter turns: to the bit
         spec = par._replace(transport=T)
         for law in spec.applicable:
@@ -175,6 +181,75 @@ class TestParallelizationFrames:
                            T.tolerance)
         assert run_law(par._replace(transport=T), "2.2").passed
         assert not run_law(par._replace(transport=tilted), "2.2").passed
+
+
+# Two honest frames with condition number about 10^2 whose frame maps
+# compose to a gap of 1.08e-12, which an absolute bound of 1e-12 refused.
+ILL_CONDITIONED = {
+    "v0": ((-1.4625430235503951, 1.3897349477489307),
+           (1.0550984759064561, -0.9797238970423132)),
+    "v2": ((-1.6245616529030604, -1.8866100939119748),
+           (1.3430604156794788, -0.2689317283797865)),
+}
+
+
+def _tours_spec(T):
+    def tour(stops, name):
+        return piecewise_path("g", UNIT, [((i + 1) / len(stops), n)
+                                          for i, n in enumerate(stops)],
+                              name=name)
+
+    walk = tour(["v0", "v2", "v0", "v2"], "walk")
+    loop = tour(["v2", "v0", "v2"], "loop")
+    return InstanceSpec(name=T.name, transport=T, law_paths=(walk, loop),
+                        product_pair=(walk, tour(["v2", "v0"], "onward")),
+                        uniqueness_path=loop)
+
+
+class TestIllConditionedFrames:
+    @pytest.fixture(scope="class")
+    def spec(self):
+        bundle = FibreBundle("g", "graph", "vector", nodes=("v0", "v2"))
+        return _tours_spec(parallelization_transport(bundle, ILL_CONDITIONED))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_they_pass_every_applicable_law(self, spec, seed):
+        assert spec.transport.tolerance > 1e-12
+        assert {"2.2", "3.6-roundtrip", "3.11/3.12", "4.4"} <= set(
+            spec.applicable)
+        for law in spec.applicable:
+            report = run_law(spec, law, trials=100, seed=seed)
+            assert report.passed, (law, report.max_deviation)
+
+    def test_frames_whose_maps_compose_to_the_bit_still_round(self, spec):
+        """The maps between the frames 1 and 3 compose with gap 0, but
+        applying them one after the other rounds, so the tolerance is not
+        0.0 and every applicable law passes."""
+        bundle = spec.bundle
+        T = parallelization_transport(bundle, {
+            "v0": ((1.0, 0.0), (0.0, 1.0)), "v2": ((3.0, 0.0), (0.0, 3.0))})
+        assert T.tolerance > 0.0
+        exact = _tours_spec(T)
+        for law in exact.applicable:
+            report = run_law(exact, law, trials=100, seed=0)
+            assert report.passed, (law, report.max_deviation)
+
+    def test_a_turn_of_ten_tolerances_on_one_hop_fails_law_2_2(self, spec):
+        """Only the images carried from v0 to v2 are turned, so the declared
+        tolerance has teeth on these frames too."""
+        T = spec.transport
+        tilt = rotation(10 * T.tolerance)
+
+        def apply(p, s, t, u):
+            v = T.apply_fn(p, s, t, u)
+            if (u.over.node, v.over.node) != ("v0", "v2"):
+                return v
+            return vector_element(v.over, matvec(tilt, v.vector))
+
+        tilted = Transport("tilted", T.bundle, apply, T.declared,
+                           T.tolerance)
+        assert run_law(spec, "2.2").passed
+        assert not run_law(spec._replace(transport=tilted), "2.2").passed
 
 
 class TestCounterexamples:

@@ -10,7 +10,7 @@ from fibretransport.instances import instance_names, make_instance
 from fibretransport.laws import (law_named, liftings_disjoint_or_equal,
                                   transport_from_lifting)
 from fibretransport.lifting import lift, occurrence_set
-from fibretransport.transport import Transport, draw_for_bundle, transport
+from fibretransport.transport import Transport, element_drawer, transport
 
 
 def bits(u):
@@ -42,7 +42,7 @@ class TestLift:
             for p in spec.law_paths:
                 for _ in range(2):
                     s0 = rng.uniform(p.domain.lo, p.domain.hi)
-                    u = draw_for_bundle(rng, T.bundle, p.at(s0))
+                    u = element_drawer(T.bundle)(rng, p.at(s0))
                     lifted = lift(T, p, u, s0)
                     for t in p.domain.samples(7):
                         assert bits(lifted.at(t)) == bits(

@@ -204,7 +204,7 @@ class TestConcatenation:
         with pytest.raises(FibreTransportError,
                            match="cannot glue a discrete path to a chart path"):
             concatenate(lat, lat, node)
-        elsewhere = Path(**{**lat._asdict(), "space": "plane"})
+        elsewhere = lat._replace(space="plane")
         with pytest.raises(FibreTransportError, match="same base space"):
             concatenate(lat, elsewhere)
 
@@ -279,6 +279,130 @@ def test_graph_entries_snap_a_parameter_within_the_slack():
 def test_node_sequence_refuses_a_chart_path():
     with pytest.raises(FibreTransportError, match="discrete paths"):
         node_sequence(sphere.latitude_arc(1.0, 0.0, 1.0), 0.0, 1.0)
+
+
+# The jet-walking walkers the tabulated ones replaced, kept as the reference:
+# every sample, the two ends included, is read through the jet.
+
+def _reference_piece_runs(p):
+    (lo, hi), jet = p.domain, p.jet
+    if hi - lo <= 0.0:
+        return [(lo, hi, jet(lo)[0])]
+    cuts = [lo, *p.breakpoints, hi]
+    runs = []
+    for a, b in zip(cuts, cuts[1:]):
+        x = jet(0.5 * (a + b))[0]
+        if runs and runs[-1][2].node == x.node:
+            runs[-1] = (runs[-1][0], b, runs[-1][2])
+        else:
+            runs.append((a, b, x))
+    return runs
+
+
+def _reference_node_sequence(p, s, t):
+    s, t, jet = p.domain.clamp(s), p.domain.clamp(t), p.jet
+    lo, hi = (s, t) if s <= t else (t, s)
+    cuts = [lo, *p.interior_breakpoints(lo, hi), hi]
+    samples = [lo]
+    samples.extend(0.5 * (a + b) for a, b in zip(cuts, cuts[1:]))
+    samples.append(hi)
+    if t < s:
+        samples.reverse()
+    seq = []
+    for x in samples:
+        n = jet(x)[0].node
+        if not seq or seq[-1] != n:
+            seq.append(n)
+    return seq
+
+
+def _reference_trace_nodes(p):
+    seen = []
+    for _, _, x in _reference_piece_runs(p):
+        if x.node not in seen:
+            seen.append(x.node)
+    return tuple(seen)
+
+
+def _graph_law_paths():
+    """Every discrete path the graph presets' laws build: law paths, the
+    product pair and its concatenation, reversals, both law-2.6 remaps,
+    and restrictions, some of them to breakpoints."""
+    from fibretransport.instances import instance_names, make_instance
+    from fibretransport.laws import REMAPS
+    rng = random.Random(32)
+    found = {}
+    for name in instance_names():
+        spec = make_instance(name)
+        if spec.law_paths[0].kind != "discrete":
+            continue
+        base = [*spec.law_paths, *(spec.product_pair or ())]
+        if spec.uniqueness_path is not None:
+            base.append(spec.uniqueness_path)
+        if spec.product_pair is not None:
+            base.append(concatenate(*spec.product_pair))
+        derived = [reverse(p) for p in base if p.domain.same_as(UNIT)]
+        derived += [reparameterize(p, r) for p in base for r in REMAPS
+                    if r.target.same_as(p.domain)]
+        for p in base + derived:
+            found.setdefault((p.name, p.breakpoints, p.domain), p)
+        for p in base + derived[:4]:
+            lo, hi = p.domain
+            bps = p.breakpoints
+            subs = [sorted((rng.uniform(lo, hi), rng.uniform(lo, hi)))
+                    for _ in range(3)]
+            if len(bps) > 1:
+                subs += [(bps[0], bps[-1]), (lo, bps[1]),
+                         (math.nextafter(bps[0], hi), hi)]
+            for a, b in subs:
+                q = restrict(p, Interval(a, b))
+                found.setdefault((q.name, q.breakpoints, q.domain), q)
+    return list(found.values())
+
+
+def _walker_parameters(p, rng):
+    lo, hi = p.domain
+    out = {lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf),
+           lo - 0.5 * EDGE_SLACK, hi + 0.5 * EDGE_SLACK}
+    for b in p.breakpoints:
+        out |= {b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf)}
+    out |= {rng.uniform(lo, hi) for _ in range(6)}
+    return sorted(out)
+
+
+def test_the_tabulated_walkers_are_the_jet_walkers_to_the_bit():
+    """node_sequence, piece_runs and trace_nodes read whole pieces from the
+    path's piece_points; on every discrete path the graph laws build they
+    give what walking the jet gives, in both directions, at every
+    breakpoint and its neighbours, the domain ends and random parameters."""
+    rng = random.Random(0)
+    paths = _graph_law_paths()
+    assert len(paths) > 60
+    pairs = 0
+    for p in paths:
+        assert piece_runs(p) == _reference_piece_runs(p), p.name
+        assert trace_nodes(p) == _reference_trace_nodes(p), p.name
+        params = _walker_parameters(p, rng)
+        for s in params:
+            for t in params:
+                assert node_sequence(p, s, t) == \
+                    _reference_node_sequence(p, s, t), (p.name, s, t)
+                pairs += 1
+    assert pairs > 20000
+
+
+def test_a_path_tabulates_its_pieces_and_takes_no_table():
+    p = zigzag()
+    assert p.piece_points == tuple(graph_point("g", n)
+                                   for n in ("n0", "n1", "n0", "n1"))
+    # a one-point domain is read at its point, as its one piece run is
+    point = restrict(zigzag(), Interval(0.5, 0.5))
+    assert point.piece_points == (graph_point("g", "n0"),)
+    assert piece_runs(point) == [(0.5, 0.5, graph_point("g", "n0"))]
+    assert sphere.latitude_arc(1.0, 0.0, 1.0).piece_points == ()
+    with pytest.raises(TypeError):
+        Path(space="g", domain=UNIT, jet=p.jet, kind="discrete",
+             piece_points=p.piece_points)
 
 
 def test_interior_breakpoints_are_the_strictly_interior_ones():

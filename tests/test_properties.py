@@ -2,13 +2,16 @@ import functools
 import hashlib
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibretransport.bundles import (FibreBundle, label_element,
+from fibretransport.bundles import (BasePoint, FibreBundle, fibre_labels,
+                                    graph_point, label_element,
                                     table_section, vector_element)
+from fibretransport.errors import FibreTransportError
 from fibretransport.cli import run_law
 from fibretransport.laws import LAWS, liftings_disjoint_or_equal
 from fibretransport.instances import (InstanceSpec, foliation_transport,
@@ -17,10 +20,10 @@ from fibretransport.instances import (InstanceSpec, foliation_transport,
 from fibretransport.linalg import (identity, inverse, matmul, matvec,
                                    rotation, rotation_angle, solve)
 from fibretransport.paths import (EDGE_SLACK, Interval, Reparameterization,
-                                  UNIT, affine_remap, concatenate,
-                                  piecewise_path, reparameterize, reverse,
-                                  share_remaps, square_remap)
-from fibretransport.transport import (_draws, draw_for_bundle, transport,
+                                  UNIT, affine_remap, canonical_reversal,
+                                  concatenate, piecewise_path, reparameterize,
+                                  reverse, share_remaps, square_remap)
+from fibretransport.transport import (_draws, element_drawer, transport,
                                       unit_ball)
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
@@ -131,12 +134,13 @@ def _element_bits(u):
     return u.label if u.label is not None else _bits(u.vector)
 
 
-def _reference_element(rng, bundle):
-    # the draws of draw_for_bundle as the laws made them before the draw
-    # routine: a label by randrange, or a vector by the generic loop
+def _reference_element(rng, bundle, x):
+    # the element draws as the laws made them before the draw routine: a
+    # label of the fibre over x by randrange, or a vector by the generic loop
     if bundle.fibre_kind == "vector":
         return _bits(_generic_unit_ball(rng, 2))
-    return bundle.labels[rng.randrange(len(bundle.labels))]
+    labels = fibre_labels(bundle, x)
+    return labels[rng.randrange(len(labels))]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -145,14 +149,24 @@ def test_draws_are_the_generic_draws_to_the_bit(seed):
     draws each parameter as random.uniform on its domain, draws the
     element over the trial's path at the first parameter, and leaves the
     stream where the trial bodies it replaced left it.  unit_ball is the
-    generic n-ball loop at n = 2."""
+    generic n-ball loop at n = 2.  The element drawer's label table serves
+    finite and section fibres alike and refuses a point off the base as
+    fibre_labels does; Reparameterization.apply is fwd between the two
+    clamps."""
     def two_nodes(d, name):
         return piecewise_path("g", d, [((d.lo + d.hi) / 2, "n0"),
                                        (d.hi, "n1")], name=name)
 
     bundles = (FibreBundle("g", "graph", "finite", nodes=("n0", "n1"),
                            labels=("a", "b", "c")),
-               FibreBundle("g", "graph", "vector", nodes=("n0", "n1")))
+               FibreBundle("g", "graph", "vector", nodes=("n0", "n1")),
+               FibreBundle("g", "graph", "sections", nodes=("n0", "n1"),
+                           sections=(
+                               table_section("up", "g", {"n0": "a", "n1": "b"}),
+                               table_section("down", "g",
+                                             {"n0": "b", "n1": "c"}),
+                               table_section("flat", "g",
+                                             {"n0": "c", "n1": "a"}))))
     paths = tuple(two_nodes(d, f"p{i}") for i, d in enumerate(
         (UNIT, Interval(-3.0, 0.7), Interval(1e-3, 1e3))))
     units = tuple(two_nodes(UNIT, f"u{i}") for i in range(3))
@@ -171,6 +185,13 @@ def test_draws_are_the_generic_draws_to_the_bit(seed):
              for bundle in bundles}
     derived = functools.cache(lambda build, *args: build(*args))
     new, old = random.Random(seed), random.Random(seed)
+    off_base = (graph_point("g", "zz"), graph_point("h", "n0"),
+                BasePoint("g", coords=(0.5, 0.5)),
+                BasePoint("g", coords=[0.5, 0.5]))  # coordinates that no hash
+    all_remaps = (*remaps, *share_remaps(pair), canonical_reversal(),
+                  Reparameterization(Interval(-3.0, 0.7), Interval(1e-3, 1e3),
+                                     reversing=True, squared=True))
+    inside = random.Random(f"remap/{seed}")
 
     def check(drawn, pick, q, domains, params=None):
         got_pick, got_q, got_params, u = drawn
@@ -180,13 +201,13 @@ def test_draws_are_the_generic_draws_to_the_bit(seed):
             params = [old.uniform(d.lo, d.hi) for d in domains]
         assert _bits(got_params) == _bits(params)
         assert u.over == got_q.at(params[0]) == q.at(params[0])
-        assert _element_bits(u) == _reference_element(old, bundle)
+        assert _element_bits(u) == _reference_element(old, bundle, u.over)
         assert new.random().hex() == old.random().hex()
 
     for k in range(1000):
         assert _bits(unit_ball(new)) == _bits(_generic_unit_ball(old, 2))
         assert new.random().hex() == old.random().hex()
-        bundle = bundles[k % 2]
+        bundle = bundles[k // 3 % 3]
         by_n, by_remap, by_reversal, by_half, by_path = (
             draws[bundle][k % 3], *draws[bundle][3:])
         # a picked law path, with n parameters on its domain
@@ -210,9 +231,38 @@ def test_draws_are_the_generic_draws_to_the_bit(seed):
         # no pick, on one fixed path, then a second element drawn after it
         p = paths[k % 3]
         check(by_path[k % 3](k, new), p, p, [p.domain] * 2)
-        assert (_element_bits(draw_for_bundle(new, bundle, p.at(0.5)))
-                == _reference_element(old, bundle))
+        assert (_element_bits(element_drawer(bundle)(new, p.at(0.5)))
+                == _reference_element(old, bundle, p.at(0.5)))
         assert new.random().hex() == old.random().hex()
+        # a point off the base is refused with fibre_labels' message, and
+        # a vector fibre draws over any point
+        x = off_base[k % len(off_base)]
+        if bundle.fibre_kind == "vector":
+            assert (_element_bits(element_drawer(bundle)(new, x))
+                    == _reference_element(old, bundle, x))
+        else:
+            with pytest.raises(FibreTransportError) as refused:
+                fibre_labels(bundle, x)
+            with pytest.raises(FibreTransportError,
+                               match=re.escape(str(refused.value))):
+                element_drawer(bundle)(new, x)
+        assert new.random().hex() == old.random().hex()
+        # a remap applies fwd between the clamps, snaps and refusals included
+        remap = all_remaps[k % len(all_remaps)]
+        lo, hi = remap.source
+        for s in (lo, hi, math.nextafter(lo, -math.inf),
+                  math.nextafter(hi, math.inf), lo - 0.5 * EDGE_SLACK,
+                  hi + 0.5 * EDGE_SLACK, lo - 2.0 * EDGE_SLACK,
+                  hi + 2.0 * EDGE_SLACK, math.nan, inside.uniform(lo, hi)):
+            try:
+                expected = remap.target.clamp(
+                    remap.fwd(remap.source.clamp(s))).hex()
+            except FibreTransportError as exc:
+                with pytest.raises(FibreTransportError,
+                                   match=re.escape(str(exc))):
+                    remap.apply(s)
+            else:
+                assert remap.apply(s).hex() == expected
 
 
 # Every law whose trials draw through the draw routine; law 4.6's
@@ -312,10 +362,11 @@ def _tour_path(stops, name):
 
 @st.composite
 def _frames(draw):
-    """rotation(a) diag(s0, +-s1) rotation(b) with s0, s1 in [0.3, 3]: a
-    frame whose condition number is at most 10, reflections included."""
+    """rotation(a) diag(s0, +-s1) rotation(b) with s0, s1 in
+    [10^-1.5, 10^1.5]: a frame whose condition number is at most 10^3,
+    reflections included."""
     turn = st.floats(min_value=-math.pi, max_value=math.pi)
-    scale = st.floats(min_value=0.3, max_value=3.0)
+    scale = st.floats(min_value=-1.5, max_value=1.5).map(lambda e: 10.0 ** e)
     a, b, s0, s1 = draw(turn), draw(turn), draw(scale), draw(scale)
     s1 *= draw(st.sampled_from((1.0, -1.0)))
     return matmul(matmul(rotation(a), ((s0, 0.0), (0.0, s1))), rotation(b))
