@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from fibretransport.bundles import (BasePoint, FibreBundle, fibre_labels,
                                     graph_point, label_element,
                                     table_section, vector_element)
-from fibretransport.errors import FibreTransportError
 from fibretransport.cli import run_law
+from fibretransport.errors import FibreTransportError
 from fibretransport.laws import LAWS, liftings_disjoint_or_equal
 from fibretransport.instances import (InstanceSpec, foliation_transport,
                                       make_instance, parallelization_transport,
@@ -161,12 +161,11 @@ def test_draws_are_the_generic_draws_to_the_bit(seed):
                            labels=("a", "b", "c")),
                FibreBundle("g", "graph", "vector", nodes=("n0", "n1")),
                FibreBundle("g", "graph", "sections", nodes=("n0", "n1"),
-                           sections=(
-                               table_section("up", "g", {"n0": "a", "n1": "b"}),
-                               table_section("down", "g",
-                                             {"n0": "b", "n1": "c"}),
-                               table_section("flat", "g",
-                                             {"n0": "c", "n1": "a"}))))
+                           sections=tuple(
+                               table_section(name, "g", {"n0": a, "n1": b})
+                               for name, a, b in (("up", "a", "b"),
+                                                  ("down", "b", "c"),
+                                                  ("flat", "c", "a")))))
     paths = tuple(two_nodes(d, f"p{i}") for i, d in enumerate(
         (UNIT, Interval(-3.0, 0.7), Interval(1e-3, 1e3))))
     units = tuple(two_nodes(UNIT, f"u{i}") for i in range(3))
@@ -185,9 +184,10 @@ def test_draws_are_the_generic_draws_to_the_bit(seed):
              for bundle in bundles}
     derived = functools.cache(lambda build, *args: build(*args))
     new, old = random.Random(seed), random.Random(seed)
+    # points off the graph base, the last with coordinates that do not hash
     off_base = (graph_point("g", "zz"), graph_point("h", "n0"),
                 BasePoint("g", coords=(0.5, 0.5)),
-                BasePoint("g", coords=[0.5, 0.5]))  # coordinates that no hash
+                BasePoint("g", coords=[0.5, 0.5]))
     all_remaps = (*remaps, *share_remaps(pair), canonical_reversal(),
                   Reparameterization(Interval(-3.0, 0.7), Interval(1e-3, 1e3),
                                      reversing=True, squared=True))
