@@ -24,12 +24,11 @@ from .instances import (InstanceSpec, holonomy_angle, instance_names,
                         foliation_transport, parallelization_transport)
 from .laws import (LAW_ORDER, LAWS, Law, is_transported_section, law_named,
                    liftings_disjoint_or_equal, transport_from_lifting)
-from .lifting import Lifting, lift, occurrence_set
+from .lifting import Lifting, lift, occurrence_set, propagate_section
 from .paths import (Interval, Path, Reparameterization, affine_remap,
                     canonical_reversal, concatenate, piecewise_path,
                     reparameterize, restrict, reverse, square_remap)
-from .transport import (LawReport, Transport, inverse_transport,
-                        propagate_section, transport)
+from .transport import LawReport, Transport, inverse_transport, transport
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -256,7 +256,9 @@ def linear_ode_transport(bundle: FibreBundle,
     parameters k * step (see ``integrate``).  Cell propagators are built on
     first use and kept by this transport, one store per jet and direction;
     a store lives as long as its jet.  The tolerance is always
-    ``10 * step_error(step)``.
+    ``10 * step_error(step)``.  The transport declares what holds for every
+    coefficient field (``local``, ``reparam_invariant``, ``linear``); a
+    caller whose field preserves a metric declares ``metric_consistent``.
 
     Finiteness is checked once per flow, on its propagators: a non-finite
     stage coefficient always makes its propagator non-finite.  A flow that
@@ -322,7 +324,7 @@ def linear_ode_transport(bundle: FibreBundle,
 
     return Transport(name=name, bundle=bundle, apply_fn=apply,
                      declared=frozenset({"local", "reparam_invariant",
-                                         "linear", "metric_consistent"}),
+                                         "linear"}),
                      tolerance=10 * step_error(step))
 
 
@@ -559,6 +561,8 @@ def _parallelization_flat() -> InstanceSpec:
 def _sphere_levi_civita(step: float) -> InstanceSpec:
     T = linear_ode_transport(sphere.tangent_bundle(), sphere.coefficient_matrix,
                              step, name="sphere-levi-civita")
+    # the Levi-Civita connection preserves the round metric
+    T = T._replace(declared=T.declared | {"metric_consistent"})
     metric = sphere.round_metric()
     quarter_equator = sphere.latitude_arc(math.pi / 2, 0.0, math.pi / 2,
                                           name="quarter-equator")

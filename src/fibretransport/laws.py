@@ -95,7 +95,7 @@ def _always(spec) -> bool:
 LAWS = (
     Law("2.2", 2.0, _always, _paths, tr.composition_trial),
     Law("2.3", 1.0, _always, _paths, tr.identity_trial),
-    Law("2.4", 2.0, _always, _paths, tr.section_trial),
+    Law("2.4", 2.0, _always, _paths, lf.section_trial),
     Law("2.5/2.7", 2.0, _always, _paths, tr.locality_trial),
     Law("2.6", 2.0, _always, lambda spec: (spec.law_paths, REMAPS),
         tr.reparam_trial),
@@ -151,7 +151,8 @@ def law_named(law_id: str) -> Law:
 
 def is_transported_section(T: tr.Transport, sigma, p) -> bool:
     """Whether a section restricted to p agrees with its own propagation
-    from the domain's start, on 11 samples, within law 2.4's threshold."""
+    from the domain's start, on 11 samples, within law 2.4's threshold.
+    A NaN deviation is not agreement."""
     s0 = p.domain.lo
     tolerance = law_named("2.4").threshold(T)
 
@@ -162,12 +163,8 @@ def is_transported_section(T: tr.Transport, sigma, p) -> bool:
             raise FibreTransportError(
                 f"section {sigma.name!r} undefined at path({t})") from exc
 
-    u0 = value_at(s0)
-    for t in p.domain.samples(11):
-        if element_deviation(value_at(t),
-                             tr.transport(T, p, s0, t, u0)) > tolerance:
-            return False
-    return True
+    return all(element_deviation(value_at(t), v) <= tolerance
+               for t, v in lf.propagate_section(T, p, s0, value_at(s0)))
 
 
 def liftings_disjoint_or_equal(T: tr.Transport, p, *, trials: int = 50,

@@ -2,10 +2,12 @@
 
 Anchoring a fibre element u at a parameter s0 and transporting it to every
 other parameter traces out a lifting: a curve t -> (path(t), value(t)) whose
-projection is the base path and whose value at s0 is u.  The law trials
-here cover the projection identity, consistency under re-anchoring, global
-uniqueness over self-intersecting paths (loops included), and the fact that
-the liftings through one fibre sweep every fibre the path touches.
+projection is the base path and whose value at s0 is u.  The section a
+transport generates from u at s0 is that lifting.  The law trials here cover
+sections re-propagated along their own grid, the projection identity,
+consistency under re-anchoring, global uniqueness over self-intersecting
+paths (loops included), and the fact that the liftings through one fibre
+sweep every fibre the path touches.
 
 Liftings evaluate lazily: ``lift`` checks the anchor once, as ``transport``
 checks its input, and each ``at`` call is then one application of the
@@ -21,12 +23,11 @@ from .bundles import (SAME_POINT_TOL, FibreElement, chart_deviation,
                       element_deviation, fibre_elements, fibre_labels, rebase)
 from .errors import FibreTransportError
 from .paths import Path, piece_runs
-from .transport import (Transport, _desc, _draws, checked_source,
+from .transport import (Transport, _as_paths, _desc, _draws, checked_source,
                         element_drawer, transport)
 
 
-class Lifting(namedtuple("Lifting", "path anchor through value_fn name",
-                         defaults=("lifting",))):
+class Lifting(namedtuple("Lifting", "path anchor through value_fn")):
     """A total-space curve over ``path`` pinned to ``through`` at ``anchor``:
     ``value_fn(t)`` is its fibre element at parameter t.  In a lifting made
     by ``lift`` that is one application of the transport's rule to the
@@ -46,8 +47,15 @@ def lift(T: Transport, p: Path, u: FibreElement, s0: float) -> Lifting:
     s0, _ = checked_source(T, p, s0, s0, u)
     apply = T.apply_fn
     return Lifting(path=p, anchor=s0, through=u,
-                   value_fn=lambda t: apply(p, s0, t, u),
-                   name=f"lift[{p.name}@{s0:g}]")
+                   value_fn=lambda t: apply(p, s0, t, u))
+
+
+def propagate_section(T: Transport, p: Path, s0: float, u0: FibreElement
+                      ) -> list[tuple[float, FibreElement]]:
+    """Values on 11 evenly spaced parameters of p's domain of the section
+    generated by u0 at s0: the lifting through u0 anchored at s0."""
+    lifted = lift(T, p, u0, s0)
+    return [(t, lifted.at(t)) for t in p.domain.samples(11)]
 
 
 def occurrence_set(p: Path, u: FibreElement) -> tuple[float, ...]:
@@ -79,6 +87,29 @@ def occurrence_set(p: Path, u: FibreElement) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 # Law trials (see the transport module's)
 # ---------------------------------------------------------------------------
+
+def section_trial(T: Transport, paths, trials: int):
+    """Law 2.4: a section propagated from one anchor reproduces itself when
+    re-propagated from any other parameter of its 11-point grid."""
+    paths = _as_paths(paths)
+    element = element_drawer(T.bundle)
+    sections = []
+
+    def trial(k, rng):
+        if k == 0:  # one section per path, drawn ahead of the first trial
+            for p in paths:
+                s0 = p.domain.lo
+                sections.append((p, propagate_section(
+                    T, p, s0, element(rng, p.at(s0)))))
+        p, section = sections[rng.randrange(len(sections))]
+        i = rng.randrange(len(section))
+        j = rng.randrange(len(section))
+        (s, u), (t, v) = section[i], section[j]
+        yield (element_deviation(transport(T, p, s, t, u), v), p.name,
+               {"from": s, "to": t}, [_desc(u)])
+
+    return trial, trials, "grid of 11 points per path"
+
 
 def projection_trial(T: Transport, paths, trials: int):
     """Law 4.2: liftings project onto the base path and hit their anchor."""

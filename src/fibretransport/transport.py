@@ -122,17 +122,6 @@ def inverse_transport(T: Transport, p: Path, s: float, t: float
 
 
 # ---------------------------------------------------------------------------
-# Sections carried along a path
-# ---------------------------------------------------------------------------
-
-def propagate_section(T: Transport, p: Path, s0: float, u0: FibreElement
-                      ) -> list[tuple[float, FibreElement]]:
-    """Values on 11 evenly spaced parameters of p's domain of the section
-    generated by u0 at s0."""
-    return [(t, transport(T, p, s0, t, u0)) for t in p.domain.samples(11)]
-
-
-# ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
 
@@ -547,26 +536,3 @@ def metric_trial(T: Transport, metric: BundleMetric | None, paths,
 
     return trial, trials, ""
 
-
-def section_trial(T: Transport, paths, trials: int):
-    """Law 2.4: a section propagated from one anchor reproduces itself when
-    re-propagated from any other parameter of an 11-point grid."""
-    paths = _as_paths(paths)
-    element = element_drawer(T.bundle)
-    propagated = []
-
-    def trial(k, rng):
-        if k == 0:  # one section per path, drawn ahead of the first trial
-            for p in paths:
-                pts = p.domain.samples(11)
-                u0 = element(rng, p.at(pts[0]))
-                values = [transport(T, p, pts[0], t, u0) for t in pts]
-                propagated.append((p, pts, values))
-        p, pts, values = propagated[rng.randrange(len(propagated))]
-        i = rng.randrange(len(pts))
-        j = rng.randrange(len(pts))
-        regrown = transport(T, p, pts[i], pts[j], values[i])
-        yield (element_deviation(regrown, values[j]), p.name,
-               {"from": pts[i], "to": pts[j]}, [_desc(values[i])])
-
-    return trial, trials, "grid of 11 points per path"

@@ -107,8 +107,7 @@ def test_4_liftings_and_transports_rebuild_each_other():
     def by_section(path, u, s0):
         sec = section_through(fol.bundle, u)
         return Lifting(path=path, anchor=s0, through=u,
-                       value_fn=lambda t: sec.at(path.at(t)),
-                       name=f"section[{sec.name}]")
+                       value_fn=lambda t: sec.at(path.at(t)))
 
     from_sections = transport_from_lifting(
         fol.bundle, by_section, [fwalk, fol.path_named("figure-eight")])
@@ -128,8 +127,7 @@ def test_4_liftings_and_transports_rebuild_each_other():
             near = abs(t - s0) <= 0.5 * path.domain.width
             return (own if near else other).at(path.at(t))
 
-        return Lifting(path=path, anchor=s0, through=u, value_fn=value,
-                       name="crooked")
+        return Lifting(path=path, anchor=s0, through=u, value_fn=value)
 
     with pytest.raises(FibreTransportError, match="changes the lifting"):
         transport_from_lifting(fol.bundle, crooked, [fwalk])

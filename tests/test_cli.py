@@ -251,6 +251,22 @@ class TestLift:
         assert data["through"] == [1.0, 0.0]
         assert len(data["values"]) == 11
 
+    def test_vector_table(self, tmp_path):
+        rc = main(["lift", "--instance", "parallelization-flat",
+                   "--path", "figure-eight", "--element", "0.6,0.8",
+                   "--samples", "3", "--format", "csv", "--out", str(tmp_path)])
+        assert rc == 0
+        lines = (tmp_path / "lifting.csv").read_text().splitlines()
+        assert lines[0] == "s,c0,c1"
+        assert lines[1] == "%.17e,%.17e,%.17e" % (0.0, 0.6, 0.8)
+        assert len(lines[1:]) == 3
+
+    def test_an_element_of_the_wrong_rank_is_config_error(self, capsys):
+        rc = main(["lift", "--instance", "parallelization-flat",
+                   "--element", "1,2,3"])
+        assert rc == 2
+        assert "rank-2 fibre" in one_error_line(capsys)
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_below_one_is_config_error(self, samples, capsys):
         rc = main(["lift", "--instance", "perm-c3", "--samples", samples])

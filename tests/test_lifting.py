@@ -150,8 +150,7 @@ class TestRebuild:
                 return sec.at(path.at(t))
 
             from fibretransport.lifting import Lifting
-            return Lifting(path=path, anchor=s0, through=u, value_fn=value,
-                           name="crooked")
+            return Lifting(path=path, anchor=s0, through=u, value_fn=value)
 
         with pytest.raises(FibreTransportError, match="changes the lifting"):
             transport_from_lifting(fol.bundle, crooked, [p])

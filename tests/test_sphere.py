@@ -15,15 +15,16 @@ import pytest
 from fibretransport.bundles import chart_deviation, chart_point, vector_element
 from fibretransport.errors import FibreTransportError
 from fibretransport.cli import run_law
-from fibretransport.instances import (DEFAULT_STEP, holonomy_angle,
-                                      linear_ode_transport, make_instance,
-                                      step_error)
+from fibretransport.instances import (DEFAULT_STEP, InstanceSpec,
+                                      holonomy_angle, linear_ode_transport,
+                                      make_instance, step_error)
 from fibretransport.linalg import matmul, max_abs, vec_sub
 from fibretransport.paths import UNIT
 from fibretransport.sphere import (OCTANT_AREA, OCTANT_VERTICES, SPACE,
                                    closed_latitude, coefficient_matrix,
                                    great_circle_arc, latitude_arc,
-                                   metric_matrix, octant_loop, require_chart)
+                                   metric_matrix, octant_loop, require_chart,
+                                   round_metric)
 from fibretransport.transport import Transport, transport
 
 HALF_PI = math.pi / 2
@@ -246,6 +247,21 @@ def test_an_ode_transport_takes_its_tolerance_from_the_error_model(sphere):
     for step in (DEFAULT_STEP, 1e-3, 1.0):
         T = linear_ode_transport(sphere.bundle, coefficient_matrix, step)
         assert T.tolerance == 10 * step_error(step)
+
+
+def test_an_ode_transport_declares_only_what_every_field_satisfies(sphere):
+    """Metric consistency depends on the coefficients, so the constructor
+    leaves it out and the Levi-Civita preset declares it itself."""
+    def arbitrary(x, xdot):
+        return ((0.3 * xdot[0], math.sin(x[1])), (0.7, -xdot[1]))
+
+    T = linear_ode_transport(sphere.bundle, arbitrary)
+    assert T.declared == {"local", "reparam_invariant", "linear"}
+    spec = InstanceSpec("arbitrary", T, metric=round_metric(),
+                        law_paths=sphere.law_paths)
+    assert "2.9" not in spec.applicable
+    assert "metric_consistent" in sphere.transport.declared
+    assert "2.9" in sphere.applicable
 
 
 def _metric_saboteur(spec, eps=1e-8):

@@ -5,18 +5,18 @@ import sys
 
 import pytest
 
-from fibretransport.bundles import (fibre_labels, graph_point, label_element,
-                                    vector_element)
+from fibretransport.bundles import (Section, fibre_labels, graph_point,
+                                    label_element, vector_element)
 from fibretransport.cli import run_law
 from fibretransport.errors import FibreTransportError
 from fibretransport.instances import make_instance
 from fibretransport.laws import (LAWS, REMAPS, is_transported_section,
                                  law_named, liftings_disjoint_or_equal)
+from fibretransport.lifting import propagate_section
 from fibretransport.paths import (EDGE_SLACK, UNIT, Interval, affine_remap,
                                   piecewise_path)
 from fibretransport.transport import (Failure, Transport, inverse_transport,
-                                      propagate_section, run_trials,
-                                      transport)
+                                      run_trials, transport)
 
 
 class TestValidation:
@@ -168,12 +168,42 @@ class TestSections:
         assert not is_transported_section(fol.transport, crossed, p)
 
     def test_undefined_section_rejected(self, fol):
-        from fibretransport.bundles import Section
         p = fol.path_named("walk")
         hole = Section(name="partial", assignment=lambda x: (_ for _ in ()).throw(
             KeyError(x.node)))
         with pytest.raises(FibreTransportError, match="undefined at"):
             is_transported_section(fol.transport, hole, p)
+
+    def test_a_nan_rule_transports_no_section(self):
+        """NaN is not within any tolerance: the predicate asks that every
+        deviation be at most law 2.4's threshold, not that none exceed it."""
+        par = make_instance("parallelization-flat")
+        nan = Transport(name="nan", bundle=par.bundle,
+                        apply_fn=lambda p, s, t, u: vector_element(
+                            p.at(t), (math.nan, math.nan)))
+        constant = Section(name="constant", assignment=lambda x:
+                           vector_element(x, (1.0, 0.0)))
+        assert not is_transported_section(nan, constant, par.law_paths[0])
+
+    def test_law_2_4_checks_each_anchor_once(self, perm, monkeypatch):
+        """Each section is one lifting, so its anchor is checked once; each
+        re-propagation is one checked transport."""
+        from fibretransport import lifting
+        tr = sys.modules["fibretransport.transport"]
+        checked = []
+        original = tr.checked_source
+
+        def counted(*args):
+            checked.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(tr, "checked_source", counted)
+        monkeypatch.setattr(lifting, "checked_source", counted)
+        law = law_named("2.4")
+        paths = perm.law_paths
+        report = law.check(perm.transport, paths, trials=7)
+        assert report.passed and report.trials == 7
+        assert len(checked) == len(paths) + 7
 
 
 class TestTolerancePolicy:
