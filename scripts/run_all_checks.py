@@ -2,10 +2,9 @@
 """Run every applicable law on every preset instance and summarize.
 
 Writes one report directory per instance under --out (default ./reports).
-Exact instances run at full trial counts; the integrator-backed instance
-gets a lighter count (``--heavy-trials``, 40 by default).  The broken
-presets are expected to fail exactly their advertised law; anything else
-counts as a surprise and flips the exit status.
+Exact instances run 200 trials per law; the integrator-backed instance
+runs 40.  The broken presets are expected to fail exactly their advertised
+law; anything else counts as a surprise and flips the exit status.
 """
 
 import argparse
@@ -15,20 +14,20 @@ from pathlib import Path
 from fibretransport.cli import law_filename, run_law
 from fibretransport.instances import instance_names, make_instance
 
+# Trials per law on exact instances and on integrator-backed ones.
+TRIALS, HEAVY_TRIALS = 200, 40
+
 
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", type=Path, default=Path("reports"))
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--trials", type=int, default=200)
-    ap.add_argument("--heavy-trials", type=int, default=40,
-                    help="trial count for integrator-backed instances")
     args = ap.parse_args()
 
     surprises = []
     for name in instance_names():
         spec = make_instance(name)
-        trials = args.heavy_trials if spec.step is not None else args.trials
+        trials = HEAVY_TRIALS if spec.step is not None else TRIALS
         outdir = args.out / name.replace(":", "_")
         outdir.mkdir(parents=True, exist_ok=True)
         expected_fail = spec.transport.violates

@@ -11,6 +11,9 @@ kinds exist:
   family of pairwise non-intersecting global sections (a foliation of the
   total space by graphs of sections).
 
+A bundle keeps only the fields its kinds read.  Base points are compared in
+one place, ``point_deviation``, which reads the sphere's phi modulo 2*pi.
+
 Everything is an immutable record (a named tuple); operations are pure
 functions.
 """
@@ -61,29 +64,22 @@ def chart_point(space: str, *coords: float) -> BasePoint:
 
 
 def point_deviation(x: BasePoint, y: BasePoint) -> float:
-    """0.0 for identical points; a positive gap otherwise.
-
-    Node points compare by identifier.  Chart points compare coordinatewise
-    with no periodicity assumptions; space-aware comparisons (phi mod 2*pi on
-    the sphere) live on the bundle, see FibreBundle.point_deviation.  A NaN
-    coordinate gap makes the result NaN.
+    """0.0 for one point; a positive gap otherwise, NaN if a coordinate gap
+    is NaN.  Node points compare by identifier, chart points as (theta, phi)
+    pairs with phi modulo 2*pi; any other two points are infinitely apart.
     """
     if x.space != y.space:
         return math.inf
     node = x.node
-    if (node is None) != (y.node is None):
-        return math.inf
     if node is not None:
+        if y.node is None:
+            return math.inf
         return 0.0 if node == y.node else 1.0
-    if len(x.coords) != len(y.coords):
+    a, b = x.coords, y.coords
+    if b is None or len(a) != 2 or len(b) != 2:
         return math.inf
-    return linalg.max_abs(linalg.vec_sub(x.coords, y.coords))
-
-
-def chart_deviation(x: BasePoint, y: BasePoint) -> float:
-    """Sphere chart distance identifying azimuths modulo the period."""
-    dth = abs(x.coords[0] - y.coords[0])
-    dph = abs(x.coords[1] - y.coords[1]) % (2.0 * math.pi)
+    dth = abs(a[0] - b[0])
+    dph = abs(a[1] - b[1]) % (2.0 * math.pi)
     dph = min(dph, 2.0 * math.pi - dph)
     return linalg.max_abs((dth, dph))  # both >= 0: their NaN-keeping maximum
 
@@ -188,6 +184,12 @@ class FibreBundle(namedtuple("FibreBundle", "base_space_id base_kind "
                 raise FibreTransportError(
                     "section fibre needs at least one section")
             self._check_sections_disjoint()
+        if self.fibre_kind != "finite" and self.labels is not None:
+            raise FibreTransportError("labels belong to finite fibres")
+        if self.fibre_kind != "sections" and self.sections is not None:
+            raise FibreTransportError("sections belong to section fibres")
+        if self.base_kind == "sphere" and self.nodes is not None:
+            raise FibreTransportError("a sphere base has no nodes")
         return self
 
     def _check_sections_disjoint(self) -> None:
@@ -207,7 +209,7 @@ class FibreBundle(namedtuple("FibreBundle", "base_space_id base_kind "
                     )
                 seen[v] = sec.name
 
-    # -- base-space membership and comparisons -------------------------------
+    # -- base-space membership ----------------------------------------------
 
     def contains_point(self, x: BasePoint) -> bool:
         if x.space != self.base_space_id:
@@ -223,14 +225,6 @@ class FibreBundle(namedtuple("FibreBundle", "base_space_id base_kind "
         if not self.contains_point(x):
             raise FibreTransportError(
                 f"{x} is not a point of base {self.base_space_id!r}")
-
-    def point_deviation(self, x: BasePoint, y: BasePoint) -> float:
-        """Like the module-level helper, but phi-periodic on the sphere."""
-        if self.base_kind == "sphere" and not x.is_node and not y.is_node:
-            if x.space != y.space or len(x.coords) != 2 or len(y.coords) != 2:
-                return math.inf
-            return chart_deviation(x, y)
-        return point_deviation(x, y)
 
 
 def fibre_labels(bundle: FibreBundle, x: BasePoint) -> tuple[str, ...] | None:

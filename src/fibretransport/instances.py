@@ -28,8 +28,8 @@ from typing import Callable, Iterable, Mapping
 from . import linalg, sphere
 from .bundles import (SAME_POINT_TOL, BasePoint, BundleMetric, FibreBundle,
                       FibreElement, euclidean_metric, graph_point,
-                      label_element, section_through, table_section,
-                      vector_element)
+                      label_element, point_deviation, section_through,
+                      table_section, vector_element)
 from .errors import FibreTransportError
 from .factorization import fibre_map, map_deviation, map_invert
 from .integrate import CellStore, rk4_linear_flow
@@ -418,7 +418,7 @@ def loop_matrix(T: Transport, loop: Path) -> linalg.Mat:
     """The matrix of a full traversal of a closed path, in the chart frame."""
     if T.bundle.fibre_kind != "vector":
         raise FibreTransportError("holonomy applies to vector fibres")
-    if T.bundle.point_deviation(loop.start, loop.end) > SAME_POINT_TOL:
+    if point_deviation(loop.start, loop.end) > SAME_POINT_TOL:
         raise FibreTransportError(f"path {loop.name!r} is not closed")
     return fibre_map(T, loop, loop.domain.lo, loop.domain.hi)
 

@@ -189,8 +189,7 @@ def liftings_disjoint_or_equal(T: tr.Transport, p, *, trials: int = 50,
         _, _, (r, s), u = draw(k, rng)
         l1 = lf.lift(T, p, u, r)
         l2 = lf.lift(T, p, element(rng, p.at(s)), s)
-        devs = [element_deviation(l1.at(g), l2.at(g))
-                for g in p.domain.samples(9)]
+        devs = lf.lifting_gaps(l1, l2, 9)
         # deviations are non-negative: max_abs is their NaN-keeping maximum,
         # and a NaN is neither agreement nor disagreement, so never clean
         worst = linalg.max_abs(devs)

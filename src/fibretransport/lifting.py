@@ -19,8 +19,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import linalg
-from .bundles import (SAME_POINT_TOL, FibreElement, chart_deviation,
-                      element_deviation, fibre_elements, fibre_labels, rebase)
+from .bundles import (SAME_POINT_TOL, FibreElement, element_deviation,
+                      fibre_elements, fibre_labels, point_deviation, rebase)
 from .errors import FibreTransportError
 from .paths import Path, piece_runs
 from .transport import (Transport, _as_paths, _desc, _draws, checked_source,
@@ -50,6 +50,13 @@ def lift(T: Transport, p: Path, u: FibreElement, s0: float) -> Lifting:
                    value_fn=lambda t: apply(p, s0, t, u))
 
 
+def lifting_gaps(l1: Lifting, l2: Lifting, n: int) -> list[float]:
+    """The element deviations of two liftings of one path at n evenly
+    spaced parameters of its domain, in order."""
+    return [element_deviation(l1.at(g), l2.at(g))
+            for g in l1.path.domain.samples(n)]
+
+
 def propagate_section(T: Transport, p: Path, s0: float, u0: FibreElement
                       ) -> list[tuple[float, FibreElement]]:
     """Values on 11 evenly spaced parameters of p's domain of the section
@@ -61,27 +68,24 @@ def propagate_section(T: Transport, p: Path, s0: float, u0: FibreElement
 def occurrence_set(p: Path, u: FibreElement) -> tuple[float, ...]:
     """Parameters at which the path sits under u's base point.
 
-    Discrete paths report the midpoint of each maximal constancy run whose
-    node matches.  Chart paths report matches among the declared
-    self-crossing parameters (generic chart points occur once and carry no
-    declared parameter, so they are not locatable), compared under
-    ``chart_deviation`` as ``with_crossings`` compares them.  An element
+    Discrete paths report the midpoint of each maximal constancy run, chart
+    paths their declared self-crossing parameters (generic chart points
+    occur once and carry no declared parameter, so they are not
+    locatable), wherever the path's point there is u's under
+    ``point_deviation``, as ``with_crossings`` compares them.  An element
     whose base point never shows up raises FibreTransportError.
     """
-    found: list[float] = []
     if p.kind == "discrete":
-        for lo, hi, x in piece_runs(p):
-            if x.node == u.over.node:
-                found.append((lo + hi) / 2.0)
-    elif u.over.space == p.space and not u.over.is_node:
-        candidates = sorted({c for pair in p.crossings for c in pair})
-        for c in candidates:
-            if chart_deviation(p.at(c), u.over) <= SAME_POINT_TOL:
-                found.append(c)
+        candidates = [((lo + hi) / 2.0, x) for lo, hi, x in piece_runs(p)]
+    else:
+        candidates = [(c, p.at(c))
+                      for c in sorted({c for pair in p.crossings for c in pair})]
+    found = tuple(c for c, x in candidates
+                  if point_deviation(x, u.over) <= SAME_POINT_TOL)
     if not found:
         raise FibreTransportError(
             f"no occurrence of base point {u.over} along {p.name!r}")
-    return tuple(found)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +122,7 @@ def projection_trial(T: Transport, paths, trials: int):
     def trial(k, rng):
         p, _, (s0, t), u = draw(k, rng)
         lifted = lift(T, p, u, s0)
-        yield (T.bundle.point_deviation(lifted.at(t).over, p.at(t)),
+        yield (point_deviation(lifted.at(t).over, p.at(t)),
                p.name, {"s0": s0, "t": t}, ["projection"])
         yield (element_deviation(lifted.at(s0), u),
                p.name, {"s0": s0}, ["anchor"])
@@ -136,8 +140,7 @@ def self_consistency_trial(T: Transport, paths, trials: int):
         first = lift(T, p, u, s0)
         second = lift(T, p, first.at(r), r)
         # deviations are non-negative: max_abs is their NaN-keeping maximum
-        dev = linalg.max_abs([element_deviation(first.at(g), second.at(g))
-                              for g in p.domain.samples(7)])
+        dev = linalg.max_abs(lifting_gaps(first, second, 7))
         yield dev, p.name, {"r": r, "s0": s0}, [_desc(u)]
 
     return trial, trials, "liftings compared on 7-point grids"
@@ -186,8 +189,7 @@ def uniqueness_trial(T: Transport, p: Path, trials: int):
         probe = elements[rng.randrange(len(elements))]
         l1 = lift(T, p, probe, r)
         l2 = lift(T, p, rebase(l1.at(s), p.at(s)), s)
-        dev = linalg.max_abs([element_deviation(l1.at(g), l2.at(g))
-                              for g in p.domain.samples(7)])
+        dev = linalg.max_abs(lifting_gaps(l1, l2, 7))
         yield dev, p.name, {"from": r, "to": s}, ["lift comparison"]
 
     return trial, len(pairs), f"{len(pairs)} revisit pair(s)"

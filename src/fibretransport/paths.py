@@ -17,12 +17,12 @@ chart path's point is its (theta, phi) pair, which ``Path.at`` wraps in a
 ``BasePoint``; its jet must give an analytic velocity, a pair as well (both
 checked at construction), and a reparameterization carries the derivative
 ``deriv`` of its forward map, so derived paths push velocities through by
-the chain rule.  A discrete path's jet gives a node point and the velocity
-None.  Paths carry two optional pieces of structure as well: ``breakpoints``
-(parameters where the point map may kink or jump, so exact integrators can
-split there) and ``crossings`` (declared self-intersection parameter pairs
-of chart paths; discrete paths find their self-intersections by enumeration
-instead).
+the chain rule.  A discrete path's jet gives a node point (checked at
+construction) and the velocity None.  Paths carry two optional pieces of
+structure as well: ``breakpoints`` (parameters where the point map may kink
+or jump, so exact integrators can split there) and ``crossings`` (declared
+self-intersection parameter pairs of chart paths; discrete paths find their
+self-intersections by enumeration instead).
 
 Breakpoint convention for piecewise-constant paths: the value at an interior
 breakpoint belongs to the piece on the right, so [n0 on [0, .5), n1 on [.5, 1]]
@@ -46,8 +46,8 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Sequence
 
-from .bundles import (COORD_TOL, SAME_POINT_TOL, BasePoint, chart_deviation,
-                      graph_point, point_deviation)
+from .bundles import (COORD_TOL, SAME_POINT_TOL, BasePoint, graph_point,
+                      point_deviation)
 from .errors import FibreTransportError
 
 # Parameters this close to a domain edge are snapped onto it: float images of
@@ -194,9 +194,9 @@ class Path(namedtuple("Path", "space domain jet kind breakpoints crossings "
     checks nothing, and returns the point and d(coords)/ds there.  A chart
     path's jet gives its (theta, phi) pair and a velocity pair, and ``at``
     wraps the point in a ``BasePoint``; a discrete one's gives a node point
-    and None.  ``at`` and ``velocity`` are the checked entries: they refuse a
-    parameter outside the domain and snap one within EDGE_SLACK onto its
-    edge.
+    and None, checked on its ``piece_points``.  ``at`` and ``velocity`` are
+    the checked entries: they refuse a parameter outside the domain and
+    snap one within EDGE_SLACK onto its edge.
 
     ``piece_points`` is tabulated here from the other fields and is never
     passed: for a discrete path, the jet's point at the midpoint
@@ -240,6 +240,10 @@ class Path(namedtuple("Path", "space domain jet kind breakpoints crossings "
             cuts = (lo, *breakpoints, hi)
             piece_points = ((jet(lo)[0],) if hi - lo <= 0.0 else tuple(
                 [jet(0.5 * (a + b))[0] for a, b in zip(cuts, cuts[1:])]))
+            for x in piece_points:
+                if not isinstance(x, BasePoint) or x.node is None:
+                    raise FibreTransportError(
+                        f"discrete path {name!r} must give node points")
         return tuple.__new__(cls, (space, domain, jet, kind, breakpoints,
                                    crossings, name, piece_points))
 
@@ -270,14 +274,14 @@ class Path(namedtuple("Path", "space domain jet kind breakpoints crossings "
 def with_crossings(p: Path, pairs: Sequence[tuple[float, float]]) -> Path:
     """Attach declared self-intersection parameter pairs to a chart path.
 
-    Each pair must close up under ``chart_deviation``, the sphere chart
-    distance, which identifies azimuths modulo the period.
+    Each pair must close up under ``point_deviation``, which reads phi
+    modulo 2*pi.
     """
     norm = tuple(sorted((min(r, s), max(r, s)) for r, s in pairs))
     for r, s in norm:
         if not (p.domain.contains(r) and p.domain.contains(s)):
             raise FibreTransportError("crossing parameters must lie in the domain")
-        if chart_deviation(p.at(r), p.at(s)) > SAME_POINT_TOL:
+        if point_deviation(p.at(r), p.at(s)) > SAME_POINT_TOL:
             raise FibreTransportError(
                 f"declared crossing ({r}, {s}) does not close up")
     return p._replace(crossings=norm)

@@ -25,8 +25,8 @@ from typing import Callable, Iterator
 
 from .bundles import (SAME_POINT_TOL, BundleMetric, FibreBundle,
                       FibreElement, element_deviation, evaluate_metric,
-                      fibre_labels, graph_point, label_element, rebase,
-                      vector_element)
+                      fibre_labels, graph_point, label_element,
+                      point_deviation, rebase, vector_element)
 from .errors import FibreTransportError
 from .linalg import lin_comb, max_abs, vec_sub
 from .paths import Interval, Path, concatenate, reparameterize, restrict, \
@@ -102,7 +102,7 @@ def checked_source(T: Transport, p: Path, s: float, t: float,
     # one point object is the same point: its deviation is 0.0, or NaN,
     # and neither is refused
     x = p.at(s)
-    if over is not x and bundle.point_deviation(over, x) > SAME_POINT_TOL:
+    if over is not x and point_deviation(over, x) > SAME_POINT_TOL:
         raise FibreTransportError(
             f"element over {over} is not attached over path({s})")
     return s, t

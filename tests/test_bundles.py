@@ -4,7 +4,7 @@ import random
 import pytest
 
 from fibretransport.bundles import (COORD_TOL, BundleMetric, FibreBundle,
-                                    FibreElement, chart_deviation, chart_point,
+                                    FibreElement, chart_point,
                                     element_deviation, euclidean_metric,
                                     evaluate_metric, fibre_elements,
                                     fibre_labels, graph_point, label_element,
@@ -77,10 +77,14 @@ class TestElements:
         x = graph_point("g", "n0")
         assert element_deviation(label_element(x, "a"), label_element(x, "a")) == 0.0
         assert element_deviation(label_element(x, "a"), label_element(x, "b")) == 1.0
-        p = chart_point("c", 0.0)
+        p = chart_point("c", 0.0, 0.0)
         a = vector_element(p, (1.0, 0.0))
         b = vector_element(p, (1.0, 0.25))
-        assert element_deviation(a, b) == pytest.approx(0.25)
+        assert element_deviation(a, b) == 0.25
+        # a chart point that is not a pair is no point to compare
+        q = chart_point("c", 0.0)
+        assert element_deviation(vector_element(q, (1.0, 0.0)),
+                                 vector_element(q, (1.0, 0.25))) == math.inf
 
 
 def bits(x):
@@ -91,30 +95,36 @@ class TestDeviationsAgainstTheGenericMaxima:
     """Finite deviations equal the plain ``max`` they replace, to the bit."""
 
     def test_points_and_elements(self):
+        # chart points are (theta, phi) pairs with phi read modulo 2*pi
         rng = random.Random(3)
         for _ in range(500):
             c = [rng.choice((0.0, -0.0, 1.0, rng.uniform(-4.0, 4.0)))
                  for _ in range(4)]
             x, y = chart_point("c", *c[:2]), chart_point("c", *c[2:])
-            gap = max((abs(a - b) for a, b in zip(c[:2], c[2:])), default=0.0)
+            dth = abs(c[0] - c[2])
+            dph = abs(c[1] - c[3]) % (2.0 * math.pi)
+            gap = max(dth, min(dph, 2.0 * math.pi - dph))
             assert bits(point_deviation(x, y)) == bits(gap)
             u = [rng.choice((0.0, -0.0, 0.5, rng.uniform(-2.0, 2.0)))
                  for _ in range(4)]
             a, b = vector_element(x, u[:2]), vector_element(y, u[2:])
             want = max(gap, max(abs(p - q) for p, q in zip(u[:2], u[2:])))
             assert bits(element_deviation(a, b)) == bits(want)
-            dth = abs(c[0] - c[2])
-            dph = abs(c[1] - c[3]) % (2.0 * math.pi)
-            want = max(dth, min(dph, 2.0 * math.pi - dph))
-            assert bits(chart_deviation(x, y)) == bits(want)
 
     def test_other_lengths(self):
+        # a chart point with other than two coordinates is infinitely far
+        # from every point, itself included; vectors of any one length
+        # compare entrywise
         x = chart_point("c", 0.0, 1.0, 2.0)
-        assert point_deviation(x, chart_point("c", 0.5, 1.0, 1.0)) == 1.0
-        a = vector_element(x, (1.0, 2.0, 3.0))
-        b = vector_element(x, (1.0, 2.5, 3.0))
+        assert point_deviation(x, chart_point("c", 0.5, 1.0, 1.0)) == math.inf
+        assert point_deviation(x, x) == math.inf
+        y = chart_point("c", 0.0, 1.0)
+        a = vector_element(y, (1.0, 2.0, 3.0))
+        b = vector_element(y, (1.0, 2.5, 3.0))
         assert element_deviation(a, b) == 0.5
-        assert element_deviation(a, vector_element(x, (1.0, 2.0))) == math.inf
+        assert element_deviation(a, vector_element(y, (1.0, 2.0))) == math.inf
+        assert element_deviation(vector_element(x, (1.0, 2.0, 3.0)),
+                                 vector_element(x, (1.0, 2.5, 3.0))) == math.inf
 
 
 class TestDeviationsKeepNaN:
@@ -122,20 +132,25 @@ class TestDeviationsKeepNaN:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_point_deviation(self, n):
+        # only a (theta, phi) pair is compared; other lengths are infinitely
+        # far apart, NaN or not
         for i in range(n):
             for side in (0, 1):
                 c = [[0.0] * n, [5.0] * n]
                 c[side][i] = math.nan
                 x, y = chart_point("c", *c[0]), chart_point("c", *c[1])
-                assert math.isnan(point_deviation(x, y)), c
+                if n == 2:
+                    assert math.isnan(point_deviation(x, y)), c
+                else:
+                    assert point_deviation(x, y) == math.inf, c
 
     def test_chart_deviation(self):
         for i in range(4):
             c = [1.0, 0.5, 1.5, 0.25]
             c[i] = math.nan
             x, y = chart_point(SPACE, *c[:2]), chart_point(SPACE, *c[2:])
-            assert math.isnan(chart_deviation(x, y)), c
-        assert math.isnan(chart_deviation(chart_point(SPACE, 1.0, math.inf),
+            assert math.isnan(point_deviation(x, y)), c
+        assert math.isnan(point_deviation(chart_point(SPACE, 1.0, math.inf),
                                           chart_point(SPACE, 2.0, 0.0)))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -228,12 +243,11 @@ class TestMetric:
 
 class TestSphereBase:
     def test_phi_periodicity(self):
-        B = tangent_bundle()
         x = chart_point(SPACE, 1.0, 0.0)
         y = chart_point(SPACE, 1.0, 2.0 * math.pi)
         # the chart wraps in phi, so these name the same base point
-        assert B.point_deviation(x, y) == pytest.approx(0.0, abs=1e-12)
-        assert B.point_deviation(x, y) <= COORD_TOL
+        assert point_deviation(x, y) == pytest.approx(0.0, abs=1e-12)
+        assert point_deviation(x, y) <= COORD_TOL
 
     def test_contains_only_chart_band(self):
         B = tangent_bundle()

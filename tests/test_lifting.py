@@ -121,6 +121,10 @@ class TestOccurrences:
         u = label_element(graph_point("c3", "n2"), "a")
         with pytest.raises(FibreTransportError, match="no occurrence of base point"):
             occurrence_set(p, u)
+        # a node of another space is no occurrence, whatever its name
+        u = label_element(graph_point("elsewhere", p.at(0.0).node), "a")
+        with pytest.raises(FibreTransportError, match="no occurrence of base point"):
+            occurrence_set(p, u)
 
 
 class TestRebuild:

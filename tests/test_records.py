@@ -132,9 +132,22 @@ RECORDS = {
     "InstanceSpec": (InstanceSpec, dict(name="t", transport=T), False, []),
 }
 
+# Refusals of a field that does not fit the record's kind, which the
+# constructors run after every check above: (name, changed arguments,
+# message).  They are numbered after the table's rows, so those keep their
+# ids.
+KIND_MISMATCHES = [
+    ("FibreBundle", dict(fibre_kind="vector"),
+     "labels belong to finite fibres"),
+    ("FibreBundle", dict(fibre_kind="vector", labels=None, sections=(SEC,)),
+     "sections belong to section fibres"),
+    ("FibreBundle", dict(base_kind="sphere"), "a sphere base has no nodes"),
+    ("Path", dict(jet=_no_velocity), "discrete path 'p' must give node points"),
+]
+
 CHECKS = [(name, changes, message)
           for name, (_, _, _, checks) in RECORDS.items()
-          for changes, message in checks]
+          for changes, message in checks] + KIND_MISMATCHES
 
 
 def test_the_table_covers_every_record():

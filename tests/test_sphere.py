@@ -12,14 +12,15 @@ import random
 
 import pytest
 
-from fibretransport.bundles import chart_deviation, chart_point, vector_element
+from fibretransport.bundles import (chart_point, element_deviation,
+                                    point_deviation, vector_element)
 from fibretransport.errors import FibreTransportError
 from fibretransport.cli import run_law
 from fibretransport.instances import (DEFAULT_STEP, InstanceSpec,
                                       holonomy_angle, linear_ode_transport,
                                       make_instance, step_error)
 from fibretransport.linalg import matmul, max_abs, vec_sub
-from fibretransport.paths import UNIT
+from fibretransport.paths import UNIT, concatenate
 from fibretransport.sphere import (OCTANT_AREA, OCTANT_VERTICES, SPACE,
                                    closed_latitude, coefficient_matrix,
                                    great_circle_arc, latitude_arc,
@@ -143,7 +144,7 @@ class TestLoops:
         loop = octant_loop()
         assert loop.breakpoints == pytest.approx((1.0 / 3.0, 2.0 / 3.0))
         assert loop.crossings == ((0.0, 1.0),)
-        assert chart_deviation(loop.at(0.0), loop.at(1.0)) < 1e-12
+        assert point_deviation(loop.at(0.0), loop.at(1.0)) < 1e-12
         b, c, a = OCTANT_VERTICES
         assert loop.at(0.0).coords == pytest.approx(b)
         assert loop.at(1.0 / 3.0).coords == pytest.approx(c)
@@ -164,7 +165,29 @@ class TestLoops:
 
     def test_closed_latitude_wraps(self):
         loop = closed_latitude(math.pi / 3)
-        assert chart_deviation(loop.at(0.0), loop.at(1.0)) < 1e-12
+        assert point_deviation(loop.at(0.0), loop.at(1.0)) < 1e-12
+
+
+class TestThePhiPeriod:
+    """Base points are compared with phi read modulo 2*pi everywhere."""
+
+    def test_a_closed_latitude_glues_to_an_arc_from_phi_zero(self, sphere):
+        # the loop ends at phi = 2*pi, the arc starts at phi = 0: one point
+        T = sphere.transport
+        loop, arc = closed_latitude(1.0), latitude_arc(1.0, 0.0, 1.0)
+        q = concatenate(loop, arc)
+        u = vector_element(q.at(0.0), (0.3, -0.7))
+        whole = transport(T, q, 0.0, 1.0, u)
+        halves = transport(T, arc, 0.0, 1.0,
+                           transport(T, loop, 0.0, 1.0, u))
+        assert element_deviation(whole, halves) <= T.tolerance
+
+    def test_an_element_a_period_away_is_its_own_image(self, sphere):
+        T, p, s = sphere.transport, sphere.path_named("latitude-arc"), 0.3
+        theta, phi = p.at(s).coords
+        u = vector_element(chart_point(SPACE, theta, phi + 2.0 * math.pi),
+                           (0.3, -0.7))
+        assert element_deviation(transport(T, p, s, s, u), u) == 0.0
 
 
 @pytest.fixture(scope="module")
