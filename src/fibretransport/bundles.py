@@ -11,8 +11,9 @@ kinds exist:
   family of pairwise non-intersecting global sections (a foliation of the
   total space by graphs of sections).
 
-A bundle keeps only the fields its kinds read.  Base points are compared in
-one place, ``point_deviation``, which reads the sphere's phi modulo 2*pi.
+A bundle's kinds are read off the fields they name.  Base points are
+compared in one place, ``point_deviation``, which reads the sphere's phi
+modulo 2*pi.
 
 Everything is an immutable record (a named tuple); operations are pure
 functions.
@@ -159,37 +160,32 @@ def table_section(name: str, space: str, values: Mapping[str, str]) -> Section:
 
 class FibreBundle(namedtuple("FibreBundle", "base_space_id base_kind "
                              "fibre_kind nodes labels sections")):
-    """A total space over a base, described by base kind and fibre kind."""
+    """A total space over a base.  Its kinds are derived, never passed: a
+    graph base exactly when ``nodes`` is given, else a sphere; a finite fibre
+    when ``labels`` is, a section fibre when ``sections`` is, else vector."""
 
     __slots__ = ()
 
     def __new__(cls, base_space_id: str,
-                base_kind: str,                 # graph | sphere
-                fibre_kind: str,                # finite | vector | sections
                 nodes: tuple[str, ...] | None = None,
                 labels: tuple[str, ...] | None = None,
                 sections: tuple[Section, ...] | None = None) -> FibreBundle:
+        if labels is not None and sections is not None:
+            raise FibreTransportError("a fibre takes labels or sections, not both")
+        base_kind = "sphere" if nodes is None else "graph"
+        fibre_kind = ("finite" if labels is not None else
+                      "sections" if sections is not None else "vector")
         self = tuple.__new__(cls, (base_space_id, base_kind, fibre_kind,
                                    nodes, labels, sections))
-        if self.base_kind not in ("graph", "sphere"):
-            raise FibreTransportError(f"unknown base kind {self.base_kind!r}")
-        if self.fibre_kind not in ("finite", "vector", "sections"):
-            raise FibreTransportError(f"unknown fibre kind {self.fibre_kind!r}")
-        if self.base_kind == "graph" and not self.nodes:
+        if base_kind == "graph" and not nodes:
             raise FibreTransportError("graph base needs nodes")
-        if self.fibre_kind == "finite" and not self.labels:
+        if fibre_kind == "finite" and not labels:
             raise FibreTransportError("finite fibre needs labels")
-        if self.fibre_kind == "sections":
-            if not self.sections or len(self.sections) < 1:
+        if fibre_kind == "sections":
+            if not sections:
                 raise FibreTransportError(
                     "section fibre needs at least one section")
             self._check_sections_disjoint()
-        if self.fibre_kind != "finite" and self.labels is not None:
-            raise FibreTransportError("labels belong to finite fibres")
-        if self.fibre_kind != "sections" and self.sections is not None:
-            raise FibreTransportError("sections belong to section fibres")
-        if self.base_kind == "sphere" and self.nodes is not None:
-            raise FibreTransportError("a sphere base has no nodes")
         return self
 
     def _check_sections_disjoint(self) -> None:

@@ -31,7 +31,8 @@ from .bundles import (SAME_POINT_TOL, BasePoint, BundleMetric, FibreBundle,
                       label_element, point_deviation, section_through,
                       table_section, vector_element)
 from .errors import FibreTransportError
-from .factorization import fibre_map, map_deviation, map_invert
+from .factorization import (FRAME_GAP_EPS, fibre_map, map_deviation,
+                            map_invert, map_size)
 from .integrate import CellStore, rk4_linear_flow
 from .paths import Path, UNIT, node_sequence, piecewise_path, trace_nodes
 from .laws import LAW_ORDER, LAWS
@@ -118,16 +119,6 @@ def foliation_transport(bundle: FibreBundle, name: str = "foliation") -> Transpo
                      tolerance=0.0)
 
 
-# A parallelization's frame maps compose up to rounding, and the rounding
-# grows with the size of the maps: the gap of the cocycle identity across
-# (x, y, z) is bounded by FRAME_GAP_EPS machine epsilons times the product
-# of the max-abs norms of frame(z), frame(y)^-1, frame(y) and frame(x)^-1,
-# the maps it composes (Higham, Accuracy and Stability of Numerical
-# Algorithms, ch. 3, on the matrix product).  Random frames of condition
-# number 10 to 10^4 reach at most 5 of these epsilons.
-FRAME_GAP_EPS = 16.0
-
-
 def parallelization_transport(bundle: FibreBundle,
                               frames: Mapping[str, linalg.Mat],
                               name: str = "parallelization") -> Transport:
@@ -135,7 +126,8 @@ def parallelization_transport(bundle: FibreBundle,
 
     The point maps are frame(y) o frame(x)^{-1}; their two-point cocycle
     identities are validated exhaustively at construction, each against
-    its FRAME_GAP_EPS bound.  A frame that is not 2 x 2, is singular or is
+    its FRAME_GAP_EPS bound on the maps it composes, frame(z), frame(y)^-1,
+    frame(y) and frame(x)^-1.  A frame that is not 2 x 2, is singular or is
     not finite is refused.  The tolerance is 0.0 when every point map is a
     signed permutation, as between quarter turns: an image is then its
     element's components moved and signed, with no rounding.  Otherwise it
@@ -151,10 +143,8 @@ def parallelization_transport(bundle: FibreBundle,
     inv = {n: map_invert(frames[n]) for n in bundle.nodes}
     pair = {(x, y): linalg.matmul(frames[y], inv[x])
             for x in bundle.nodes for y in bundle.nodes}
-    size = {n: linalg.max_abs((*frames[n][0], *frames[n][1]))
-            for n in bundle.nodes}
-    inv_size = {n: linalg.max_abs((*inv[n][0], *inv[n][1]))
-                for n in bundle.nodes}
+    size = {n: map_size(frames[n]) for n in bundle.nodes}
+    inv_size = {n: map_size(inv[n]) for n in bundle.nodes}
     bound = 0.0
     for x in bundle.nodes:
         for y in bundle.nodes:
@@ -517,9 +507,7 @@ def _graph_spec(T: Transport, walk: str, second: str, name: str,
 
 
 def _perm_c3() -> InstanceSpec:
-    bundle = FibreBundle(base_space_id="c3", base_kind="graph",
-                         fibre_kind="finite",
-                         nodes=("n0", "n1", "n2"),
+    bundle = FibreBundle(base_space_id="c3", nodes=("n0", "n1", "n2"),
                          labels=("a", "b", "c"))
     T = permutation_transport(bundle, {
         ("n0", "n1"): {"a": "b", "b": "c", "c": "a"},
@@ -533,8 +521,7 @@ def _foliation_2sec() -> InstanceSpec:
     space = "fol3"
     alpha = table_section("alpha", space, {"g0": "a0", "g1": "a1", "g2": "a2"})
     beta = table_section("beta", space, {"g0": "b0", "g1": "b1", "g2": "b2"})
-    bundle = FibreBundle(base_space_id=space, base_kind="graph",
-                         fibre_kind="sections", nodes=("g0", "g1", "g2"),
+    bundle = FibreBundle(base_space_id=space, nodes=("g0", "g1", "g2"),
                          sections=(alpha, beta))
     T = foliation_transport(bundle, name="foliation-2sec")
     return _graph_spec(T, "g0 g1 g2", "g0 g1 g0 g2 g0", "figure-eight")
@@ -550,8 +537,7 @@ _QUARTER_TURNS = (
 
 def _parallelization_flat() -> InstanceSpec:
     nodes = ("w0", "w1", "w2", "w3")
-    bundle = FibreBundle(base_space_id="quad", base_kind="graph",
-                         fibre_kind="vector", nodes=nodes)
+    bundle = FibreBundle(base_space_id="quad", nodes=nodes)
     frames = {n: _QUARTER_TURNS[i] for i, n in enumerate(nodes)}
     T = parallelization_transport(bundle, frames, name="parallelization-flat")
     return _graph_spec(T, "w0 w1 w2 w3", "w0 w1 w0 w2 w0", "figure-eight",
@@ -595,9 +581,7 @@ def _counterexample(kind: str) -> InstanceSpec:
 
 
 def _cx_bundle() -> FibreBundle:
-    return FibreBundle(base_space_id="cx", base_kind="graph",
-                       fibre_kind="vector",
-                       nodes=("x0", "x1", "x2", "x3"))
+    return FibreBundle(base_space_id="cx", nodes=("x0", "x1", "x2", "x3"))
 
 
 # Preset builders by name, called with the checked integrator step; exact

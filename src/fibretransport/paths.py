@@ -190,6 +190,8 @@ class Path(namedtuple("Path", "space domain jet kind breakpoints crossings "
                       "name piece_points")):
     """A parameterized path in one base space.
 
+    ``kind`` is derived here and is never passed: "discrete" when the jet's
+    point at ``domain.lo`` is a ``BasePoint``, and "chart" otherwise.
     ``jet(s)`` is the raw map: it must accept any parameter of ``domain``,
     checks nothing, and returns the point and d(coords)/ds there.  A chart
     path's jet gives its (theta, phi) pair and a velocity pair, and ``at``
@@ -213,14 +215,12 @@ class Path(namedtuple("Path", "space domain jet kind breakpoints crossings "
                 jet: Callable[[float],
                               tuple[BasePoint | tuple[float, ...],
                                     tuple[float, ...] | None]],
-                kind: str,                     # discrete | chart
                 breakpoints: tuple[float, ...] = (),
                 crossings: tuple[tuple[float, float], ...] = (),
                 name: str = "path") -> Path:
-        if kind not in ("discrete", "chart"):
-            raise FibreTransportError("path kind must be 'discrete' or 'chart'")
+        x, v = jet(domain.lo)
+        kind = "discrete" if isinstance(x, BasePoint) else "chart"
         if kind == "chart":
-            x, v = jet(domain.lo)
             if v is None:
                 raise FibreTransportError(
                     f"chart path {name!r} needs a velocity")
@@ -238,7 +238,7 @@ class Path(namedtuple("Path", "space domain jet kind breakpoints crossings "
         if kind == "discrete":
             lo, hi = domain
             cuts = (lo, *breakpoints, hi)
-            piece_points = ((jet(lo)[0],) if hi - lo <= 0.0 else tuple(
+            piece_points = ((x,) if hi - lo <= 0.0 else tuple(
                 [jet(0.5 * (a + b))[0] for a, b in zip(cuts, cuts[1:])]))
             for x in piece_points:
                 if not isinstance(x, BasePoint) or x.node is None:
@@ -315,8 +315,8 @@ def piecewise_path(space: str, domain: Interval,
         return points[bisect.bisect_right(cut, s)], None
 
     return Path(
-        space=space, domain=domain, jet=jet, kind="discrete",
-        breakpoints=tuple(cut), name=name,
+        space=space, domain=domain, jet=jet, breakpoints=tuple(cut),
+        name=name,
     )
 
 
@@ -335,7 +335,7 @@ def restrict(p: Path, sub: Interval) -> Path:
         (r, s) for r, s in p.crossings if sub.contains(r, EXACT) and sub.contains(s, EXACT)
     )
     return Path(
-        space=p.space, domain=sub, jet=p.jet, kind=p.kind, breakpoints=bps,
+        space=p.space, domain=sub, jet=p.jet, breakpoints=bps,
         crossings=crossings, name=f"{p.name}|[{sub.lo:g},{sub.hi:g}]",
     )
 
@@ -372,8 +372,8 @@ def reparameterize(p: Path, remap: Reparameterization) -> Path:
         for r, s in p.crossings
     ))
     return Path(
-        space=p.space, domain=remap.source, jet=jet, kind=p.kind,
-        breakpoints=bps, crossings=crossings, name=f"{p.name}o{remap.name}",
+        space=p.space, domain=remap.source, jet=jet, breakpoints=bps,
+        crossings=crossings, name=f"{p.name}o{remap.name}",
     )
 
 
@@ -426,8 +426,7 @@ def concatenate(*paths: Path) -> Path:
 
     bps = sorted({*seams, *(b for q in pieces for b in q.breakpoints)})
     return Path(
-        space=first.space, domain=UNIT, jet=jet, kind=first.kind,
-        breakpoints=tuple(bps),
+        space=first.space, domain=UNIT, jet=jet, breakpoints=tuple(bps),
         name=f"({'*'.join(p.name for p in paths)})",
     )
 
@@ -439,13 +438,18 @@ def concatenate(*paths: Path) -> Path:
 _node = attrgetter("node")
 
 
+def _require_discrete(p: Path, walked: str) -> None:
+    """The walkers' one guard: it names what the walker reads."""
+    if p.kind != "discrete":
+        raise FibreTransportError(f"{walked} are defined for discrete paths")
+
+
 def piece_runs(p: Path) -> list[tuple[float, float, BasePoint]]:
     """Maximal constancy runs (run_lo, run_hi, point) of a discrete path.
 
     Each piece between consecutive cuts is read at its midpoint, from the
     path's ``piece_points``, and neighbouring pieces at one node merge."""
-    if p.kind != "discrete":
-        raise FibreTransportError("piece runs are defined for discrete paths")
+    _require_discrete(p, "piece runs")
     lo, hi = p.domain
     cuts = [lo, *p.breakpoints, hi]
     runs: list[tuple[float, float, BasePoint]] = []
@@ -465,9 +469,7 @@ def node_sequence(p: Path, s: float, t: float) -> list[str]:
     hi.  The pieces between two breakpoints are whole pieces of the path, so
     their samples are read from ``piece_points``; the two ends and the two
     partial end pieces are read through the jet."""
-    if p.kind != "discrete":
-        raise FibreTransportError(
-            "node sequences are defined for discrete paths")
+    _require_discrete(p, "node sequences")
     domain, jet = p.domain, p.jet
     lo, hi = domain
     if not lo <= s <= hi:  # checked once
@@ -490,6 +492,5 @@ def node_sequence(p: Path, s: float, t: float) -> list[str]:
 
 def trace_nodes(p: Path) -> tuple[str, ...]:
     """The distinct nodes a discrete path visits, in first-visit order."""
-    if p.kind != "discrete":
-        raise FibreTransportError("piece runs are defined for discrete paths")
+    _require_discrete(p, "node traces")
     return tuple(dict.fromkeys(map(_node, p.piece_points)))

@@ -37,8 +37,7 @@ def require_chart(theta: float) -> None:
 
 
 def tangent_bundle() -> FibreBundle:
-    return FibreBundle(base_space_id=SPACE, base_kind="sphere",
-                       fibre_kind="vector")
+    return FibreBundle(base_space_id=SPACE)
 
 
 def metric_matrix(x: BasePoint) -> linalg.Mat:
@@ -116,7 +115,7 @@ def great_circle_arc(p0: tuple[float, float], p1: tuple[float, float],
                 (-dz / sqrt(q if q > 1e-300 else 1e-300),
                  (x * dy - y * dx) / rho2))
 
-    return Path(space=SPACE, domain=UNIT, jet=jet, kind="chart", name=name)
+    return Path(space=SPACE, domain=UNIT, jet=jet, name=name)
 
 
 def latitude_arc(theta: float, phi0: float, phi1: float,
@@ -128,7 +127,7 @@ def latitude_arc(theta: float, phi0: float, phi1: float,
     def jet(t: float) -> tuple[tuple[float, float], ...]:
         return (theta, phi0 + span * t), (0.0, span)
 
-    return Path(space=SPACE, domain=UNIT, jet=jet, kind="chart", name=name)
+    return Path(space=SPACE, domain=UNIT, jet=jet, name=name)
 
 
 # ---------------------------------------------------------------------------

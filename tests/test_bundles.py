@@ -16,15 +16,13 @@ from fibretransport.sphere import SPACE, tangent_bundle
 
 
 def three_node_bundle():
-    return FibreBundle(base_space_id="g", base_kind="graph",
-                       fibre_kind="finite", nodes=("n0", "n1", "n2"),
+    return FibreBundle(base_space_id="g", nodes=("n0", "n1", "n2"),
                        labels=("a", "b", "c"))
 
 
 def sectioned_bundle():
     return FibreBundle(
-        base_space_id="fol", base_kind="graph", fibre_kind="sections",
-        nodes=("g0", "g1"),
+        base_space_id="fol", nodes=("g0", "g1"),
         sections=(table_section("alpha", "fol", {"g0": "a0", "g1": "a1"}),
                   table_section("beta", "fol", {"g0": "b0", "g1": "b1"})))
 
@@ -187,8 +185,7 @@ class TestBundleQueries:
 
     def test_a_vector_fibre_is_read_on_the_basis(self):
         """The frame of a vector fibre over x is e0, e1 attached over x."""
-        B = FibreBundle(base_space_id="v", base_kind="graph",
-                        fibre_kind="vector", nodes=("w0",))
+        B = FibreBundle(base_space_id="v", nodes=("w0",))
         x = graph_point("v", "w0")
         assert fibre_elements(B, x) == (vector_element(x, (1.0, 0.0)),
                                         vector_element(x, (0.0, 1.0)))
@@ -259,7 +256,6 @@ class TestSerialization:
     def test_vector_bundle_dim(self):
         """A vector fibre is rank 2 by its frame alone: no bundle record
         carries a rank."""
-        B = FibreBundle(base_space_id="v", base_kind="graph",
-                        fibre_kind="vector", nodes=("w0",))
+        B = FibreBundle(base_space_id="v", nodes=("w0",))
         assert "dim" not in FibreBundle._fields
         assert len(fibre_elements(B, graph_point("v", "w0"))) == 2

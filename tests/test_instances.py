@@ -9,7 +9,8 @@ from fibretransport.bundles import (BundleMetric, FibreBundle, fibre_labels,
                                     section_through, vector_element)
 from fibretransport.cli import run_law
 from fibretransport.errors import FibreTransportError
-from fibretransport.factorization import fibre_map
+from fibretransport.factorization import (apply_gauge, canonical_factorization,
+                                          fibre_map, gauge_between)
 from fibretransport.instances import (COUNTEREXAMPLE_KINDS, FRAME_GAP_EPS,
                                       LAW_ORDER, InstanceSpec,
                                       counterexample_transport,
@@ -17,8 +18,9 @@ from fibretransport.instances import (COUNTEREXAMPLE_KINDS, FRAME_GAP_EPS,
                                       loop_matrix, make_instance,
                                       parallelization_transport,
                                       permutation_transport)
-from fibretransport.linalg import matvec, rotation
-from fibretransport.paths import UNIT, piecewise_path
+from fibretransport.laws import law_named
+from fibretransport.linalg import inverse, matmul, matvec, rotation
+from fibretransport.paths import UNIT, Path, piecewise_path
 from fibretransport.transport import Transport, transport
 
 
@@ -49,6 +51,38 @@ class TestRegistry:
         assert len(LAW_ORDER) == 17
         assert LAW_ORDER[0] == "2.2"
         assert "3.6-roundtrip" in LAW_ORDER
+
+
+# Each preset's base and fibre kinds, and the kind of each of its law
+# paths, product-pair paths, loops and uniqueness path, in that order.
+PRESET_KINDS = {
+    "perm-c3": ("graph", "finite", ["discrete"] * 5),
+    "foliation-2sec": ("graph", "sections", ["discrete"] * 5),
+    "parallelization-flat": ("graph", "vector", ["discrete"] * 6),
+    "sphere-levi-civita": ("sphere", "vector", ["chart"] * 10),
+    **{f"counterexample:{kind}": ("graph", "vector", ["discrete"] * 2)
+       for kind in COUNTEREXAMPLE_KINDS},
+}
+
+
+class TestDerivedKinds:
+    def test_every_preset_reads_its_kinds_off_its_fields(self):
+        assert set(PRESET_KINDS) == set(instance_names())
+        for name, kinds in PRESET_KINDS.items():
+            spec = make_instance(name)
+            paths = [*spec.law_paths, *(spec.product_pair or ()),
+                     *spec.loops.values(),
+                     *([spec.uniqueness_path] if spec.uniqueness_path else [])]
+            assert (spec.bundle.base_kind, spec.bundle.fibre_kind,
+                    [p.kind for p in paths]) == kinds, name
+
+    def test_no_kind_is_passed(self):
+        with pytest.raises(TypeError):
+            FibreBundle("g", base_kind="graph", nodes=("a",))
+        with pytest.raises(TypeError):
+            FibreBundle("g", fibre_kind="vector", nodes=("a",))
+        with pytest.raises(TypeError):
+            Path("g", UNIT, lambda s: ((1.0, s), (0.0, 1.0)), kind="chart")
 
 
 class TestApplicableLaws:
@@ -118,11 +152,10 @@ class TestConstructors:
             parallelization_transport(perm.bundle, {})
 
     def test_ode_transport_guards_span(self, sphere):
-        from fibretransport.paths import Interval, Path
+        from fibretransport.paths import Interval
         x = sphere.path_named("tilted").at(0.5).coords
         too_long = Path(space="sphere", domain=Interval(0.0, 100.0),
-                        jet=lambda s: (x, (0.0, 0.0)),
-                        kind="chart", name="marathon")
+                        jet=lambda s: (x, (0.0, 0.0)), name="marathon")
         u = vector_element(too_long.at(0.0), (1.0, 0.0))
         with pytest.raises(FibreTransportError, match="integrator allows"):
             transport(sphere.transport, too_long, 0.0, 100.0, u)
@@ -209,7 +242,7 @@ def _tours_spec(T):
 class TestIllConditionedFrames:
     @pytest.fixture(scope="class")
     def spec(self):
-        bundle = FibreBundle("g", "graph", "vector", nodes=("v0", "v2"))
+        bundle = FibreBundle("g", nodes=("v0", "v2"))
         return _tours_spec(parallelization_transport(bundle, ILL_CONDITIONED))
 
     @pytest.mark.parametrize("seed", range(3))
@@ -250,6 +283,79 @@ class TestIllConditionedFrames:
                            T.tolerance)
         assert run_law(spec, "2.2").passed
         assert not run_law(spec._replace(transport=tilted), "2.2").passed
+
+
+# Frames rotation(a) diag(s0, s1) rotation(b), of condition number up to
+# 10^3, along whose walk the canonical family and its random gauges induce
+# transports up to 4.8e-9 apart: the roundoff of inverting an ill-conditioned
+# family map, which an absolute bound of max(1e-9, 4 tolerances) refused.
+GAUGED_FRAMES = {
+    "v0": ((-0.19228484458880696, 4.2573274742190526),
+           (0.524373544665918, -8.230065709998868)),
+    "v1": ((0.15559407542554488, 0.4280837008896162),
+           (-0.05019751268317831, 1.4075418021511565)),
+    "v2": ((13.754981559690227, -2.3912609461592744),
+           (-18.623783152305577, 3.4159689507068522)),
+    "v3": ((-0.06878584904988504, -0.08905578130450967),
+           (0.24724748414957246, -0.15366564076066638)),
+}
+
+
+def _size(m):
+    return max(abs(c) for row in m for c in row)
+
+
+class TestGaugesOfIllConditionedFrames:
+    @pytest.fixture(scope="class")
+    def family(self):
+        bundle = FibreBundle("g", nodes=tuple(GAUGED_FRAMES))
+        T = parallelization_transport(bundle, GAUGED_FRAMES)
+        stops = ("v2", "v1", "v0", "v1", "v0", "v1")
+        walk = piecewise_path("g", UNIT, [((i + 1) / 6, n)
+                                          for i, n in enumerate(stops)])
+        return T, canonical_factorization(T, walk)
+
+    def test_law_3_11_passes_on_them(self, family):
+        T, f = family
+        law = law_named("3.11/3.12")
+        report = law.check(T, f, trials=50, seed=77)
+        assert report.passed, report.failures
+
+    @pytest.mark.parametrize("times, refused", [(10.0, True), (0.1, False)])
+    def test_a_family_map_off_by_ten_bounds_is_refused_by_a_tenth_not(
+            self, family, times, refused):
+        """With no tolerance declared, gauge_between allows the induced maps
+        only their rounding.  Each map of a gauged family in turn is scaled
+        until the induced maps it enters are off by ``times`` that bound at
+        their worst pair: ten times is refused, a tenth is not."""
+        f = family[1]._replace(tolerance=0.0)
+        g = apply_gauge(f, ((2.0, 1.0), (1.0, 1.0)))
+        inv_f = [inverse(m) for m in f.maps]
+        inv_g = [inverse(m) for m in g.maps]
+
+        def allowed(i, j):
+            spread = max(_size(f.maps[j]) * _size(inv_f[j]) ** 2,
+                         _size(g.maps[j]) * _size(inv_g[j]) ** 2)
+            return (2.0 * FRAME_GAP_EPS * sys.float_info.epsilon * spread
+                    * max(_size(f.maps[i]), _size(g.maps[i])))
+
+        grid = range(len(f.grid))
+        for k in grid:
+            # scaling map k by 1 + d moves the induced map of each pair it
+            # enters, (k, j) or (i, k), by about d times that map's size
+            worst = max(_size(matmul(inv_f[j], f.maps[i])) / allowed(i, j)
+                        for i in grid for j in grid
+                        if i != j and k in (i, j))
+            scale = 1.0 + times / worst
+            maps = list(g.maps)
+            maps[k] = tuple(tuple(scale * c for c in row) for row in maps[k])
+            mutant = g._replace(maps=tuple(maps))
+            if refused:
+                with pytest.raises(FibreTransportError,
+                                   match="families induce different"):
+                    gauge_between(mutant, f)
+            else:
+                gauge_between(mutant, f)
 
 
 class TestCounterexamples:

@@ -114,6 +114,17 @@ class TestPiecewisePaths:
         assert [x.node for _, _, x in runs] == ["a", "b"]
         assert runs[0][0] == 0.0 and runs[0][1] == 0.6
 
+    @pytest.mark.parametrize("walker, args, walked", [
+        (piece_runs, (), "piece runs"),
+        (node_sequence, (0.0, 1.0), "node sequences"),
+        (trace_nodes, (), "node traces")],
+        ids=["piece_runs", "node_sequence", "trace_nodes"])
+    def test_a_walker_refuses_a_chart_path_with_what_it_reads(
+            self, walker, args, walked):
+        with pytest.raises(FibreTransportError,
+                           match=f"^{walked} are defined for discrete paths$"):
+            walker(sphere.latitude_arc(1.0, 0.0, 1.0), *args)
+
 
 class TestRestrictReparamReverse:
     def test_restrict_keeps_values(self):
@@ -401,8 +412,7 @@ def test_a_path_tabulates_its_pieces_and_takes_no_table():
     assert piece_runs(point) == [(0.5, 0.5, graph_point("g", "n0"))]
     assert sphere.latitude_arc(1.0, 0.0, 1.0).piece_points == ()
     with pytest.raises(TypeError):
-        Path(space="g", domain=UNIT, jet=p.jet, kind="discrete",
-             piece_points=p.piece_points)
+        Path(space="g", domain=UNIT, jet=p.jet, piece_points=p.piece_points)
 
 
 def test_interior_breakpoints_are_the_strictly_interior_ones():
@@ -519,9 +529,7 @@ def test_the_octant_breakpoints_sit_at_the_thirds():
 
 def test_a_chart_path_without_a_velocity_is_refused():
     with pytest.raises(FibreTransportError, match="needs a velocity"):
-        Path(space=sphere.SPACE, domain=UNIT,
-             jet=lambda s: ((1.0, s), None),
-             kind="chart")
+        Path(space=sphere.SPACE, domain=UNIT, jet=lambda s: ((1.0, s), None))
 
 
 @pytest.mark.parametrize("jet", [
@@ -534,13 +542,12 @@ def test_a_chart_jet_that_is_not_a_pair_is_refused(jet):
     """A chart path's point and velocity are (theta, phi) pairs."""
     with pytest.raises(FibreTransportError,
                        match="must give a \\(theta, phi\\) point"):
-        Path(space="r3", domain=Interval(-1.0, 5.0), kind="chart", jet=jet)
+        Path(space="r3", domain=Interval(-1.0, 5.0), jet=jet)
 
 
 def test_a_discrete_path_needs_no_velocity():
     p = Path(space="g", domain=UNIT,
-             jet=lambda s: (graph_point("g", "a"), None),
-             kind="discrete")
+             jet=lambda s: (graph_point("g", "a"), None))
     assert p.velocity(0.5) is None
     for q in (reverse(zigzag()), concatenate(zigzag(), reverse(zigzag()))):
         assert q.jet(0.5)[1] is None and q.velocity(0.5) is None
@@ -592,7 +599,7 @@ def _nested_thirds_jet(legs):
         return jet
 
     first = Path(space=sphere.SPACE, domain=Interval(0.0, 2 * third),
-                 jet=glue(j1, j2, third), kind="chart")
+                 jet=glue(j1, j2, third))
     outer_left = Reparameterization(first.domain, first.domain)
     return glue(_jet_by_hand(first, outer_left), j3, 2 * third)
 

@@ -157,10 +157,9 @@ def test_draws_are_the_generic_draws_to_the_bit(seed):
         return piecewise_path("g", d, [((d.lo + d.hi) / 2, "n0"),
                                        (d.hi, "n1")], name=name)
 
-    bundles = (FibreBundle("g", "graph", "finite", nodes=("n0", "n1"),
-                           labels=("a", "b", "c")),
-               FibreBundle("g", "graph", "vector", nodes=("n0", "n1")),
-               FibreBundle("g", "graph", "sections", nodes=("n0", "n1"),
+    bundles = (FibreBundle("g", nodes=("n0", "n1"), labels=("a", "b", "c")),
+               FibreBundle("g", nodes=("n0", "n1")),
+               FibreBundle("g", nodes=("n0", "n1"),
                            sections=tuple(
                                table_section(name, "g", {"n0": a, "n1": b})
                                for name, a, b in (("up", "a", "b"),
@@ -383,21 +382,20 @@ def _honest_specs(draw):
                                  "parallelization")))
     if kind == "permutation":
         labels = ("a", "b", "c")[:draw(st.integers(min_value=2, max_value=3))]
-        bundle = FibreBundle("g", "graph", "finite", nodes=nodes,
-                             labels=labels)
+        bundle = FibreBundle("g", nodes=nodes, labels=labels)
         T = permutation_transport(bundle, {
             (x, y): dict(zip(labels, draw(st.permutations(labels))))
             for i, x in enumerate(nodes) for y in nodes[i + 1:]})
     elif kind == "foliation":
         values = {n: draw(st.permutations(("p", "q", "r"))) for n in nodes}
-        bundle = FibreBundle("g", "graph", "sections", nodes=nodes,
+        bundle = FibreBundle("g", nodes=nodes,
                              sections=tuple(
                                  table_section(name, "g", {n: values[n][i]
                                                            for n in nodes})
                                  for i, name in enumerate(("alpha", "beta"))))
         T = foliation_transport(bundle)
     else:
-        bundle = FibreBundle("g", "graph", "vector", nodes=nodes)
+        bundle = FibreBundle("g", nodes=nodes)
         T = parallelization_transport(bundle,
                                       {n: draw(_frames()) for n in nodes})
     walk, second = draw(_tours(nodes)), draw(_tours(nodes, closed=True))
