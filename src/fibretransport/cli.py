@@ -111,7 +111,8 @@ def cmd_holonomy(args: argparse.Namespace) -> int:
         loop = spec.path_named(loop_label)
         rows.append((h, holonomy_angle(spec.transport, loop, spec.metric)))
     finest = min(rows, key=lambda r: r[0])[1]
-    table = [(h, ang, abs(ang - finest)) for h, ang in rows]
+    table = [(h, ang, abs(math.remainder(ang - finest, 2 * math.pi)))
+             for h, ang in rows]
     if args.fmt == "csv":
         lines = ["step,angle,error_vs_finest"]
         lines += [",".join(_FLOAT_FMT % v for v in row) for row in table]

@@ -183,7 +183,8 @@ DEFAULT_STEP = 8e-3
 # Finest integrator step.  Cells are kept for the whole span a transport
 # covers, 32 bytes each, and their aligned block products at most as much
 # again, so a step bounds memory as well as work: MAX_SPAN / MIN_STEP cells
-# and their blocks are about 52 MB per direction.  A finer step buys
+# and their blocks are about 52 MB per direction, plus at most
+# ``integrate.PARTIAL_STEPS`` partial steps (about 16 kB).  A finer step buys
 # nothing: below about 1e-3 the roundoff summed over 1/step cells outgrows
 # the Magnus truncation, and the honest error rises again, to 4.3e-12 at
 # MIN_STEP against 7.8e-14 at 1e-3.

@@ -199,6 +199,18 @@ class TestHolonomy:
         # exact instance: the step is ignored, both rows agree to the bit
         assert angles[0] == angles[1] == 0.0
 
+    def test_an_angle_read_on_the_other_side_of_the_half_turn_is_no_error(
+            self, tmp_path):
+        # latitude-60 turns by exactly pi; at step 7e-3 the angle reads -pi
+        # and at 1e-3 +pi, which is one rotation, not an error of 2 pi
+        rc = main(["holonomy", "--instance", "sphere-levi-civita",
+                   "--loop", "latitude-60", "--steps", "7e-3,1e-3",
+                   "--format", "csv", "--out", str(tmp_path)])
+        assert rc == 0
+        rows = list(csv.DictReader((tmp_path / "holonomy.csv").open()))
+        assert float(rows[0]["angle"]) < 0.0 < float(rows[1]["angle"])
+        assert [float(r["error_vs_finest"]) for r in rows] == [0.0, 0.0]
+
     def test_no_loops_declared(self, capsys):
         assert main(["holonomy", "--instance", "perm-c3"]) == 2
 

@@ -72,10 +72,68 @@ def test_no_cell_is_shared_between_transports():
         first = transport(T, path, s, t, u)
         costs.append(len(calls))
         assert transport(T, path, s, t, u) == first
-        # the second call reuses the cells; only its two partial steps remain,
-        # two Gauss nodes each
-        assert len(calls) - costs[-1] == 4
+        # the second call reuses the cells and its two partial steps
+        assert len(calls) == costs[-1]
     assert costs[0] == costs[1] > 1000
+
+
+TILTED = sphere.great_circle_arc((1.9, 0.3), (1.1, 1.8))
+
+
+def _tilted_flow(a, b, nodes):
+    """The Levi-Civita flow along TILTED over the cells of a, *nodes, b."""
+    return integrate.rk4_linear_flow(
+        lambda r: sphere.coefficient_matrix(*TILTED.jet(r)), a, b, nodes)
+
+
+def test_a_store_keeps_a_bounded_number_of_partial_steps():
+    """Partial steps are kept oldest-out, at most PARTIAL_STEPS of them, and
+    a transport read again after its steps were dropped gives the same bits
+    as its first read."""
+    flows = []
+
+    def build(a, b, nodes):
+        flows.append((a, b))
+        return _tilted_flow(a, b, nodes)
+
+    store = integrate.CellStore(1e-3, 1)
+    u = (0.3, -0.7)
+    first = store.transport(build, 0.1234, 0.8765, (), u)
+    kept = dict(store.partial)
+    assert len(kept) == 2
+    # a step is kept by both its ends: one from the same node to another end
+    # is its own step
+    nearby = store.transport(build, 0.1234, 0.8767, (), u)
+    assert nearby == integrate.CellStore(1e-3, 1).transport(
+        build, 0.1234, 0.8767, (), u)
+    for k in range(100):          # ends off the lattice, all distinct
+        s = 0.2 + k * 3.1e-3 + 1.7e-4
+        store.transport(build, s, s + 0.05, (), u)
+        assert len(store.partial) <= integrate.PARTIAL_STEPS
+    assert len(store.partial) == integrate.PARTIAL_STEPS == 64
+    assert not kept.keys() & store.partial.keys()
+    flows.clear()
+    assert store.transport(build, 0.1234, 0.8765, (), u) == first
+    assert flows == [(0.1234, 0.124), (0.876, 0.8765)]
+    assert store.partial.items() >= kept.items()
+
+
+def test_a_partial_step_whose_flow_raises_is_not_kept():
+    refuse = [True]
+
+    def build(a, b, nodes):
+        if refuse[0]:
+            raise FibreTransportError("refused")
+        return _tilted_flow(a, b, nodes)
+
+    store = integrate.CellStore(1e-3, 1)
+    with pytest.raises(FibreTransportError, match="refused"):
+        store.transport(build, 0.1234, 0.1236, (), (0.3, -0.7))
+    assert store.partial == {}
+    refuse[0] = False
+    assert store.transport(build, 0.1234, 0.1236, (), (0.3, -0.7)) == (
+        integrate.CellStore(1e-3, 1).transport(build, 0.1234, 0.1236, (),
+                                               (0.3, -0.7)))
 
 
 def test_backward_transports_invert_forward_ones():
