@@ -30,7 +30,7 @@ from .bundles import FibreBundle, element_deviation, fibre_elements, \
     fibre_labels, label_element, vector_element
 from .errors import FibreTransportError
 from .paths import Path
-from .transport import Transport, _desc, transport, unit_ball
+from .transport import Transport, _desc, element_drawer, transport
 
 FibreMap = "dict[str, str] | linalg.Mat"
 
@@ -286,6 +286,7 @@ def roundtrip_trial(T: Transport, f: Factorization, trials: int):
     fibres draw three unit-ball vectors per grid point."""
     p = f.path
     rebuilt = transport_from_factorization(f)
+    element = element_drawer(T.bundle)
 
     def trial(k, rng):
         if k == 0:
@@ -295,8 +296,7 @@ def roundtrip_trial(T: Transport, f: Factorization, trials: int):
         s = f.grid[k]
         x = p.at(s)
         if T.bundle.fibre_kind == "vector":
-            elements = [vector_element(x, unit_ball(rng))
-                        for _ in range(3)]
+            elements = [element(rng, x) for _ in range(3)]
         else:
             elements = fibre_elements(T.bundle, x)
         for t in f.grid:

@@ -94,5 +94,7 @@ def rotation(angle: float) -> Mat:
 
 
 def rotation_angle(m: Mat) -> float:
-    """Angle of a 2x2 matrix that is (close to) a rotation."""
-    return math.atan2(m[1][0], m[0][0])
+    """Angle of a 2x2 matrix that is (close to) a rotation, in (-pi, pi]:
+    atan2's -pi, a half turn whose sine entry is below zero, reads pi."""
+    a = math.atan2(m[1][0], m[0][0])
+    return math.pi if a == -math.pi else a

@@ -15,13 +15,13 @@ A path is one raw map, its jet: ``jet(s)`` gives the point at s and the
 velocity d(coords)/ds there, the pair a transport's coefficients read.  A
 chart path's point is its (theta, phi) pair, which ``Path.at`` wraps in a
 ``BasePoint``; its jet must give an analytic velocity, a pair as well (both
-checked at construction), and a reparameterization carries the derivative
-``deriv`` of its forward map, so derived paths push velocities through by
-the chain rule.  A discrete path's jet gives a node point (checked at
-construction) and the velocity None.  Paths carry two optional pieces of
-structure as well: ``breakpoints`` (parameters where the point map may kink
-or jump, so exact integrators can split there) and ``crossings`` (declared
-self-intersection parameter pairs of chart paths; discrete paths find their
+checked at construction), and a reparameterized path pushes velocities
+through by the chain rule, with the derivative of its remap's forward map.
+A discrete path's jet gives a node point (checked at construction) and the
+velocity None.  Paths carry two optional pieces of structure as well:
+``breakpoints`` (parameters where the point map may kink or jump, so exact
+integrators can split there) and ``crossings`` (declared self-intersection
+parameter pairs of chart paths; discrete paths find their
 self-intersections by enumeration instead).
 
 Breakpoint convention for piecewise-constant paths: the value at an interior
@@ -111,11 +111,11 @@ class Reparameterization(namedtuple(
     source.lo to target.lo, or to target.hi when ``reversing``.  Every such
     map is onto and strictly monotone, so only degenerate intervals are
     refused, and so are flags that are not bools.  ``fwd`` maps source ->
-    target, ``inv`` is its inverse and ``deriv`` the derivative of ``fwd``,
-    which derived paths use to push analytic velocities through; all three
-    read ``coefficients``, (a, c, k) with fwd(s) = c + (s - a) * k, or
-    c + (s - a)**2 * k when ``squared``.  That field is derived here from
-    the others and is never passed, so equal remaps are the same map.
+    target, ``inv`` is its inverse and ``deriv`` the derivative of ``fwd``
+    (``reparameterize`` inlines ``fwd`` and ``deriv`` in the derived jet);
+    all three read ``coefficients``, (a, c, k) with fwd(s) = c + (s - a) *
+    k, or c + (s - a)**2 * k when ``squared``.  That field is derived here
+    from the others and is never passed, so equal remaps are the same map.
     """
 
     __slots__ = ()

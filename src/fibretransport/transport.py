@@ -29,8 +29,8 @@ from .bundles import (SAME_POINT_TOL, BundleMetric, FibreBundle,
                       point_deviation, rebase, vector_element)
 from .errors import FibreTransportError
 from .linalg import lin_comb, max_abs, vec_sub
-from .paths import Interval, Path, concatenate, reparameterize, restrict, \
-    reverse, share_remaps
+from .paths import Interval, Path, canonical_reversal, concatenate, \
+    reparameterize, restrict, share_remaps
 
 # Properties a transport can declare.  A law whose trial only makes sense
 # under a property refuses to run unless it is declared.
@@ -305,19 +305,20 @@ def _desc(u: FibreElement):
     return u.label if u.label is not None else list(u.vector)
 
 
-def _draws(bundle: FibreBundle, paths, n=2, remaps=None, derive=None,
+def _draws(bundle: FibreBundle, paths, n=2, remaps=None,
            first: tuple | None = None):
     """A sampled law's draws: ``draw(k, rng)`` returns trial k's pick, path
     q, parameters and element, making every ``rng`` call in one order.
 
     With ``n`` a count, a path p is picked from ``paths`` (a lone path is a
     list of one), then a remap from ``remaps`` if given: the pick is p or
-    (p, remap), q is ``reparameterize(p, remap)``, ``derive(p)`` or p, each
-    built once, and n parameters are drawn on q's domain.  With ``n`` a
-    tuple of intervals, ``paths`` is q and the pick, taken with no call
-    (``randrange(1)`` would draw), and one parameter is drawn on each.  A
-    parameter is ``random.uniform``'s formula, or ``first`` at trial 0 when
-    given.  The element is drawn last, over q at the first parameter.
+    (p, remap), q is ``reparameterize(p, remap)``, built once, or p, and n
+    parameters are drawn on q's domain.  A lone remap is taken with no call,
+    as is the pick when ``n`` is a tuple of intervals: then ``paths`` is q
+    and the pick, and one parameter is drawn on each interval
+    (``randrange(1)`` would draw).  A parameter is ``random.uniform``'s
+    formula, or ``first`` at trial 0 when given.  The element is drawn last,
+    over q at the first parameter.
     """
     one = not isinstance(n, int)
     paths = paths if one else _as_paths(paths)
@@ -332,17 +333,15 @@ def _draws(bundle: FibreBundle, paths, n=2, remaps=None, derive=None,
                     raise FibreTransportError(
                         f"reparameterization {remap.name!r} targets "
                         f"{remap.target}, path domain is {p.domain}")
-        derive = reparameterize
-    derive = derive and functools.cache(derive)  # so q's cells are reused
+        derived = functools.cache(reparameterize)  # so q's cells are reused
     element = element_drawer(bundle)
 
     def draw(k, rng):
         pick = q = paths if one else paths[rng.randrange(len(paths))]
         if remaps:
-            remap = remaps[rng.randrange(len(remaps))]
-            pick, q = (q, remap), derive(q, remap)
-        elif derive:
-            q = derive(q)
+            remap = (remaps[0] if len(remaps) == 1
+                     else remaps[rng.randrange(len(remaps))])
+            pick, q = (q, remap), derived(q, remap)
         params = first if k == 0 and first is not None else tuple(
             [lo + (hi - lo) * rng.random()
              for lo, hi in (n if one else (q.domain,) * n)])
@@ -408,11 +407,13 @@ def locality_trial(T: Transport, paths, trials: int):
     return trial, trials, ""
 
 
-def reparam_trial(T: Transport, paths, remaps, trials: int):
+def reparam_trial(T: Transport, paths, remaps, trials: int,
+                  first: tuple | None = None):
     """Law 2.6: transports along p after a parameter change match transports
     along p at the corresponding parameters; ``remaps`` is a sequence of
-    ``Reparameterization``s onto the paths' domains."""
-    draw = _draws(T.bundle, paths, remaps=remaps)
+    ``Reparameterization``s onto the paths' domains, and ``first``, if
+    given, is trial 0's (s, t)."""
+    draw = _draws(T.bundle, paths, remaps=remaps, first=first)
 
     def trial(k, rng):
         (p, remap), q, (s, t), u = draw(k, rng)
@@ -427,21 +428,14 @@ def reparam_trial(T: Transport, paths, remaps, trials: int):
 
 def inverse_path_trial(T: Transport, paths, trials: int):
     """Law 3.2: along the reversed path, the (s, t) map equals the
-    (1-s, 1-t) map along the original.  Needs declared reparameterization
-    invariance and canonically parameterized paths."""
+    (1-s, 1-t) map along the original.  It is law 2.6 along the canonical
+    reversal alone, so the paths must be on [0, 1], and it needs declared
+    reparameterization invariance."""
     if "reparam_invariant" not in T.declared:
         raise FibreTransportError(
             "inverse-path law requires a transport declared reparam_invariant")
-    draw = _draws(T.bundle, paths, derive=reverse,
-                  first=(0.0, 1.0))  # trial 0 is the full traversal
-
-    def trial(k, rng):
-        p, q, (s, t), u = draw(k, rng)
-        lhs = transport(T, q, s, t, u)
-        rhs = transport(T, p, 1.0 - s, 1.0 - t, rebase(u, p.at(1.0 - s)))
-        yield element_deviation(lhs, rhs), p.name, {"s": s, "t": t}, [_desc(u)]
-
-    return trial, trials, ""
+    return reparam_trial(T, paths, (canonical_reversal(),), trials,
+                         first=(0.0, 1.0))  # trial 0 is the full traversal
 
 
 def _product_of(T: Transport, p1: Path, p2: Path):
@@ -494,18 +488,18 @@ def linearity_trial(T: Transport, paths, trials: int):
     """Law 2.8: the maps respect linear combinations (relative deviation)."""
     if T.bundle.fibre_kind != "vector":
         raise FibreTransportError("linearity applies to vector fibres")
-    draw = _draws(T.bundle, paths)
+    draw, element = _draws(T.bundle, paths), element_drawer(T.bundle)
 
     def trial(k, rng):
         p, _, (s, t), e = draw(k, rng)
-        x, u = e.over, e.vector
-        v = unit_ball(rng)
+        f = element(rng, e.over)
+        x, u, v = e.over, e.vector, f.vector
         lam = rng.uniform(-2.0, 2.0)
         mu = rng.uniform(-2.0, 2.0)
         w = lin_comb(lam, u, mu, v)
         tw = transport(T, p, s, t, vector_element(x, w)).vector
         tu = transport(T, p, s, t, e).vector
-        tv = transport(T, p, s, t, vector_element(x, v)).vector
+        tv = transport(T, p, s, t, f).vector
         combined = lin_comb(lam, tu, mu, tv)
         scale = max(1.0, max_abs(w), max_abs(tw), max_abs(combined))
         dev = max_abs(vec_sub(tw, combined)) / scale
@@ -522,11 +516,11 @@ def metric_trial(T: Transport, metric: BundleMetric | None, paths,
         raise FibreTransportError("metric consistency needs a bundle metric")
     if T.bundle.fibre_kind != "vector":
         raise FibreTransportError("metric consistency applies to vector fibres")
-    draw = _draws(T.bundle, paths)
+    draw, element = _draws(T.bundle, paths), element_drawer(T.bundle)
 
     def trial(k, rng):
         p, _, (s, t), u = draw(k, rng)
-        v = vector_element(u.over, unit_ball(rng))
+        v = element(rng, u.over)
         before = evaluate_metric(metric, u.over, u, v)
         tu = transport(T, p, s, t, u)
         tv = transport(T, p, s, t, v)

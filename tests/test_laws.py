@@ -160,3 +160,13 @@ def test_every_path_and_parameter_is_drawn_by_the_draw_routine():
     assert len([d for d in draws if d[:2] == ("transport.py", ("_draws",
                                                                "draw"))]) == 3
     assert [d for d in draws if d[1][:1] != ("_draws",)] == []
+
+
+def test_every_element_is_drawn_by_the_element_drawer():
+    """A vector is drawn by ``unit_ball`` only inside
+    ``transport.element_drawer``, so a trial builder that needs another
+    element beside its draw's makes a drawer and draws from it."""
+    calls = [(path.name, scope) for path in SOURCES
+             for node, scope in _scoped_nodes(path)
+             if _called(node, "unit_ball")]
+    assert calls == [("transport.py", ("element_drawer", "draw"))]

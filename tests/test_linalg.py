@@ -222,3 +222,20 @@ def test_max_abs_is_nan_for_a_nan_in_any_position(n):
 
 def test_max_abs_of_nothing_is_zero():
     assert same(linalg.max_abs(()), 0.0)
+
+
+@pytest.mark.parametrize("sine", [0.0, -0.0, -1e-17, 1e-17])
+def test_a_half_turn_reads_plus_pi_whatever_the_sign_of_its_sine(sine):
+    # atan2 reads -pi when the sine entry is -0.0 or rounds to it; the
+    # principal value lies in (-pi, pi]
+    assert linalg.rotation_angle(((-1.0, -sine), (sine, -1.0))) == math.pi
+
+
+def test_rotation_angle_is_atan2_in_the_half_open_range():
+    rng = random.Random(0)
+    for _ in range(1000):
+        c, s = random_entries(rng, 2)
+        angle, a = linalg.rotation_angle(((c, -s), (s, c))), math.atan2(s, c)
+        assert -math.pi < angle <= math.pi
+        assert same(angle, a) or a == -math.pi and angle == math.pi
+    assert math.isnan(linalg.rotation_angle(((math.nan, 0.0), (0.0, 1.0))))

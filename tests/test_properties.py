@@ -150,7 +150,8 @@ def test_draws_are_the_generic_draws_to_the_bit(seed):
     """Each shape of the draw routine picks with randrange on each level,
     draws each parameter as random.uniform on its domain, draws the
     element over the trial's path at the first parameter, and leaves the
-    stream where the trial bodies it replaced left it.  unit_ball is the
+    stream where the trial bodies it replaced left it; a lone remap is
+    taken with no pick, as law 3.2's reversal was.  unit_ball is the
     generic n-ball loop at n = 2.  The element drawer's label table serves
     finite and section fibres alike and refuses a point off the base as
     fibre_labels does; Reparameterization.apply is fwd between the two
@@ -171,6 +172,7 @@ def test_draws_are_the_generic_draws_to_the_bit(seed):
         (UNIT, Interval(-3.0, 0.7), Interval(1e-3, 1e3))))
     units = tuple(two_nodes(UNIT, f"u{i}") for i in range(3))
     remaps = (affine_remap(Interval(0.0, 2.0), UNIT), square_remap())
+    reversal = canonical_reversal()
     pair = (units[0], reverse(units[0]))  # it ends where it starts back
     prod = concatenate(*pair)
     left, right = share_remaps(pair)
@@ -179,7 +181,8 @@ def test_draws_are_the_generic_draws_to_the_bit(seed):
     draws = {bundle: (_draws(bundle, paths, 1), _draws(bundle, paths, 2),
                       _draws(bundle, paths, 3),
                       _draws(bundle, units, remaps=remaps),
-                      _draws(bundle, units, derive=reverse, first=(0.0, 1.0)),
+                      _draws(bundle, units, remaps=(reversal,),
+                             first=(0.0, 1.0)),
                       [_draws(bundle, prod, on) for on in halves],
                       [_draws(bundle, p, (p.domain,) * 2) for p in paths])
              for bundle in bundles}
@@ -222,10 +225,11 @@ def test_draws_are_the_generic_draws_to_the_bit(seed):
         remap = remaps[old.randrange(len(remaps))]
         check(drawn, (p, remap), derived(reparameterize, p, remap),
               [remap.source] * 2)
-        # a picked path, reversed, whose trial 0 is the full traversal
+        # a picked path, then its lone remap taken with no pick: the
+        # reversal, whose trial 0 is the full traversal
         drawn = by_reversal(k, new)
         p = units[old.randrange(len(units))]
-        check(drawn, p, derived(reverse, p), [UNIT] * 2,
+        check(drawn, (p, reversal), derived(reverse, p), [UNIT] * 2,
               (0.0, 1.0) if k == 0 else None)
         # no pick: one parameter on each product half, or both on one
         check(by_half[k % 3](k, new), prod, prod, halves[k % 3])
@@ -264,6 +268,28 @@ def test_draws_are_the_generic_draws_to_the_bit(seed):
                     remap.apply(s)
             else:
                 assert remap.apply(s).hex() == expected
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_lone_remap_leaves_the_stream_where_the_plain_draw_leaves_it(seed):
+    """With one remap the draw routine takes it with no ``rng`` call, so a
+    one-remap draw makes the calls of the plain draw on the same paths,
+    whatever the remap's source."""
+    bundles = (FibreBundle("g", nodes=("n0", "n1"), labels=("a", "b", "c")),
+               FibreBundle("g", nodes=("n0", "n1")))
+    units = tuple(piecewise_path("g", UNIT, [(0.5, "n0"), (1.0, "n1")],
+                                 name=f"u{i}") for i in range(3))
+    for bundle in bundles:
+        for remap in (canonical_reversal(), square_remap(),
+                      affine_remap(Interval(-3.0, 0.7), UNIT)):
+            lone = _draws(bundle, units, remaps=(remap,))
+            plain = _draws(bundle, units)
+            a, b = random.Random(seed), random.Random(seed)
+            for k in range(50):
+                (p, got), q, _, _ = lone(k, a)
+                plain(k, b)
+                assert got is remap and q.domain == remap.source
+                assert a.getstate() == b.getstate()
 
 
 # Every law whose trials draw through the draw routine; law 4.6's

@@ -14,7 +14,7 @@ from fibretransport.laws import (LAWS, REMAPS, is_transported_section,
                                  law_named, liftings_disjoint_or_equal)
 from fibretransport.lifting import propagate_section
 from fibretransport.paths import (EDGE_SLACK, UNIT, Interval, affine_remap,
-                                  piecewise_path)
+                                  piecewise_path, restrict)
 from fibretransport.transport import (Failure, Transport, inverse_transport,
                                       run_trials, transport)
 
@@ -238,6 +238,15 @@ class TestCheckerPreconditions:
         with pytest.raises(FibreTransportError, match="declared reparam_invariant"):
             law_named("3.2").check(T, perm.law_paths, trials=5)
 
+    def test_inverse_path_needs_paths_on_the_unit_interval(self, perm):
+        # law 3.2 is law 2.6 along the canonical reversal of [0, 1], so a
+        # path on another domain is refused when the law is built
+        half = restrict(perm.path_named("walk"), Interval(0.0, 0.5))
+        target = re.escape(f"'reversal' targets {UNIT}")
+        with pytest.raises(FibreTransportError, match=target):
+            law_named("3.2").check(perm.transport, [*perm.law_paths, half],
+                                   trials=5)
+
     def test_metric_consistency_needs_metric(self, sphere):
         with pytest.raises(FibreTransportError, match="needs a bundle metric"):
             law_named("2.9").check(sphere.transport, None,
@@ -249,19 +258,19 @@ class TestDerivedPaths:
                                                            monkeypatch):
         # the package attribute fibretransport.transport is the function
         module = sys.modules["fibretransport.transport"]
-        built = {"reparameterize": 0, "reverse": 0}
-        for name in built:
-            def counted(*args, name=name, build=getattr(module, name)):
-                built[name] += 1
-                return build(*args)
-            monkeypatch.setattr(module, name, counted)
+        built = []
+
+        def counted(*args, build=module.reparameterize):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(module, "reparameterize", counted)
         T, paths = sphere.transport, sphere.law_paths
         assert law_named("2.6").check(T, paths, REMAPS, trials=20).passed
         assert law_named("3.2").check(T, paths, trials=20).passed
         # reused paths keep their cached cells: one build per draw would
-        # make 20 of each
-        assert built["reparameterize"] <= len(paths) * len(REMAPS)
-        assert built["reverse"] <= len(paths)
+        # make 40; law 3.2 derives by the reversal alone
+        assert len(built) <= len(paths) * (len(REMAPS) + 1)
 
 
 GROUP = law_named("2.2")
